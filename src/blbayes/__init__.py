@@ -20,7 +20,6 @@ from .backtest import (  # noqa: F401
     SweepGrid,
     SweepRecord,
     backtest_profit,
-    capm_weights,
     run_model,
     run_sweep,
     view_distance,

@@ -30,12 +30,6 @@ log = logging.getLogger(__name__)
 MODELS = ("original", "iw_augmented", "iw_nonsquare", "log_sigma")
 
 
-def capm_weights(mu_post, sigma_post, risk_aversion: float) -> np.ndarray:
-    """Unconstrained mean-variance weights ``Sigma_post^-1 mu_post / lambda``
-    (same contract and implementation as the closed-form model's weights)."""
-    return optimal_weights(mu_post, sigma_post, risk_aversion)
-
-
 def view_distance(p, mu_post, q) -> float:
     """Euclidean norm of ``P mu_post - q``."""
     p = np.asarray(p, dtype=float)
@@ -133,17 +127,10 @@ def run_model(model: str, panel: ReturnPanel, views: ViewSet,
                                  seed=seed, stream_id=stream_id)
             summary = gibbs_log_sigma(panel.current, views, cfg, trace_path=trace_path)
         else:
-            if settings.sigma0 is not None:
-                nu = settings.nu if settings.nu is not None else n + 2
-                cfg = IwConfig(nu=nu, sigma0=np.asarray(settings.sigma0, dtype=float),
-                               m=m, iters=settings.iters, burn=settings.burn,
-                               seed=seed, stream_id=stream_id,
-                               allow_small_omega=settings.allow_small_omega)
-            else:
-                cfg = IwConfig.default_for(hist_cov, m=m, iters=settings.iters,
-                                           burn=settings.burn, seed=seed,
-                                           nu=settings.nu, stream_id=stream_id,
-                                           allow_small_omega=settings.allow_small_omega)
+            cfg = IwConfig.default_for(hist_cov, m=m, iters=settings.iters,
+                                       burn=settings.burn, seed=seed, nu=settings.nu,
+                                       sigma0=settings.sigma0, stream_id=stream_id,
+                                       allow_small_omega=settings.allow_small_omega)
             if model == "iw_augmented":
                 months = monthly_means(panel.historical, m)
                 summary = gibbs_augmented(panel.current, views, months, cfg,
@@ -153,7 +140,7 @@ def run_model(model: str, panel: ReturnPanel, views: ViewSet,
                                           trace_path=trace_path)
         mu_post, sigma_post = summary.mu_post, summary.sigma_post
 
-    weights = capm_weights(mu_post, sigma_post, settings.risk_aversion)
+    weights = optimal_weights(mu_post, sigma_post, settings.risk_aversion)
     distance = view_distance(views.p, mu_post, views.q)
     profit = curve = None
     if compute_profit:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, ingest_prices
-from .errors import ValidationError
+from .errors import ModelSizeError, ValidationError
+from .log_sigma import check_asset_count
 from .views import ViewSet
 
 SCHEMA_VERSION = "1"
@@ -111,11 +112,11 @@ class RunConfig:
             raise ValidationError("views.P", f"{n} columns but {len(tickers)} tickers")
         views = ViewSet(p=p, q=q, omega_diag=omega)  # re-raises with field paths
 
-        if model == "log_sigma" and n < 4:
-            raise ValidationError(
-                "views.P", "the log-covariance model needs n >= 4 assets "
-                "(prior shape parameters (n-3)/2 and (d-n-3)/2 must be positive)"
-            )
+        if model == "log_sigma":
+            try:
+                check_asset_count(n)
+            except ModelSizeError as exc:
+                raise ValidationError("views.P", str(exc)) from exc
 
         risk_aversion = _get(doc, "risk_aversion", float, "risk_aversion",
                              required=False, default=2.5)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .diagnostics import PosteriorSummary, summarize_mu_sigma
 from .errors import ChainError, DimensionError, ValidationError
 from .linalg import log_det_spd, require_spd, spd_inverse, symmetrize
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
-from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams
+from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
 log = logging.getLogger(__name__)
 
@@ -62,18 +62,20 @@ class IwConfig:
     def default_for(cls, hist_cov, m: int, iters: int, burn: int, seed: int,
                     nu: float | None = None, **kw) -> "IwConfig":
         """Defaults: nu = n + 2 (smallest integer with a finite prior mean)
-        and Sigma0 = (nu - n - 1) * hist_cov, so the prior mean equals the
-        historical sample covariance."""
-        hist_cov = require_spd(hist_cov, "historical covariance")
-        n = hist_cov.shape[0]
+        and, unless ``sigma0`` is passed, Sigma0 = (nu - n - 1) * hist_cov, so
+        the prior mean equals the historical sample covariance. That default
+        needs nu > n + 1; a smaller nu must come with an explicit sigma0."""
+        n = np.shape(hist_cov)[0]
         if nu is None:
             nu = n + 2
-        scale = max(nu - n - 1, 1e-8)
-        return cls(nu=nu, sigma0=scale * hist_cov, m=m, iters=iters, burn=burn,
-                   seed=seed, **kw)
-
-    def with_seed(self, seed: int, stream_id: int = 0) -> "IwConfig":
-        return replace(self, seed=seed, stream_id=stream_id)
+        if kw.get("sigma0") is None:
+            if nu <= n + 1:
+                raise ValidationError(
+                    "nu", f"must exceed n+1 = {n + 1} unless sigma0 is given "
+                    "(the default sigma0 is (nu-n-1) * historical covariance)"
+                )
+            kw["sigma0"] = (nu - n - 1) * require_spd(hist_cov, "historical covariance")
+        return cls(nu=nu, m=m, iters=iters, burn=burn, seed=seed, **kw)
 
 
 def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: str):
@@ -110,17 +112,9 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
         prior_prec = np.zeros((n, n))
         prior_vec = np.zeros(n)
     else:
-        omega_inv = spd_inverse(omega_eff, "mu conditional Omega")
-        q_eff = np.asarray(q_eff, dtype=float)
-        if p_eff is None:
-            if q_eff.shape != (n,):
-                raise DimensionError("q_eff length must be n when P_eff is identity")
-            prior_prec = omega_inv
-            prior_vec = omega_inv @ q_eff
-        else:
-            p_eff = np.asarray(p_eff, dtype=float)
-            prior_prec = p_eff.T @ omega_inv @ p_eff
-            prior_vec = p_eff.T @ (omega_inv @ q_eff)
+        if p_eff is None and np.shape(q_eff) != (n,):
+            raise DimensionError("q_eff length must be n when P_eff is identity")
+        prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
     return _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
 
 
@@ -168,13 +162,7 @@ def _run_iw_chain(returns, q_eff, omega_eff, p_eff, cfg: IwConfig, sigma0,
     if m != cfg.m:
         raise ValidationError("m", f"config m={cfg.m} but current window has {m} rows")
     rbar = returns.mean(axis=0)
-    omega_inv = spd_inverse(omega_eff, "Omega")
-    if p_eff is None:
-        prior_prec = omega_inv
-        prior_vec = omega_inv @ q_eff
-    else:
-        prior_prec = p_eff.T @ omega_inv @ p_eff
-        prior_vec = p_eff.T @ (omega_inv @ q_eff)
+    prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
 
     rng = RngStream(cfg.seed, cfg.stream_id)
     mu = rbar.copy()

@@ -60,8 +60,3 @@ def _emit(value, indent: int, pad: str) -> str:
 def dumps(obj, indent: int = 2) -> str:
     """Serialize with stable bytes: same input, same output, always."""
     return _emit(to_jsonable(obj), indent, "") + "\n"
-
-
-def dump(obj, path, indent: int = 2) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj, indent))

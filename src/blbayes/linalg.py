@@ -50,6 +50,14 @@ def require_symmetric(a, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
     return symmetrize(a)
 
 
+def _require_positive_spectrum(w, name: str) -> None:
+    if w[0] <= SPD_EIG_FLOOR * max(w[-1], 0.0) or w[-1] <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"{name} is not positive definite: eigenvalue range "
+            f"[{w[0]:.3e}, {w[-1]:.3e}]"
+        )
+
+
 def require_spd(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is symmetric positive definite.
 
@@ -58,32 +66,27 @@ def require_spd(a, name: str = "matrix") -> np.ndarray:
     instead of silently poisoning a factorization downstream.
     """
     a = require_symmetric(a, name)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= SPD_EIG_FLOOR * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite: eigenvalue range "
-            f"[{w[0]:.3e}, {w[-1]:.3e}]"
-        )
+    _require_positive_spectrum(np.linalg.eigvalsh(a), name)
     return a
 
 
-def add_jitter(a, rel: float = 1e-10) -> np.ndarray:
-    """Opt-in diagonal jitter of ``rel * trace/n``; the amount is logged."""
-    a = require_symmetric(a)
-    eps = rel * np.trace(a) / a.shape[0]
-    log.info("adding diagonal jitter %.3e to %dx%d matrix", eps, *a.shape)
-    return a + eps * np.eye(a.shape[0])
+def spd_eigh(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of an SPD matrix, validated
+    as :func:`require_spd` does but from this one decomposition."""
+    a = require_symmetric(a, name)
+    w, v = np.linalg.eigh(a)
+    _require_positive_spectrum(w, name)
+    return w, v
 
 
-def spd_solve(a, b, name: str = "system"):
-    """Solve ``a @ x = b`` for SPD ``a`` via Cholesky.
+def _cholesky(a, name: str) -> np.ndarray:
+    """Lower Cholesky factor of SPD ``a``.
 
-    Logs a warning when the condition number exceeds ``COND_WARN`` and raises
-    :class:`NumericalError` (with a condition report) if the factorization
+    Logs a warning when ``(max diag L / min diag L)^2``, a lower bound on the
+    2-norm condition number of ``a``, exceeds ``COND_WARN``; raises
+    :class:`NumericalError` with the eigenvalue range if the factorization
     fails.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -91,10 +94,18 @@ def spd_solve(a, b, name: str = "system"):
         raise NumericalError(
             f"{name}: Cholesky failed; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         ) from exc
-    w = np.linalg.eigvalsh(symmetrize(a))
-    if w[0] > 0 and w[-1] / w[0] > COND_WARN:
-        log.warning("%s: condition number %.3e exceeds %.0e", name, w[-1] / w[0], COND_WARN)
-    y = np.linalg.solve(c, b)
+    d = np.diag(c)
+    cond = (d.max() / d.min()) ** 2
+    if cond > COND_WARN:
+        log.warning("%s: condition number >= %.3e exceeds %.0e", name, cond, COND_WARN)
+    return c
+
+
+def spd_solve(a, b, name: str = "system"):
+    """Solve ``a @ x = b`` for SPD ``a`` through its Cholesky factor (see
+    :func:`_cholesky` for the condition warning and the failure report)."""
+    c = _cholesky(np.asarray(a, dtype=float), name)
+    y = np.linalg.solve(c, np.asarray(b, dtype=float))
     return np.linalg.solve(c.T, y)
 
 
@@ -188,8 +199,7 @@ def matrix_log_spd(a) -> np.ndarray:
     logs of the input's eigenvalues. Raises
     :class:`NotPositiveDefiniteError` for non-SPD input.
     """
-    a = require_spd(a, "matrix_log_spd input")
-    w, v = np.linalg.eigh(a)
+    w, v = spd_eigh(a, "matrix_log_spd input")
     return symmetrize((v * np.log(w)) @ v.T)
 
 

@@ -31,11 +31,16 @@ from .errors import (
     ModelSizeError,
     ValidationError,
 )
-from .inverse_wishart import OMEGA_FLOOR_HARD, _mu_conditional_pre, _TraceWriter
+from .inverse_wishart import (
+    OMEGA_FLOOR_HARD,
+    _mu_conditional_pre,
+    _TraceWriter,
+    check_omega_floor,
+)
 from .linalg import (
     log_det_spd,
     matrix_exp_sym,
-    require_spd,
+    spd_eigh,
     spd_inverse,
     symmetrize,
     vec_star,
@@ -44,7 +49,7 @@ from .linalg import (
     vec_star_inverse,
 )
 from .sampling import RngStream, sample_inverse_gamma, sample_mvn
-from .views import ViewSet
+from .views import ViewSet, view_precision
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +59,16 @@ _XI_SERIES_THRESHOLD = 1e-8
 # Keeps the inverse-gamma draws defined at the measure-zero corner where all
 # alpha entries of a block coincide.
 IG_SCALE_FLOOR = 1e-300
+
+
+def check_asset_count(n: int) -> None:
+    """The log-covariance prior is proper only for n >= 4 assets: its
+    inverse-gamma shapes ``(n-3)/2`` and ``(d-n-3)/2`` must be positive."""
+    if n < 4:
+        raise ModelSizeError(
+            f"the log-covariance model needs n >= 4 assets (prior shape parameters "
+            f"(n-3)/2 and (d-n-3)/2 must be positive), got n={n}"
+        )
 
 
 def xi_coefficient(d_i: float, d_j: float) -> float:
@@ -115,11 +130,10 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     from the eigen-decomposition of the scatter matrix. Near-degenerate
     eigenvalue pairs go through the series limit of xi, never an error.
     """
-    s_matrix = require_spd(s_matrix, "scatter matrix")
+    evals, evecs = spd_eigh(s_matrix, "scatter matrix")
     if m < 1:
         raise ValidationError("m", "must be >= 1")
-    n = s_matrix.shape[0]
-    evals, evecs = np.linalg.eigh(s_matrix)
+    n = evals.size
     f = build_f_vectors(evecs)
     rows = []
     weights = []
@@ -269,11 +283,7 @@ def sigma_sq_conditionals(alpha, n: int):
     ``IG_SCALE_FLOOR`` so the degenerate equal-entries corner stays
     sampleable. Shapes are positive only for n >= 4.
     """
-    if n < 4:
-        raise ModelSizeError(
-            f"log-covariance prior needs n >= 4 (shape parameters (n-3)/2 and "
-            f"(d-n-3)/2 must be positive; n={n} makes them improper)"
-        )
+    check_asset_count(n)
     alpha = np.asarray(alpha, dtype=float)
     d = vec_star_dim(n)
     if alpha.shape != (d,):
@@ -338,10 +348,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     if returns_current.ndim != 2:
         raise DimensionError("returns must be a 2-D (m, n) array")
     m, n = returns_current.shape
-    if n < 4:
-        raise ModelSizeError(
-            f"log-covariance prior needs n >= 4 assets, got n={n}"
-        )
+    check_asset_count(n)
     if m <= n:
         raise InsufficientDataError(
             f"need m > n for an SPD scatter matrix, got m={m}, n={n}"
@@ -350,20 +357,15 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         raise ValidationError("m", f"config m={cfg.m} but current window has {m} rows")
     if views.n != n:
         raise DimensionError("returns and views disagree on the number of assets")
-    if float(views.omega_diag.min()) < OMEGA_FLOOR_HARD:
-        raise ValidationError(
-            "views.omega",
-            f"entry {views.omega_diag.min():.3e} below the hard floor {OMEGA_FLOOR_HARD:.0e}",
-        )
+    check_omega_floor(views, OMEGA_FLOOR_HARD, False, "log_sigma")
 
     rbar = returns_current.mean(axis=0)
-    omega_inv = np.diag(1.0 / views.omega_diag)
-    prior_prec = views.p.T @ omega_inv @ views.p
-    prior_vec = views.p.T @ (omega_inv @ views.q)
+    prior_prec, prior_vec = view_precision(views.omega, views.q, views.p)
 
     # Data-centred start: Sigma at the scatter of the sample mean, block
     # variances at the empirical variances of the matching alpha blocks.
-    s_mat = require_spd(_scatter(returns_current, rbar), "initial scatter")
+    # build_Q validates each scatter matrix.
+    s_mat = _scatter(returns_current, rbar)
     quad = build_Q(s_mat, m)
     state = LogSigmaState(
         alpha=quad.lambda_vec.copy(),
@@ -406,7 +408,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
             if not (np.all(np.isfinite(state.mu)) and np.all(np.isfinite(state.alpha))):
                 raise ChainError("non-finite state in log-covariance chain", iteration=t)
 
-            s_mat = require_spd(_scatter(returns_current, state.mu), "scatter matrix")
+            s_mat = _scatter(returns_current, state.mu)
             quad = build_Q(s_mat, m)
             g_mat = build_G(StructuralDesign(n, state.sigma1_sq, state.sigma2_sq))
 

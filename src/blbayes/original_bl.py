@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import require_spd, spd_inverse, spd_solve, symmetrize
-from .views import ViewSet
+from .views import ViewSet, view_precision
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,10 @@ def bl_posterior(pi, tau: float, sigma, views: ViewSet | None) -> BlPosterior:
 
     if views.n != n:
         raise DimensionError("views are on a different number of assets")
-    p = views.p
-    omega_inv = np.diag(1.0 / views.omega_diag)
-    m = symmetrize(prior_prec + p.T @ omega_inv @ p)
+    view_prec, view_vec = view_precision(views.omega, views.q, views.p)
+    m = symmetrize(prior_prec + view_prec)
     m_inv = spd_inverse(m, "BL posterior precision")
-    mu_bar = m_inv @ (prior_prec @ pi + p.T @ omega_inv @ views.q)
+    mu_bar = m_inv @ (prior_prec @ pi + view_vec)
     return BlPosterior(mu_bar=mu_bar, m_inv=m_inv, sigma_bar=m_inv + sigma)
 
 

@@ -77,25 +77,6 @@ def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
     return a
 
 
-def sample_wishart(dof: float, scale, rng: RngStream) -> np.ndarray:
-    """One draw from Wishart(dof, scale) via the Bartlett construction.
-
-    Non-integer ``dof`` is allowed (it only enters through chi-square
-    marginals); requires ``dof > n - 1``.
-    """
-    scale = np.asarray(scale, dtype=float)
-    n = scale.shape[0]
-    if dof <= n - 1:
-        raise DegreesOfFreedomError(f"Wishart needs dof > n-1 = {n - 1}, got {dof}")
-    try:
-        chol = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("sample_wishart: scale is not SPD") from exc
-    a = _bartlett_factor(dof, n, rng)
-    m = chol @ a
-    return m @ m.T
-
-
 def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> np.ndarray:
     """One draw from the Inverse Wishart with the density pinned above.
 

@@ -17,7 +17,7 @@ from .errors import (
     RankError,
     ValidationError,
 )
-from .linalg import symmetrize
+from .linalg import spd_inverse, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,18 @@ class ViewSet:
 
     def with_omega(self, omega_diag) -> "ViewSet":
         return ViewSet(self.p, self.q, np.asarray(omega_diag, dtype=float))
+
+
+def view_precision(omega, q, p=None):
+    """The views' contribution to a mean posterior: ``(P' Omega^-1 P,
+    P' Omega^-1 q)``. ``p=None`` is the identity pick matrix of the
+    view-space chain."""
+    omega_inv = spd_inverse(omega, "Omega")
+    q = np.asarray(q, dtype=float)
+    if p is None:
+        return omega_inv, omega_inv @ q
+    p = np.asarray(p, dtype=float)
+    return p.T @ omega_inv @ p, p.T @ (omega_inv @ q)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ offline and reproducible.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ def test_criterion_07_gibbs_conjugacy_cross_check():
     cfg = IwConfig(nu=4, sigma0=0.02 * np.eye(2), m=25, iters=12_000, burn=1_500, seed=314)
     months = gen.normal(size=(8, 2)) * 0.01
     sa = gibbs_augmented(returns, sq_views, months, cfg)
-    sb = gibbs_nonsquare(returns, sq_views, cfg.with_seed(2718))
+    sb = gibbs_nonsquare(returns, sq_views, replace(cfg, seed=2718))
     comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
     part_b = bool(np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb))
     check(7, "mean conditional matches closed form; two samplers agree on square P",

@@ -7,27 +7,26 @@ from blbayes.backtest import (
     ModelSettings,
     SweepGrid,
     backtest_profit,
-    capm_weights,
     run_model,
     run_sweep,
     view_distance,
     write_sweep_csv,
 )
 from blbayes.errors import InsufficientDataError, ValidationError
-from blbayes.original_bl import bl_posterior
+from blbayes.original_bl import bl_posterior, optimal_weights
 from blbayes.views import ViewSet
 
 
 class TestCapmWeights:
     def test_zero_mean(self):
-        np.testing.assert_array_equal(capm_weights(np.zeros(2), np.eye(2), 2.5), np.zeros(2))
+        np.testing.assert_array_equal(optimal_weights(np.zeros(2), np.eye(2), 2.5), np.zeros(2))
 
     def test_lambda_scaling(self):
         mu, sig = np.array([0.1, 0.2]), np.array([[0.04, 0.0], [0.0, 0.09]])
-        np.testing.assert_allclose(capm_weights(mu, sig, 5.0) * 2, capm_weights(mu, sig, 2.5))
+        np.testing.assert_allclose(optimal_weights(mu, sig, 5.0) * 2, optimal_weights(mu, sig, 2.5))
 
     def test_scalar(self):
-        assert capm_weights([0.05], [[0.04]], 2.5)[0] == pytest.approx(0.5)
+        assert optimal_weights([0.05], [[0.04]], 2.5)[0] == pytest.approx(0.5)
 
 
 class TestBacktestProfit:

@@ -110,6 +110,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "positive definite" in capsys.readouterr().err
 
+    def test_small_nu_without_sigma0_exit_2(self, demo_dir, tmp_path, capsys):
+        # n = 4: nu = 4.5 is a valid Inverse-Wishart dof, but the default
+        # Sigma0 = (nu - n - 1) * hist covariance would not be SPD
+        cfg = write_config(tmp_path, small_config(demo_dir, nu=4.5))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "nu: must exceed n+1" in capsys.readouterr().err
+
     def test_wrong_tickers_rejected(self, demo_dir, tmp_path, capsys):
         doc = small_config(demo_dir)
         doc["data"]["tickers"] = ["AAA", "BBB", "CCC", "XXX"]

@@ -2,6 +2,7 @@
 
 import csv
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ class TestOmegaFloors:
             check_omega_floor(self.views([1e-13, 1e-7]), 1e-9, True, "non-square")
 
 
+class TestDefaultFor:
+    hist = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
+
+    def test_prior_mean_is_historical_covariance(self):
+        cfg = IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1)
+        assert cfg.nu == 4
+        np.testing.assert_array_equal(cfg.sigma0, self.hist)
+
+    def test_small_nu_without_sigma0_rejected(self):
+        # nu = n + 0.5 would scale the default Sigma0 by a non-positive factor
+        with pytest.raises(ValidationError, match="sigma0") as info:
+            IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1, nu=2.5)
+        assert info.value.path == "nu"
+
+    def test_small_nu_with_sigma0_accepted(self):
+        cfg = IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1,
+                                   nu=2.5, sigma0=0.02 * np.eye(2))
+        assert cfg.nu == 2.5
+        np.testing.assert_array_equal(cfg.sigma0, 0.02 * np.eye(2))
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     rng = np.random.default_rng(50)
@@ -141,7 +163,7 @@ class TestChains:
         b = gibbs_nonsquare(returns, views, cfg)
         np.testing.assert_array_equal(a.mu_post, b.mu_post)
         np.testing.assert_array_equal(a.sigma_post, b.sigma_post)
-        c = gibbs_nonsquare(returns, views, cfg.with_seed(988))
+        c = gibbs_nonsquare(returns, views, replace(cfg, seed=988))
         assert not np.array_equal(a.mu_post, c.mu_post)
 
     def test_vague_views_track_sample_mean(self, small_dataset):
@@ -170,7 +192,7 @@ class TestChains:
         cfg = make_config(m=25, iters=12_000, burn=1500, seed=314)
         months = rng.normal(size=(8, 2)) * 0.01
         sa = gibbs_augmented(returns, views, months, cfg)
-        sb = gibbs_nonsquare(returns, views, cfg.with_seed(2718))
+        sb = gibbs_nonsquare(returns, views, replace(cfg, seed=2718))
         comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
         assert np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb)
 

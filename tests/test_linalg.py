@@ -1,6 +1,8 @@
 """Kernels: stacking operator, matrix log/exp, and the quadratic-form
 identities every derivation leans on."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from blbayes.linalg import (
     complete_square,
     matrix_exp_sym,
     matrix_log_spd,
+    spd_inverse,
     spd_solve,
     vec_star,
     vec_star_bilinear,
@@ -119,6 +122,32 @@ class TestMatrixLogExp:
     def test_spd_solve_failure_reports(self):
         with pytest.raises(NumericalError):
             spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
+class TestConditionWarning:
+    @staticmethod
+    def rotated(eigvals):
+        q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(len(eigvals),) * 2))
+        a = (q * eigvals) @ q.T
+        return 0.5 * (a + a.T)
+
+    def test_ill_conditioned_warns(self, caplog):
+        a = self.rotated([1.0, 0.3, 1e-11])
+        assert 0.5e11 < np.linalg.cond(a) < 2e11
+        for call in (lambda: spd_solve(a, np.ones(3), "probe"),
+                     lambda: spd_inverse(a, "probe")):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+                call()
+            assert [r.levelno for r in caplog.records] == [logging.WARNING]
+            assert "probe: condition number" in caplog.records[0].message
+
+    def test_well_conditioned_is_silent(self, caplog):
+        a = self.rotated([1.0, 0.3, 1e-3])
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            spd_solve(a, np.ones(3))
+            spd_inverse(a)
+        assert caplog.records == []
 
 
 class TestCompleteSquare:

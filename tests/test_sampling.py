@@ -14,7 +14,6 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
-    sample_wishart,
 )
 from conftest import random_spd
 
@@ -115,8 +114,6 @@ class TestInverseWishart:
     def test_dof_error(self):
         with pytest.raises(DegreesOfFreedomError):
             sample_inverse_wishart(1.5, np.eye(3), RngStream(1))
-        with pytest.raises(DegreesOfFreedomError):
-            sample_wishart(1.0, np.eye(2), RngStream(1))
 
     def test_non_integer_dof_accepted(self):
         x = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
