@@ -9,7 +9,9 @@ Two variants share the same conditionals:
   in asset space, where P enters the conditional directly.
 
 A chain alternates one covariance draw (Inverse Wishart) with one mean draw
-(multivariate normal); point estimates are post-burn arithmetic means.
+(multivariate normal); point estimates are post-burn arithmetic means. The
+loop itself, :func:`gibbs_chain`, is shared with the log-covariance sampler,
+which supplies its own covariance step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
-from .errors import ChainError, DimensionError, ValidationError
+from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
 from .linalg import log_det_spd, require_spd, spd_inverse, symmetrize
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
@@ -153,12 +155,22 @@ class _TraceWriter:
         self._fh.close()
 
 
-def _run_iw_chain(returns, q_eff, omega_eff, p_eff, cfg: IwConfig, sigma0,
-                  trace: _TraceWriter | None):
-    """Shared chain body: covariance draw given the mean, mean draw given the
-    covariance. Returns (mu_draws over all iterations, post-burn Sigma mean)."""
+def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
+                trace_path=None, mh: bool = False):
+    """The Gibbs loop every sampler shares.
+
+    Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
+    a covariance draw and an accept flag, then draws mu from its normal
+    conditional given that covariance (``p_eff``/``q_eff``/``omega_eff`` as in
+    :func:`mu_conditional`). ``cfg`` supplies ``iters``, ``burn``, ``seed`` and
+    ``stream_id``. ``mh`` adds the accept flag to the trace rows.
+
+    Returns (mu draws over all iterations, post-burn Sigma mean, accept flags).
+    """
     returns = np.asarray(returns, dtype=float)
     m, n = returns.shape
+    if m < 1:
+        raise InsufficientDataError("the chain needs at least one row of returns")
     if m != cfg.m:
         raise ValidationError("m", f"config m={cfg.m} but current window has {m} rows")
     rbar = returns.mean(axis=0)
@@ -168,21 +180,38 @@ def _run_iw_chain(returns, q_eff, omega_eff, p_eff, cfg: IwConfig, sigma0,
     mu = rbar.copy()
     mu_draws = np.empty((cfg.iters, n))
     sigma_sum = np.zeros((n, n))
-    for t in range(cfg.iters):
-        resid = returns - mu
-        dof, scale = sigma_conditional(resid.T @ resid, cfg.nu, sigma0, m)
-        sigma = sample_inverse_wishart(dof, scale, rng)
-        sigma_inv = spd_inverse(sigma, "Sigma draw")
-        mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
-        mu = sample_mvn(mean, cov, rng)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise ChainError("non-finite draw in Inverse-Wishart chain", iteration=t)
-        mu_draws[t] = mu
-        if t >= cfg.burn:
-            sigma_sum += sigma
+    accepts = np.zeros(cfg.iters, dtype=bool)
+    trace = _TraceWriter(trace_path, n, mh) if trace_path else None
+    try:
+        for t in range(cfg.iters):
+            sigma, accepts[t] = sigma_step(mu, rng)
+            sigma_inv = spd_inverse(sigma, "Sigma draw")
+            mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
+            mu = sample_mvn(mean, cov, rng)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+            mu_draws[t] = mu
+            if t >= cfg.burn:
+                sigma_sum += sigma
+            if trace is not None:
+                trace.row(t, mu, log_det_spd(sigma), int(accepts[t]) if mh else None)
+    finally:
         if trace is not None:
-            trace.row(t, mu, log_det_spd(sigma))
-    return mu_draws, sigma_sum / (cfg.iters - cfg.burn)
+            trace.close()
+    return mu_draws, sigma_sum / (cfg.iters - cfg.burn), accepts
+
+
+def _iw_step(returns, nu: float, sigma0):
+    """Covariance step of the Inverse-Wishart models: an exact conditional
+    draw, so every step is accepted."""
+    m = returns.shape[0]
+
+    def step(mu, rng):
+        resid = returns - mu
+        dof, scale = sigma_conditional(resid.T @ resid, nu, sigma0, m)
+        return sample_inverse_wishart(dof, scale, rng), True
+
+    return step
 
 
 def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
@@ -206,14 +235,10 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
     sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
     transformed = returns_current @ p_star.T
 
-    trace = _TraceWriter(trace_path, p_star.shape[0]) if trace_path else None
-    try:
-        mu_star_draws, sigma_star_mean = _run_iw_chain(
-            transformed, q_star, omega_star, None, cfg, sigma0_star, trace
-        )
-    finally:
-        if trace is not None:
-            trace.close()
+    mu_star_draws, sigma_star_mean, _ = gibbs_chain(
+        transformed, q_star, omega_star, None, cfg,
+        _iw_step(transformed, cfg.nu, sigma0_star), trace_path,
+    )
 
     mu_draws = mu_star_draws @ p_star_inv.T
     sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)
@@ -227,12 +252,8 @@ def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
     returns_current = np.asarray(returns_current, dtype=float)
     if returns_current.shape[1] != views.n:
         raise DimensionError("returns and views disagree on the number of assets")
-    trace = _TraceWriter(trace_path, views.n) if trace_path else None
-    try:
-        mu_draws, sigma_mean = _run_iw_chain(
-            returns_current, views.q, views.omega, views.p, cfg, cfg.sigma0, trace
-        )
-    finally:
-        if trace is not None:
-            trace.close()
+    mu_draws, sigma_mean, _ = gibbs_chain(
+        returns_current, views.q, views.omega, views.p, cfg,
+        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
+    )
     return summarize_mu_sigma(mu_draws[cfg.burn:], sigma_mean)

@@ -25,20 +25,13 @@ import numpy as np
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
 from .errors import (
     BasisError,
-    ChainError,
     DimensionError,
     InsufficientDataError,
     ModelSizeError,
     ValidationError,
 )
-from .inverse_wishart import (
-    OMEGA_FLOOR_HARD,
-    _mu_conditional_pre,
-    _TraceWriter,
-    check_omega_floor,
-)
+from .inverse_wishart import OMEGA_FLOOR_HARD, check_omega_floor, gibbs_chain
 from .linalg import (
-    log_det_spd,
     matrix_exp_sym,
     spd_eigh,
     spd_inverse,
@@ -48,8 +41,8 @@ from .linalg import (
     vec_star_dim,
     vec_star_inverse,
 )
-from .sampling import RngStream, sample_inverse_gamma, sample_mvn
-from .views import ViewSet, view_precision
+from .sampling import sample_inverse_gamma, sample_mvn
+from .views import ViewSet
 
 log = logging.getLogger(__name__)
 
@@ -314,17 +307,6 @@ class LogSigmaConfig:
             raise ValidationError("burn", "need 0 <= burn < iters")
 
 
-@dataclass
-class LogSigmaState:
-    """One iteration's chain state."""
-
-    alpha: np.ndarray
-    sigma: np.ndarray
-    sigma1_sq: float
-    sigma2_sq: float
-    mu: np.ndarray
-
-
 def _scatter(returns, mu) -> np.ndarray:
     resid = returns - mu
     return symmetrize(resid.T @ resid / returns.shape[0])
@@ -334,11 +316,13 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
                     trace_path=None) -> PosteriorSummary:
     """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model.
 
-    Per iteration: (1) propose alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1) and
-    accept with the exact/approximate density ratio, (2) rebuild Sigma from
-    alpha when accepted, (3) draw the two block variances, (4) draw mu from
-    the shared mean conditional with the investor's P, then (5) recompute the
-    scatter, its eigen-quantities, Q and G for the next sweep.
+    The covariance step, given the current mu: (1) build the scatter, its
+    eigen-quantities, Q, and G from the current block variances, (2) propose
+    alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1) and accept with the
+    exact/approximate density ratio, rebuilding Sigma from alpha when
+    accepted, (3) draw the two block variances. The shared loop
+    (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
+    investor's P.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
@@ -353,80 +337,52 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         raise InsufficientDataError(
             f"need m > n for an SPD scatter matrix, got m={m}, n={n}"
         )
-    if cfg.m != m:
-        raise ValidationError("m", f"config m={cfg.m} but current window has {m} rows")
     if views.n != n:
         raise DimensionError("returns and views disagree on the number of assets")
     check_omega_floor(views, OMEGA_FLOOR_HARD, False, "log_sigma")
 
-    rbar = returns_current.mean(axis=0)
-    prior_prec, prior_vec = view_precision(views.omega, views.q, views.p)
-
-    # Data-centred start: Sigma at the scatter of the sample mean, block
-    # variances at the empirical variances of the matching alpha blocks.
-    # build_Q validates each scatter matrix.
-    s_mat = _scatter(returns_current, rbar)
-    quad = build_Q(s_mat, m)
-    state = LogSigmaState(
-        alpha=quad.lambda_vec.copy(),
-        sigma=s_mat.copy(),
-        sigma1_sq=max(float(np.var(quad.lambda_vec[:n])), 1e-12),
-        sigma2_sq=max(float(np.var(quad.lambda_vec[n:])), 1e-12),
-        mu=rbar.copy(),
-    )
-    g_mat = build_G(StructuralDesign(n, state.sigma1_sq, state.sigma2_sq))
-
-    rng = RngStream(cfg.seed, cfg.stream_id)
-    mu_draws = np.empty((cfg.iters, n))
-    sigma_sum = np.zeros((n, n))
-    accepts = np.zeros(cfg.iters, dtype=bool)
+    # Data-centred start: Sigma at the scatter of the sample mean (where the
+    # loop starts mu), block variances at the empirical variances of the
+    # matching alpha blocks. build_Q validates each scatter matrix.
+    s_mat = _scatter(returns_current, returns_current.mean(axis=0))
+    lambda_vec = build_Q(s_mat, m).lambda_vec
+    alpha = lambda_vec.copy()
+    sigma = s_mat.copy()
+    sigma1_sq = max(float(np.var(lambda_vec[:n])), 1e-12)
+    sigma2_sq = max(float(np.var(lambda_vec[n:])), 1e-12)
     floor_hits = 0
 
-    trace = _TraceWriter(trace_path, n, mh=True) if trace_path else None
-    try:
-        for t in range(cfg.iters):
-            prop_cov = spd_inverse(quad.q_matrix + g_mat, "MH proposal precision")
-            alpha_star = prop_cov @ (quad.q_matrix @ quad.lambda_vec)
-            candidate = sample_mvn(alpha_star, prop_cov, rng)
-            log_rho = mh_log_ratio(
-                candidate, state.alpha, s_mat, m, g_mat, quad.q_matrix, quad.lambda_vec
-            )
-            u = rng.generator.random()
-            if np.log(u) < log_rho:
-                state.alpha = candidate
-                state.sigma = matrix_exp_sym(vec_star_inverse(candidate))
-                accepts[t] = True
+    def step(mu, rng):
+        nonlocal alpha, sigma, sigma1_sq, sigma2_sq, floor_hits
+        s_mat = _scatter(returns_current, mu)
+        quad = build_Q(s_mat, m)
+        g_mat = build_G(StructuralDesign(n, sigma1_sq, sigma2_sq))
+        prop_cov = spd_inverse(quad.q_matrix + g_mat, "MH proposal precision")
+        alpha_star = prop_cov @ (quad.q_matrix @ quad.lambda_vec)
+        candidate = sample_mvn(alpha_star, prop_cov, rng)
+        log_rho = mh_log_ratio(
+            candidate, alpha, s_mat, m, g_mat, quad.q_matrix, quad.lambda_vec
+        )
+        accepted = bool(np.log(rng.generator.random()) < log_rho)
+        if accepted:
+            alpha = candidate
+            sigma = matrix_exp_sym(vec_star_inverse(candidate))
 
-            (sh1, sc1), (sh2, sc2) = sigma_sq_conditionals(state.alpha, n)
-            floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)
-            state.sigma1_sq = sample_inverse_gamma(sh1, sc1, rng)
-            state.sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
+        (sh1, sc1), (sh2, sc2) = sigma_sq_conditionals(alpha, n)
+        floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)
+        sigma1_sq = sample_inverse_gamma(sh1, sc1, rng)
+        sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
+        return sigma, accepted
 
-            sigma_inv = spd_inverse(state.sigma, "Sigma")
-            mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
-            state.mu = sample_mvn(mean, cov, rng)
-            if not (np.all(np.isfinite(state.mu)) and np.all(np.isfinite(state.alpha))):
-                raise ChainError("non-finite state in log-covariance chain", iteration=t)
-
-            s_mat = _scatter(returns_current, state.mu)
-            quad = build_Q(s_mat, m)
-            g_mat = build_G(StructuralDesign(n, state.sigma1_sq, state.sigma2_sq))
-
-            mu_draws[t] = state.mu
-            if t >= cfg.burn:
-                sigma_sum += state.sigma
-            if trace is not None:
-                trace.row(t, state.mu, log_det_spd(state.sigma), int(accepts[t]))
-    finally:
-        if trace is not None:
-            trace.close()
-
+    mu_draws, sigma_mean, accepts = gibbs_chain(
+        returns_current, views.q, views.omega, views.p, cfg, step, trace_path, mh=True
+    )
     post = slice(cfg.burn, cfg.iters)
     accept_post = float(accepts[post].mean())
     accept_burn = float(accepts[: cfg.burn].mean()) if cfg.burn else float("nan")
     return summarize_mu_sigma(
         mu_draws[post],
-        sigma_sum / (cfg.iters - cfg.burn),
+        sigma_mean,
         accept_post=accept_post,
         accept_burn=accept_burn,
         extra={"ig_scale_floor_hits": floor_hits},

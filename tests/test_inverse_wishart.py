@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blbayes.errors import ValidationError
+from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
     IwConfig,
     check_omega_floor,
     gibbs_augmented,
+    gibbs_chain,
     gibbs_nonsquare,
     mu_conditional,
     sigma_conditional,
@@ -220,6 +221,56 @@ class TestChains:
         returns, views = small_dataset
         with pytest.raises(ValidationError, match="current window"):
             gibbs_nonsquare(returns, views, make_config(m=10, iters=100, burn=10))
+
+
+class TestGibbsChain:
+    """The shared loop, driven by a stub covariance step that returns a
+    fixed Sigma and accepts every other iteration."""
+
+    sigma_fix = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
+
+    def stub(self, seen, fail_at=None):
+        def step(mu, rng):
+            if len(seen) == fail_at:
+                raise RuntimeError("stub step failed")
+            seen.append(mu.copy())
+            return self.sigma_fix, len(seen) % 2 == 1
+        return step
+
+    def run(self, returns, views, step, cfg, trace_path=None):
+        return gibbs_chain(returns, views.q, views.omega, views.p, cfg, step,
+                           trace_path, mh=True)
+
+    def test_flags_trace_and_sigma_mean(self, small_dataset, tmp_path):
+        returns, views = small_dataset
+        seen = []
+        path = tmp_path / "trace.csv"
+        mu_draws, sigma_mean, accepts = self.run(
+            returns, views, self.stub(seen), make_config(iters=20, burn=5), path
+        )
+        flags = [t % 2 == 0 for t in range(20)]
+        assert accepts.tolist() == flags
+        np.testing.assert_array_equal(seen[0], returns.mean(axis=0))
+        np.testing.assert_array_equal(seen[1:], mu_draws[:-1])
+        np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
+        rows = list(csv.reader(open(path)))
+        assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma", "accepted"]
+        assert [r[-1] for r in rows[1:]] == [str(int(f)) for f in flags]
+
+    def test_step_error_propagates_and_trace_is_closed(self, small_dataset, tmp_path):
+        returns, views = small_dataset
+        path = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="stub step failed"):
+            self.run(returns, views, self.stub([], fail_at=3),
+                     make_config(iters=20, burn=5), path)
+        rows = list(csv.reader(open(path)))
+        assert rows[0][0] == "iteration"
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+
+    def test_empty_window_rejected(self, small_dataset):
+        _, views = small_dataset
+        with pytest.raises(InsufficientDataError):
+            self.run(np.empty((0, 2)), views, self.stub([]), make_config(iters=20, burn=5))
 
 
 class TestFullChainOracle:
