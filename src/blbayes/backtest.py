@@ -106,7 +106,6 @@ def run_model(model: str, panel: ReturnPanel, views: ViewSet,
     n = len(panel.tickers)
     if views.n != n:
         raise DimensionError("views and panel disagree on the number of assets")
-    m = panel.m
     hist_cov = historical_covariance(panel)
 
     summary = None
@@ -123,16 +122,16 @@ def run_model(model: str, panel: ReturnPanel, views: ViewSet,
         mu_post, sigma_post = post.mu_bar, post.sigma_bar
     else:
         if model == "log_sigma":
-            cfg = LogSigmaConfig(m=m, iters=settings.iters, burn=settings.burn,
+            cfg = LogSigmaConfig(iters=settings.iters, burn=settings.burn,
                                  seed=seed, stream_id=stream_id)
             summary = gibbs_log_sigma(panel.current, views, cfg, trace_path=trace_path)
         else:
-            cfg = IwConfig.default_for(hist_cov, m=m, iters=settings.iters,
+            cfg = IwConfig.default_for(hist_cov, iters=settings.iters,
                                        burn=settings.burn, seed=seed, nu=settings.nu,
                                        sigma0=settings.sigma0, stream_id=stream_id,
                                        allow_small_omega=settings.allow_small_omega)
             if model == "iw_augmented":
-                months = monthly_means(panel.historical, m)
+                months = monthly_means(panel.historical, panel.m)
                 summary = gibbs_augmented(panel.current, views, months, cfg,
                                           trace_path=trace_path)
             else:

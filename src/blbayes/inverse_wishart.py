@@ -43,7 +43,6 @@ class IwConfig:
 
     nu: float
     sigma0: np.ndarray
-    m: int
     iters: int
     burn: int
     seed: int
@@ -55,13 +54,11 @@ class IwConfig:
         n = self.sigma0.shape[0]
         if self.nu <= n - 1:
             raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
-        if self.m < 1:
-            raise ValidationError("m", "must be >= 1")
         if not 0 <= self.burn < self.iters:
             raise ValidationError("burn", "need 0 <= burn < iters")
 
     @classmethod
-    def default_for(cls, hist_cov, m: int, iters: int, burn: int, seed: int,
+    def default_for(cls, hist_cov, iters: int, burn: int, seed: int,
                     nu: float | None = None, **kw) -> "IwConfig":
         """Defaults: nu = n + 2 (smallest integer with a finite prior mean)
         and, unless ``sigma0`` is passed, Sigma0 = (nu - n - 1) * hist_cov, so
@@ -77,7 +74,7 @@ class IwConfig:
                     "(the default sigma0 is (nu-n-1) * historical covariance)"
                 )
             kw["sigma0"] = (nu - n - 1) * require_spd(hist_cov, "historical covariance")
-        return cls(nu=nu, m=m, iters=iters, burn=burn, seed=seed, **kw)
+        return cls(nu=nu, iters=iters, burn=burn, seed=seed, **kw)
 
 
 def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: str):
@@ -171,8 +168,6 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     m, n = returns.shape
     if m < 1:
         raise InsufficientDataError("the chain needs at least one row of returns")
-    if m != cfg.m:
-        raise ValidationError("m", f"config m={cfg.m} but current window has {m} rows")
     rbar = returns.mean(axis=0)
     prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
 

@@ -294,15 +294,12 @@ def sigma_sq_conditionals(alpha, n: int):
 class LogSigmaConfig:
     """Chain controls for the log-covariance sampler."""
 
-    m: int
     iters: int
     burn: int
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("m", "must be >= 1")
         if not 0 <= self.burn < self.iters:
             raise ValidationError("burn", "need 0 <= burn < iters")
 

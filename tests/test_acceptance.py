@@ -259,7 +259,7 @@ def test_criterion_07_gibbs_conjugacy_cross_check():
     gen = np.random.default_rng(1008)
     returns = gen.multivariate_normal([0.01, -0.02], random_spd(gen, 2, jitter=0.3) * 0.01, size=25)
     sq_views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
-    cfg = IwConfig(nu=4, sigma0=0.02 * np.eye(2), m=25, iters=12_000, burn=1_500, seed=314)
+    cfg = IwConfig(nu=4, sigma0=0.02 * np.eye(2), iters=12_000, burn=1_500, seed=314)
     months = gen.normal(size=(8, 2)) * 0.01
     sa = gibbs_augmented(returns, sq_views, months, cfg)
     sb = gibbs_nonsquare(returns, sq_views, replace(cfg, seed=2718))
@@ -340,8 +340,8 @@ def test_criterion_10_log_sigma_sampler_health():
     cfg_path = demo.prices_csv_path().parent / "run_log_sigma.json"
     run_cfg = RunConfig.load(cfg_path)
     panel = run_cfg.load_panel()
-    cfg = LogSigmaConfig(m=run_cfg.m, iters=run_cfg.settings.iters,
-                         burn=run_cfg.settings.burn, seed=run_cfg.seed)
+    cfg = LogSigmaConfig(iters=run_cfg.settings.iters, burn=run_cfg.settings.burn,
+                         seed=run_cfg.seed)
     summary = gibbs_log_sigma(panel.current, run_cfg.views, cfg)
     rate_ok = 0.05 <= summary.acceptance_rate <= 1.0
     geweke_ok = summary.geweke_pass()

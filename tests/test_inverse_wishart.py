@@ -23,7 +23,7 @@ from conftest import random_spd
 
 
 def make_config(n=2, **kw):
-    defaults = dict(nu=n + 2, sigma0=0.02 * np.eye(n), m=25, iters=3000, burn=500, seed=11)
+    defaults = dict(nu=n + 2, sigma0=0.02 * np.eye(n), iters=3000, burn=500, seed=11)
     defaults.update(kw)
     return IwConfig(**defaults)
 
@@ -129,18 +129,18 @@ class TestDefaultFor:
     hist = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
 
     def test_prior_mean_is_historical_covariance(self):
-        cfg = IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1)
+        cfg = IwConfig.default_for(self.hist, iters=10, burn=1, seed=1)
         assert cfg.nu == 4
         np.testing.assert_array_equal(cfg.sigma0, self.hist)
 
     def test_small_nu_without_sigma0_rejected(self):
         # nu = n + 0.5 would scale the default Sigma0 by a non-positive factor
         with pytest.raises(ValidationError, match="sigma0") as info:
-            IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1, nu=2.5)
+            IwConfig.default_for(self.hist, iters=10, burn=1, seed=1, nu=2.5)
         assert info.value.path == "nu"
 
     def test_small_nu_with_sigma0_accepted(self):
-        cfg = IwConfig.default_for(self.hist, m=25, iters=10, burn=1, seed=1,
+        cfg = IwConfig.default_for(self.hist, iters=10, burn=1, seed=1,
                                    nu=2.5, sigma0=0.02 * np.eye(2))
         assert cfg.nu == 2.5
         np.testing.assert_array_equal(cfg.sigma0, 0.02 * np.eye(2))
@@ -159,7 +159,7 @@ def small_dataset():
 class TestChains:
     def test_determinism(self, small_dataset):
         returns, views = small_dataset
-        cfg = make_config(m=25, iters=800, burn=100)
+        cfg = make_config(iters=800, burn=100)
         a = gibbs_nonsquare(returns, views, cfg)
         b = gibbs_nonsquare(returns, views, cfg)
         np.testing.assert_array_equal(a.mu_post, b.mu_post)
@@ -170,7 +170,7 @@ class TestChains:
     def test_vague_views_track_sample_mean(self, small_dataset):
         returns, views = small_dataset
         vague = views.with_omega([1e3])
-        cfg = make_config(m=25, iters=4000, burn=500, seed=21)
+        cfg = make_config(iters=4000, burn=500, seed=21)
         s = gibbs_nonsquare(returns, vague, cfg)
         rbar = returns.mean(axis=0)
         post_sd = np.sqrt(np.diag(s.mu_draw_cov))
@@ -178,7 +178,7 @@ class TestChains:
 
     def test_view_anchoring_ordering(self, small_dataset):
         returns, views = small_dataset
-        cfg = make_config(m=25, iters=3000, burn=400, seed=31)
+        cfg = make_config(iters=3000, burn=400, seed=31)
         dists = []
         for om in (1e-2, 1e-4, 1e-6):
             s = gibbs_nonsquare(returns, views.with_omega([om]), cfg)
@@ -190,7 +190,7 @@ class TestChains:
         n, m = 2, 25
         returns = rng.multivariate_normal([0.01, -0.02], random_spd(rng, n, jitter=0.3) * 0.01, size=m)
         views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
-        cfg = make_config(m=25, iters=12_000, burn=1500, seed=314)
+        cfg = make_config(iters=12_000, burn=1500, seed=314)
         months = rng.normal(size=(8, 2)) * 0.01
         sa = gibbs_augmented(returns, views, months, cfg)
         sb = gibbs_nonsquare(returns, views, replace(cfg, seed=2718))
@@ -199,13 +199,13 @@ class TestChains:
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
-        s = gibbs_nonsquare(returns, views, make_config(m=25, iters=4000, burn=500, seed=61))
+        s = gibbs_nonsquare(returns, views, make_config(iters=4000, burn=500, seed=61))
         assert s.geweke_pass()
         assert s.acceptance_rate == 1.0 and s.acceptance_rate_burn == 1.0
 
     def test_trace_csv(self, small_dataset, tmp_path):
         returns, views = small_dataset
-        cfg = make_config(m=25, iters=50, burn=10)
+        cfg = make_config(iters=50, burn=10)
         path = tmp_path / "trace.csv"
         gibbs_nonsquare(returns, views, cfg, trace_path=path)
         rows = list(csv.reader(open(path)))
@@ -216,11 +216,6 @@ class TestChains:
         path2 = tmp_path / "trace2.csv"
         gibbs_nonsquare(returns, views, cfg, trace_path=path2)
         assert path.read_bytes() == path2.read_bytes()
-
-    def test_config_window_mismatch(self, small_dataset):
-        returns, views = small_dataset
-        with pytest.raises(ValidationError, match="current window"):
-            gibbs_nonsquare(returns, views, make_config(m=10, iters=100, burn=10))
 
 
 class TestGibbsChain:
@@ -284,7 +279,7 @@ class TestFullChainOracle:
         returns = rng.multivariate_normal([0.001, -0.002], sigma_fix, size=m)
         views = ViewSet(np.array([[1.0, -1.0]]), np.array([0.02]), np.array([1e-3]))
         nu = 1e6
-        cfg = IwConfig(nu=nu, sigma0=(nu - n - 1) * sigma_fix, m=m,
+        cfg = IwConfig(nu=nu, sigma0=(nu - n - 1) * sigma_fix,
                        iters=6000, burn=1000, seed=76)
         s = gibbs_nonsquare(returns, views, cfg)
         mean, _ = mu_conditional(returns.mean(axis=0), sigma_fix, views.q,

@@ -415,7 +415,7 @@ def four_asset_data():
 class TestGibbsLogSigma:
     def test_determinism(self, four_asset_data):
         returns, views = four_asset_data
-        cfg = LogSigmaConfig(m=21, iters=400, burn=100, seed=7)
+        cfg = LogSigmaConfig(iters=400, burn=100, seed=7)
         a = gibbs_log_sigma(returns, views, cfg)
         b = gibbs_log_sigma(returns, views, cfg)
         np.testing.assert_array_equal(a.mu_post, b.mu_post)
@@ -424,7 +424,7 @@ class TestGibbsLogSigma:
 
     def test_acceptance_rate_healthy(self, four_asset_data):
         returns, views = four_asset_data
-        s = gibbs_log_sigma(returns, views, LogSigmaConfig(m=21, iters=1500, burn=300, seed=8))
+        s = gibbs_log_sigma(returns, views, LogSigmaConfig(iters=1500, burn=300, seed=8))
         assert 0.05 < s.acceptance_rate <= 1.0
         assert 0.0 <= s.acceptance_rate_burn <= 1.0
         assert s.extra["ig_scale_floor_hits"] == 0
@@ -435,7 +435,7 @@ class TestGibbsLogSigma:
         for om in (1e-4, 1e-6):
             s = gibbs_log_sigma(
                 returns, views.with_omega([om, om]),
-                LogSigmaConfig(m=21, iters=2500, burn=500, seed=9),
+                LogSigmaConfig(iters=2500, burn=500, seed=9),
             )
             dists.append(np.linalg.norm(views.p @ s.mu_post - views.q))
         assert dists[1] < dists[0]
@@ -444,26 +444,26 @@ class TestGibbsLogSigma:
         returns = np.random.default_rng(1).normal(size=(21, 3))
         views = ViewSet(np.array([[1.0, -1.0, 0.0]]), [0.02], [1e-4])
         with pytest.raises(ModelSizeError):
-            gibbs_log_sigma(returns, views, LogSigmaConfig(m=21, iters=10, burn=1, seed=1))
+            gibbs_log_sigma(returns, views, LogSigmaConfig(iters=10, burn=1, seed=1))
 
     def test_short_window_rejected(self, four_asset_data):
         _, views = four_asset_data
         returns = np.random.default_rng(2).normal(size=(4, 4)) * 0.01
         with pytest.raises(InsufficientDataError):
-            gibbs_log_sigma(returns, views, LogSigmaConfig(m=4, iters=10, burn=1, seed=1))
+            gibbs_log_sigma(returns, views, LogSigmaConfig(iters=10, burn=1, seed=1))
 
     def test_omega_hard_floor(self, four_asset_data):
         returns, views = four_asset_data
         with pytest.raises(ValidationError):
             gibbs_log_sigma(
                 returns, views.with_omega([1e-13, 1e-4]),
-                LogSigmaConfig(m=21, iters=10, burn=1, seed=1),
+                LogSigmaConfig(iters=10, burn=1, seed=1),
             )
 
     def test_trace_includes_accept_column(self, four_asset_data, tmp_path):
         returns, views = four_asset_data
         path = tmp_path / "trace.csv"
-        gibbs_log_sigma(returns, views, LogSigmaConfig(m=21, iters=30, burn=5, seed=3),
+        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=30, burn=5, seed=3),
                         trace_path=path)
         rows = list(csv.reader(open(path)))
         assert rows[0][-1] == "accepted"
