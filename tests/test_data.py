@@ -1,11 +1,13 @@
 """CSV ingestion, return computation, window slicing, and monthly blocks."""
 
 import io
+import json
 from datetime import date
 
 import numpy as np
 import pytest
 
+from blbayes import demo
 from blbayes.data import (
     PricePanel,
     compute_returns,
@@ -125,3 +127,21 @@ class TestMonthlyMeans:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             monthly_means(np.zeros((20, 2)), 21)
+
+
+class TestDemoFiles:
+    def test_write_demo_files_reproduces_bundled_files(self, tmp_path):
+        # every golden and acceptance test stands on the bundled demo files
+        bundled = demo.prices_csv_path().parent
+        written = {p.name: p for p in demo.write_demo_files(tmp_path)}
+        assert sorted(written) == sorted(p.name for p in bundled.iterdir() if p.is_file())
+        for name, path in written.items():
+            if name.endswith(".json"):
+                assert json.loads(path.read_text()) == json.loads((bundled / name).read_text())
+        with open(written["prices.csv"]) as fh:
+            fresh = ingest_prices(fh)
+        with open(bundled / "prices.csv") as fh:
+            shipped = ingest_prices(fh)
+        assert fresh.dates == shipped.dates
+        assert fresh.tickers == shipped.tickers
+        np.testing.assert_allclose(fresh.prices, shipped.prices, rtol=0, atol=5e-9)
