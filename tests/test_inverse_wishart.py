@@ -255,9 +255,11 @@ class TestGibbsChain:
     def test_step_error_propagates_and_trace_is_closed(self, small_dataset, tmp_path):
         returns, views = small_dataset
         path = tmp_path / "trace.csv"
-        with pytest.raises(RuntimeError, match="stub step failed"):
+        with pytest.raises(RuntimeError, match="stub step failed") as info:
             self.run(returns, views, self.stub([], fail_at=3),
                      make_config(iters=20, burn=5), path)
+        # info keeps the loop's frame, and so its open trace, alive: the rows
+        # reach the file only if the loop closed it
         rows = list(csv.reader(open(path)))
         assert rows[0][0] == "iteration"
         assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
