@@ -341,12 +341,10 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     # Data-centred start: Sigma at the scatter of the sample mean (where the
     # loop starts mu), block variances at the empirical variances of the
     # matching alpha blocks. build_Q validates each scatter matrix.
-    s_mat = _scatter(returns_current, returns_current.mean(axis=0))
-    lambda_vec = build_Q(s_mat, m).lambda_vec
-    alpha = lambda_vec.copy()
-    sigma = s_mat.copy()
-    sigma1_sq = max(float(np.var(lambda_vec[:n])), 1e-12)
-    sigma2_sq = max(float(np.var(lambda_vec[n:])), 1e-12)
+    sigma = _scatter(returns_current, returns_current.mean(axis=0))
+    alpha = build_Q(sigma, m).lambda_vec
+    sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
+    sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
     floor_hits = 0
 
     def step(mu, rng):
