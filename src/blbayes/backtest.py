@@ -3,9 +3,9 @@ confidence-sensitivity sweep.
 
 The sweep evaluates one model over a grid of view-uncertainty pairs
 (omega1, omega2). Every grid point is an independent task with its own
-deterministic seed (base_seed XOR grid index), so the output CSV is
-byte-identical no matter how many workers run it or in what order tasks
-finish.
+deterministic random stream, keyed by (base_seed, grid index), so the output
+CSV is byte-identical no matter how many workers run it or in what order
+tasks finish.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point's outputs; ``status`` is 'ok' or 'error:<Type>'."""
+    """One grid point's outputs; ``status`` is 'ok' or 'error:<Type>' and
+    ``seed`` is the sweep's base seed (the point's stream id is its row)."""
 
     omega1: float
     omega2: float
@@ -203,7 +204,7 @@ def _sweep_point(args) -> tuple[int, SweepRecord]:
     index, w1, w2, panel, views, settings, model, seed = args
     point_views = views.with_omega([w1, w2])
     try:
-        res = run_model(model, panel, point_views, settings, seed=seed)
+        res = run_model(model, panel, point_views, settings, seed=seed, stream_id=index)
         accept = res.summary.acceptance_rate if res.summary is not None else 1.0
         rec = SweepRecord(
             omega1=w1, omega2=w2, distance=res.distance, profit=res.profit,
@@ -223,14 +224,15 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
               settings: ModelSettings, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the model at every grid point.
 
-    Point seeds are ``base_seed XOR index``; records come back in grid order
+    Point ``index`` runs on the stream ``(base_seed, index)``, so no two
+    points of any sweeps share a stream; records come back in grid order
     regardless of scheduling, and individual failures are recorded in-row
     rather than aborting the sweep.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
     tasks = [
-        (index, w1, w2, panel, views, settings, grid.model, grid.base_seed ^ index)
+        (index, w1, w2, panel, views, settings, grid.model, grid.base_seed)
         for index, w1, w2 in grid.points()
     ]
     results: dict[int, SweepRecord] = {}

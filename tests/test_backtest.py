@@ -121,7 +121,7 @@ class TestSweep:
         assert [(r.omega1, r.omega2) for r in records] == [
             (1e-4, 1e-4), (1e-4, 2e-4), (2e-4, 1e-4), (2e-4, 2e-4)
         ]
-        assert [r.seed for r in records] == [9 ^ 0, 9 ^ 1, 9 ^ 2, 9 ^ 3]
+        assert [r.seed for r in records] == [9, 9, 9, 9]
         assert all(r.status == "ok" for r in records)
 
     def test_determinism_across_runs_and_workers(self, sweep_inputs, tmp_path):
@@ -134,6 +134,16 @@ class TestSweep:
         write_sweep_csv(a, pa)
         write_sweep_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_neighbouring_base_seeds_share_no_stream(self, sweep_inputs):
+        # one (omega1, omega2) pair repeated: equal distances would mean that
+        # a point replayed another point's random stream
+        panel, views, settings = sweep_inputs
+        distances = []
+        for base_seed in (20180100, 20180101):
+            grid = SweepGrid((1e-4,), (1e-4, 1e-4), "iw_nonsquare", base_seed=base_seed)
+            distances += [r.distance for r in run_sweep(grid, panel, views, settings)]
+        assert len(set(distances)) == len(distances) == 4
 
     def test_failed_point_isolated(self, sweep_inputs):
         panel, views, settings = sweep_inputs
