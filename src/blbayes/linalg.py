@@ -178,12 +178,16 @@ def vec_star_bilinear(m) -> np.ndarray:
         vec_star(A) @ vec_star_bilinear(M) == sum(A * M)
 
     Diagonal slots take ``M[k, k]``; the slot for ``(k, l)`` with ``k < l``
-    takes ``M[k, l] + M[l, k]`` (the two occurrences of ``A[k, l]``).
+    takes ``M[k, l] + M[l, k]`` (the two occurrences of ``A[k, l]``). A stack
+    ``(..., n, n)`` is stacked over its last two axes.
     """
-    m = as_matrix(m)
-    rows, cols = vec_star_indices(m.shape[0])
-    out = m[rows, cols] + m[cols, rows]
-    out[: m.shape[0]] *= 0.5
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"matrix must be square in its last two axes, got shape {m.shape}")
+    n = m.shape[-1]
+    rows, cols = vec_star_indices(n)
+    out = m[..., rows, cols] + m[..., cols, rows]
+    out[..., :n] *= 0.5
     return out
 
 

@@ -64,20 +64,24 @@ def check_asset_count(n: int) -> None:
         )
 
 
-def xi_coefficient(d_i: float, d_j: float) -> float:
-    """Eigenvalue-pair weight ``(d_i - d_j)^2 / (d_i d_j (log d_i - log d_j)^2)``.
+def xi_coefficient(d_i, d_j):
+    """Eigenvalue-pair weight ``(d_i - d_j)^2 / (d_i d_j (log d_i - log d_j)^2)``,
+    elementwise over arrays.
 
     Equals ``g(h)^2`` for ``h = log(d_i/d_j)`` and ``g(h) = 2 sinh(h/2)/h``,
     which is the form used near ``d_i == d_j`` (limit value 1).
     """
-    if d_i <= 0 or d_j <= 0:
+    d_i = np.asarray(d_i, dtype=float)
+    d_j = np.asarray(d_j, dtype=float)
+    if np.any(d_i <= 0) or np.any(d_j <= 0):
         raise ValidationError("xi", "eigenvalues must be positive")
     h = np.log(d_i) - np.log(d_j)
-    if abs(h) < _XI_SERIES_THRESHOLD:
-        g = 1.0 + h * h / 24.0 + h**4 / 1920.0
-        return float(g * g)
     diff = d_i - d_j
-    return float(diff * diff / (d_i * d_j * h * h))
+    # Both branches are evaluated everywhere; the raw one is 0/0 where h == 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 + h * h / 24.0 + h**4 / 1920.0
+        xi = np.where(np.abs(h) < _XI_SERIES_THRESHOLD, g * g, diff * diff / (d_i * d_j * h * h))
+    return xi[()]
 
 
 def build_f_vectors(eigvecs) -> np.ndarray:
@@ -93,14 +97,7 @@ def build_f_vectors(eigvecs) -> np.ndarray:
     gram_dev = np.abs(e.T @ e - np.eye(n)).max()
     if gram_dev > 1e-8:
         raise BasisError(f"eigenvector basis not orthonormal (Gram deviation {gram_dev:.3e})")
-    d = vec_star_dim(n)
-    f = np.empty((n, n, d))
-    for i in range(n):
-        for j in range(i, n):
-            fij = vec_star_bilinear(np.outer(e[:, i], e[:, j]))
-            f[i, j] = fij
-            f[j, i] = fij
-    return f
+    return vec_star_bilinear(np.einsum("ki,lj->ijkl", e, e))
 
 
 @dataclass(frozen=True)
@@ -128,17 +125,12 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
         raise ValidationError("m", "must be >= 1")
     n = evals.size
     f = build_f_vectors(evecs)
-    rows = []
-    weights = []
-    for i in range(n):
-        rows.append(f[i, i])
-        weights.append(m / 2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(f[i, j])
-            weights.append(m * xi_coefficient(evals[i], evals[j]))
-    stack = np.array(rows)
-    terms = (stack * np.asarray(weights)[:, None]).T @ stack
+    # Rows: the n diagonal pairs (i, i), then the pairs i < j row-major.
+    iu, ju = np.triu_indices(n, k=1)
+    diag = np.arange(n)
+    stack = f[np.concatenate([diag, iu]), np.concatenate([diag, ju])]
+    weights = np.concatenate([np.full(n, m / 2.0), m * xi_coefficient(evals[iu], evals[ju])])
+    terms = (stack * weights[:, None]).T @ stack
 
     log_evals = np.log(evals)
     lambda_vec = vec_star((evecs * log_evals) @ evecs.T)

@@ -71,6 +71,18 @@ class TestVecStar:
             lhs = vec_star(a) @ vec_star_bilinear(m)
             assert abs(lhs - np.sum(a * m)) < 1e-12 * max(1.0, abs(lhs))
 
+    def test_bilinear_stack_equals_per_slice_calls(self):
+        m = np.random.default_rng(8).normal(size=(3, 2, 5, 5))
+        got = vec_star_bilinear(m)
+        assert got.shape == (3, 2, 15)
+        want = np.array([[vec_star_bilinear(m[a, b]) for b in range(2)] for a in range(3)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_bilinear_rejects_non_square_last_axes(self, shape):
+        with pytest.raises(DimensionError):
+            vec_star_bilinear(np.zeros(shape))
+
 
 class TestMatrixLogExp:
     def test_log_identity_is_zero(self):

@@ -1,6 +1,7 @@
 """Volterra machinery, the structural prior, and the MH-within-Gibbs chain."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from blbayes.errors import (
     ModelSizeError,
     ValidationError,
 )
-from blbayes.linalg import matrix_log_spd, spd_inverse, vec_star, vec_star_inverse
+from blbayes.linalg import (
+    matrix_log_spd,
+    spd_inverse,
+    vec_star,
+    vec_star_bilinear,
+    vec_star_inverse,
+)
 from blbayes.log_sigma import (
     IG_SCALE_FLOOR,
     LogSigmaConfig,
@@ -61,6 +68,30 @@ class TestXi:
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-8)
 
+    def test_array_equal_eigenvalues_exact_and_silent(self):
+        d = np.array([0.5, 2.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = xi_coefficient(d, d)
+        assert np.array_equal(xi, np.ones(3))
+
+    def test_array_matches_scalar_formula_on_both_branches(self):
+        # pairs on the series side (|h| < 1e-8) and on the raw side
+        d_i = np.array([1.0, 3.0, 1.0 + 5e-10, np.e, 0.2, 5.0])
+        d_j = np.array([1.0 + 2e-9, 3.0, 1.0, 1.0, 9.0, 0.01])
+        got = xi_coefficient(d_i, d_j)
+        for a, b, x in zip(d_i, d_j, got):
+            h = np.log(a) - np.log(b)
+            if abs(h) < 1e-8:
+                want = (1.0 + h * h / 24.0 + h**4 / 1920.0) ** 2
+            else:
+                want = (a - b) ** 2 / (a * b * h * h)
+            assert x == pytest.approx(want, rel=1e-15)
+
+    def test_non_positive_eigenvalue_rejected(self):
+        with pytest.raises(ValidationError):
+            xi_coefficient(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+
 
 class TestFVectors:
     def test_standard_basis_n2(self):
@@ -102,6 +133,15 @@ class TestFVectors:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(BasisError):
             build_f_vectors(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 10])
+    def test_equals_double_loop_oracle(self, n):
+        e = random_orthonormal(np.random.default_rng(84 + n), n)
+        want = np.empty((n, n, n * (n + 1) // 2))
+        for i in range(n):
+            for j in range(i, n):
+                want[i, j] = want[j, i] = vec_star_bilinear(np.outer(e[:, i], e[:, j]))
+        assert np.array_equal(build_f_vectors(e), want)
 
 
 class TestBuildQ:
