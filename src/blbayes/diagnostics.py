@@ -64,7 +64,8 @@ class PosteriorSummary:
     """Post-burn point estimates plus the diagnostics the sweeps record.
 
     ``acceptance_rate`` is the post-burn MH acceptance share (1.0 for pure
-    Gibbs); ``acceptance_rate_burn`` the same over the burn-in segment.
+    Gibbs); ``acceptance_rate_burn`` the same over the burn-in segment (NaN
+    when the burn-in is empty).
     ``mu_se`` is the per-coordinate Monte-Carlo standard error of
     ``mu_post``; ``mu_draw_cov`` the sample covariance of the post-burn mean
     draws (the posterior spread, not the estimator error); ``geweke_z`` the
@@ -85,10 +86,14 @@ class PosteriorSummary:
         return bool(np.all(self.geweke_z < z_max))
 
 
-def summarize_mu_sigma(mu_draws, sigma_mean, accept_post=1.0, accept_burn=1.0,
+def summarize_mu_sigma(mu_draws, sigma_mean, accepts, burn: int,
                        extra=None) -> PosteriorSummary:
-    """Summary from post-burn mean draws and an already-averaged covariance."""
-    mu_draws = np.asarray(mu_draws, dtype=float)
+    """Summary from a chain's mean draws and per-iteration accept flags (both
+    over every iteration, of which the first ``burn`` are burn-in) and its
+    already-averaged post-burn covariance."""
+    accepts = np.asarray(accepts, dtype=bool)
+    accept_burn = accepts[:burn].mean() if burn else float("nan")
+    mu_draws = np.asarray(mu_draws, dtype=float)[burn:]
     n_eff = np.array([effective_sample_size(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
     mu_se = np.array([posterior_mean_se(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
     geweke = np.array([geweke_split_z(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
@@ -101,7 +106,7 @@ def summarize_mu_sigma(mu_draws, sigma_mean, accept_post=1.0, accept_burn=1.0,
             mu_draws.shape[1], -1
         ),
         geweke_z=geweke,
-        acceptance_rate=float(accept_post),
+        acceptance_rate=float(accepts[burn:].mean()),
         acceptance_rate_burn=float(accept_burn),
         extra=extra,
     )

@@ -230,14 +230,14 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
     sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
     transformed = returns_current @ p_star.T
 
-    mu_star_draws, sigma_star_mean, _ = gibbs_chain(
+    mu_star_draws, sigma_star_mean, accepts = gibbs_chain(
         transformed, q_star, omega_star, None, cfg,
         _iw_step(transformed, cfg.nu, sigma0_star), trace_path,
     )
 
     mu_draws = mu_star_draws @ p_star_inv.T
     sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)
-    return summarize_mu_sigma(mu_draws[cfg.burn:], sigma_post)
+    return summarize_mu_sigma(mu_draws, sigma_post, accepts, cfg.burn)
 
 
 def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
@@ -247,8 +247,8 @@ def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
     returns_current = np.asarray(returns_current, dtype=float)
     if returns_current.shape[1] != views.n:
         raise DimensionError("returns and views disagree on the number of assets")
-    mu_draws, sigma_mean, _ = gibbs_chain(
+    mu_draws, sigma_mean, accepts = gibbs_chain(
         returns_current, views.q, views.omega, views.p, cfg,
         _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
     )
-    return summarize_mu_sigma(mu_draws[cfg.burn:], sigma_mean)
+    return summarize_mu_sigma(mu_draws, sigma_mean, accepts, cfg.burn)

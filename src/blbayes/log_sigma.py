@@ -33,6 +33,7 @@ from .errors import (
 from .inverse_wishart import OMEGA_FLOOR_HARD, check_omega_floor, gibbs_chain
 from .linalg import (
     matrix_exp_sym,
+    matrix_log_spd,
     spd_eigh,
     spd_inverse,
     symmetrize,
@@ -332,9 +333,9 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
 
     # Data-centred start: Sigma at the scatter of the sample mean (where the
     # loop starts mu), block variances at the empirical variances of the
-    # matching alpha blocks. build_Q validates each scatter matrix.
+    # matching alpha blocks. matrix_log_spd and build_Q validate each scatter.
     sigma = _scatter(returns_current, returns_current.mean(axis=0))
-    alpha = build_Q(sigma, m).lambda_vec
+    alpha = vec_star(matrix_log_spd(sigma))
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
     sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
     floor_hits = 0
@@ -364,13 +365,6 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     mu_draws, sigma_mean, accepts = gibbs_chain(
         returns_current, views.q, views.omega, views.p, cfg, step, trace_path, mh=True
     )
-    post = slice(cfg.burn, cfg.iters)
-    accept_post = float(accepts[post].mean())
-    accept_burn = float(accepts[: cfg.burn].mean()) if cfg.burn else float("nan")
     return summarize_mu_sigma(
-        mu_draws[post],
-        sigma_mean,
-        accept_post=accept_post,
-        accept_burn=accept_burn,
-        extra={"ig_scale_floor_hits": floor_hits},
+        mu_draws, sigma_mean, accepts, cfg.burn, extra={"ig_scale_floor_hits": floor_hits}
     )

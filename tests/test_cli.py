@@ -65,6 +65,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("model", ["iw_nonsquare", "iw_augmented", "log_sigma"])
+    def test_empty_burn_in_reports_null_rate(self, demo_dir, tmp_path, model):
+        cfg = write_config(tmp_path, small_config(demo_dir, model, iters=40, burn=0))
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"acceptance_rate_burn": null' in text
+        assert json.loads(text)["diagnostics"]["acceptance_rate_burn"] is None
+
     def test_trace_written(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))
         trace = tmp_path / "trace.csv"

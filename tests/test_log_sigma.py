@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from blbayes import log_sigma
 from blbayes.diagnostics import posterior_mean_se
 from blbayes.errors import (
     BasisError,
@@ -461,6 +462,18 @@ class TestGibbsLogSigma:
         np.testing.assert_array_equal(a.mu_post, b.mu_post)
         np.testing.assert_array_equal(a.sigma_post, b.sigma_post)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_builds_Q_once_per_iteration(self, four_asset_data, monkeypatch):
+        returns, views = four_asset_data
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_Q(*args, **kwargs)
+
+        monkeypatch.setattr(log_sigma, "build_Q", counting)
+        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
+        assert len(calls) == 50
 
     def test_acceptance_rate_healthy(self, four_asset_data):
         returns, views = four_asset_data
