@@ -79,7 +79,7 @@ def spd_eigh(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _cholesky(a, name: str) -> np.ndarray:
+def spd_cholesky(a, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of SPD ``a``.
 
     Logs a warning when ``(max diag L / min diag L)^2``, a lower bound on the
@@ -103,8 +103,8 @@ def _cholesky(a, name: str) -> np.ndarray:
 
 def spd_solve(a, b, name: str = "system"):
     """Solve ``a @ x = b`` for SPD ``a`` through its Cholesky factor (see
-    :func:`_cholesky` for the condition warning and the failure report)."""
-    c = _cholesky(np.asarray(a, dtype=float), name)
+    :func:`spd_cholesky` for the condition warning and the failure report)."""
+    c = spd_cholesky(np.asarray(a, dtype=float), name)
     y = np.linalg.solve(c, np.asarray(b, dtype=float))
     return np.linalg.solve(c.T, y)
 

@@ -35,14 +35,13 @@ from .linalg import (
     matrix_exp_sym,
     matrix_log_spd,
     spd_eigh,
-    spd_inverse,
     symmetrize,
     vec_star,
     vec_star_bilinear,
     vec_star_dim,
     vec_star_inverse,
 )
-from .sampling import sample_inverse_gamma, sample_mvn
+from .sampling import sample_inverse_gamma, sample_mvn_precision
 from .views import ViewSet
 
 log = logging.getLogger(__name__)
@@ -308,9 +307,10 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
 
     The covariance step, given the current mu: (1) build the scatter, its
     eigen-quantities, Q, and G from the current block variances, (2) propose
-    alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1) and accept with the
-    exact/approximate density ratio, rebuilding Sigma from alpha when
-    accepted, (3) draw the two block variances. The shared loop
+    alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
+    factor of Q+G, and accept with the exact/approximate density ratio,
+    rebuilding Sigma from alpha when accepted, (3) draw the two block
+    variances. The shared loop
     (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
     investor's P.
 
@@ -345,9 +345,9 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         s_mat = _scatter(returns_current, mu)
         quad = build_Q(s_mat, m)
         g_mat = build_G(StructuralDesign(n, sigma1_sq, sigma2_sq))
-        prop_cov = spd_inverse(quad.q_matrix + g_mat, "MH proposal precision")
-        alpha_star = prop_cov @ (quad.q_matrix @ quad.lambda_vec)
-        candidate = sample_mvn(alpha_star, prop_cov, rng)
+        candidate = sample_mvn_precision(
+            quad.q_matrix @ quad.lambda_vec, quad.q_matrix + g_mat, rng
+        )
         log_rho = mh_log_ratio(
             candidate, alpha, s_mat, m, g_mat, quad.q_matrix, quad.lambda_vec
         )

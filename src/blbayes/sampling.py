@@ -23,6 +23,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ParameterError,
 )
+from .linalg import spd_cholesky
 
 
 @dataclass
@@ -60,6 +61,27 @@ def sample_mvn(mean, cov, rng: RngStream) -> np.ndarray:
         raise NotPositiveDefiniteError("sample_mvn: covariance is not SPD") from exc
     z = rng.generator.standard_normal(mean.size)
     return mean + chol @ z
+
+
+def sample_mvn_precision(shift, precision, rng: RngStream) -> np.ndarray:
+    """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
+    Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
+
+    Takes as many standard normals from ``rng`` as :func:`sample_mvn` of the
+    same dimension. The factor logs the condition warning of
+    :func:`~blbayes.linalg.spd_cholesky`.
+    """
+    shift = np.asarray(shift, dtype=float)
+    precision = np.asarray(precision, dtype=float)
+    if (precision.ndim != 2 or precision.shape[0] != precision.shape[1]
+            or shift.shape != (precision.shape[0],)):
+        raise DimensionError(
+            f"sample_mvn_precision: shift {shift.shape} does not match "
+            f"precision {precision.shape}"
+        )
+    chol = spd_cholesky(precision, "sample_mvn_precision precision")
+    z = rng.generator.standard_normal(shift.size)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, shift) + z)
 
 
 def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Front-end contracts: exit codes, determinism, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,24 @@ class TestRun:
         text = out.read_text()
         assert '"acceptance_rate_burn": null' in text
         assert json.loads(text)["diagnostics"]["acceptance_rate_burn"] is None
+
+    def test_log_sigma_run_imports_no_scipy(self, tmp_path):
+        # importing scipy.linalg costs a large share of a short run's set-up
+        root = Path(__file__).resolve().parents[1]
+        config = root / "tests" / "golden" / "config_log_sigma.json"
+        code = (
+            "import sys\n"
+            "from blbayes.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_trace_written(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))

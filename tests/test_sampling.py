@@ -1,11 +1,14 @@
 """Distribution correctness and replayability of the random streams."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from blbayes.errors import (
     DegreesOfFreedomError,
+    DimensionError,
     NotPositiveDefiniteError,
     ParameterError,
 )
@@ -14,6 +17,7 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
+    sample_mvn_precision,
 )
 from conftest import random_spd
 
@@ -79,6 +83,44 @@ class TestMvn:
     def test_shape(self):
         d = sample_mvn(np.zeros(5), np.eye(5), RngStream(2))
         assert d.shape == (5,)
+
+
+class TestMvnPrecision:
+    def test_moments(self):
+        rng = np.random.default_rng(125)
+        precision = random_spd(rng, 6)
+        shift = rng.normal(size=6)
+        cov = np.linalg.inv(precision)
+        mean = cov @ shift
+        stream = RngStream(126)
+        n = 20_000
+        draws = np.array([sample_mvn_precision(shift, precision, stream) for _ in range(n)])
+        se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
+        # Var(x_i x_j) = cov_ii cov_jj + cov_ij^2 for a centred normal
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
+
+    def test_uses_as_many_normals_as_sample_mvn(self):
+        precision = random_spd(np.random.default_rng(127), 5)
+        a, b = RngStream(128), RngStream(128)
+        sample_mvn_precision(np.ones(5), precision, a)
+        sample_mvn(np.zeros(5), np.linalg.inv(precision), b)
+        assert a.generator.random() == b.generator.random()
+
+    def test_ill_conditioned_precision_warns(self, caplog):
+        q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))
+        precision = (q * [1.0, 0.3, 1e-11]) @ q.T
+        precision = 0.5 * (precision + precision.T)
+        assert 0.5e11 < np.linalg.cond(precision) < 2e11
+        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+            sample_mvn_precision(np.ones(3), precision, RngStream(3))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "condition number" in caplog.records[0].message
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            sample_mvn_precision(np.zeros(3), np.eye(2), RngStream(1))
 
 
 class TestInverseWishart:
