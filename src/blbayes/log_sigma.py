@@ -310,9 +310,8 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
     factor of Q+G, and accept with the exact/approximate density ratio,
     rebuilding Sigma from alpha when accepted, (3) draw the two block
-    variances. The shared loop
-    (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
-    investor's P.
+    variances. The shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`)
+    then draws mu with the investor's P.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
