@@ -11,7 +11,9 @@ Two variants share the same conditionals:
 A chain alternates one covariance draw (Inverse Wishart) with one mean draw
 (multivariate normal); point estimates are post-burn arithmetic means. The
 loop itself, :func:`gibbs_chain`, is shared with the log-covariance sampler,
-which supplies its own covariance step.
+which supplies its own covariance step. Every covariance step returns the
+draw together with its inverse, computed from the factor the step already
+holds, so the loop inverts no drawn covariance.
 """
 
 from __future__ import annotations
@@ -157,10 +159,13 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     """The Gibbs loop every sampler shares.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
-    a covariance draw and an accept flag, then draws mu from its normal
-    conditional given that covariance (``p_eff``/``q_eff``/``omega_eff`` as in
-    :func:`mu_conditional`). ``cfg`` supplies ``iters``, ``burn``, ``seed`` and
-    ``stream_id``. ``mh`` adds the accept flag to the trace rows.
+    ``(sigma, sigma_inv, accepted)``: a covariance draw, its inverse and an
+    accept flag. The step logs the "Sigma draw" condition warning. The loop
+    then draws mu from its normal conditional given that covariance
+    (``p_eff``/``q_eff``/``omega_eff`` as in :func:`mu_conditional`), whose
+    precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
+    ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the accept flag to the
+    trace rows.
 
     Returns (mu draws over all iterations, post-burn Sigma mean, accept flags).
     """
@@ -179,8 +184,7 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     trace = _TraceWriter(trace_path, n, mh) if trace_path else None
     try:
         for t in range(cfg.iters):
-            sigma, accepts[t] = sigma_step(mu, rng)
-            sigma_inv = spd_inverse(sigma, "Sigma draw")
+            sigma, sigma_inv, accepts[t] = sigma_step(mu, rng)
             mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
             mu = sample_mvn(mean, cov, rng)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
@@ -198,13 +202,13 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
 
 def _iw_step(returns, nu: float, sigma0):
     """Covariance step of the Inverse-Wishart models: an exact conditional
-    draw, so every step is accepted."""
+    draw and its inverse, so every step is accepted."""
     m = returns.shape[0]
 
     def step(mu, rng):
         resid = returns - mu
         dof, scale = sigma_conditional(resid.T @ resid, nu, sigma0, m)
-        return sample_inverse_wishart(dof, scale, rng), True
+        return *sample_inverse_wishart(dof, scale, rng), True
 
     return step
 

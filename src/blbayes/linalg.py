@@ -94,11 +94,18 @@ def spd_cholesky(a, name: str = "matrix") -> np.ndarray:
         raise NumericalError(
             f"{name}: Cholesky failed; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
         ) from exc
-    d = np.diag(c)
-    cond = (d.max() / d.min()) ** 2
+    # Python floats: numpy reductions of an n-vector cost about as much as
+    # the factorization itself at the sizes the chains use
+    d = c.diagonal().tolist()
+    warn_condition(name, (max(d) / min(d)) ** 2)
+    return c
+
+
+def warn_condition(name: str, cond: float) -> None:
+    """Log the shared condition warning when ``cond``, the 2-norm condition
+    number or a lower bound on it, exceeds ``COND_WARN``."""
     if cond > COND_WARN:
         log.warning("%s: condition number >= %.3e exceeds %.0e", name, cond, COND_WARN)
-    return c
 
 
 def spd_solve(a, b, name: str = "system"):
@@ -110,9 +117,11 @@ def spd_solve(a, b, name: str = "system"):
 
 
 def spd_inverse(a, name: str = "matrix") -> np.ndarray:
-    """Symmetric inverse of an SPD matrix (via :func:`spd_solve`)."""
-    a = np.asarray(a, dtype=float)
-    return symmetrize(spd_solve(a, np.eye(a.shape[0]), name))
+    """Symmetric inverse ``C^-T C^-1`` of an SPD matrix ``a = C C'``, from one
+    inversion of its Cholesky factor (see :func:`spd_cholesky` for the
+    condition warning and the failure report)."""
+    c_inv = np.linalg.inv(spd_cholesky(np.asarray(a, dtype=float), name))
+    return symmetrize(c_inv.T @ c_inv)
 
 
 # ---------------------------------------------------------------------------

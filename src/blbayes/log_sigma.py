@@ -32,7 +32,6 @@ from .errors import (
 )
 from .inverse_wishart import OMEGA_FLOOR_HARD, check_omega_floor, gibbs_chain
 from .linalg import (
-    matrix_exp_sym,
     matrix_log_spd,
     spd_eigh,
     symmetrize,
@@ -40,6 +39,7 @@ from .linalg import (
     vec_star_bilinear,
     vec_star_dim,
     vec_star_inverse,
+    warn_condition,
 )
 from .sampling import sample_inverse_gamma, sample_mvn_precision
 from .views import ViewSet
@@ -296,6 +296,16 @@ class LogSigmaConfig:
             raise ValidationError("burn", "need 0 <= burn < iters")
 
 
+def _sigma_pair(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """``Sigma = exp(A)`` and ``Sigma^-1 = exp(-A)`` for the symmetric ``A``
+    stacked in ``alpha``, from one eigendecomposition ``A = V W V'``. Logs the
+    "Sigma draw" condition warning with the exact condition number
+    ``exp(w_max - w_min)``."""
+    w, v = np.linalg.eigh(vec_star_inverse(alpha))
+    warn_condition("Sigma draw", float(np.exp(w[-1] - w[0])))
+    return symmetrize((v * np.exp(w)) @ v.T), symmetrize((v * np.exp(-w)) @ v.T)
+
+
 def _scatter(returns, mu) -> np.ndarray:
     resid = returns - mu
     return symmetrize(resid.T @ resid / returns.shape[0])
@@ -309,9 +319,11 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     eigen-quantities, Q, and G from the current block variances, (2) propose
     alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
     factor of Q+G, and accept with the exact/approximate density ratio,
-    rebuilding Sigma from alpha when accepted, (3) draw the two block
-    variances. The shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`)
-    then draws mu with the investor's P.
+    rebuilding Sigma and its inverse from one eigendecomposition of the
+    accepted alpha (a rejected step returns the cached pair), (3) draw the
+    two block variances. The shared loop
+    (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
+    investor's P.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
@@ -330,17 +342,18 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         raise DimensionError("returns and views disagree on the number of assets")
     check_omega_floor(views, OMEGA_FLOOR_HARD, False, "log_sigma")
 
-    # Data-centred start: Sigma at the scatter of the sample mean (where the
-    # loop starts mu), block variances at the empirical variances of the
-    # matching alpha blocks. matrix_log_spd and build_Q validate each scatter.
-    sigma = _scatter(returns_current, returns_current.mean(axis=0))
-    alpha = vec_star(matrix_log_spd(sigma))
+    # Data-centred start: alpha at the log of the scatter of the sample mean
+    # (where the loop starts mu), so Sigma is that scatter up to rounding;
+    # block variances at the empirical variances of the matching alpha
+    # blocks. matrix_log_spd and build_Q validate each scatter.
+    alpha = vec_star(matrix_log_spd(_scatter(returns_current, returns_current.mean(axis=0))))
+    sigma, sigma_inv = _sigma_pair(alpha)
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
     sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
     floor_hits = 0
 
     def step(mu, rng):
-        nonlocal alpha, sigma, sigma1_sq, sigma2_sq, floor_hits
+        nonlocal alpha, sigma, sigma_inv, sigma1_sq, sigma2_sq, floor_hits
         s_mat = _scatter(returns_current, mu)
         quad = build_Q(s_mat, m)
         g_mat = build_G(StructuralDesign(n, sigma1_sq, sigma2_sq))
@@ -353,13 +366,13 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         accepted = bool(np.log(rng.generator.random()) < log_rho)
         if accepted:
             alpha = candidate
-            sigma = matrix_exp_sym(vec_star_inverse(candidate))
+            sigma, sigma_inv = _sigma_pair(candidate)
 
         (sh1, sc1), (sh2, sc2) = sigma_sq_conditionals(alpha, n)
         floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)
         sigma1_sq = sample_inverse_gamma(sh1, sc1, rng)
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
-        return sigma, accepted
+        return sigma, sigma_inv, accepted
 
     mu_draws, sigma_mean, accepts = gibbs_chain(
         returns_current, views.q, views.omega, views.p, cfg, step, trace_path, mh=True

@@ -8,11 +8,14 @@ The Inverse Wishart is parameterized by the density exponent
 ``det(X)^-(nu+n+1)/2 * exp(-tr(scale @ X^-1)/2)`` — i.e. ``nu`` is the
 degrees of freedom that appears in the conjugate covariance posterior, and
 ``E[X] = scale / (nu - n - 1)`` when ``nu > n + 1``. Conventions for this
-family vary between texts; this one is pinned here on purpose.
+family vary between texts; this one is pinned here on purpose. A draw comes
+with its inverse, both from the one Bartlett factor, so no sampler inverts a
+drawn covariance. Every kernel here is numpy-only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ParameterError,
 )
-from .linalg import spd_cholesky
+from .linalg import spd_cholesky, symmetrize, warn_condition
 
 
 @dataclass
@@ -84,30 +87,45 @@ def sample_mvn_precision(shift, precision, rng: RngStream) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, shift) + z)
 
 
+_STRICT_LOWER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _strict_lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n not in _STRICT_LOWER_CACHE:
+        _STRICT_LOWER_CACHE[n] = np.tril_indices(n, k=-1)
+    return _STRICT_LOWER_CACHE[n]
+
+
 def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
     """Lower-triangular Bartlett factor: chi on the diagonal, normals below.
 
-    Draw order is fixed (diagonal first, then the strictly-lower block) so a
-    stream replays identically.
+    Draw order is fixed (the n chi-squares with dof, dof-1, ... first, then
+    the strictly-lower block row-major) so a stream replays identically.
+    The chi-squares are scalar calls: one ``chisquare(dof - arange(n))``
+    draws the same stream but validates its parameter array at about twice
+    the cost of the loop at n = 4.
     """
+    gen = rng.generator
     a = np.zeros((n, n))
     for i in range(n):
-        a[i, i] = np.sqrt(rng.generator.chisquare(dof - i))
-    if n > 1:
-        idx = np.tril_indices(n, k=-1)
-        a[idx] = rng.generator.standard_normal(len(idx[0]))
+        a[i, i] = math.sqrt(gen.chisquare(dof - i))
+    rows, cols = _strict_lower_indices(n)
+    a[rows, cols] = gen.standard_normal(rows.size)
     return a
 
 
-def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> np.ndarray:
-    """One draw from the Inverse Wishart with the density pinned above.
+def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """One draw ``Sigma`` from the Inverse Wishart with the density pinned
+    above, returned with its inverse: ``(Sigma, Sigma^-1)``.
 
-    Implemented as the inverse of a Wishart(dof, scale^-1) Bartlett draw,
-    without forming scale^-1 explicitly: with ``scale = L L'`` and Bartlett
-    factor ``A``, the draw is ``M M'`` for ``M' = A^-1 L'``.
+    ``Sigma^-1`` is a Wishart(dof, scale^-1) Bartlett draw. With
+    ``scale = L L'`` and Bartlett factor ``A``, ``Sigma = M'M`` for
+    ``M = A^-1 L'`` and ``Sigma^-1 = N N'`` for ``N = L^-T A``; neither
+    ``scale^-1`` nor an inverse of the draw is formed. Logs the condition
+    warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
+    as ``max diag Sigma * max diag Sigma^-1`` (a lower bound on its 2-norm
+    condition number).
     """
-    from scipy.linalg import solve_triangular
-
     scale = np.asarray(scale, dtype=float)
     n = scale.shape[0]
     if dof <= n - 1:
@@ -119,9 +137,13 @@ def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("sample_inverse_wishart: scale is not SPD") from exc
     a = _bartlett_factor(dof, n, rng)
-    mt = solve_triangular(a, chol.T, lower=True)
-    x = mt.T @ mt
-    return 0.5 * (x + x.T)
+    m_factor = np.linalg.solve(a, chol.T)
+    n_factor = np.linalg.solve(chol.T, a)
+    sigma = symmetrize(m_factor.T @ m_factor)
+    sigma_inv = symmetrize(n_factor @ n_factor.T)
+    warn_condition("Sigma draw",
+                   max(sigma.diagonal().tolist()) * max(sigma_inv.diagonal().tolist()))
+    return sigma, sigma_inv
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:

@@ -78,23 +78,31 @@ class TestRun:
         assert '"acceptance_rate_burn": null' in text
         assert json.loads(text)["diagnostics"]["acceptance_rate_burn"] is None
 
-    def test_log_sigma_run_imports_no_scipy(self, tmp_path):
-        # importing scipy.linalg costs a large share of a short run's set-up
-        root = Path(__file__).resolve().parents[1]
-        config = root / "tests" / "golden" / "config_log_sigma.json"
+    def test_runs_and_sweep_import_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency, and importing scipy.linalg costs a
+        # large share of a short run's set-up
+        golden = Path(__file__).resolve().parent / "golden"
+        calls = [["run", "--config", str(golden / f"config_{m}.json"),
+                  "--out", str(tmp_path / f"run_{m}.json")]
+                 for m in ("original", "iw_augmented", "iw_nonsquare", "log_sigma")]
+        calls.append(["sweep", "--config", str(golden / "config_iw_nonsquare.json"),
+                      "--grid", str(golden / "grid_2x2.json"), "--workers", "1",
+                      "--out", str(tmp_path / "sweep.csv")])
         code = (
             "import sys\n"
             "from blbayes.cli import main\n"
-            f"assert main(['run', '--config', {str(config)!r}, "
-            f"'--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+            f"for argv in {calls!r}:\n"
+            "    assert main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
+        root = golden.parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+        assert (tmp_path / "sweep.csv").read_text().count("\n") == 5
 
     def test_trace_written(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blbayes import inverse_wishart
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
     IwConfig,
@@ -17,6 +18,7 @@ from blbayes.inverse_wishart import (
     mu_conditional,
     sigma_conditional,
 )
+from blbayes.linalg import spd_inverse
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
 from conftest import random_spd
@@ -197,6 +199,26 @@ class TestChains:
         comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
         assert np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb)
 
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_inverts_once_per_iteration(self, small_dataset, monkeypatch, variant):
+        # the covariance step returns its draw's inverse, so the loop inverts
+        # only the mu conditional's precision
+        returns, views = small_dataset
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spd_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(inverse_wishart, "spd_inverse", counting)
+        cfg = make_config(iters=40, burn=10)
+        if variant == "nonsquare":
+            gibbs_nonsquare(returns, views, cfg)
+        else:
+            months = np.random.default_rng(52).normal(size=(8, 2)) * 0.01
+            gibbs_augmented(returns, views, months, cfg)
+        assert len(calls) == 40
+
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
         s = gibbs_nonsquare(returns, views, make_config(iters=4000, burn=500, seed=61))
@@ -229,7 +251,7 @@ class TestGibbsChain:
             if len(seen) == fail_at:
                 raise RuntimeError("stub step failed")
             seen.append(mu.copy())
-            return self.sigma_fix, len(seen) % 2 == 1
+            return self.sigma_fix, np.linalg.inv(self.sigma_fix), len(seen) % 2 == 1
         return step
 
     def run(self, returns, views, step, cfg, trace_path=None):

@@ -1,6 +1,7 @@
 """Volterra machinery, the structural prior, and the MH-within-Gibbs chain."""
 
 import csv
+import logging
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from blbayes import log_sigma
+from blbayes import inverse_wishart, log_sigma
 from blbayes.diagnostics import posterior_mean_se
 from blbayes.errors import (
     BasisError,
@@ -18,8 +19,10 @@ from blbayes.errors import (
     ValidationError,
 )
 from blbayes.linalg import (
+    matrix_exp_sym,
     matrix_log_spd,
     spd_inverse,
+    symmetrize,
     vec_star,
     vec_star_bilinear,
     vec_star_inverse,
@@ -453,6 +456,40 @@ def four_asset_data():
     return returns, views
 
 
+class TestSigmaPair:
+    """Sigma and Sigma^-1 from one eigendecomposition of the accepted alpha."""
+
+    @staticmethod
+    def alpha_with_log_eigvals(w):
+        q, _ = np.linalg.qr(np.random.default_rng(43).normal(size=(len(w), len(w))))
+        return vec_star(symmetrize((q * w) @ q.T))
+
+    def test_pair_is_exp_and_its_inverse(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 4, 7):
+            a = random_symmetric(rng, n)
+            sigma, sigma_inv = log_sigma._sigma_pair(vec_star(a))
+            assert np.array_equal(sigma, matrix_exp_sym(a))
+            assert np.array_equal(sigma_inv, sigma_inv.T)
+            np.testing.assert_allclose(sigma_inv, matrix_exp_sym(-a), rtol=1e-12)
+            np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-12)
+
+    def test_log_eigenvalue_spread_above_cond_warn_logs(self, caplog):
+        # ln(1e10) = 23.03; the warning reports the exact exp(w_max - w_min)
+        alpha = self.alpha_with_log_eigvals([-12.0, 0.0, 3.0, 11.5])
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            log_sigma._sigma_pair(alpha)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "Sigma draw: condition number >= " in caplog.records[0].message
+        assert f"{np.exp(23.5):.3e}" in caplog.records[0].message
+
+    def test_spread_below_cond_warn_is_silent(self, caplog):
+        alpha = self.alpha_with_log_eigvals([-12.0, 0.0, 3.0, 10.5])
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            log_sigma._sigma_pair(alpha)
+        assert caplog.records == []
+
+
 class TestGibbsLogSigma:
     def test_determinism(self, four_asset_data):
         returns, views = four_asset_data
@@ -472,6 +509,20 @@ class TestGibbsLogSigma:
             return build_Q(*args, **kwargs)
 
         monkeypatch.setattr(log_sigma, "build_Q", counting)
+        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
+        assert len(calls) == 50
+
+    def test_inverts_once_per_iteration(self, four_asset_data, monkeypatch):
+        # the step hands the loop Sigma^-1, so only the mu conditional's
+        # precision is inverted
+        returns, views = four_asset_data
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spd_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(inverse_wishart, "spd_inverse", counting)
         gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
         assert len(calls) == 50
 

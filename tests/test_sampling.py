@@ -14,6 +14,7 @@ from blbayes.errors import (
 )
 from blbayes.sampling import (
     RngStream,
+    _bartlett_factor,
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
@@ -37,9 +38,10 @@ class TestDeterminism:
 
     def test_inverse_wishart_replays(self):
         psi = random_spd(np.random.default_rng(0), 3)
-        a = sample_inverse_wishart(7.5, psi, RngStream(9))
-        b = sample_inverse_wishart(7.5, psi, RngStream(9))
+        a, a_inv = sample_inverse_wishart(7.5, psi, RngStream(9))
+        b, b_inv = sample_inverse_wishart(7.5, psi, RngStream(9))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a_inv, b_inv)
 
     def test_inverse_gamma_replays(self):
         assert sample_inverse_gamma(3.0, 4.0, RngStream(5)) == sample_inverse_gamma(
@@ -128,7 +130,8 @@ class TestInverseWishart:
         # n=1, dof=5, scale=3: mean 3/(5-1-1) = 1, and the marginal is the
         # inverse gamma with shape dof/2, scale 3/2
         rng = RngStream(200)
-        draws = np.array([sample_inverse_wishart(5.0, [[3.0]], rng)[0, 0] for _ in range(100_000)])
+        draws = np.array([sample_inverse_wishart(5.0, [[3.0]], rng)[0][0, 0]
+                          for _ in range(100_000)])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = RngStream(200, 77)
         ig = np.array([sample_inverse_gamma(2.5, 1.5, ig_rng) for _ in range(100_000)])
@@ -141,7 +144,7 @@ class TestInverseWishart:
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for _ in range(n_draws):
-            acc += sample_inverse_wishart(dof, psi, rng)
+            acc += sample_inverse_wishart(dof, psi, rng)[0]
         mean = acc / n_draws
         expected = psi / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
@@ -149,7 +152,7 @@ class TestInverseWishart:
     def test_output_spd_and_symmetric(self):
         rng = RngStream(202)
         for _ in range(200):
-            x = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
+            x, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
             assert np.array_equal(x, x.T)
             assert np.linalg.eigvalsh(x)[0] > 0
 
@@ -158,7 +161,7 @@ class TestInverseWishart:
             sample_inverse_wishart(1.5, np.eye(3), RngStream(1))
 
     def test_non_integer_dof_accepted(self):
-        x = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
+        x, _ = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
         assert np.all(np.isfinite(x))
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -171,7 +174,7 @@ class TestInverseWishart:
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i in range(n_draws):
-            x = sample_inverse_wishart(float(dof), psi, rng)
+            x, _ = sample_inverse_wishart(float(dof), psi, rng)
             logdet_inv[i] = -np.linalg.slogdet(x)[1]
 
         gen = np.random.default_rng(204)
@@ -182,6 +185,56 @@ class TestInverseWishart:
 
         p = stats.ks_2samp(logdet_inv, logdet_w).pvalue
         assert p > 0.001
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_returned_inverse(self, n):
+        rng = RngStream(205, n)
+        for k in range(50):
+            scale = random_spd(np.random.default_rng(k), n)
+            sigma, sigma_inv = sample_inverse_wishart(n + 4.5, scale, rng)
+            assert np.array_equal(sigma_inv, sigma_inv.T)
+            np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_bartlett_factor_equals_loop_oracle(self, n):
+        def oracle(dof, n, rng):
+            a = np.zeros((n, n))
+            for i in range(n):
+                a[i, i] = np.sqrt(rng.generator.chisquare(dof - i))
+            if n > 1:
+                idx = np.tril_indices(n, k=-1)
+                a[idx] = rng.generator.standard_normal(len(idx[0]))
+            return a
+
+        for dof in (n + 0.3, n + 2.0, 61.7):
+            fast, slow = RngStream(206, n), RngStream(206, n)
+            for _ in range(5):
+                assert np.array_equal(_bartlett_factor(dof, n, fast), oracle(dof, n, slow))
+            assert fast.generator.random() == slow.generator.random()
+
+
+class TestSigmaDrawConditionWarning:
+    @staticmethod
+    def draw(eigvals, caplog, rotate=True):
+        q, _ = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))
+        if not rotate:
+            q = np.eye(2)
+        scale = (q * eigvals) @ q.T
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            return sample_inverse_wishart(12.0, 0.5 * (scale + scale.T), RngStream(7))
+
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_ill_conditioned_scale_warns(self, caplog, rotate):
+        # axis-aligned, only the largest diagonal entries of Sigma and
+        # Sigma^-1 (from different coordinates) reveal the spread
+        sigma, _ = self.draw([1.0, 1e-12], caplog, rotate)
+        assert np.linalg.cond(sigma) > 1e10
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "Sigma draw: condition number" in caplog.records[0].message
+
+    def test_well_conditioned_is_silent(self, caplog):
+        self.draw([1.0, 0.2], caplog)
+        assert caplog.records == []
 
 
 class TestInverseGamma:
