@@ -216,9 +216,7 @@ class TestInverseWishart:
 class TestSigmaDrawConditionWarning:
     @staticmethod
     def draw(eigvals, caplog, rotate=True):
-        q, _ = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))
-        if not rotate:
-            q = np.eye(2)
+        q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0] if rotate else np.eye(2)
         scale = (q * eigvals) @ q.T
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
             return sample_inverse_wishart(12.0, 0.5 * (scale + scale.T), RngStream(7))
