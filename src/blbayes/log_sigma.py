@@ -10,9 +10,12 @@ one normal on the diagonal block of ``alpha`` and another on the
 off-diagonal block; integrating the two location parameters out under a flat
 prior leaves the centering precision ``G``.
 
-Sampling alternates a Metropolis-Hastings update of ``alpha`` (the Gaussian
-approximation proposes, the exact density corrects), inverse-gamma updates
-of the two prior variances, and the shared normal mean update.
+Sampling alternates a Metropolis-Hastings update of ``alpha``, inverse-gamma
+updates of the two prior variances, and the shared normal mean update. The
+Gaussian approximation times the prior proposes; the prior cancels from the
+acceptance ratio, which is the exact likelihood over its approximation. Each
+candidate is eigendecomposed once, and that one decomposition gives its
+exact likelihood and, when accepted, Sigma, its inverse and its log det.
 """
 
 from __future__ import annotations
@@ -111,6 +114,12 @@ class VolterraQuadratic:
     eigvecs: np.ndarray
     log_det_s: float
 
+    def log_kernel(self, alpha) -> float:
+        """``-(alpha-lambda)' Q (alpha-lambda)/2``, the alpha-dependent part
+        of the approximate log-likelihood."""
+        diff = np.asarray(alpha, dtype=float) - self.lambda_vec
+        return -0.5 * float(diff @ self.q_matrix @ diff)
+
 
 def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     """Assemble the approximation precision
@@ -154,58 +163,50 @@ def volterra_log_density(alpha, s_matrix, m: int,
     """
     if quad is None:
         quad = build_Q(s_matrix, m)
-    alpha = np.asarray(alpha, dtype=float)
     n = quad.eigvals.size
-    diff = alpha - quad.lambda_vec
-    return float(
-        -0.5 * m * n * np.log(2.0 * np.pi * np.e)
+    return (
+        -0.5 * m * n * float(np.log(2.0 * np.pi * np.e))
         - 0.5 * m * quad.log_det_s
-        - 0.5 * diff @ quad.q_matrix @ diff
+        + quad.log_kernel(alpha)
     )
 
 
-def exact_log_target(alpha, s_matrix, m: int, g_matrix=None) -> float:
-    """Unnormalized log of the exact alpha conditional:
+def _decompose(alpha):
+    """One eigendecomposition ``A = V diag(w) V'`` of the symmetric matrix
+    stacked in alpha. Returns ``(w, v, V e^-W V')``: for ``Sigma = exp(A)``,
+    ``log det Sigma = sum(w)`` and ``Sigma^-1 = V e^-W V'``."""
+    w, v = np.linalg.eigh(vec_star_inverse(alpha))
+    return w, v, (v * np.exp(-w)) @ v.T
 
-    ``-(m/2) tr(A + S e^-A) - alpha' G alpha / 2`` with ``A`` the symmetric
-    matrix whose stacking is alpha. ``g_matrix=None`` drops the prior term.
+
+def _log_likelihood(log_det_sigma: float, sigma_inv, s_matrix, m: int) -> float:
+    """``-(m/2) (log det Sigma + tr(S Sigma^-1))``: the exact return
+    log-likelihood of the covariance, up to its constant."""
+    return -0.5 * m * (log_det_sigma + float(np.sum(s_matrix * sigma_inv)))
+
+
+def exact_log_target(alpha, s_matrix, m: int) -> float:
+    """Exact log-likelihood of alpha, up to its constant:
+    ``-(m/2) tr(A + S e^-A)`` with ``A`` the symmetric matrix whose stacking
+    is alpha."""
+    w, _, exp_neg_a = _decompose(alpha)
+    return _log_likelihood(float(w.sum()), exp_neg_a, np.asarray(s_matrix, dtype=float), m)
+
+
+def mh_log_ratio(candidate, current, loglik_candidate: float, loglik_current: float,
+                 quad: VolterraQuadratic) -> float:
+    """Log acceptance ratio of the independence proposal
+    ``N((Q+G)^-1 Q lambda, (Q+G)^-1)``: the exact log-likelihood ratio over
+    its Volterra approximation,
+
+    ``[l(candidate) - l(current)] - [v(candidate) - v(current)]``
+
+    with ``l`` the exact log-likelihoods passed in and ``v`` the quadratic
+    :meth:`VolterraQuadratic.log_kernel`. The alpha prior enters the target
+    and the proposal alike, so its terms cancel.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    a = vec_star_inverse(alpha)
-    s_matrix = np.asarray(s_matrix, dtype=float)
-    w, v = np.linalg.eigh(a)
-    exp_neg_a = (v * np.exp(-w)) @ v.T
-    trace_term = float(w.sum() + np.sum(s_matrix * exp_neg_a))
-    val = -0.5 * m * trace_term
-    if g_matrix is not None:
-        val -= 0.5 * float(alpha @ g_matrix @ alpha)
-    return val
-
-
-def approx_log_target(alpha, g_matrix, q_matrix, lambda_vec) -> float:
-    """Unnormalized log of the Gaussian proposal target (approximate
-    likelihood times the alpha prior)."""
-    alpha = np.asarray(alpha, dtype=float)
-    diff = alpha - np.asarray(lambda_vec, dtype=float)
-    val = -0.5 * float(diff @ q_matrix @ diff)
-    if g_matrix is not None:
-        val -= 0.5 * float(alpha @ g_matrix @ alpha)
-    return val
-
-
-def mh_log_ratio(candidate, current, s_matrix, m: int, g_matrix, q_matrix,
-                 lambda_vec) -> float:
-    """Log acceptance ratio of the independence proposal:
-
-    ``[exact(candidate) - exact(current)] + [approx(current) - approx(candidate)]``
-
-    with both sides built from the current iteration's S, G, Q.
-    """
-    return (
-        exact_log_target(candidate, s_matrix, m, g_matrix)
-        - exact_log_target(current, s_matrix, m, g_matrix)
-        + approx_log_target(current, g_matrix, q_matrix, lambda_vec)
-        - approx_log_target(candidate, g_matrix, q_matrix, lambda_vec)
+    return (loglik_candidate - loglik_current) - (
+        quad.log_kernel(candidate) - quad.log_kernel(current)
     )
 
 
@@ -296,14 +297,12 @@ class LogSigmaConfig:
             raise ValidationError("burn", "need 0 <= burn < iters")
 
 
-def _sigma_pair(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """``Sigma = exp(A)`` and ``Sigma^-1 = exp(-A)`` for the symmetric ``A``
-    stacked in ``alpha``, from one eigendecomposition ``A = V W V'``. Logs the
-    "Sigma draw" condition warning with the exact condition number
-    ``exp(w_max - w_min)``."""
-    w, v = np.linalg.eigh(vec_star_inverse(alpha))
+def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(Sigma, Sigma^-1, log det Sigma)`` for ``Sigma = exp(A)`` from the
+    :func:`_decompose` output of ``A``. Logs the "Sigma draw" condition
+    warning with the exact condition number ``exp(w_max - w_min)``."""
     warn_condition("Sigma draw", float(np.exp(w[-1] - w[0])))
-    return symmetrize((v * np.exp(w)) @ v.T), symmetrize((v * np.exp(-w)) @ v.T)
+    return symmetrize((v * np.exp(w)) @ v.T), symmetrize(exp_neg_a), float(w.sum())
 
 
 def _scatter(returns, mu) -> np.ndarray:
@@ -318,10 +317,13 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     The covariance step, given the current mu: (1) build the scatter, its
     eigen-quantities, Q, and G from the current block variances, (2) propose
     alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
-    factor of Q+G, and accept with the exact/approximate density ratio,
-    rebuilding Sigma and its inverse from one eigendecomposition of the
-    accepted alpha (a rejected step returns the cached pair), (3) draw the
-    two block variances. The shared loop
+    factor of Q+G, and accept with the ratio of :func:`mh_log_ratio`. The
+    candidate is eigendecomposed once: that gives its exact likelihood and,
+    if accepted, the new Sigma, Sigma^-1 and log det Sigma. The current
+    alpha's likelihood, ``-(m/2)(log det Sigma + tr(S Sigma^-1))``, comes
+    from the cached log det and Sigma^-1 with this iteration's S, and a
+    rejected step returns the cached pair. (3) Draw the two block
+    variances. The shared loop
     (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
     investor's P.
 
@@ -347,26 +349,30 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     # block variances at the empirical variances of the matching alpha
     # blocks. matrix_log_spd and build_Q validate each scatter.
     alpha = vec_star(matrix_log_spd(_scatter(returns_current, returns_current.mean(axis=0))))
-    sigma, sigma_inv = _sigma_pair(alpha)
+    sigma, sigma_inv, log_det = _sigma_pair(*_decompose(alpha))
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
     sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
     floor_hits = 0
 
     def step(mu, rng):
-        nonlocal alpha, sigma, sigma_inv, sigma1_sq, sigma2_sq, floor_hits
+        nonlocal alpha, sigma, sigma_inv, log_det, sigma1_sq, sigma2_sq, floor_hits
         s_mat = _scatter(returns_current, mu)
         quad = build_Q(s_mat, m)
         g_mat = build_G(StructuralDesign(n, sigma1_sq, sigma2_sq))
         candidate = sample_mvn_precision(
             quad.q_matrix @ quad.lambda_vec, quad.q_matrix + g_mat, rng
         )
+        w, v, exp_neg_a = _decompose(candidate)
         log_rho = mh_log_ratio(
-            candidate, alpha, s_mat, m, g_mat, quad.q_matrix, quad.lambda_vec
+            candidate, alpha,
+            _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m),
+            _log_likelihood(log_det, sigma_inv, s_mat, m),
+            quad,
         )
         accepted = bool(np.log(rng.generator.random()) < log_rho)
         if accepted:
             alpha = candidate
-            sigma, sigma_inv = _sigma_pair(candidate)
+            sigma, sigma_inv, log_det = _sigma_pair(w, v, exp_neg_a)
 
         (sh1, sc1), (sh2, sc2) = sigma_sq_conditionals(alpha, n)
         floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)

@@ -31,7 +31,6 @@ from blbayes.log_sigma import (
     IG_SCALE_FLOOR,
     LogSigmaConfig,
     StructuralDesign,
-    approx_log_target,
     build_G,
     build_Q,
     build_f_vectors,
@@ -247,15 +246,6 @@ class TestExactTarget:
             offset = exact_log_target(lam, s, m) - volterra_log_density(lam, s, m)
             assert offset == pytest.approx(0.5 * m * n * np.log(2 * np.pi), rel=1e-12)
 
-    def test_prior_term_shift(self):
-        rng = np.random.default_rng(88)
-        s = random_spd(rng, 3)
-        alpha = rng.normal(size=6)
-        c = 0.37
-        base = exact_log_target(alpha, s, 9, np.zeros((6, 6)))
-        shifted = exact_log_target(alpha, s, 9, c * np.eye(6))
-        assert shifted - base == pytest.approx(-0.5 * c * alpha @ alpha, rel=1e-12)
-
     def test_matches_direct_likelihood_oracle(self):
         # exact target at arbitrary alpha == scipy log-likelihood at
         # Sigma = exp(unstack(alpha)) plus the (2 pi)^{-mn/2} constant
@@ -355,46 +345,56 @@ class TestSigmaSqConditionals:
 
 
 class TestMhRatio:
-    def setup_instance(self, seed=92):
+    def setup_instance(self, seed=92, n=2):
         rng = np.random.default_rng(seed)
-        returns = rng.normal(size=(5, 2)) * 0.5
-        mu = rng.normal(size=2) * 0.1
-        s = (returns - mu).T @ (returns - mu) / 5
-        quad = build_Q(s, 5)
-        g = 0.3 * (np.eye(3) - np.ones((3, 3)) / 3)
-        return s, quad, g, rng
+        m = n + 3
+        returns = rng.normal(size=(m, n)) * 0.5
+        mu = rng.normal(size=n) * 0.1
+        s = (returns - mu).T @ (returns - mu) / m
+        quad = build_Q(s, m)
+        d = quad.lambda_vec.size
+        g = 0.3 * (np.eye(d) - np.ones((d, d)) / d)
+        return s, m, quad, g, rng
+
+    @staticmethod
+    def ratio(cand, curr, s, m, quad):
+        return mh_log_ratio(cand, curr, exact_log_target(cand, s, m),
+                            exact_log_target(curr, s, m), quad)
 
     def test_identity_candidate(self):
-        s, quad, g, rng = self.setup_instance()
+        s, m, quad, g, rng = self.setup_instance()
         a = rng.normal(size=3)
-        assert mh_log_ratio(a, a, s, 5, g, quad.q_matrix, quad.lambda_vec) == 0.0
+        assert self.ratio(a, a, s, m, quad) == 0.0
 
     def test_antisymmetry(self):
-        s, quad, g, rng = self.setup_instance()
+        s, m, quad, g, rng = self.setup_instance()
         a, b = rng.normal(size=3), rng.normal(size=3)
-        fwd = mh_log_ratio(a, b, s, 5, g, quad.q_matrix, quad.lambda_vec)
-        rev = mh_log_ratio(b, a, s, 5, g, quad.q_matrix, quad.lambda_vec)
+        fwd = self.ratio(a, b, s, m, quad)
+        rev = self.ratio(b, a, s, m, quad)
         assert fwd == pytest.approx(-rev, rel=1e-12)
 
     def test_against_raw_density_oracle(self):
-        # recompute rho from raw densities written out longhand
-        s, quad, g, rng = self.setup_instance(93)
-        m = 5
-        cand, curr = rng.normal(size=3), rng.normal(size=3)
+        # recompute rho from raw densities written out longhand, prior terms
+        # included with a non-zero G: they cancel, so the G-free ratio must
+        # match
+        for n in (2, 4):
+            s, m, quad, g, rng = self.setup_instance(93, n)
+            assert np.abs(g).max() > 0.0
+            cand, curr = rng.normal(size=(2, quad.lambda_vec.size))
 
-        def raw_exact(alpha):
-            a = vec_star_inverse(alpha)
-            w, v = np.linalg.eigh(a)
-            tr = w.sum() + np.sum(s * ((v * np.exp(-w)) @ v.T))
-            return -0.5 * m * tr - 0.5 * alpha @ g @ alpha
+            def raw_exact(alpha):
+                a = vec_star_inverse(alpha)
+                w, v = np.linalg.eigh(a)
+                tr = w.sum() + np.sum(s * ((v * np.exp(-w)) @ v.T))
+                return -0.5 * m * tr - 0.5 * alpha @ g @ alpha
 
-        def raw_approx(alpha):
-            d = alpha - quad.lambda_vec
-            return -0.5 * d @ quad.q_matrix @ d - 0.5 * alpha @ g @ alpha
+            def raw_approx(alpha):
+                d = alpha - quad.lambda_vec
+                return -0.5 * d @ quad.q_matrix @ d - 0.5 * alpha @ g @ alpha
 
-        expected = raw_exact(cand) - raw_exact(curr) + raw_approx(curr) - raw_approx(cand)
-        got = mh_log_ratio(cand, curr, s, m, g, quad.q_matrix, quad.lambda_vec)
-        assert got == pytest.approx(expected, rel=1e-10)
+            expected = raw_exact(cand) - raw_exact(curr) + raw_approx(curr) - raw_approx(cand)
+            got = self.ratio(cand, curr, s, m, quad)
+            assert got == pytest.approx(expected, rel=1e-10)
 
     def test_detailed_balance_against_importance_sampling(self):
         # frozen (S, G, Q): the MH subchain's mean must agree with an
@@ -414,7 +414,7 @@ class TestMhRatio:
         draws = np.empty((n_iter, 3))
         for t in range(n_iter):
             cand = sample_mvn(center, prop_cov, stream)
-            lr = mh_log_ratio(cand, alpha, s, m, g, quad.q_matrix, quad.lambda_vec)
+            lr = self.ratio(cand, alpha, s, m, quad)
             if np.log(stream.generator.random()) < lr:
                 alpha = cand
             draws[t] = alpha
@@ -426,13 +426,8 @@ class TestMhRatio:
         n_is = 200_000
         chol = np.linalg.cholesky(prop_cov)
         samples = center + gen.standard_normal((n_is, 3)) @ chol.T
-        logw = np.array(
-            [
-                exact_log_target(a, s, m, g)
-                - approx_log_target(a, g, quad.q_matrix, quad.lambda_vec)
-                for a in samples
-            ]
-        )
+        # exact conditional over proposal; the prior term of each cancels
+        logw = np.array([exact_log_target(a, s, m) - quad.log_kernel(a) for a in samples])
         w = np.exp(logw - logw.max())
         w /= w.sum()
         is_mean = w @ samples
@@ -468,7 +463,7 @@ class TestSigmaPair:
         rng = np.random.default_rng(44)
         for n in (1, 4, 7):
             a = random_symmetric(rng, n)
-            sigma, sigma_inv = log_sigma._sigma_pair(vec_star(a))
+            sigma, sigma_inv, _ = log_sigma._sigma_pair(*log_sigma._decompose(vec_star(a)))
             assert np.array_equal(sigma, matrix_exp_sym(a))
             assert np.array_equal(sigma_inv, sigma_inv.T)
             np.testing.assert_allclose(sigma_inv, matrix_exp_sym(-a), rtol=1e-12)
@@ -478,7 +473,7 @@ class TestSigmaPair:
         # ln(1e10) = 23.03; the warning reports the exact exp(w_max - w_min)
         alpha = self.alpha_with_log_eigvals([-12.0, 0.0, 3.0, 11.5])
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            log_sigma._sigma_pair(alpha)
+            log_sigma._sigma_pair(*log_sigma._decompose(alpha))
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "Sigma draw: condition number >= " in caplog.records[0].message
         assert f"{np.exp(23.5):.3e}" in caplog.records[0].message
@@ -486,7 +481,7 @@ class TestSigmaPair:
     def test_spread_below_cond_warn_is_silent(self, caplog):
         alpha = self.alpha_with_log_eigvals([-12.0, 0.0, 3.0, 10.5])
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            log_sigma._sigma_pair(alpha)
+            log_sigma._sigma_pair(*log_sigma._decompose(alpha))
         assert caplog.records == []
 
 
@@ -525,6 +520,31 @@ class TestGibbsLogSigma:
         monkeypatch.setattr(inverse_wishart, "spd_inverse", counting)
         gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
         assert len(calls) == 50
+
+    def test_decomposes_once_per_iteration(self, four_asset_data, monkeypatch, tmp_path):
+        # one eigh of the scatter in build_Q and one of the candidate, on
+        # accepted and rejected iterations alike: the current alpha's side of
+        # the ratio and an accepted Sigma reuse decompositions already made
+        returns, views = four_asset_data
+        counts = [0]  # the start, then one entry per iteration
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            counts[-1] += 1
+            return eigh(*args, **kwargs)
+
+        def marking_build_Q(*args, **kwargs):
+            counts.append(0)
+            return build_Q(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(log_sigma, "build_Q", marking_build_Q)
+        path = tmp_path / "trace.csv"
+        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=60, burn=10, seed=4),
+                        trace_path=path)
+        accepted = [r[-1] for r in csv.reader(path.read_text().splitlines()[1:])]
+        assert set(accepted) == {"0", "1"}
+        assert counts[1:] == [2] * 60
 
     def test_acceptance_rate_healthy(self, four_asset_data):
         returns, views = four_asset_data
