@@ -12,8 +12,9 @@ A chain alternates one covariance draw (Inverse Wishart) with one mean draw
 (multivariate normal); point estimates are post-burn arithmetic means. The
 loop itself, :func:`gibbs_chain`, is shared with the log-covariance sampler,
 which supplies its own covariance step. Every covariance step returns the
-draw together with its inverse, computed from the factor the step already
-holds, so the loop inverts no drawn covariance.
+draw together with its inverse and its log det, computed from the factor the
+step already holds, so the loop neither inverts nor factors a drawn
+covariance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
 from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
-from .linalg import log_det_spd, require_spd, spd_inverse, symmetrize
+from .linalg import require_spd, spd_inverse, symmetrize
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
@@ -159,8 +160,8 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     """The Gibbs loop every sampler shares.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
-    ``(sigma, sigma_inv, accepted)``: a covariance draw, its inverse and an
-    accept flag. The step logs the "Sigma draw" condition warning. The loop
+    ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its inverse,
+    its log det (for the trace) and an accept flag. The step logs the "Sigma draw" condition warning. The loop
     then draws mu from its normal conditional given that covariance
     (``p_eff``/``q_eff``/``omega_eff`` as in :func:`mu_conditional`), whose
     precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
@@ -184,7 +185,7 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     trace = _TraceWriter(trace_path, n, mh) if trace_path else None
     try:
         for t in range(cfg.iters):
-            sigma, sigma_inv, accepts[t] = sigma_step(mu, rng)
+            sigma, sigma_inv, log_det, accepts[t] = sigma_step(mu, rng)
             mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
             mu = sample_mvn(mean, cov, rng)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
@@ -193,7 +194,7 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
             if t >= cfg.burn:
                 sigma_sum += sigma
             if trace is not None:
-                trace.row(t, mu, log_det_spd(sigma), int(accepts[t]) if mh else None)
+                trace.row(t, mu, log_det, int(accepts[t]) if mh else None)
     finally:
         if trace is not None:
             trace.close()
@@ -202,7 +203,7 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
 
 def _iw_step(returns, nu: float, sigma0):
     """Covariance step of the Inverse-Wishart models: an exact conditional
-    draw and its inverse, so every step is accepted."""
+    draw with its inverse and log det, so every step is accepted."""
     m = returns.shape[0]
 
     def step(mu, rng):

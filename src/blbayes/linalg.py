@@ -223,16 +223,6 @@ def matrix_exp_sym(a) -> np.ndarray:
     return symmetrize((v * np.exp(w)) @ v.T)
 
 
-def log_det_spd(a, name: str = "matrix") -> float:
-    """log det of an SPD matrix via Cholesky."""
-    a = np.asarray(a, dtype=float)
-    try:
-        c = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
-
-
 # ---------------------------------------------------------------------------
 # Completing the square.
 # ---------------------------------------------------------------------------

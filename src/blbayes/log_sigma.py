@@ -378,7 +378,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)
         sigma1_sq = sample_inverse_gamma(sh1, sc1, rng)
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
-        return sigma, sigma_inv, accepted
+        return sigma, sigma_inv, log_det, accepted
 
     mu_draws, sigma_mean, accepts = gibbs_chain(
         returns_current, views.q, views.omega, views.p, cfg, step, trace_path, mh=True

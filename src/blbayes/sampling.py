@@ -114,14 +114,17 @@ def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
     return a
 
 
-def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def sample_inverse_wishart(dof: float, scale,
+                           rng: RngStream) -> tuple[np.ndarray, np.ndarray, float]:
     """One draw ``Sigma`` from the Inverse Wishart with the density pinned
-    above, returned with its inverse: ``(Sigma, Sigma^-1)``.
+    above, returned with its inverse and log det:
+    ``(Sigma, Sigma^-1, log det Sigma)``.
 
     ``Sigma^-1`` is a Wishart(dof, scale^-1) Bartlett draw. With
     ``scale = L L'`` and Bartlett factor ``A``, ``Sigma = M'M`` for
     ``M = A^-1 L'`` and ``Sigma^-1 = N N'`` for ``N = L^-T A``; neither
-    ``scale^-1`` nor an inverse of the draw is formed. Logs the condition
+    ``scale^-1`` nor an inverse of the draw is formed, and
+    ``log det Sigma = 2 sum log(diag L / diag A)``. Logs the condition
     warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
     as ``max diag Sigma * max diag Sigma^-1`` (a lower bound on its 2-norm
     condition number).
@@ -143,7 +146,7 @@ def sample_inverse_wishart(dof: float, scale, rng: RngStream) -> tuple[np.ndarra
     sigma_inv = symmetrize(n_factor @ n_factor.T)
     warn_condition("Sigma draw",
                    max(sigma.diagonal().tolist()) * max(sigma_inv.diagonal().tolist()))
-    return sigma, sigma_inv
+    return sigma, sigma_inv, 2.0 * float(np.log(chol.diagonal() / a.diagonal()).sum())
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:

@@ -245,13 +245,16 @@ class TestGibbsChain:
     fixed Sigma and accepts every other iteration."""
 
     sigma_fix = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
+    # not log det sigma_fix: the trace must carry the step's value as given
+    log_det_fix = -1.25
 
     def stub(self, seen, fail_at=None):
         def step(mu, rng):
             if len(seen) == fail_at:
                 raise RuntimeError("stub step failed")
             seen.append(mu.copy())
-            return self.sigma_fix, np.linalg.inv(self.sigma_fix), len(seen) % 2 == 1
+            return (self.sigma_fix, np.linalg.inv(self.sigma_fix), self.log_det_fix,
+                    len(seen) % 2 == 1)
         return step
 
     def run(self, returns, views, step, cfg, trace_path=None):
@@ -273,6 +276,7 @@ class TestGibbsChain:
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma", "accepted"]
         assert [r[-1] for r in rows[1:]] == [str(int(f)) for f in flags]
+        assert {r[-2] for r in rows[1:]} == {"-1.25"}
 
     def test_step_error_propagates_and_trace_is_closed(self, small_dataset, tmp_path):
         returns, views = small_dataset

@@ -469,6 +469,16 @@ class TestSigmaPair:
             np.testing.assert_allclose(sigma_inv, matrix_exp_sym(-a), rtol=1e-12)
             np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-12)
 
+    def test_log_det_matches_slogdet(self):
+        rng = np.random.default_rng(45)
+        for n in (1, 4, 7):
+            for _ in range(20):
+                a = random_symmetric(rng, n)
+                sigma, _, log_det = log_sigma._sigma_pair(*log_sigma._decompose(vec_star(a)))
+                sign, expected = np.linalg.slogdet(sigma)
+                assert sign == 1.0
+                assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_log_eigenvalue_spread_above_cond_warn_logs(self, caplog):
         # ln(1e10) = 23.03; the warning reports the exact exp(w_max - w_min)
         alpha = self.alpha_with_log_eigvals([-12.0, 0.0, 3.0, 11.5])

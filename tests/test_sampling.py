@@ -38,8 +38,8 @@ class TestDeterminism:
 
     def test_inverse_wishart_replays(self):
         psi = random_spd(np.random.default_rng(0), 3)
-        a, a_inv = sample_inverse_wishart(7.5, psi, RngStream(9))
-        b, b_inv = sample_inverse_wishart(7.5, psi, RngStream(9))
+        a, a_inv, _ = sample_inverse_wishart(7.5, psi, RngStream(9))
+        b, b_inv, _ = sample_inverse_wishart(7.5, psi, RngStream(9))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a_inv, b_inv)
 
@@ -152,7 +152,7 @@ class TestInverseWishart:
     def test_output_spd_and_symmetric(self):
         rng = RngStream(202)
         for _ in range(200):
-            x, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
+            x, _, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
             assert np.array_equal(x, x.T)
             assert np.linalg.eigvalsh(x)[0] > 0
 
@@ -161,7 +161,7 @@ class TestInverseWishart:
             sample_inverse_wishart(1.5, np.eye(3), RngStream(1))
 
     def test_non_integer_dof_accepted(self):
-        x, _ = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
+        x, _, _ = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
         assert np.all(np.isfinite(x))
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -174,7 +174,7 @@ class TestInverseWishart:
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i in range(n_draws):
-            x, _ = sample_inverse_wishart(float(dof), psi, rng)
+            x, _, _ = sample_inverse_wishart(float(dof), psi, rng)
             logdet_inv[i] = -np.linalg.slogdet(x)[1]
 
         gen = np.random.default_rng(204)
@@ -191,9 +191,19 @@ class TestInverseWishart:
         rng = RngStream(205, n)
         for k in range(50):
             scale = random_spd(np.random.default_rng(k), n)
-            sigma, sigma_inv = sample_inverse_wishart(n + 4.5, scale, rng)
+            sigma, sigma_inv, _ = sample_inverse_wishart(n + 4.5, scale, rng)
             assert np.array_equal(sigma_inv, sigma_inv.T)
             np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_returned_log_det(self, n):
+        rng = RngStream(207, n)
+        for k in range(50):
+            scale = random_spd(np.random.default_rng(k), n)
+            sigma, _, log_det = sample_inverse_wishart(n + 4.5, scale, rng)
+            sign, expected = np.linalg.slogdet(sigma)
+            assert sign == 1.0
+            assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_bartlett_factor_equals_loop_oracle(self, n):
@@ -225,7 +235,7 @@ class TestSigmaDrawConditionWarning:
     def test_ill_conditioned_scale_warns(self, caplog, rotate):
         # axis-aligned, only the largest diagonal entries of Sigma and
         # Sigma^-1 (from different coordinates) reveal the spread
-        sigma, _ = self.draw([1.0, 1e-12], caplog, rotate)
+        sigma, _, _ = self.draw([1.0, 1e-12], caplog, rotate)
         assert np.linalg.cond(sigma) > 1e10
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "Sigma draw: condition number" in caplog.records[0].message
