@@ -18,6 +18,7 @@ import numpy as np
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, ingest_prices
 from .errors import ModelSizeError, ValidationError
+from .inverse_wishart import check_chain_length
 from .log_sigma import check_asset_count
 from .views import ViewSet
 
@@ -153,8 +154,9 @@ class RunConfig:
         burn = _get(doc, "burn", int, "burn", required=False, default=1_000)
         if isinstance(iters, bool) or iters < 1:
             raise ValidationError("iters", "must be a positive integer")
-        if isinstance(burn, bool) or not 0 <= burn < iters:
-            raise ValidationError("burn", "need 0 <= burn < iters")
+        if isinstance(burn, bool):
+            raise ValidationError("burn", "expected int")
+        check_chain_length(iters, burn)
         seed = _get(doc, "seed", int, "seed", required=False, default=0)
         if isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ValidationError("seed", "must fit in 64 unsigned bits")

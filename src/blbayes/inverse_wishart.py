@@ -40,6 +40,13 @@ OMEGA_FLOOR_NONSQUARE = 1e-9
 OMEGA_FLOOR_HARD = 1e-12
 
 
+def check_chain_length(iters: int, burn: int) -> None:
+    """A chain needs ``0 <= burn <= iters - 2``: with fewer than two
+    post-burn draws the Monte-Carlo standard error is undefined."""
+    if not 0 <= burn <= iters - 2:
+        raise ValidationError("burn", "need 0 <= burn <= iters - 2 (two post-burn draws)")
+
+
 @dataclass(frozen=True)
 class IwConfig:
     """Hyperparameters and chain controls for the Inverse-Wishart models."""
@@ -57,8 +64,7 @@ class IwConfig:
         n = self.sigma0.shape[0]
         if self.nu <= n - 1:
             raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
-        if not 0 <= self.burn < self.iters:
-            raise ValidationError("burn", "need 0 <= burn < iters")
+        check_chain_length(self.iters, self.burn)
 
     @classmethod
     def default_for(cls, hist_cov, iters: int, burn: int, seed: int,
@@ -161,8 +167,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
     ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its inverse,
-    its log det (for the trace) and an accept flag. The step logs the "Sigma draw" condition warning. The loop
-    then draws mu from its normal conditional given that covariance
+    its log det (for the trace) and an accept flag. The step logs the "Sigma
+    draw" condition warning. The loop then draws mu from its normal
+    conditional given that covariance
     (``p_eff``/``q_eff``/``omega_eff`` as in :func:`mu_conditional`), whose
     precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
     ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the accept flag to the

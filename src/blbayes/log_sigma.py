@@ -33,7 +33,7 @@ from .errors import (
     ModelSizeError,
     ValidationError,
 )
-from .inverse_wishart import OMEGA_FLOOR_HARD, check_omega_floor, gibbs_chain
+from .inverse_wishart import OMEGA_FLOOR_HARD, check_chain_length, check_omega_floor, gibbs_chain
 from .linalg import (
     matrix_log_spd,
     spd_eigh,
@@ -293,8 +293,7 @@ class LogSigmaConfig:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.burn < self.iters:
-            raise ValidationError("burn", "need 0 <= burn < iters")
+        check_chain_length(self.iters, self.burn)
 
 
 def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:

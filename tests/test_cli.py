@@ -156,6 +156,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "nu: must exceed n+1" in capsys.readouterr().err
 
+    def test_single_post_burn_draw_exit_2(self, demo_dir, tmp_path, capsys):
+        # one post-burn draw has an infinite standard error; the config is
+        # rejected up front, naming burn, instead of failing at JSON output
+        cfg = write_config(tmp_path, small_config(demo_dir, iters=2, burn=1))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "burn" in capsys.readouterr().err
+
     def test_wrong_tickers_rejected(self, demo_dir, tmp_path, capsys):
         doc = small_config(demo_dir)
         doc["data"]["tickers"] = ["AAA", "BBB", "CCC", "XXX"]

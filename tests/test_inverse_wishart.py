@@ -11,6 +11,7 @@ from blbayes import inverse_wishart
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
     IwConfig,
+    check_chain_length,
     check_omega_floor,
     gibbs_augmented,
     gibbs_chain,
@@ -19,6 +20,7 @@ from blbayes.inverse_wishart import (
     sigma_conditional,
 )
 from blbayes.linalg import spd_inverse
+from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
 from conftest import random_spd
@@ -146,6 +148,26 @@ class TestDefaultFor:
                                    nu=2.5, sigma0=0.02 * np.eye(2))
         assert cfg.nu == 2.5
         np.testing.assert_array_equal(cfg.sigma0, 0.02 * np.eye(2))
+
+
+class TestChainLength:
+    """One rule, 0 <= burn <= iters - 2, for the config file and both chain
+    configs: a single post-burn draw has no standard error."""
+
+    @pytest.mark.parametrize("iters, burn", [(2, 1), (10, 9), (10, 10), (10, -1), (1, 0)])
+    def test_rejected(self, iters, burn):
+        for make in (check_chain_length,
+                     lambda i, b: IwConfig(nu=4.0, sigma0=np.eye(2), iters=i, burn=b, seed=1),
+                     lambda i, b: LogSigmaConfig(iters=i, burn=b, seed=1)):
+            with pytest.raises(ValidationError) as info:
+                make(iters, burn)
+            assert info.value.path == "burn"
+
+    @pytest.mark.parametrize("iters, burn", [(2, 0), (3, 1), (10, 8)])
+    def test_accepted(self, iters, burn):
+        check_chain_length(iters, burn)
+        IwConfig(nu=4.0, sigma0=np.eye(2), iters=iters, burn=burn, seed=1)
+        LogSigmaConfig(iters=iters, burn=burn, seed=1)
 
 
 @pytest.fixture(scope="module")
