@@ -9,7 +9,9 @@ test window). Exit codes are stable: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -113,10 +115,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_backtest(args) -> int:
     cfg = RunConfig.load(args.config)
     panel = cfg.load_panel()
-    import json
-
     try:
-        doc = json.loads(open(args.weights).read())
+        doc = json.loads(Path(args.weights).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(str(args.weights), f"cannot read weights: {exc}")
     if isinstance(doc, dict) and "weights" in doc:

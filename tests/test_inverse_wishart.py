@@ -252,7 +252,7 @@ class TestChains:
         cfg = make_config(iters=50, burn=10)
         path = tmp_path / "trace.csv"
         gibbs_nonsquare(returns, views, cfg, trace_path=path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma"]
         assert len(rows) == 51
         float(rows[1][3])  # parses
@@ -295,7 +295,7 @@ class TestGibbsChain:
         np.testing.assert_array_equal(seen[0], returns.mean(axis=0))
         np.testing.assert_array_equal(seen[1:], mu_draws[:-1])
         np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma", "accepted"]
         assert [r[-1] for r in rows[1:]] == [str(int(f)) for f in flags]
         assert {r[-2] for r in rows[1:]} == {"-1.25"}
@@ -308,7 +308,7 @@ class TestGibbsChain:
                      make_config(iters=20, burn=5), path)
         # info keeps the loop's frame, and so its open trace, alive: the rows
         # reach the file only if the loop closed it
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0][0] == "iteration"
         assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
 

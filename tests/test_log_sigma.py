@@ -599,7 +599,7 @@ class TestGibbsLogSigma:
         path = tmp_path / "trace.csv"
         gibbs_log_sigma(returns, views, LogSigmaConfig(iters=30, burn=5, seed=3),
                         trace_path=path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0][-1] == "accepted"
         assert {r[-1] for r in rows[1:]} <= {"0", "1"}
         assert len(rows) == 31
