@@ -164,11 +164,8 @@ def volterra_log_density(alpha, s_matrix, m: int,
     if quad is None:
         quad = build_Q(s_matrix, m)
     n = quad.eigvals.size
-    return (
-        -0.5 * m * n * float(np.log(2.0 * np.pi * np.e))
-        - 0.5 * m * quad.log_det_s
-        + quad.log_kernel(alpha)
-    )
+    return (-0.5 * m * n * float(np.log(2.0 * np.pi * np.e)) - 0.5 * m * quad.log_det_s
+            + quad.log_kernel(alpha))
 
 
 def _decompose(alpha):
@@ -197,14 +194,10 @@ def mh_log_ratio(candidate, current, loglik_candidate: float, loglik_current: fl
                  quad: VolterraQuadratic) -> float:
     """Log acceptance ratio of the independence proposal
     ``N((Q+G)^-1 Q lambda, (Q+G)^-1)``: the exact log-likelihood ratio over
-    its Volterra approximation,
-
-    ``[l(candidate) - l(current)] - [v(candidate) - v(current)]``
-
+    its Volterra approximation, ``[l(cand) - l(curr)] - [v(cand) - v(curr)]``,
     with ``l`` the exact log-likelihoods passed in and ``v`` the quadratic
-    :meth:`VolterraQuadratic.log_kernel`. The alpha prior enters the target
-    and the proposal alike, so its terms cancel.
-    """
+    :meth:`VolterraQuadratic.log_kernel`. The alpha prior is part of the
+    target and the proposal alike, so its terms cancel."""
     return (loglik_candidate - loglik_current) - (
         quad.log_kernel(candidate) - quad.log_kernel(current)
     )
@@ -316,15 +309,12 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     The covariance step, given the current mu: (1) build the scatter, its
     eigen-quantities, Q, and G from the current block variances, (2) propose
     alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
-    factor of Q+G, and accept with the ratio of :func:`mh_log_ratio`. The
-    candidate is eigendecomposed once: that gives its exact likelihood and,
-    if accepted, the new Sigma, Sigma^-1 and log det Sigma. The current
-    alpha's likelihood, ``-(m/2)(log det Sigma + tr(S Sigma^-1))``, comes
-    from the cached log det and Sigma^-1 with this iteration's S, and a
-    rejected step returns the cached pair. (3) Draw the two block
-    variances. The shared loop
-    (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu with the
-    investor's P.
+    factor of Q+G, and accept with :func:`mh_log_ratio`. One eigh of the
+    candidate gives its likelihood and, if accepted, Sigma, Sigma^-1 and
+    log det Sigma; the current alpha's likelihood comes from those cached
+    values and this iteration's S. (3) Draw the two block variances. The
+    shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu
+    with the investor's P.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
@@ -362,12 +352,9 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
             quad.q_matrix @ quad.lambda_vec, quad.q_matrix + g_mat, rng
         )
         w, v, exp_neg_a = _decompose(candidate)
-        log_rho = mh_log_ratio(
-            candidate, alpha,
-            _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m),
-            _log_likelihood(log_det, sigma_inv, s_mat, m),
-            quad,
-        )
+        loglik = _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m)
+        log_rho = mh_log_ratio(candidate, alpha, loglik,
+                               _log_likelihood(log_det, sigma_inv, s_mat, m), quad)
         accepted = bool(np.log(rng.generator.random()) < log_rho)
         if accepted:
             alpha = candidate
