@@ -146,7 +146,10 @@ def sample_inverse_wishart(dof: float, scale,
     sigma_inv = symmetrize(n_factor @ n_factor.T)
     warn_condition("Sigma draw",
                    max(sigma.diagonal().tolist()) * max(sigma_inv.diagonal().tolist()))
-    return sigma, sigma_inv, 2.0 * float(np.log(chol.diagonal() / a.diagonal()).sum())
+    # Python floats: numpy's log and sum of an n-vector cost more than the
+    # n scalar logs at the sizes the chains use
+    log_det = 2.0 * sum(map(math.log, (chol.diagonal() / a.diagonal()).tolist()))
+    return sigma, sigma_inv, log_det
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:
