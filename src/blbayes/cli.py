@@ -121,7 +121,10 @@ def _cmd_backtest(args) -> int:
         raise ValidationError(str(args.weights), f"cannot read weights: {exc}")
     if isinstance(doc, dict) and "weights" in doc:
         doc = doc["weights"]
-    weights = np.asarray(doc, dtype=float)
+    try:
+        weights = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("weights", f"expected a flat array of numbers: {exc}")
     if weights.ndim != 1:
         raise ValidationError("weights", "expected a flat array of weights")
     profit, curve = backtest_profit(weights, panel.test, cfg.settings.capital)

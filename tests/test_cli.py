@@ -231,3 +231,12 @@ class TestBacktestCommand:
         panel = RunConfig.load(cfg).load_panel()
         direct, _ = backtest_profit(np.array(run_doc["weights"]), panel.test, 100_000.0)
         assert bt["profit"] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("weights", [["a", 1, 2, 3], [[1, 2], [3]], {"a": 1}])
+    def test_non_numeric_weights_exit_2(self, demo_dir, tmp_path, capsys, weights):
+        cfg = write_config(tmp_path, small_config(demo_dir, "original"))
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": weights}))
+        assert main(["backtest", "--config", str(cfg), "--weights", str(path),
+                     "--out", str(tmp_path / "bt.json")]) == 2
+        assert "weights: expected a flat array of numbers" in capsys.readouterr().err
