@@ -42,9 +42,15 @@ def effective_sample_size(draws) -> float:
 def posterior_mean_se(draws) -> float:
     """Standard error of the chain mean, deflated by the ESS."""
     x = np.asarray(draws, dtype=float)
+    return _mean_se(x, effective_sample_size(x))
+
+
+def _mean_se(x: np.ndarray, ess: float) -> float:
+    """:func:`posterior_mean_se` of ``x`` given its ESS; infinite for fewer
+    than two draws."""
     if x.size < 2:
         return float("inf")
-    return float(x.std(ddof=1) / np.sqrt(effective_sample_size(x)))
+    return float(x.std(ddof=1) / np.sqrt(ess))
 
 
 def geweke_split_z(draws) -> float:
@@ -95,7 +101,7 @@ def summarize_mu_sigma(mu_draws, sigma_mean, accepts, burn: int,
     accept_burn = accepts[:burn].mean() if burn else float("nan")
     mu_draws = np.asarray(mu_draws, dtype=float)[burn:]
     n_eff = np.array([effective_sample_size(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
-    mu_se = np.array([posterior_mean_se(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
+    mu_se = np.array([_mean_se(mu_draws[:, i], ess) for i, ess in enumerate(n_eff.tolist())])
     geweke = np.array([geweke_split_z(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
     return PosteriorSummary(
         mu_post=mu_draws.mean(axis=0),

@@ -2,10 +2,12 @@
 
 import numpy as np
 
+from blbayes import diagnostics
 from blbayes.diagnostics import (
     effective_sample_size,
     geweke_split_z,
     posterior_mean_se,
+    summarize_mu_sigma,
 )
 
 
@@ -70,3 +72,23 @@ class TestGewekeSplit:
 
     def test_constant_chain(self):
         assert geweke_split_z(np.full(100, 2.5)) == 0.0
+
+
+class TestSummary:
+    def test_mu_se_from_the_one_full_chain_ess(self, monkeypatch):
+        # per coordinate: one full-chain ESS shared by n_eff and mu_se, and
+        # one per half for the Geweke z
+        rng = np.random.default_rng(5)
+        draws = np.cumsum(rng.standard_normal((260, 3)), axis=0) * 0.1
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return effective_sample_size(x)
+
+        monkeypatch.setattr(diagnostics, "effective_sample_size", counting)
+        s = summarize_mu_sigma(draws, np.eye(3), np.ones(260, dtype=bool), burn=60)
+        assert sorted(calls) == [100] * 6 + [200] * 3
+        for i in range(3):
+            assert s.mu_se[i] == posterior_mean_se(draws[60:, i])
+            assert s.n_eff[i] == effective_sample_size(draws[60:, i])
