@@ -105,28 +105,12 @@ def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: 
         )
 
 
-def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
-    """Mean and covariance of the mean-return conditional.
-
-    ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
-    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``. ``p_eff=None`` means
-    the identity (view-space variant); ``omega_eff=None`` drops the view
-    term entirely (the vague-views limit: mean -> rbar, cov -> Sigma/m).
-    """
-    rbar = np.asarray(rbar, dtype=float)
-    n = rbar.size
-    sigma_inv = spd_inverse(sigma, "mu conditional Sigma")
-    if omega_eff is None:
-        prior_prec = np.zeros((n, n))
-        prior_vec = np.zeros(n)
-    else:
-        if p_eff is None and np.shape(q_eff) != (n,):
-            raise DimensionError("q_eff length must be n when P_eff is identity")
-        prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
-    return _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
-
-
 def _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m: int):
+    """Mean and covariance of the mean-return conditional,
+    ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
+    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``, from ``Sigma^-1`` and
+    the views' ``(P' Omega^-1 P, P' Omega^-1 q)`` of
+    :func:`~blbayes.views.view_precision`."""
     cov = spd_inverse(symmetrize(m * sigma_inv + prior_prec), "mu conditional precision")
     mean = cov @ (m * sigma_inv @ rbar + prior_vec)
     return mean, cov
@@ -169,9 +153,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its inverse,
     its log det (for the trace) and an accept flag. The step logs the "Sigma
     draw" condition warning. The loop then draws mu from its normal
-    conditional given that covariance
-    (``p_eff``/``q_eff``/``omega_eff`` as in :func:`mu_conditional`), whose
-    precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
+    conditional given that covariance and the views ``p_eff``, ``q_eff``,
+    ``omega_eff`` (``p_eff=None`` is the identity pick matrix of the
+    view-space chain), whose precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
     ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the accept flag to the
     trace rows.
 

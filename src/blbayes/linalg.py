@@ -181,6 +181,19 @@ def vec_star_inverse(v) -> np.ndarray:
     return a
 
 
+_BILINEAR_CACHE: dict[int, np.ndarray] = {}
+
+
+def _bilinear_gather(n: int) -> np.ndarray:
+    """Flat row-major positions in an ``n x n`` matrix of the stacking
+    order's entries ``(rows[p], cols[p])``, followed by their transposes
+    ``(cols[p], rows[p])``."""
+    if n not in _BILINEAR_CACHE:
+        rows, cols = vec_star_indices(n)
+        _BILINEAR_CACHE[n] = np.concatenate([rows * n + cols, cols * n + rows])
+    return _BILINEAR_CACHE[n]
+
+
 def vec_star_bilinear(m) -> np.ndarray:
     """Stack an arbitrary square matrix so that for every symmetric ``A``::
 
@@ -194,14 +207,15 @@ def vec_star_bilinear(m) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"matrix must be square in its last two axes, got shape {m.shape}")
     n = m.shape[-1]
-    rows, cols = vec_star_indices(n)
-    out = m[..., rows, cols] + m[..., cols, rows]
+    d = vec_star_dim(n)
+    both = m.reshape(m.shape[:-2] + (n * n,))[..., _bilinear_gather(n)]
+    out = both[..., :d] + both[..., d:]
     out[..., :n] *= 0.5
     return out
 
 
 # ---------------------------------------------------------------------------
-# Matrix log/exp through the symmetric eigendecomposition.
+# Matrix log through the symmetric eigendecomposition.
 # ---------------------------------------------------------------------------
 
 
@@ -214,39 +228,3 @@ def matrix_log_spd(a) -> np.ndarray:
     """
     w, v = spd_eigh(a, "matrix_log_spd input")
     return symmetrize((v * np.log(w)) @ v.T)
-
-
-def matrix_exp_sym(a) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (always SPD)."""
-    a = require_symmetric(a, "matrix_exp_sym input")
-    w, v = np.linalg.eigh(a)
-    return symmetrize((v * np.exp(w)) @ v.T)
-
-
-# ---------------------------------------------------------------------------
-# Completing the square.
-# ---------------------------------------------------------------------------
-
-
-def complete_square(a_mat, a_vec, b_mat, b_vec):
-    """Combine two quadratic forms centred at ``a_vec`` and ``b_vec``.
-
-    For SPD ``A`` and ``B``::
-
-        (y-a)'A(y-a) + (y-b)'B(y-b)
-            == (y-y*)'(A+B)(y-y*) + (a-b)'H(a-b)
-
-    Returns ``(y_star, H, combined)`` with ``y* = (A+B)^-1 (Aa + Bb)``,
-    ``H = (A^-1 + B^-1)^-1`` and ``combined = A + B``.
-    """
-    a_mat = require_spd(a_mat, "complete_square A")
-    b_mat = require_spd(b_mat, "complete_square B")
-    a_vec = np.asarray(a_vec, dtype=float)
-    b_vec = np.asarray(b_vec, dtype=float)
-    p = a_mat.shape[0]
-    if b_mat.shape[0] != p or a_vec.shape != (p,) or b_vec.shape != (p,):
-        raise DimensionError("complete_square: dimensions do not agree")
-    combined = a_mat + b_mat
-    y_star = spd_solve(combined, a_mat @ a_vec + b_mat @ b_vec, "complete_square A+B")
-    h = spd_inverse(spd_inverse(a_mat) + spd_inverse(b_mat), "complete_square H")
-    return y_star, h, combined

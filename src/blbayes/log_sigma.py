@@ -76,31 +76,56 @@ def xi_coefficient(d_i, d_j):
     """
     d_i = np.asarray(d_i, dtype=float)
     d_j = np.asarray(d_j, dtype=float)
-    if np.any(d_i <= 0) or np.any(d_j <= 0):
+    if (d_i <= 0).any() or (d_j <= 0).any():
         raise ValidationError("xi", "eigenvalues must be positive")
     h = np.log(d_i) - np.log(d_j)
     diff = d_i - d_j
-    # Both branches are evaluated everywhere; the raw one is 0/0 where h == 0.
+    near = np.abs(h) < _XI_SERIES_THRESHOLD
+    if not near.any():
+        return (diff * diff / (d_i * d_j * h * h))[()]
+    # Some pair needs the series: both branches are evaluated everywhere, and
+    # the raw one is 0/0 where h == 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         g = 1.0 + h * h / 24.0 + h**4 / 1920.0
-        xi = np.where(np.abs(h) < _XI_SERIES_THRESHOLD, g * g, diff * diff / (d_i * d_j * h * h))
+        xi = np.where(near, g * g, diff * diff / (d_i * d_j * h * h))
     return xi[()]
 
 
+_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector index arrays ``(i, j)`` of the ``d = n(n+1)/2`` pairs
+    with ``i <= j``: the n diagonal pairs ``(k, k)`` first, then the pairs
+    ``i < j`` row-major. Row ``p`` of :func:`build_f_vectors` and of the
+    Volterra terms belongs to pair ``(i[p], j[p])``."""
+    if n not in _PAIR_CACHE:
+        diag = np.arange(n)
+        rows = np.concatenate([diag] + [np.full(n - 1 - i, i) for i in range(n)])
+        cols = np.concatenate([diag] + [np.arange(i + 1, n) for i in range(n)])
+        _PAIR_CACHE[n] = (rows, cols)
+    return _PAIR_CACHE[n]
+
+
 def build_f_vectors(eigvecs) -> np.ndarray:
-    """Coefficient vectors ``f_ij`` with ``vec_star(A) @ f[i, j] == e_i' A e_j``
-    for every symmetric ``A``.
+    """Coefficient vectors ``f_ij`` with ``vec_star(A) @ f_ij == e_i' A e_j``
+    for every symmetric ``A``, for the d pairs ``i <= j`` only (``f_ji``
+    equals ``f_ij``).
 
     The slot of a diagonal entry ``A[k, k]`` carries ``e_i[k] e_j[k]``; the
     slot of ``A[k, l]`` (k < l) carries ``e_i[k] e_j[l] + e_i[l] e_j[k]``.
-    Returns shape ``(n, n, d)`` (symmetric in the first two axes).
+    Returns shape ``(d, d)``: row ``p`` is ``f_ij`` for the pair
+    ``(i, j)`` of :func:`_pair_indices`, the :func:`vec_star_bilinear` stack
+    of the outer product ``e_i e_j'``.
     """
     e = np.asarray(eigvecs, dtype=float)
     n = e.shape[0]
     gram_dev = np.abs(e.T @ e - np.eye(n)).max()
     if gram_dev > 1e-8:
         raise BasisError(f"eigenvector basis not orthonormal (Gram deviation {gram_dev:.3e})")
-    return vec_star_bilinear(np.einsum("ki,lj->ijkl", e, e))
+    pi, pj = _pair_indices(n)
+    e_t = e.T
+    return vec_star_bilinear(e_t[pi][:, :, None] * e_t[pj][:, None, :])
 
 
 @dataclass(frozen=True)
@@ -126,20 +151,21 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
 
     ``Q = m/2 * sum_i f_ii f_ii' + m * sum_{i<j} xi_ij f_ij f_ij'``
 
-    from the eigen-decomposition of the scatter matrix. Near-degenerate
-    eigenvalue pairs go through the series limit of xi, never an error.
+    from the eigen-decomposition of the scatter matrix, as one product
+    ``F' W F`` of the d rows of :func:`build_f_vectors` with their weights.
+    Near-degenerate eigenvalue pairs go through the series limit of xi,
+    never an error.
     """
     evals, evecs = spd_eigh(s_matrix, "scatter matrix")
     if m < 1:
         raise ValidationError("m", "must be >= 1")
     n = evals.size
     f = build_f_vectors(evecs)
-    # Rows: the n diagonal pairs (i, i), then the pairs i < j row-major.
-    iu, ju = np.triu_indices(n, k=1)
-    diag = np.arange(n)
-    stack = f[np.concatenate([diag, iu]), np.concatenate([diag, ju])]
-    weights = np.concatenate([np.full(n, m / 2.0), m * xi_coefficient(evals[iu], evals[ju])])
-    terms = (stack * weights[:, None]).T @ stack
+    pi, pj = _pair_indices(n)
+    weights = np.empty(pi.size)
+    weights[:n] = m / 2.0
+    weights[n:] = m * xi_coefficient(evals[pi[n:]], evals[pj[n:]])
+    terms = (f * weights[:, None]).T @ f
 
     log_evals = np.log(evals)
     lambda_vec = vec_star((evecs * log_evals) @ evecs.T)
@@ -150,22 +176,6 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
         eigvecs=evecs,
         log_det_s=float(log_evals.sum()),
     )
-
-
-def volterra_log_density(alpha, s_matrix, m: int,
-                         quad: VolterraQuadratic | None = None) -> float:
-    """Log of the approximate return density as a function of alpha:
-
-    ``-(mn/2) log(2 pi e) - (m/2) log det S - (alpha-lambda)' Q (alpha-lambda)/2``.
-
-    At ``alpha = vec_star(log S)`` this equals the exact Gaussian
-    log-likelihood evaluated at ``Sigma = S``.
-    """
-    if quad is None:
-        quad = build_Q(s_matrix, m)
-    n = quad.eigvals.size
-    return (-0.5 * m * n * float(np.log(2.0 * np.pi * np.e)) - 0.5 * m * quad.log_det_s
-            + quad.log_kernel(alpha))
 
 
 def _decompose(alpha):
@@ -238,20 +248,34 @@ class StructuralDesign:
         return out
 
 
+_CENTERING_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _centering_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centering matrices ``C_k = I - 11'/k`` of the two alpha blocks,
+    ``k = n`` and ``k = d - n``."""
+    if n not in _CENTERING_CACHE:
+        k = vec_star_dim(n) - n
+        _CENTERING_CACHE[n] = (np.eye(n) - 1.0 / n, np.eye(k) - 1.0 / k)
+    return _CENTERING_CACHE[n]
+
+
 def build_G(design: StructuralDesign) -> np.ndarray:
     """Prior precision after integrating the block locations out:
 
-    ``G = Delta^-1 - Delta^-1 J (J' Delta^-1 J)^-1 J' Delta^-1``.
+    ``G = Delta^-1 - Delta^-1 J (J' Delta^-1 J)^-1 J' Delta^-1``,
 
-    G annihilates the columns of J, i.e. adding a constant to either alpha
-    block leaves the prior quadratic unchanged.
+    which is block-diagonal, ``C_n / sigma1^2`` on the diagonal block and
+    ``C_{d-n} / sigma2^2`` on the off-diagonal block, with the centering
+    matrix ``C_k = I - 11'/k``. G annihilates the columns of J, i.e. adding
+    a constant to either alpha block leaves the prior quadratic unchanged.
     """
-    delta_inv = 1.0 / design.delta_diag
-    j = design.j_matrix
-    a = delta_inv[:, None] * j
-    core = j.T @ a
-    g = np.diag(delta_inv) - a @ np.linalg.solve(core, a.T)
-    return symmetrize(g)
+    n, d = design.n, design.d
+    c_diag, c_off = _centering_blocks(n)
+    g = np.zeros((d, d))
+    np.divide(c_diag, design.sigma1_sq, out=g[:n, :n])
+    np.divide(c_off, design.sigma2_sq, out=g[n:, n:])
+    return g
 
 
 def sigma_sq_conditionals(alpha, n: int):
@@ -268,8 +292,10 @@ def sigma_sq_conditionals(alpha, n: int):
     if alpha.shape != (d,):
         raise DimensionError(f"alpha must have length {d} for n={n}")
     diag, off = alpha[:n], alpha[n:]
-    scale1 = 0.5 * float(np.sum((diag - diag.mean()) ** 2))
-    scale2 = 0.5 * float(np.sum((off - off.mean()) ** 2))
+    dev1 = diag - diag.sum() / n
+    dev2 = off - off.sum() / (d - n)
+    scale1 = 0.5 * float((dev1 * dev1).sum())
+    scale2 = 0.5 * float((dev2 * dev2).sum())
     return (
         ((n - 3) / 2.0, max(scale1, IG_SCALE_FLOOR)),
         ((d - n - 3) / 2.0, max(scale2, IG_SCALE_FLOOR)),

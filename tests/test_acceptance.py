@@ -17,8 +17,8 @@ from blbayes import demo
 from blbayes.backtest import ModelSettings, run_model
 from blbayes.cli import main as cli_main
 from blbayes.config import RunConfig
-from blbayes.inverse_wishart import IwConfig, gibbs_augmented, gibbs_nonsquare, mu_conditional
-from blbayes.linalg import complete_square, matrix_log_spd, vec_star
+from blbayes.inverse_wishart import IwConfig, gibbs_augmented, gibbs_nonsquare
+from blbayes.linalg import matrix_log_spd, vec_star
 from blbayes.log_sigma import (
     LogSigmaConfig,
     StructuralDesign,
@@ -26,7 +26,6 @@ from blbayes.log_sigma import (
     build_Q,
     exact_log_target,
     gibbs_log_sigma,
-    volterra_log_density,
 )
 from blbayes.original_bl import (
     EquilibriumInputs,
@@ -38,6 +37,7 @@ from blbayes.original_bl import (
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible
 from conftest import random_spd
+from oracles import complete_square, mu_conditional, volterra_log_density
 
 
 def check(num: int, name: str, ok: bool, started: float, budget: float):

@@ -16,7 +16,6 @@ from blbayes.inverse_wishart import (
     gibbs_augmented,
     gibbs_chain,
     gibbs_nonsquare,
-    mu_conditional,
     sigma_conditional,
 )
 from blbayes.linalg import spd_inverse
@@ -24,6 +23,7 @@ from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
 from conftest import random_spd
+from oracles import mu_conditional
 
 
 def make_config(n=2, **kw):

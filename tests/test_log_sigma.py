@@ -14,17 +14,16 @@ from blbayes import inverse_wishart, log_sigma
 from blbayes.diagnostics import posterior_mean_se
 from blbayes.errors import (
     BasisError,
+    DimensionError,
     InsufficientDataError,
     ModelSizeError,
     ValidationError,
 )
 from blbayes.linalg import (
-    matrix_exp_sym,
     matrix_log_spd,
     spd_inverse,
     symmetrize,
     vec_star,
-    vec_star_bilinear,
     vec_star_inverse,
 )
 from blbayes.log_sigma import (
@@ -38,17 +37,28 @@ from blbayes.log_sigma import (
     gibbs_log_sigma,
     mh_log_ratio,
     sigma_sq_conditionals,
-    volterra_log_density,
     xi_coefficient,
 )
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
 from conftest import random_spd, random_symmetric
+from oracles import (
+    f_vectors_all_pairs,
+    g_core_solve,
+    matrix_exp_sym,
+    volterra_log_density,
+    xi_two_branch,
+)
 
 
 def random_orthonormal(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q
+
+
+def pairs(n):
+    """The f-vector row order: the diagonal pairs, then i < j row-major."""
+    return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 class TestXi:
@@ -95,13 +105,27 @@ class TestXi:
         with pytest.raises(ValidationError):
             xi_coefficient(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("near", [False, True])
+    def test_equals_two_branch_form(self, near):
+        # the raw-only path (no pair within the series threshold) and the
+        # two-branch path select the same bits as evaluating both branches
+        rng = np.random.default_rng(88)
+        d = np.sort(rng.uniform(0.05, 20.0, size=10))
+        if near:
+            d[4] = d[3] * (1.0 + 3e-9)
+        i, j = np.triu_indices(10, k=1)
+        h = np.log(d[i]) - np.log(d[j])
+        assert bool((np.abs(h) < 1e-8).any()) is near
+        assert np.array_equal(xi_coefficient(d[i], d[j]), xi_two_branch(d[i], d[j]))
+
 
 class TestFVectors:
     def test_standard_basis_n2(self):
+        # rows: pairs (0, 0), (1, 1), (0, 1)
         f = build_f_vectors(np.eye(2))
-        np.testing.assert_array_equal(f[0, 0], [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(f[1, 1], [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(f[0, 1], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(f[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(f[1], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(f[2], [0.0, 0.0, 1.0])
 
     def test_defining_identity_random_basis(self):
         rng = np.random.default_rng(80)
@@ -111,10 +135,9 @@ class TestFVectors:
             f = build_f_vectors(e)
             a = random_symmetric(rng, n)
             va = vec_star(a)
-            for i in range(n):
-                for j in range(n):
-                    lhs = va @ f[i, j]
-                    rhs = e[:, i] @ a @ e[:, j]
+            for p, (i, j) in enumerate(pairs(n)):
+                lhs = va @ f[p]
+                for rhs in (e[:, i] @ a @ e[:, j], e[:, j] @ a @ e[:, i]):
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     def test_component_formula(self):
@@ -124,14 +147,13 @@ class TestFVectors:
         e = random_orthonormal(rng, n)
         f = build_f_vectors(e)
         order = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
-        for i in range(n):
-            for j in range(i, n):
-                for pos, (k, l) in enumerate(order):
-                    if k == l:
-                        expected = e[k, i] * e[k, j]
-                    else:
-                        expected = e[k, i] * e[l, j] + e[l, i] * e[k, j]
-                    assert f[i, j][pos] == pytest.approx(expected, abs=1e-15)
+        for p, (i, j) in enumerate(pairs(n)):
+            for pos, (k, l) in enumerate(order):
+                if k == l:
+                    expected = e[k, i] * e[k, j]
+                else:
+                    expected = e[k, i] * e[l, j] + e[l, i] * e[k, j]
+                assert f[p][pos] == pytest.approx(expected, abs=1e-15)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(BasisError):
@@ -139,12 +161,12 @@ class TestFVectors:
 
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
     def test_equals_double_loop_oracle(self, n):
+        # the d pair rows, bit for bit, of the (n, n, d) all-pairs oracle
         e = random_orthonormal(np.random.default_rng(84 + n), n)
-        want = np.empty((n, n, n * (n + 1) // 2))
-        for i in range(n):
-            for j in range(i, n):
-                want[i, j] = want[j, i] = vec_star_bilinear(np.outer(e[:, i], e[:, j]))
-        assert np.array_equal(build_f_vectors(e), want)
+        i, j = np.array(pairs(n)).T
+        got = build_f_vectors(e)
+        assert got.shape == (n * (n + 1) // 2,) * 2
+        assert np.array_equal(got, f_vectors_all_pairs(e)[i, j])
 
 
 class TestBuildQ:
@@ -290,6 +312,16 @@ class TestStructuralPrior:
             val = alpha @ g @ alpha
             assert abs(val - expected) < 1e-10 * max(expected, 1.0)
 
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_block_centering_equals_core_solve(self, n):
+        rng = np.random.default_rng(95 + n)
+        for s1, s2 in [(1.0, 1.0), (0.7, 1.9)] + [tuple(rng.uniform(0.01, 5.0, 2))
+                                                  for _ in range(5)]:
+            design = StructuralDesign(n, s1, s2)
+            g = build_G(design)
+            assert np.array_equal(g, g.T)
+            np.testing.assert_allclose(g, g_core_solve(design), rtol=1e-14, atol=0.0)
+
     def test_quadrature_matches_closed_form(self):
         # 2-D quadrature of the location integral (n=4, d=10)
         rng = np.random.default_rng(91)
@@ -342,6 +374,10 @@ class TestSigmaSqConditionals:
     def test_small_n_rejected(self):
         with pytest.raises(ModelSizeError, match="n >= 4"):
             sigma_sq_conditionals(np.zeros(6), 3)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="length 10"):
+            sigma_sq_conditionals(np.zeros(9), 4)
 
 
 class TestMhRatio:
@@ -555,6 +591,36 @@ class TestGibbsLogSigma:
         accepted = [r[-1] for r in csv.reader(path.read_text().splitlines()[1:])]
         assert set(accepted) == {"0", "1"}
         assert counts[1:] == [2] * 60
+
+    def test_lean_step_call_counts(self, four_asset_data, monkeypatch):
+        # per iteration: one build_f_vectors (inside build_Q) and one build_G;
+        # the pair indices come from their cache, never from np.triu_indices
+        returns, views = four_asset_data
+        counts = []  # per iteration: [build_f_vectors calls, build_G calls]
+        triu_calls = []
+        triu_indices = np.triu_indices
+
+        def marking_build_Q(*args, **kwargs):
+            counts.append([0, 0])
+            return build_Q(*args, **kwargs)
+
+        def counting(slot, fn):
+            def wrapped(*args, **kwargs):
+                counts[-1][slot] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def counting_triu(*args, **kwargs):
+            triu_calls.append(args)
+            return triu_indices(*args, **kwargs)
+
+        monkeypatch.setattr(log_sigma, "build_Q", marking_build_Q)
+        monkeypatch.setattr(log_sigma, "build_f_vectors", counting(0, build_f_vectors))
+        monkeypatch.setattr(log_sigma, "build_G", counting(1, build_G))
+        monkeypatch.setattr(np, "triu_indices", counting_triu)
+        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
+        assert counts == [[1, 1]] * 50
+        assert triu_calls == []
 
     def test_acceptance_rate_healthy(self, four_asset_data):
         returns, views = four_asset_data
