@@ -3,9 +3,9 @@
 Two kinds live here. The first are closed forms that no code in the package
 calls: the mean-return conditional as a (mean, covariance) pair, completing
 the square, the Volterra log density and the symmetric matrix exponential.
-The second are the earlier, longer forms of the ``log_sigma`` kernels: the
-f-vectors of all n^2 eigenvector pairs, the two-branch xi and the prior
-precision G through its 2x2 core solve.
+The second are longhand forms of the ``log_sigma`` kernels: the f-vectors of
+all n^2 eigenvector pairs, xi with both branches always evaluated, and the
+prior precision G through its 2x2 core solve.
 """
 
 import numpy as np
