@@ -17,12 +17,12 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [to_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return value
 
 

@@ -113,6 +113,12 @@ class TestJsonWriter:
         back = json.loads(jsonio.dumps(doc))
         assert back == {"a": [0, 1, 2], "m": [[1.0, 0.0], [0.0, 1.0]], "x": 0.5, "n": 4}
 
+    def test_booleans(self):
+        # bool is an int subclass; it must not be written as 1
+        assert jsonio.dumps({"t": True, "f": np.bool_(False)}) == (
+            '{\n  "t": true,\n  "f": false\n}\n'
+        )
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             jsonio.dumps({"x": float("nan")})
