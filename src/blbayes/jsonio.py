@@ -9,24 +9,11 @@ import math
 import numpy as np
 
 
-def to_jsonable(value):
-    """Recursively convert numpy containers/scalars to plain Python."""
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _emit(value, indent: int, pad: str) -> str:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    elif isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -36,7 +23,7 @@ def _emit(value, indent: int, pad: str) -> str:
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + " " * indent
@@ -59,4 +46,4 @@ def _emit(value, indent: int, pad: str) -> str:
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize with stable bytes: same input, same output, always."""
-    return _emit(to_jsonable(obj), indent, "") + "\n"
+    return _emit(obj, indent, "") + "\n"

@@ -119,6 +119,35 @@ class TestJsonWriter:
             '{\n  "t": true,\n  "f": false\n}\n'
         )
 
+    def test_numpy_scalar_and_container_bytes(self):
+        doc = {"f32": np.float32(0.1), "i32": np.int32(-3), "i64": np.int64(2**40),
+               "b": np.bool_(True), "t": (1, 2.5), "m": np.array([[1.5, 2], [3, 4]]),
+               "e": [], "d": {}, "z": np.zeros(0)}
+        assert jsonio.dumps(doc) == """{
+  "f32": 0.10000000149011612,
+  "i32": -3,
+  "i64": 1099511627776,
+  "b": true,
+  "t": [
+    1,
+    2.5
+  ],
+  "m": [
+    [
+      1.5,
+      2
+    ],
+    [
+      3,
+      4
+    ]
+  ],
+  "e": [],
+  "d": {},
+  "z": []
+}
+"""
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             jsonio.dumps({"x": float("nan")})
