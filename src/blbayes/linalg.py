@@ -12,6 +12,7 @@ structural matrices of the log-covariance model index into it.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -128,13 +129,11 @@ def spd_inverse(a, name: str = "matrix") -> np.ndarray:
 # Half-vectorization: diagonal-first stacking of a symmetric matrix.
 # ---------------------------------------------------------------------------
 
-_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def vec_star_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.cache
 def vec_star_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column index arrays of the stacking order.
 
@@ -142,11 +141,9 @@ def vec_star_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     the main diagonal first, then the first super-diagonal, and so on up to
     the single corner entry ``(0, n-1)``.
     """
-    if n not in _INDEX_CACHE:
-        rows = np.concatenate([np.arange(n - off) for off in range(n)])
-        cols = np.concatenate([np.arange(off, n) for off in range(n)])
-        _INDEX_CACHE[n] = (rows, cols)
-    return _INDEX_CACHE[n]
+    rows = np.concatenate([np.arange(n - off) for off in range(n)])
+    cols = np.concatenate([np.arange(off, n) for off in range(n)])
+    return rows, cols
 
 
 def vec_star(a) -> np.ndarray:
@@ -181,17 +178,13 @@ def vec_star_inverse(v) -> np.ndarray:
     return a
 
 
-_BILINEAR_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _bilinear_gather(n: int) -> np.ndarray:
     """Flat row-major positions in an ``n x n`` matrix of the stacking
     order's entries ``(rows[p], cols[p])``, followed by their transposes
     ``(cols[p], rows[p])``."""
-    if n not in _BILINEAR_CACHE:
-        rows, cols = vec_star_indices(n)
-        _BILINEAR_CACHE[n] = np.concatenate([rows * n + cols, cols * n + rows])
-    return _BILINEAR_CACHE[n]
+    rows, cols = vec_star_indices(n)
+    return np.concatenate([rows * n + cols, cols * n + rows])
 
 
 def vec_star_bilinear(m) -> np.ndarray:

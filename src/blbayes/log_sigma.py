@@ -20,6 +20,7 @@ exact likelihood and, when accepted, Sigma, its inverse and its log det.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -91,20 +92,16 @@ def xi_coefficient(d_i, d_j):
     return xi[()]
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector index arrays ``(i, j)`` of the ``d = n(n+1)/2`` pairs
     with ``i <= j``: the n diagonal pairs ``(k, k)`` first, then the pairs
     ``i < j`` row-major. Row ``p`` of :func:`build_f_vectors` and of the
     Volterra terms belongs to pair ``(i[p], j[p])``."""
-    if n not in _PAIR_CACHE:
-        diag = np.arange(n)
-        rows = np.concatenate([diag] + [np.full(n - 1 - i, i) for i in range(n)])
-        cols = np.concatenate([diag] + [np.arange(i + 1, n) for i in range(n)])
-        _PAIR_CACHE[n] = (rows, cols)
-    return _PAIR_CACHE[n]
+    diag = np.arange(n)
+    rows = np.concatenate([diag] + [np.full(n - 1 - i, i) for i in range(n)])
+    cols = np.concatenate([diag] + [np.arange(i + 1, n) for i in range(n)])
+    return rows, cols
 
 
 def build_f_vectors(eigvecs) -> np.ndarray:
@@ -248,16 +245,12 @@ class StructuralDesign:
         return out
 
 
-_CENTERING_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _centering_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The centering matrices ``C_k = I - 11'/k`` of the two alpha blocks,
     ``k = n`` and ``k = d - n``."""
-    if n not in _CENTERING_CACHE:
-        k = vec_star_dim(n) - n
-        _CENTERING_CACHE[n] = (np.eye(n) - 1.0 / n, np.eye(k) - 1.0 / k)
-    return _CENTERING_CACHE[n]
+    k = vec_star_dim(n) - n
+    return np.eye(n) - 1.0 / n, np.eye(k) - 1.0 / k
 
 
 def build_G(design: StructuralDesign) -> np.ndarray:

@@ -15,6 +15,7 @@ drawn covariance. Every kernel here is numpy-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,13 +88,9 @@ def sample_mvn_precision(shift, precision, rng: RngStream) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, shift) + z)
 
 
-_STRICT_LOWER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _strict_lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _STRICT_LOWER_CACHE:
-        _STRICT_LOWER_CACHE[n] = np.tril_indices(n, k=-1)
-    return _STRICT_LOWER_CACHE[n]
+    return np.tril_indices(n, k=-1)
 
 
 def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:

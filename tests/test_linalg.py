@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from blbayes.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from blbayes.linalg import (
+    _bilinear_gather,
     matrix_log_spd,
     spd_inverse,
     spd_solve,
     vec_star,
     vec_star_bilinear,
+    vec_star_indices,
     vec_star_inverse,
 )
+from blbayes.log_sigma import _centering_blocks, _pair_indices
+from blbayes.sampling import _strict_lower_indices
 from conftest import random_spd, random_symmetric
 from oracles import complete_square, matrix_exp_sym
 
@@ -81,6 +85,15 @@ class TestVecStar:
     def test_bilinear_rejects_non_square_last_axes(self, shape):
         with pytest.raises(DimensionError):
             vec_star_bilinear(np.zeros(shape))
+
+
+# The per-n index helpers of the package, each memoized on its argument.
+@pytest.mark.parametrize("helper", [vec_star_indices, _bilinear_gather, _pair_indices,
+                                    _centering_blocks, _strict_lower_indices])
+def test_per_n_helper_returns_the_cached_object(helper):
+    first = helper(5)
+    assert helper(5) is first
+    assert helper(6) is not first
 
 
 class TestMatrixLogExp:
