@@ -110,12 +110,12 @@ def augment_to_invertible(p) -> AugmentedViews:
     """Append rows to a full-row-rank k-by-n view matrix until it is square
     and invertible.
 
-    Candidate rows follow two rules, in order: a unit row for every all-zero
-    column of P, then a unit row for every nonzero non-pivot entry of each
-    row that has more than one nonzero entry (the pivot of a row is its first
-    nonzero column). Candidates that do not raise the rank are dropped; if
-    fewer than n-k survive, remaining non-pivotal columns get unit rows in
-    ascending order.
+    Unit rows are tried in this order: one for every all-zero column of P
+    (rule 1), then one for every nonzero non-pivot entry of each row that has
+    more than one nonzero entry (rule 2; the pivot of a row is its first
+    nonzero column), then one for every column in ascending order (the fill).
+    A row that does not raise the rank is skipped, and the loop stops once
+    the matrix is square.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
@@ -125,11 +125,6 @@ def augment_to_invertible(p) -> AugmentedViews:
         raise RankError(f"more views ({k}) than assets ({n})")
     if _rank(p) < k:
         raise RankError(f"P has row rank {_rank(p)} < k = {k}")
-
-    def unit_row(j: int) -> np.ndarray:
-        row = np.zeros(n)
-        row[j] = 1.0
-        return row
 
     pivot_cols = {int(np.flatnonzero(p[i])[0]) for i in range(k)}
     candidates: list[int] = []
@@ -144,34 +139,21 @@ def augment_to_invertible(p) -> AugmentedViews:
             if int(j) not in pivot_cols and int(j) not in candidates:
                 candidates.append(int(j))
 
-    stack = p
-    added: list[np.ndarray] = []
-    rank = k
-    for j in candidates:
-        if rank == n:
+    unit_rows = np.eye(n)
+    p_star = p
+    for j in candidates + list(range(n)):
+        if p_star.shape[0] == n:
             break
-        trial = np.vstack([stack, unit_row(j)])
-        if _rank(trial) > rank:
-            stack, rank = trial, rank + 1
-            added.append(unit_row(j))
-    if rank < n:
-        # fill any remaining deficiency with unit rows on non-pivotal columns
-        for j in range(n):
-            if rank == n:
-                break
-            trial = np.vstack([stack, unit_row(j)])
-            if _rank(trial) > rank:
-                stack, rank = trial, rank + 1
-                added.append(unit_row(j))
+        trial = np.vstack([p_star, unit_rows[j]])
+        if _rank(trial) == trial.shape[0]:
+            p_star = trial
 
-    p_star = stack
     if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
         raise AugmentationError(
             "augmentation rules produced a singular square matrix "
             f"(det = {np.linalg.det(p_star) if p_star.shape == (n, n) else 'n/a'})"
         )
-    added_rows = np.array(added).reshape(n - k, n)
-    out = AugmentedViews(p_star=p_star, added_rows=added_rows)
+    out = AugmentedViews(p_star=p_star, added_rows=p_star[k:])
     assert np.array_equal(out.p_star[:k], p)
     return out
 

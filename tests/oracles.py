@@ -3,14 +3,15 @@
 Two kinds live here. The first are closed forms that no code in the package
 calls: the mean-return conditional as a (mean, covariance) pair, completing
 the square, the Volterra log density and the symmetric matrix exponential.
-The second are longhand forms of the ``log_sigma`` kernels: the f-vectors of
-all n^2 eigenvector pairs, xi with both branches always evaluated, and the
-prior precision G through its 2x2 core solve.
+The second are longhand forms of engine code: the f-vectors of all n^2
+eigenvector pairs, xi with both branches always evaluated, the prior
+precision G through its 2x2 core solve, and view augmentation as two loops,
+over the rule candidates and then over the fill.
 """
 
 import numpy as np
 
-from blbayes.errors import DimensionError
+from blbayes.errors import AugmentationError, DimensionError, RankError
 from blbayes.inverse_wishart import _mu_conditional_pre
 from blbayes.linalg import (
     require_spd,
@@ -21,7 +22,7 @@ from blbayes.linalg import (
     vec_star_bilinear,
 )
 from blbayes.log_sigma import VolterraQuadratic, build_Q
-from blbayes.views import view_precision
+from blbayes.views import AugmentedViews, _rank, view_precision
 
 
 def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
@@ -125,3 +126,59 @@ def g_core_solve(design) -> np.ndarray:
     a = delta_inv[:, None] * j
     core = j.T @ a
     return symmetrize(np.diag(delta_inv) - a @ np.linalg.solve(core, a.T))
+
+
+def augment_two_loops(p) -> AugmentedViews:
+    """:func:`~blbayes.views.augment_to_invertible` with the unit rows of
+    the two rules tried in one loop and, if the matrix is still short of
+    square, the unit rows of every column in a second loop."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2:
+        raise DimensionError(f"P must be 2-D, got shape {p.shape}")
+    k, n = p.shape
+    if k > n:
+        raise RankError(f"more views ({k}) than assets ({n})")
+    if _rank(p) < k:
+        raise RankError(f"P has row rank {_rank(p)} < k = {k}")
+
+    def unit_row(j: int) -> np.ndarray:
+        row = np.zeros(n)
+        row[j] = 1.0
+        return row
+
+    pivot_cols = {int(np.flatnonzero(p[i])[0]) for i in range(k)}
+    candidates: list[int] = []
+    for j in range(n):  # rule 1: all-zero columns
+        if not p[:, j].any():
+            candidates.append(j)
+    for i in range(k):  # rule 2: non-pivot nonzero entries of multi-entry rows
+        nz = np.flatnonzero(p[i])
+        if len(nz) <= 1:
+            continue
+        for j in nz:
+            if int(j) not in pivot_cols and int(j) not in candidates:
+                candidates.append(int(j))
+
+    stack = p
+    added: list[np.ndarray] = []
+    rank = k
+    for j in candidates:
+        if rank == n:
+            break
+        trial = np.vstack([stack, unit_row(j)])
+        if _rank(trial) > rank:
+            stack, rank = trial, rank + 1
+            added.append(unit_row(j))
+    if rank < n:
+        for j in range(n):
+            if rank == n:
+                break
+            trial = np.vstack([stack, unit_row(j)])
+            if _rank(trial) > rank:
+                stack, rank = trial, rank + 1
+                added.append(unit_row(j))
+
+    p_star = stack
+    if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
+        raise AugmentationError("augmentation rules produced a singular square matrix")
+    return AugmentedViews(p_star=p_star, added_rows=np.array(added).reshape(n - k, n))

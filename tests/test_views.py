@@ -13,6 +13,7 @@ from blbayes.errors import (
     ValidationError,
 )
 from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
+from oracles import augment_two_loops
 
 
 class TestViewSet:
@@ -98,6 +99,35 @@ class TestAugmentation:
         aug = augment_to_invertible(p)
         assert abs(np.linalg.det(aug.p_star)) >= 1e-12
         assert np.array_equal(aug.p_star[:2], p)
+
+    def test_rejected_candidate_is_skipped(self):
+        # rule 2 offers column 1, then column 2; the unit row of column 1 is
+        # row 0 + row 1 up to sign, so it does not raise the rank
+        p = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
+        aug = augment_to_invertible(p)
+        np.testing.assert_array_equal(aug.added_rows, [[0.0, 0.0, 1.0]])
+
+    def test_equals_two_loop_oracle(self):
+        # small integer entries give all-zero columns, multi-entry rows and
+        # rule candidates that do not raise the rank
+        rng = np.random.default_rng(78)
+        compared = 0
+        while compared < 250:
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(1, n + 1))
+            p = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0, 2.0], size=(k, n))
+            p[:, rng.random(n) < 0.2] = 0.0
+            try:
+                want = augment_two_loops(p)
+            except RankError:
+                with pytest.raises(RankError):
+                    augment_to_invertible(p)
+                continue
+            got = augment_to_invertible(p)
+            assert np.array_equal(got.p_star, want.p_star)
+            assert np.array_equal(got.added_rows, want.added_rows)
+            assert got.added_rows.shape == want.added_rows.shape
+            compared += 1
 
 
 class TestTransformedHyperparams:
