@@ -154,10 +154,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     its log det (for the trace) and an accept flag. The step logs the "Sigma
     draw" condition warning. The loop then draws mu from its normal
     conditional given that covariance and the views ``p_eff``, ``q_eff``,
-    ``omega_eff`` (``p_eff=None`` is the identity pick matrix of the
-    view-space chain), whose precision it builds from ``sigma_inv``. ``cfg`` supplies ``iters``,
-    ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the accept flag to the
-    trace rows.
+    ``omega_eff``, whose precision it builds from ``sigma_inv``. ``cfg``
+    supplies ``iters``, ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the
+    accept flag to the trace rows.
 
     Returns (mu draws over all iterations, post-burn Sigma mean, accept flags).
     """
@@ -227,7 +226,7 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
     transformed = returns_current @ p_star.T
 
     mu_star_draws, sigma_star_mean, accepts = gibbs_chain(
-        transformed, q_star, omega_star, None, cfg,
+        transformed, q_star, omega_star, np.eye(p_star.shape[0]), cfg,
         _iw_step(transformed, cfg.nu, sigma0_star), trace_path,
     )
 

@@ -74,14 +74,12 @@ class ViewSet:
         return ViewSet(self.p, self.q, np.asarray(omega_diag, dtype=float))
 
 
-def view_precision(omega, q, p=None):
+def view_precision(omega, q, p):
     """The views' contribution to a mean posterior: ``(P' Omega^-1 P,
-    P' Omega^-1 q)``. ``p=None`` is the identity pick matrix of the
-    view-space chain."""
+    P' Omega^-1 q)`` for the k-by-n pick matrix ``p`` (the identity in the
+    view-space chain)."""
     omega_inv = spd_inverse(omega, "Omega")
     q = np.asarray(q, dtype=float)
-    if p is None:
-        return omega_inv, omega_inv @ q
     p = np.asarray(p, dtype=float)
     return p.T @ omega_inv @ p, p.T @ (omega_inv @ q)
 

@@ -29,9 +29,9 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
     """Mean and covariance of the mean-return conditional.
 
     ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
-    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``. ``p_eff=None`` means
-    the identity (view-space variant); ``omega_eff=None`` drops the view
-    term entirely (the vague-views limit: mean -> rbar, cov -> Sigma/m).
+    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``. ``omega_eff=None``
+    drops the view term entirely (the vague-views limit: mean -> rbar,
+    cov -> Sigma/m).
     """
     rbar = np.asarray(rbar, dtype=float)
     n = rbar.size
@@ -40,8 +40,6 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
         prior_prec = np.zeros((n, n))
         prior_vec = np.zeros(n)
     else:
-        if p_eff is None and np.shape(q_eff) != (n,):
-            raise DimensionError("q_eff length must be n when P_eff is identity")
         prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
     return _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
 

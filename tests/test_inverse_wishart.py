@@ -74,10 +74,14 @@ class TestMuConditional:
         omega = random_spd(rng, n, jitter=0.5)
         q = rng.normal(size=n)
         rbar = rng.normal(size=n)
-        mean_id, cov_id = mu_conditional(rbar, sigma, q, omega, None, m)
-        mean_p, cov_p = mu_conditional(rbar, sigma, q, omega, np.eye(n), m)
-        np.testing.assert_allclose(mean_id, mean_p, atol=1e-13)
-        np.testing.assert_allclose(cov_id, cov_p, atol=1e-13)
+        # the view-space chain's pick matrix: no P in the direct algebra
+        mean_id, cov_id = mu_conditional(rbar, sigma, q, omega, np.eye(n), m)
+        si = np.linalg.inv(sigma)
+        oi = np.linalg.inv(omega)
+        cov_o = np.linalg.inv(m * si + oi)
+        mean_o = cov_o @ (m * si @ rbar + oi @ q)
+        np.testing.assert_allclose(cov_id, cov_o, atol=1e-12)
+        np.testing.assert_allclose(mean_id, mean_o, atol=1e-12)
 
 
 class TestSigmaConditional:

@@ -12,7 +12,14 @@ from blbayes.errors import (
     RankError,
     ValidationError,
 )
-from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
+from blbayes.linalg import spd_inverse
+from blbayes.views import (
+    ViewSet,
+    augment_to_invertible,
+    build_transformed_hyperparams,
+    view_precision,
+)
+from conftest import random_spd
 from oracles import augment_two_loops
 
 
@@ -39,6 +46,19 @@ class TestViewSet:
         w = v.with_omega([1e-6])
         assert w.omega_diag[0] == 1e-6
         np.testing.assert_array_equal(w.p, v.p)
+
+
+class TestViewPrecision:
+    def test_identity_pick_matrix_is_exact(self):
+        # the view-space chain passes np.eye; its terms must be Omega^-1 and
+        # Omega^-1 q bit for bit
+        rng = np.random.default_rng(79)
+        omega = random_spd(rng, 4)
+        q = rng.normal(size=4)
+        prec, vec = view_precision(omega, q, np.eye(4))
+        omega_inv = spd_inverse(omega)
+        assert np.array_equal(prec, omega_inv)
+        assert np.array_equal(vec, omega_inv @ q)
 
 
 class TestAugmentation:
