@@ -200,7 +200,7 @@ class SweepRecord:
     seed: int
 
 
-def _sweep_point(args) -> tuple[int, SweepRecord]:
+def _sweep_point(args) -> SweepRecord:
     index, w1, w2, panel, views, settings, model, seed = args
     point_views = views.with_omega([w1, w2])
     try:
@@ -217,7 +217,7 @@ def _sweep_point(args) -> tuple[int, SweepRecord]:
             status=f"error:{type(exc).__name__}", acceptance_rate=float("nan"),
             seed=seed,
         )
-    return index, rec
+    return rec
 
 
 def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
@@ -225,9 +225,9 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     """Evaluate the model at every grid point.
 
     Point ``index`` runs on the stream ``(base_seed, index)``, so no two
-    points of any sweeps share a stream; records come back in grid order
-    regardless of scheduling, and individual failures are recorded in-row
-    rather than aborting the sweep.
+    points of any sweeps share a stream. With ``workers > 1`` the points run
+    in a process pool; either way the records come back in grid order, and
+    individual failures are recorded in-row rather than aborting the sweep.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
@@ -235,16 +235,10 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
         (index, w1, w2, panel, views, settings, grid.model, grid.base_seed)
         for index, w1, w2 in grid.points()
     ]
-    results: dict[int, SweepRecord] = {}
     if workers <= 1:
-        for task in tasks:
-            index, rec = _sweep_point(task)
-            results[index] = rec
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, rec in pool.map(_sweep_point, tasks):
-                results[index] = rec
-    return [results[i] for i in sorted(results)]
+        return list(map(_sweep_point, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_point, tasks))
 
 
 SWEEP_CSV_COLUMNS = ("omega1", "omega2", "distance", "profit", "status",
