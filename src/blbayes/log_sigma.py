@@ -132,9 +132,6 @@ class VolterraQuadratic:
 
     lambda_vec: np.ndarray
     q_matrix: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-    log_det_s: float
 
     def log_kernel(self, alpha) -> float:
         """``-(alpha-lambda)' Q (alpha-lambda)/2``, the alpha-dependent part
@@ -164,15 +161,8 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     weights[n:] = m * xi_coefficient(evals[pi[n:]], evals[pj[n:]])
     terms = (f * weights[:, None]).T @ f
 
-    log_evals = np.log(evals)
-    lambda_vec = vec_star((evecs * log_evals) @ evecs.T)
-    return VolterraQuadratic(
-        lambda_vec=lambda_vec,
-        q_matrix=symmetrize(terms),
-        eigvals=evals,
-        eigvecs=evecs,
-        log_det_s=float(log_evals.sum()),
-    )
+    lambda_vec = vec_star((evecs * np.log(evals)) @ evecs.T)
+    return VolterraQuadratic(lambda_vec=lambda_vec, q_matrix=symmetrize(terms))
 
 
 def _decompose(alpha):

@@ -77,10 +77,12 @@ def volterra_log_density(alpha, s_matrix, m: int,
     At ``alpha = vec_star(log S)`` this equals the exact Gaussian
     log-likelihood evaluated at ``Sigma = S``.
     """
+    s_matrix = np.asarray(s_matrix, dtype=float)
     if quad is None:
         quad = build_Q(s_matrix, m)
-    n = quad.eigvals.size
-    return (-0.5 * m * n * float(np.log(2.0 * np.pi * np.e)) - 0.5 * m * quad.log_det_s
+    n = s_matrix.shape[0]
+    log_det_s = float(np.log(np.linalg.eigvalsh(s_matrix)).sum())
+    return (-0.5 * m * n * float(np.log(2.0 * np.pi * np.e)) - 0.5 * m * log_det_s
             + quad.log_kernel(alpha))
 
 
