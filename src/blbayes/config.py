@@ -20,6 +20,7 @@ from .data import ReturnPanel, compute_returns, ingest_prices
 from .errors import ModelSizeError, ValidationError
 from .inverse_wishart import check_chain_length
 from .log_sigma import check_asset_count
+from .sampling import fits_seed
 from .views import ViewSet
 
 SCHEMA_VERSION = "1"
@@ -158,7 +159,7 @@ class RunConfig:
             raise ValidationError("burn", "expected int")
         check_chain_length(iters, burn)
         seed = _get(doc, "seed", int, "seed", required=False, default=0)
-        if isinstance(seed, bool) or not 0 <= seed < 2**64:
+        if isinstance(seed, bool) or not fits_seed(seed):
             raise ValidationError("seed", "must fit in 64 unsigned bits")
         capital = _get(doc, "capital", float, "capital", required=False, default=100_000.0)
         allow_small = _get(doc, "allow_small_omega", bool, "allow_small_omega",
@@ -208,5 +209,7 @@ def load_grid(path, default_seed: int, model: str) -> SweepGrid:
     base_seed = doc.get("base_seed", default_seed)
     if isinstance(base_seed, bool) or not isinstance(base_seed, int):
         raise ValidationError("base_seed", "expected an integer")
+    if not fits_seed(base_seed):
+        raise ValidationError("base_seed", "must fit in 64 unsigned bits")
     return SweepGrid(omega1_values=tuple(omega1), omega2_values=tuple(omega2),
                      model=model, base_seed=base_seed)

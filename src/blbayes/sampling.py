@@ -30,6 +30,12 @@ from .errors import (
 from .linalg import spd_cholesky, symmetrize, warn_condition
 
 
+def fits_seed(value: int) -> bool:
+    """Whether ``value`` lies in the 64-bit unsigned range that seeds and
+    stream ids take."""
+    return 0 <= value < 2**64
+
+
 @dataclass
 class RngStream:
     """A named, replayable random stream."""
@@ -39,9 +45,9 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if not fits_seed(int(self.seed)):
             raise ParameterError("seed must fit in 64 unsigned bits")
-        if not 0 <= int(self.stream_id) < 2**64:
+        if not fits_seed(int(self.stream_id)):
             raise ParameterError("stream_id must fit in 64 unsigned bits")
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         self._gen = np.random.Generator(np.random.PCG64(ss))

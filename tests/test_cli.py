@@ -183,6 +183,16 @@ class TestSweep:
                      "--workers", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_out_of_range_base_seed_exit_2(self, demo_dir, tmp_path, capsys, base_seed):
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4], "base_seed": base_seed}))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(out)]) == 2
+        assert "base_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_error_row_isolation(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))
         grid = tmp_path / "grid.json"
