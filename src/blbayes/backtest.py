@@ -226,8 +226,9 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
 
     Point ``index`` runs on the stream ``(base_seed, index)``, so no two
     points of any sweeps share a stream. With ``workers > 1`` the points run
-    in a process pool; either way the records come back in grid order, and
-    individual failures are recorded in-row rather than aborting the sweep.
+    in a process pool of at most one worker per point; either way the records
+    come back in grid order, and individual failures are recorded in-row
+    rather than aborting the sweep.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
@@ -235,6 +236,7 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
         (index, w1, w2, panel, views, settings, grid.model, grid.base_seed)
         for index, w1, w2 in grid.points()
     ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return list(map(_sweep_point, tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:

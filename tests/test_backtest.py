@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blbayes import backtest
 from blbayes.backtest import (
     ModelSettings,
     SweepGrid,
@@ -134,6 +135,33 @@ class TestSweep:
         write_sweep_csv(a, pa)
         write_sweep_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_pool_capped_at_grid_points(self, sweep_inputs, monkeypatch):
+        # an in-process stand-in for the pool records its size; no process
+        # is started
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(backtest, "ProcessPoolExecutor", InProcessPool)
+        panel, views, settings = sweep_inputs
+        grid = SweepGrid((1e-4, 2e-4, 3e-4), (1e-4, 2e-4, 3e-4), "original", base_seed=5)
+        records = run_sweep(grid, panel, views, settings, workers=500)
+        assert sizes == [9]
+        assert records == run_sweep(grid, panel, views, settings, workers=1)
+        run_sweep(grid, panel, views, settings, workers=2)
+        assert sizes == [9, 2]
 
     def test_neighbouring_base_seeds_share_no_stream(self, sweep_inputs):
         # one (omega1, omega2) pair repeated: equal distances would mean that
