@@ -2,8 +2,8 @@
 
 Subcommands: ``ingest`` (CSV -> cached panel JSON), ``run`` (one model, JSON
 summary), ``sweep`` (omega grid, CSV), ``backtest`` (stored weights over the
-test window). Exit codes are stable: 0 success, 2 validation failure,
-3 numerical/runtime failure.
+test window). Exit codes are stable: 0 success, 2 validation failure or an
+unreadable input or unwritable output file, 3 numerical/runtime failure.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _VALIDATION_ERRORS = (
     ModelSizeError,
     RankError,
     DimensionError,
+    OSError,  # an unreadable input or an unwritable output file
 )
 
 

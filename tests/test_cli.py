@@ -50,6 +50,13 @@ class TestIngest:
         assert main(["ingest", "--prices", str(bad), "--out", str(tmp_path / "o.json")]) == 2
         assert "blank price" in capsys.readouterr().err
 
+    def test_missing_prices_exit_2(self, tmp_path, capsys):
+        argv = ["ingest", "--prices", str(tmp_path / "missing.csv"),
+                "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRun:
     def test_smoke_original(self, demo_dir, tmp_path):
@@ -61,6 +68,13 @@ class TestRun:
         assert len(doc["weights"]) == 4
         assert "profit" in doc and isinstance(doc["profit"]["profit"], float)
         assert list(doc)[:5] == ["model", "mu_post", "sigma_post", "weights", "diagnostics"]
+
+    def test_unwritable_out_exit_2(self, demo_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config(demo_dir, "original"))
+        out = tmp_path / "no" / "such" / "x.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))
