@@ -127,6 +127,14 @@ class TestAugmentation:
         aug = augment_to_invertible(p)
         np.testing.assert_array_equal(aug.added_rows, [[0.0, 0.0, 1.0]])
 
+    def test_fill_after_rejected_candidates(self):
+        # the unit row of column 1 leaves a singular value below the rank
+        # tolerance, so only the fill, with column 0, completes P
+        p = np.array([[1e-11, 1.0]])
+        aug = augment_to_invertible(p)
+        np.testing.assert_array_equal(aug.added_rows, [[1.0, 0.0]])
+        np.testing.assert_array_equal(aug.added_rows, augment_two_loops(p).added_rows)
+
     def test_equals_two_loop_oracle(self):
         # small integer entries give all-zero columns, multi-entry rows and
         # rule candidates that do not raise the rank
