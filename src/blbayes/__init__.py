@@ -4,9 +4,9 @@ Four models share one data pipeline and one backtest:
 
 * ``original`` — the closed-form model (equilibrium prior plus views).
 * ``iw_augmented`` — Inverse-Wishart covariance prior, views augmented to an
-  invertible square matrix, Gibbs sampling in view space.
-* ``iw_nonsquare`` — same prior, views untouched, Gibbs sampling in asset
-  space.
+  invertible square matrix P* with a prior on ``P* mu`` built from the
+  historical monthly means, Gibbs sampling in asset space.
+* ``iw_nonsquare`` — same prior and the same sampler, views untouched.
 * ``log_sigma`` — normal prior on the stacked log-covariance with a
   Metropolis-Hastings-within-Gibbs sampler built on a second-order
   approximation of the matrix exponential.

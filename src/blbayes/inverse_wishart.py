@@ -1,12 +1,11 @@
 """Gibbs samplers for the Inverse-Wishart covariance prior.
 
-Two variants share the same conditionals:
+Two variants run the same asset-space chain and differ only in the views
+on the mean:
 
-* ``gibbs_augmented`` transforms the returns into view space with an
-  augmented invertible P*, runs the sampler there (the mean conditional sees
-  an identity pick matrix), and transforms the posterior back.
-* ``gibbs_nonsquare`` keeps the investor's P untouched and samples the mean
-  in asset space, where P enters the conditional directly.
+* ``gibbs_augmented`` augments P to an invertible square P* and puts the
+  prior ``(q*, Omega*)`` on ``P* mu``;
+* ``gibbs_nonsquare`` keeps the investor's ``(P, q, Omega)`` untouched.
 
 A chain alternates one covariance draw (Inverse Wishart) with one mean draw
 (multivariate normal); point estimates are post-burn arithmetic means. The
@@ -204,46 +203,41 @@ def _iw_step(returns, nu: float, sigma0):
     return step
 
 
+def _iw_chain(returns_current, p, q, omega, cfg: IwConfig,
+              trace_path=None) -> PosteriorSummary:
+    """The asset-space chain both Inverse-Wishart samplers run, with the
+    views ``(p, q, omega)`` on the mean."""
+    returns_current = np.asarray(returns_current, dtype=float)
+    if returns_current.shape[1] != p.shape[1]:
+        raise DimensionError("returns and views disagree on the number of assets")
+    mu_draws, sigma_mean, accepts = gibbs_chain(
+        returns_current, q, omega, p, cfg,
+        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
+    )
+    return summarize_mu_sigma(mu_draws, sigma_mean, accepts, cfg.burn)
+
+
 def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
                     cfg: IwConfig, trace_path=None) -> PosteriorSummary:
-    """View-space sampler: augment P, transform the data and hyperparameters,
-    run the chain with an identity pick matrix, and map the posterior back to
-    asset space.
+    """Sampler with the augmented views: extend P to an invertible P*, put
+    the prior ``(q*, Omega*)`` of
+    :func:`~blbayes.views.build_transformed_hyperparams` on ``P* mu``, and
+    run the asset-space chain with the views ``(P*, q*, Omega*)``.
 
-    ``cfg.sigma0`` is expressed in asset space and transformed covariantly
-    (P* Sigma0 P*'), so the prior describes the same covariance either way.
-    The trace, when requested, records the chain as sampled (view space).
+    The chain, ``cfg.sigma0`` and the trace are all in asset space. The
+    Inverse-Wishart family is closed under congruence, so this is, in law,
+    the chain in view space ``P* mu`` mapped back to asset space.
     """
     check_omega_floor(views, OMEGA_FLOOR_AUGMENTED, cfg.allow_small_omega, "augmented")
-    returns_current = np.asarray(returns_current, dtype=float)
     aug = augment_to_invertible(views.p)
-    p_star = aug.p_star
-    p_star_inv = np.linalg.inv(p_star)
     q_star, omega_star = build_transformed_hyperparams(
         aug, views.q, views.omega, monthly_mean_vectors
     )
-    sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
-    transformed = returns_current @ p_star.T
-
-    mu_star_draws, sigma_star_mean, accepts = gibbs_chain(
-        transformed, q_star, omega_star, np.eye(p_star.shape[0]), cfg,
-        _iw_step(transformed, cfg.nu, sigma0_star), trace_path,
-    )
-
-    mu_draws = mu_star_draws @ p_star_inv.T
-    sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)
-    return summarize_mu_sigma(mu_draws, sigma_post, accepts, cfg.burn)
+    return _iw_chain(returns_current, aug.p_star, q_star, omega_star, cfg, trace_path)
 
 
 def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
                     trace_path=None) -> PosteriorSummary:
     """Asset-space sampler with the investor's P unmodified."""
     check_omega_floor(views, OMEGA_FLOOR_NONSQUARE, cfg.allow_small_omega, "non-square")
-    returns_current = np.asarray(returns_current, dtype=float)
-    if returns_current.shape[1] != views.n:
-        raise DimensionError("returns and views disagree on the number of assets")
-    mu_draws, sigma_mean, accepts = gibbs_chain(
-        returns_current, views.q, views.omega, views.p, cfg,
-        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
-    )
-    return summarize_mu_sigma(mu_draws, sigma_mean, accepts, cfg.burn)
+    return _iw_chain(returns_current, views.p, views.q, views.omega, cfg, trace_path)

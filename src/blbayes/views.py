@@ -1,6 +1,6 @@
 """Investor views: the (P, q, Omega) triple, augmentation of P to an
-invertible square matrix, and the transformed hyperparameters (q*, Omega*)
-used by the view-space Gibbs sampler."""
+invertible square matrix P*, and the hyperparameters (q*, Omega*) of the
+prior on P* mu that the augmented-views Gibbs sampler uses."""
 
 from __future__ import annotations
 
@@ -76,8 +76,8 @@ class ViewSet:
 
 def view_precision(omega, q, p):
     """The views' contribution to a mean posterior: ``(P' Omega^-1 P,
-    P' Omega^-1 q)`` for the k-by-n pick matrix ``p`` (the identity in the
-    view-space chain)."""
+    P' Omega^-1 q)`` for the k-by-n pick matrix ``p`` (the square P* with
+    ``(q*, Omega*)`` for the augmented views)."""
     omega_inv = spd_inverse(omega, "Omega")
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -157,7 +157,8 @@ def augment_to_invertible(p) -> AugmentedViews:
 
 
 def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
-    """Build (q*, Omega*) for the view-space model.
+    """Build (q*, Omega*), the prior ``P* mu ~ N(q*, Omega*)`` of the
+    augmented-views model.
 
     The augmented mean/covariance come from per-month mean-return vectors
     (asset space): ``q* = P* mean(monthly)`` and

@@ -5,14 +5,16 @@ calls: the mean-return conditional as a (mean, covariance) pair, completing
 the square, the Volterra log density and the symmetric matrix exponential.
 The second are longhand forms of engine code: the f-vectors of all n^2
 eigenvector pairs, xi with both branches always evaluated, the prior
-precision G through its 2x2 core solve, and view augmentation as two loops,
-over the rule candidates and then over the fill.
+precision G through its 2x2 core solve, view augmentation as two loops, over
+the rule candidates and then over the fill, and the augmented-views sampler
+run in view space.
 """
 
 import numpy as np
 
+from blbayes.diagnostics import summarize_mu_sigma
 from blbayes.errors import AugmentationError, DimensionError, RankError
-from blbayes.inverse_wishart import _mu_conditional_pre
+from blbayes.inverse_wishart import _iw_step, _mu_conditional_pre, gibbs_chain
 from blbayes.linalg import (
     require_spd,
     require_symmetric,
@@ -22,7 +24,13 @@ from blbayes.linalg import (
     vec_star_bilinear,
 )
 from blbayes.log_sigma import VolterraQuadratic, build_Q
-from blbayes.views import AugmentedViews, _rank, view_precision
+from blbayes.views import (
+    AugmentedViews,
+    _rank,
+    augment_to_invertible,
+    build_transformed_hyperparams,
+    view_precision,
+)
 
 
 def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
@@ -182,3 +190,26 @@ def augment_two_loops(p) -> AugmentedViews:
     if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
         raise AugmentationError("augmentation rules produced a singular square matrix")
     return AugmentedViews(p_star=p_star, added_rows=np.array(added).reshape(n - k, n))
+
+
+def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg):
+    """The augmented-views sampler run in view space: transform the returns
+    and Sigma0 by P*, sample with an identity pick matrix and the prior
+    ``(q*, Omega*)``, and map the mean draws and the Sigma mean back with
+    ``P*^-1``."""
+    returns_current = np.asarray(returns_current, dtype=float)
+    aug = augment_to_invertible(views.p)
+    p_star = aug.p_star
+    p_star_inv = np.linalg.inv(p_star)
+    q_star, omega_star = build_transformed_hyperparams(
+        aug, views.q, views.omega, monthly_mean_vectors
+    )
+    sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
+    transformed = returns_current @ p_star.T
+    mu_star_draws, sigma_star_mean, accepts = gibbs_chain(
+        transformed, q_star, omega_star, np.eye(p_star.shape[0]), cfg,
+        _iw_step(transformed, cfg.nu, sigma0_star),
+    )
+    mu_draws = mu_star_draws @ p_star_inv.T
+    sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)
+    return summarize_mu_sigma(mu_draws, sigma_post, accepts, cfg.burn)

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blbayes import inverse_wishart
+from blbayes import demo, inverse_wishart
+from blbayes.backtest import historical_covariance
+from blbayes.data import monthly_means
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
     IwConfig,
@@ -21,9 +23,9 @@ from blbayes.inverse_wishart import (
 from blbayes.linalg import spd_inverse
 from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import RngStream, sample_mvn
-from blbayes.views import ViewSet
+from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
 from conftest import random_spd
-from oracles import mu_conditional
+from oracles import gibbs_augmented_view_space, mu_conditional
 
 
 def make_config(n=2, **kw):
@@ -224,6 +226,61 @@ class TestChains:
         sb = gibbs_nonsquare(returns, views, replace(cfg, seed=2718))
         comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
         assert np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb)
+
+    def test_augmented_is_nonsquare_chain_for_square_p(self, tmp_path):
+        # a square invertible P gains no row and keeps q and Omega, so the
+        # augmented sampler runs the very chain of the non-square one
+        rng = np.random.default_rng(53)
+        returns = rng.multivariate_normal([0.01, -0.02], random_spd(rng, 2, jitter=0.3) * 0.01,
+                                          size=25)
+        views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
+        months = rng.normal(size=(8, 2)) * 0.01
+        aug = augment_to_invertible(views.p)
+        q_star, omega_star = build_transformed_hyperparams(aug, views.q, views.omega, months)
+        assert np.array_equal(aug.p_star, views.p)
+        assert np.array_equal(q_star, views.q) and np.array_equal(omega_star, views.omega)
+
+        cfg = make_config(iters=400, burn=80, seed=315)
+        ta, tb = tmp_path / "a.csv", tmp_path / "b.csv"
+        sa = gibbs_augmented(returns, views, months, cfg, trace_path=ta)
+        sb = gibbs_nonsquare(returns, views, cfg, trace_path=tb)
+        for field in ("mu_post", "sigma_post", "n_eff"):
+            assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
+        assert ta.read_bytes() == tb.read_bytes()
+
+    def test_augmented_trace_is_in_asset_space(self, small_dataset, tmp_path):
+        returns, views = small_dataset
+        months = np.random.default_rng(54).normal(size=(8, 2)) * 0.01
+        cfg = make_config(iters=300, burn=60, seed=17)
+        path = tmp_path / "trace.csv"
+        s = gibbs_augmented(returns, views, months, cfg, trace_path=path)
+        rows = np.array([[float(c) for c in r] for r in
+                         csv.reader(path.read_text().splitlines()[1:])])
+        np.testing.assert_allclose(rows[cfg.burn:, 1:3].mean(axis=0), s.mu_post,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_augmented_matches_view_space_oracle(self):
+        # The asset-space chain with the views (P*, q*, Omega*) and the chain
+        # run in view space P* mu and mapped back have the same law. Compare
+        # their posterior means of mu and Sigma over independent seeds.
+        panel = demo.demo_return_panel()
+        views = demo.demo_views()
+        months = monthly_means(panel.historical, panel.m)
+        hist_cov = historical_covariance(panel)
+
+        def seed_means(sampler, seeds):
+            out = []
+            for seed in seeds:
+                cfg = IwConfig.default_for(hist_cov, iters=1000, burn=200, seed=seed)
+                s = sampler(panel.current, views, months, cfg)
+                out.append(np.concatenate([s.mu_post, s.sigma_post.ravel()]))
+            out = np.array(out)
+            return out.mean(axis=0), out.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+
+        mean_a, se_a = seed_means(gibbs_augmented, range(100, 108))
+        mean_b, se_b = seed_means(gibbs_augmented_view_space, range(200, 208))
+        z = (mean_a - mean_b) / np.sqrt(se_a**2 + se_b**2)
+        assert np.abs(z).max() < 4
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_inverts_once_per_iteration(self, small_dataset, monkeypatch, variant):
