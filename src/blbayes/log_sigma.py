@@ -200,41 +200,6 @@ def mh_log_ratio(candidate, current, loglik_candidate: float, loglik_current: fl
     )
 
 
-@dataclass(frozen=True)
-class StructuralDesign:
-    """Block structure of the alpha prior: the first n stacked coordinates
-    (the log-variance diagonal) share one variance, the remaining d-n (the
-    off-diagonal couplings) share the other."""
-
-    n: int
-    sigma1_sq: float
-    sigma2_sq: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ModelSizeError("structural design needs n >= 2")
-        if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise ValidationError("sigma_sq", "block variances must be positive")
-
-    @property
-    def d(self) -> int:
-        return vec_star_dim(self.n)
-
-    @property
-    def j_matrix(self) -> np.ndarray:
-        j = np.zeros((self.d, 2))
-        j[: self.n, 0] = 1.0
-        j[self.n :, 1] = 1.0
-        return j
-
-    @property
-    def delta_diag(self) -> np.ndarray:
-        out = np.empty(self.d)
-        out[: self.n] = self.sigma1_sq
-        out[self.n :] = self.sigma2_sq
-        return out
-
-
 @functools.cache
 def _centering_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The centering matrices ``C_k = I - 11'/k`` of the two alpha blocks,
@@ -243,8 +208,13 @@ def _centering_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(n) - 1.0 / n, np.eye(k) - 1.0 / k
 
 
-def build_G(design: StructuralDesign) -> np.ndarray:
-    """Prior precision after integrating the block locations out:
+def build_G(n: int, sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
+    """Prior precision of alpha after integrating the block locations out.
+
+    The prior puts variance ``sigma1_sq`` on the first n stacked coordinates
+    (the log-variance diagonal) and ``sigma2_sq`` on the remaining d-n (the
+    off-diagonal couplings), each block around its own location. With ``J``
+    the d-by-2 block indicator and ``Delta`` the diagonal of variances,
 
     ``G = Delta^-1 - Delta^-1 J (J' Delta^-1 J)^-1 J' Delta^-1``,
 
@@ -253,11 +223,15 @@ def build_G(design: StructuralDesign) -> np.ndarray:
     matrix ``C_k = I - 11'/k``. G annihilates the columns of J, i.e. adding
     a constant to either alpha block leaves the prior quadratic unchanged.
     """
-    n, d = design.n, design.d
+    if n < 2:
+        raise ModelSizeError("the block prior needs n >= 2")
+    if sigma1_sq <= 0 or sigma2_sq <= 0:
+        raise ValidationError("sigma_sq", "block variances must be positive")
+    d = vec_star_dim(n)
     c_diag, c_off = _centering_blocks(n)
     g = np.zeros((d, d))
-    np.divide(c_diag, design.sigma1_sq, out=g[:n, :n])
-    np.divide(c_off, design.sigma2_sq, out=g[n:, n:])
+    np.divide(c_diag, sigma1_sq, out=g[:n, :n])
+    np.divide(c_off, sigma2_sq, out=g[n:, n:])
     return g
 
 
@@ -356,7 +330,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         nonlocal alpha, sigma, sigma_inv, log_det, sigma1_sq, sigma2_sq, floor_hits
         s_mat = _scatter(returns_current, mu)
         quad = build_Q(s_mat, m)
-        g_mat = build_G(StructuralDesign(n, sigma1_sq, sigma2_sq))
+        g_mat = build_G(n, sigma1_sq, sigma2_sq)
         candidate = sample_mvn_precision(
             quad.q_matrix @ quad.lambda_vec, quad.q_matrix + g_mat, rng
         )

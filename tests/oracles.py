@@ -5,10 +5,12 @@ calls: the mean-return conditional as a (mean, covariance) pair, completing
 the square, the Volterra log density and the symmetric matrix exponential.
 The second are longhand forms of engine code: the f-vectors of all n^2
 eigenvector pairs, xi with both branches always evaluated, the prior
-precision G through its 2x2 core solve, view augmentation as two loops, over
-the rule candidates and then over the fill, and the augmented-views sampler
-run in view space.
+precision G through its 2x2 core solve from the block design of the alpha
+prior, view augmentation as two loops, over the rule candidates and then over
+the fill, and the augmented-views sampler run in view space.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from blbayes.linalg import (
     spd_solve,
     symmetrize,
     vec_star_bilinear,
+    vec_star_dim,
 )
 from blbayes.log_sigma import VolterraQuadratic, build_Q
 from blbayes.views import (
@@ -124,6 +127,36 @@ def xi_two_branch(d_i, d_j):
         g = 1.0 + h * h / 24.0 + h**4 / 1920.0
         xi = np.where(np.abs(h) < 1e-8, g * g, diff * diff / (d_i * d_j * h * h))
     return xi[()]
+
+
+@dataclass(frozen=True)
+class StructuralDesign:
+    """Block structure of the alpha prior: the first n stacked coordinates
+    (the log-variance diagonal) share one variance, the remaining d-n (the
+    off-diagonal couplings) share the other. ``J`` maps the two block
+    locations to alpha and ``Delta`` is the diagonal prior covariance."""
+
+    n: int
+    sigma1_sq: float
+    sigma2_sq: float
+
+    @property
+    def d(self) -> int:
+        return vec_star_dim(self.n)
+
+    @property
+    def j_matrix(self) -> np.ndarray:
+        j = np.zeros((self.d, 2))
+        j[: self.n, 0] = 1.0
+        j[self.n :, 1] = 1.0
+        return j
+
+    @property
+    def delta_diag(self) -> np.ndarray:
+        out = np.empty(self.d)
+        out[: self.n] = self.sigma1_sq
+        out[self.n :] = self.sigma2_sq
+        return out
 
 
 def g_core_solve(design) -> np.ndarray:

@@ -21,7 +21,6 @@ from blbayes.inverse_wishart import IwConfig, gibbs_augmented, gibbs_nonsquare
 from blbayes.linalg import matrix_log_spd, vec_star
 from blbayes.log_sigma import (
     LogSigmaConfig,
-    StructuralDesign,
     build_G,
     build_Q,
     exact_log_target,
@@ -37,7 +36,7 @@ from blbayes.original_bl import (
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible
 from conftest import random_spd
-from oracles import complete_square, mu_conditional, volterra_log_density
+from oracles import StructuralDesign, complete_square, mu_conditional, volterra_log_density
 
 
 def check(num: int, name: str, ok: bool, started: float, budget: float):
@@ -90,7 +89,7 @@ def test_criterion_01_algebraic_identities():
     for _ in range(100):  # structural prior: scalar form and G J == 0
         n = int(rng.integers(2, 7))
         design = StructuralDesign(n, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
-        g = build_G(design)
+        g = build_G(n, design.sigma1_sq, design.sigma2_sq)
         gj_worst = max(gj_worst, np.abs(g @ design.j_matrix).max())
         alpha = rng.normal(size=design.d) * 2
         diag, off = alpha[:n], alpha[n:]
@@ -187,7 +186,7 @@ def test_criterion_05_location_integral_quadrature():
     n = 4
     design = StructuralDesign(n, 0.7, 1.9)
     d = design.d
-    g = build_G(design)
+    g = build_G(n, design.sigma1_sq, design.sigma2_sq)
     alpha = rng.normal(size=d)
     delta = design.delta_diag
 

@@ -29,7 +29,6 @@ from blbayes.linalg import (
 from blbayes.log_sigma import (
     IG_SCALE_FLOOR,
     LogSigmaConfig,
-    StructuralDesign,
     build_G,
     build_Q,
     build_f_vectors,
@@ -43,6 +42,7 @@ from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
 from conftest import random_spd, random_symmetric
 from oracles import (
+    StructuralDesign,
     f_vectors_all_pairs,
     g_core_solve,
     matrix_exp_sym,
@@ -291,10 +291,18 @@ def _exp_sym(a):
 
 
 class TestStructuralPrior:
+    @pytest.mark.parametrize("n, s1, s2, error", [
+        (1, 1.0, 1.0, ModelSizeError), (4, 0.0, 1.0, ValidationError),
+        (4, 1.0, -2.0, ValidationError),
+    ])
+    def test_rejects_small_n_and_nonpositive_variances(self, n, s1, s2, error):
+        with pytest.raises(error):
+            build_G(n, s1, s2)
+
     def test_g_annihilates_j(self):
         for n, s1, s2 in ((2, 1.0, 2.0), (4, 0.3, 5.0), (6, 2.2, 0.1)):
             design = StructuralDesign(n, s1, s2)
-            g = build_G(design)
+            g = build_G(n, design.sigma1_sq, design.sigma2_sq)
             assert np.abs(g @ design.j_matrix).max() < 1e-12
 
     def test_scalar_form_of_quadratic(self):
@@ -302,7 +310,7 @@ class TestStructuralPrior:
         for _ in range(50):
             n = int(rng.integers(2, 7))
             design = StructuralDesign(n, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
-            g = build_G(design)
+            g = build_G(n, design.sigma1_sq, design.sigma2_sq)
             alpha = rng.normal(size=design.d) * 2
             diag, off = alpha[:n], alpha[n:]
             expected = (
@@ -318,7 +326,7 @@ class TestStructuralPrior:
         for s1, s2 in [(1.0, 1.0), (0.7, 1.9)] + [tuple(rng.uniform(0.01, 5.0, 2))
                                                   for _ in range(5)]:
             design = StructuralDesign(n, s1, s2)
-            g = build_G(design)
+            g = build_G(n, design.sigma1_sq, design.sigma2_sq)
             assert np.array_equal(g, g.T)
             np.testing.assert_allclose(g, g_core_solve(design), rtol=1e-14, atol=0.0)
 
@@ -328,7 +336,7 @@ class TestStructuralPrior:
         n = 4
         design = StructuralDesign(n, 0.7, 1.9)
         d = design.d
-        g = build_G(design)
+        g = build_G(n, design.sigma1_sq, design.sigma2_sq)
         alpha = rng.normal(size=d)
         delta = design.delta_diag
 
