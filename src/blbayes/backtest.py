@@ -74,6 +74,13 @@ class ModelSettings:
     sigma0: np.ndarray | None = None    # None -> (nu-n-1) * historical covariance
     allow_small_omega: bool = False
 
+    def __post_init__(self):
+        # written as "not > 0" so that NaN is rejected too
+        if not self.risk_aversion > 0:
+            raise ValidationError("risk_aversion", "must be > 0")
+        if not self.tau > 0:
+            raise ValidationError("tau", "must be > 0")
+
 
 @dataclass(frozen=True)
 class ModelResult:

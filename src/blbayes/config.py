@@ -122,11 +122,7 @@ class RunConfig:
 
         risk_aversion = _get(doc, "risk_aversion", float, "risk_aversion",
                              required=False, default=2.5)
-        if risk_aversion <= 0:
-            raise ValidationError("risk_aversion", "must be > 0")
         tau = _get(doc, "tau", float, "tau", required=False, default=0.05)
-        if tau <= 0:
-            raise ValidationError("tau", "must be > 0")
 
         w_eq = None
         if "w_eq" in doc and doc["w_eq"] is not None:

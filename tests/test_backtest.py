@@ -101,6 +101,17 @@ class TestRunModel:
         with pytest.raises(ValidationError, match="w_eq"):
             run_model("original", panel, views, ModelSettings(w_eq=None), seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("risk_aversion", 0.0), ("risk_aversion", -2.5), ("risk_aversion", float("nan")),
+        ("tau", 0.0), ("tau", -0.05),
+    ])
+    def test_nonpositive_risk_aversion_or_tau_rejected(self, sweep_inputs, field, value):
+        # a negative lambda would negate the weights, a zero one make them inf
+        panel, views, _ = sweep_inputs
+        with pytest.raises(ValidationError, match=f"{field}: must be > 0"):
+            run_model("iw_nonsquare", panel, views,
+                      ModelSettings(iters=200, burn=50, **{field: value}), seed=1)
+
     def test_models_produce_consistent_outputs(self, sweep_inputs):
         panel, views, settings = sweep_inputs
         for model in ("original", "iw_nonsquare"):

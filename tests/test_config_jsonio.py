@@ -59,6 +59,7 @@ class TestRunConfigValidation:
             (lambda d: d["views"].update(omega=[-1e-4]), "views.omega"),
             (lambda d: d.update(burn=100), "burn"),
             (lambda d: d.update(tau=-0.1), "tau"),
+            (lambda d: d.update(risk_aversion=0), "risk_aversion"),
             (lambda d: d.update(nu=0.5), "nu"),
             (lambda d: d.update(sigma0=[[1.0]]), "sigma0"),
             (lambda d: d.update(seed=-3), "seed"),
