@@ -9,6 +9,7 @@ unreadable input or unwritable output file, 3 numerical/runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -88,19 +89,35 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _claimed_output(path):
+    """Create ``path`` before the work that fills it, so an unwritable output
+    fails before any sampling; remove it again if the work fails."""
+    path = Path(path)
+    created = not path.exists()
+    open(path, "a").close()  # an existing file is left as it is
+    try:
+        yield
+    except BaseException:
+        if created:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_run(args) -> int:
     cfg = RunConfig.load(args.config)
     panel = cfg.load_panel()
-    result = run_model(
-        cfg.model, panel, cfg.views, cfg.settings, seed=cfg.seed,
-        trace_path=args.trace, compute_profit=cfg.backtest,
-    )
-    text = jsonio.dumps(_summary_payload(cfg, result))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _claimed_output(args.out) if args.out else contextlib.nullcontext():
+        result = run_model(
+            cfg.model, panel, cfg.views, cfg.settings, seed=cfg.seed,
+            trace_path=args.trace, compute_profit=cfg.backtest,
+        )
+        text = jsonio.dumps(_summary_payload(cfg, result))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -108,8 +125,9 @@ def _cmd_sweep(args) -> int:
     cfg = RunConfig.load(args.config)
     grid = load_grid(args.grid, default_seed=cfg.seed, model=cfg.model)
     panel = cfg.load_panel()
-    records = run_sweep(grid, panel, cfg.views, cfg.settings, workers=args.workers)
-    write_sweep_csv(records, args.out)
+    with _claimed_output(args.out):
+        records = run_sweep(grid, panel, cfg.views, cfg.settings, workers=args.workers)
+        write_sweep_csv(records, args.out)
     return EXIT_OK
 
 

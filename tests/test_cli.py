@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blbayes import cli
 from blbayes.backtest import backtest_profit
 from blbayes.cli import main
 from blbayes.config import RunConfig
@@ -35,6 +36,19 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def count_calls(monkeypatch, name):
+    """Replace ``blbayes.cli.<name>`` with a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
 
 
 class TestIngest:
@@ -69,12 +83,14 @@ class TestRun:
         assert "profit" in doc and isinstance(doc["profit"]["profit"], float)
         assert list(doc)[:5] == ["model", "mu_post", "sigma_post", "weights", "diagnostics"]
 
-    def test_unwritable_out_exit_2(self, demo_dir, tmp_path, capsys):
+    def test_unwritable_out_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "run_model")
         cfg = write_config(tmp_path, small_config(demo_dir, "original"))
         out = tmp_path / "no" / "such" / "x.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []  # the output is opened before the model runs
 
     def test_byte_identical_reruns(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))
@@ -163,6 +179,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "positive definite" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_output(self, demo_dir, tmp_path):
+        doc = small_config(demo_dir, sigma0=np.diag([1.0, -1.0, 1.0, 1.0]).tolist())
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        # an output file that was there before the run is left as it was
+        out.write_text("earlier")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert out.read_text() == "earlier"
+
     def test_small_nu_without_sigma0_exit_2(self, demo_dir, tmp_path, capsys):
         # n = 4: nu = 4.5 is a valid Inverse-Wishart dof, but the default
         # Sigma0 = (nu - n - 1) * hist covariance would not be SPD
@@ -206,6 +233,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(out)]) == 2
         assert "base_seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_sweeping(self, demo_dir, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "run_sweep")
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
+        out = tmp_path / "no" / "such" / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(out)]) == 2
+        assert calls == []
 
     def test_error_row_isolation(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))
