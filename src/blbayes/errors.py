@@ -48,10 +48,6 @@ class InsufficientDataError(BlBayesError):
     """Not enough rows/observations for the requested computation."""
 
 
-class HyperparamError(BlBayesError):
-    """Transformed view hyperparameters could not be made positive definite."""
-
-
 class FormatError(BlBayesError):
     """Malformed input file (CSV/JSON)."""
 

@@ -32,10 +32,9 @@ from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams
 
 log = logging.getLogger(__name__)
 
-# Smallest view variance each variant tolerates before the covariance draws
-# degrade; override with allow_small_omega=True at your own risk.
-OMEGA_FLOOR_AUGMENTED = 1e-6
-OMEGA_FLOOR_NONSQUARE = 1e-9
+# Smallest view variance both Inverse-Wishart samplers tolerate before the
+# draws degrade; override with allow_small_omega=True at your own risk.
+OMEGA_FLOOR_IW = 1e-9
 OMEGA_FLOOR_HARD = 1e-12
 
 
@@ -228,7 +227,7 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
     Inverse-Wishart family is closed under congruence, so this is, in law,
     the chain in view space ``P* mu`` mapped back to asset space.
     """
-    check_omega_floor(views, OMEGA_FLOOR_AUGMENTED, cfg.allow_small_omega, "augmented")
+    check_omega_floor(views, OMEGA_FLOOR_IW, cfg.allow_small_omega, "augmented")
     aug = augment_to_invertible(views.p)
     q_star, omega_star = build_transformed_hyperparams(
         aug, views.q, views.omega, monthly_mean_vectors
@@ -239,5 +238,5 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
 def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
                     trace_path=None) -> PosteriorSummary:
     """Asset-space sampler with the investor's P unmodified."""
-    check_omega_floor(views, OMEGA_FLOOR_NONSQUARE, cfg.allow_small_omega, "non-square")
+    check_omega_floor(views, OMEGA_FLOOR_IW, cfg.allow_small_omega, "non-square")
     return _iw_chain(returns_current, views.p, views.q, views.omega, cfg, trace_path)

@@ -1,6 +1,6 @@
 """Investor views: the (P, q, Omega) triple, augmentation of P to an
-invertible square matrix P*, and the hyperparameters (q*, Omega*) of the
-prior on P* mu that the augmented-views Gibbs sampler uses."""
+invertible square matrix P*, and the SPD hyperparameters (q*, Omega*), with
+the investor's (q, Omega) in the view block, of the prior on P* mu."""
 
 from __future__ import annotations
 
@@ -12,16 +12,16 @@ import numpy as np
 from .errors import (
     AugmentationError,
     DimensionError,
-    HyperparamError,
     InsufficientDataError,
     RankError,
     ValidationError,
 )
-from .linalg import spd_inverse, symmetrize
+from .linalg import spd_cholesky, spd_inverse, symmetrize
 
 log = logging.getLogger(__name__)
 
 _RANK_TOL = 1e-10
+_RHO_MARGIN = 1e-6  # Omega* keeps rho (see below) at most 1 - _RHO_MARGIN
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,12 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
     (asset space): ``q* = P* mean(monthly)`` and
     ``Omega* = P* cov(monthly) P*'``, after which the first k entries of q*
     are overwritten with q and the top-left k-by-k block of Omega* with the
-    investor's Omega. The overwrite can dent positive definiteness, so
-    Omega* is floored at a relative eigenvalue of 1e-10 (shift logged).
+    investor's Omega. With ``C12`` the cross block and ``C22`` the estimated
+    block, that is SPD exactly when C22 is and
+    ``rho = |L_Omega^-1 C12 L22^-T|_2^2 < 1`` (Schur complement; the ``L``
+    are Cholesky factors). When ``rho >= 1 - 1e-6``, both cross blocks are
+    scaled by ``sqrt((1 - 1e-6) / rho)`` (logged), which keeps Omega and C22
+    exactly; otherwise Omega* is the overwrite bit for bit.
     """
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -192,16 +196,15 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
     omega_star = symmetrize(p_star @ var_mu @ p_star.T)
     omega_star[:k, :k] = omega
 
-    w = np.linalg.eigvalsh(omega_star)
-    floor = 1e-10 * w[-1]
-    if w[0] < floor:
-        shift = floor - w[0]
-        log.warning(
-            "Omega* not SPD after overwriting the view block; shifting diagonal by %.3e",
-            shift,
-        )
-        omega_star = omega_star + shift * np.eye(n)
-        w = np.linalg.eigvalsh(omega_star)
-        if w[0] <= 0:
-            raise HyperparamError("Omega* could not be repaired to SPD")
+    if k < n:
+        l_omega = spd_cholesky(omega, "Omega")
+        l_22 = spd_cholesky(omega_star[k:, k:], "Omega* estimated block")
+        white = np.linalg.solve(l_22, np.linalg.solve(l_omega, omega_star[:k, k:]).T)
+        rho = np.linalg.norm(white, 2) ** 2
+        if rho >= 1 - _RHO_MARGIN:
+            s = np.sqrt((1 - _RHO_MARGIN) / rho)
+            log.warning("Omega*: scaling the cross blocks by %.3e (rho = %.3e) so it "
+                        "is SPD with the view block kept at Omega", s, rho)
+            omega_star[:k, k:] *= s
+            omega_star[k:, :k] *= s
     return q_star, omega_star

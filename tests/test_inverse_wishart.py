@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blbayes import demo, inverse_wishart
-from blbayes.backtest import historical_covariance
+from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
@@ -121,9 +121,12 @@ class TestOmegaFloors:
         with pytest.raises(ValidationError, match="floor"):
             check_omega_floor(self.views([1e-10, 1e-7]), 1e-9, False, "non-square")
 
-    def test_augmented_floor(self):
-        with pytest.raises(ValidationError):
-            check_omega_floor(self.views([1e-7, 1e-7]), 1e-6, False, "augmented")
+    def test_augmented_floor(self, small_dataset):
+        # the augmented sampler shares the non-square one's floor
+        returns, views = small_dataset
+        months = np.random.default_rng(55).normal(size=(8, 2)) * 0.01
+        with pytest.raises(ValidationError, match="augmented floor 1e-09"):
+            gibbs_augmented(returns, views.with_omega([1e-10]), months, make_config())
 
     def test_override_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="blbayes.inverse_wishart"):
@@ -214,6 +217,19 @@ class TestChains:
             s = gibbs_nonsquare(returns, views.with_omega([om]), cfg)
             dists.append(np.linalg.norm(views.p @ s.mu_post - views.q))
         assert dists[0] > dists[1] > dists[2]
+
+    def test_augmented_distance_follows_omega_to_the_floor(self, demo_panel,
+                                                           demo_views_factory):
+        # Omega* keeps the investor's Omega in its view block at every
+        # confidence, so on the demo data the distance keeps falling below
+        # 1e-5, where the overwrite alone is not SPD, down to the 1e-9 floor
+        views = demo_views_factory()
+        settings = ModelSettings(iters=2000, burn=400)
+        d = {om: run_model("iw_augmented", demo_panel, views.with_omega([om, om]), settings,
+                           seed=11, compute_profit=False).distance
+             for om in (1e-4, 1e-6, 1e-9)}
+        assert d[1e-6] < d[1e-4]
+        assert d[1e-9] < d[1e-6] / 4
 
     def test_augmented_agrees_with_nonsquare_for_square_p(self):
         rng = np.random.default_rng(51)

@@ -12,7 +12,8 @@ from blbayes.errors import (
     RankError,
     ValidationError,
 )
-from blbayes.linalg import spd_inverse
+from blbayes.data import monthly_means
+from blbayes.linalg import spd_inverse, symmetrize
 from blbayes.views import (
     ViewSet,
     augment_to_invertible,
@@ -204,7 +205,8 @@ class TestTransformedHyperparams:
 
     def test_spd_repair_is_logged(self, caplog):
         # a tiny view variance against strongly correlated monthly means
-        # makes the overwritten matrix indefinite; the repair must log
+        # makes the overwritten matrix indefinite; the cross blocks are
+        # scaled, logged, and the view block stays Omega
         rng = np.random.default_rng(8)
         p = np.array([[1.0, 0.0]])
         aug = augment_to_invertible(p)
@@ -214,8 +216,30 @@ class TestTransformedHyperparams:
             _, omega_star = build_transformed_hyperparams(
                 aug, np.array([0.05]), np.array([[1e-10]]), months
             )
-        assert np.linalg.eigvalsh(omega_star)[0] > 0
-        assert any("shifting diagonal" in r.message for r in caplog.records)
+        np.linalg.cholesky(omega_star)
+        assert omega_star[0, 0] == 1e-10
+        assert omega_star[1, 1] == np.var(months[:, 1], ddof=1)
+        assert any("scaling the cross blocks" in r.message for r in caplog.records)
+
+    def test_demo_omega_star_keeps_both_blocks(self, demo_panel, demo_views_factory):
+        # the view block is Omega and the estimated block P* cov P*' at every
+        # confidence, and Omega* factors; where the overwrite is already SPD
+        # (1e-4 on the demo data) Omega* is that overwrite bit for bit
+        views = demo_views_factory()
+        months = monthly_means(demo_panel.historical, demo_panel.m)
+        aug = augment_to_invertible(views.p)
+        k = aug.k
+        full = symmetrize(aug.p_star @ np.cov(months, rowvar=False, ddof=1) @ aug.p_star.T)
+        for om in (1e-4, 1e-5, 1e-6, 1e-9):
+            omega = np.diag([om, om])
+            _, omega_star = build_transformed_hyperparams(aug, views.q, omega, months)
+            assert np.array_equal(omega_star[:k, :k], omega), om
+            assert np.array_equal(omega_star[k:, k:], full[k:, k:]), om
+            np.linalg.cholesky(omega_star)
+            if om == 1e-4:
+                overwrite = full.copy()
+                overwrite[:k, :k] = omega
+                assert np.array_equal(omega_star, overwrite)
 
     def test_insufficient_months(self):
         aug = augment_to_invertible(np.array([[1.0, 0.0]]))
