@@ -165,7 +165,8 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
     ``Omega* = P* cov(monthly) P*'``, after which the first k entries of q*
     are overwritten with q and the top-left k-by-k block of Omega* with the
     investor's Omega. With ``C12`` the cross block and ``C22`` the estimated
-    block, that is SPD exactly when C22 is and
+    block, that is SPD exactly when C22 is, which takes at least
+    ``max(2, n - k + 1)`` monthly means, and
     ``rho = |L_Omega^-1 C12 L22^-T|_2^2 < 1`` (Schur complement; the ``L``
     are Cholesky factors). When ``rho >= 1 - 1e-6``, both cross blocks are
     scaled by ``sqrt((1 - 1e-6) / rho)`` (logged), which keeps Omega and C22
@@ -181,9 +182,10 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
         raise DimensionError(
             f"monthly means must be (num_months, {n}), got {means.shape}"
         )
-    if means.shape[0] < 2:
+    need = max(2, n - k + 1)  # an SPD estimated block needs n - k + 1 months
+    if means.shape[0] < need:
         raise InsufficientDataError(
-            "need at least 2 monthly mean vectors to estimate their covariance"
+            f"need at least {need} monthly mean vectors, got {means.shape[0]}"
         )
     if q.shape != (k,) or omega.shape != (k, k):
         raise DimensionError("q/Omega shape does not match the view count")

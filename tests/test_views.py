@@ -248,6 +248,17 @@ class TestTransformedHyperparams:
                 aug, np.array([0.05]), np.array([[1e-4]]), np.array([[0.01, 0.02]])
             )
 
+    def test_months_for_an_spd_estimated_block(self):
+        # two views on four assets: the 2-by-2 estimated block of two monthly
+        # means has rank 1, so three are needed
+        aug = augment_to_invertible(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]))
+        q, omega = np.array([0.02, 0.05]), np.diag([1e-4, 1e-4])
+        months = np.random.default_rng(9).normal(size=(3, 4)) * 0.01
+        with pytest.raises(InsufficientDataError, match="at least 3 monthly"):
+            build_transformed_hyperparams(aug, q, omega, months[:2])
+        _, omega_star = build_transformed_hyperparams(aug, q, omega, months)
+        assert np.array_equal(omega_star[:2, :2], omega)
+
     def test_dimension_mismatch(self):
         aug = augment_to_invertible(np.array([[1.0, 0.0]]))
         with pytest.raises(DimensionError):
