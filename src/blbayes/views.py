@@ -20,6 +20,8 @@ from .linalg import spd_cholesky, spd_inverse, symmetrize
 
 log = logging.getLogger(__name__)
 
+# Singular values below this count as zero in the rank tests of
+# augment_to_invertible, which scales P to a largest singular value of 1.
 _RANK_TOL = 1e-10
 _RHO_MARGIN = 1e-6  # Omega* keeps rho (see below) at most 1 - _RHO_MARGIN
 
@@ -113,7 +115,8 @@ def augment_to_invertible(p) -> AugmentedViews:
     more than one nonzero entry (rule 2; the pivot of a row is its first
     nonzero column), then one for every column in ascending order (the fill).
     A row that does not raise the rank is skipped, and the loop stops once
-    the matrix is square.
+    the matrix is square. The rank tests run on P divided by its largest
+    singular value, so the rows added do not depend on the scale of P.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
@@ -121,8 +124,10 @@ def augment_to_invertible(p) -> AugmentedViews:
     k, n = p.shape
     if k > n:
         raise RankError(f"more views ({k}) than assets ({n})")
-    if _rank(p) < k:
-        raise RankError(f"P has row rank {_rank(p)} < k = {k}")
+    scale = np.linalg.norm(p, 2)
+    stack = p / scale if scale > 0 else p
+    if _rank(stack) < k:
+        raise RankError(f"P has row rank {_rank(stack)} < k = {k}")
 
     pivot_cols = {int(np.flatnonzero(p[i])[0]) for i in range(k)}
     candidates: list[int] = []
@@ -138,22 +143,16 @@ def augment_to_invertible(p) -> AugmentedViews:
                 candidates.append(int(j))
 
     unit_rows = np.eye(n)
-    p_star = p
     for j in candidates + list(range(n)):
-        if p_star.shape[0] == n:
+        if stack.shape[0] == n:
             break
-        trial = np.vstack([p_star, unit_rows[j]])
+        trial = np.vstack([stack, unit_rows[j]])
         if _rank(trial) == trial.shape[0]:
-            p_star = trial
+            stack = trial
 
-    if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
-        raise AugmentationError(
-            "augmentation rules produced a singular square matrix "
-            f"(det = {np.linalg.det(p_star) if p_star.shape == (n, n) else 'n/a'})"
-        )
-    out = AugmentedViews(p_star=p_star, added_rows=p_star[k:])
-    assert np.array_equal(out.p_star[:k], p)
-    return out
+    if stack.shape != (n, n):
+        raise AugmentationError("the augmentation rules could not complete P")
+    return AugmentedViews(p_star=np.vstack([p, stack[k:]]), added_rows=stack[k:])
 
 
 def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):

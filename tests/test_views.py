@@ -114,12 +114,23 @@ class TestAugmentation:
             augment_to_invertible(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_relative_views_needing_fallback(self):
-        # non-pivot entries all sit in pivot columns of other rows, so the
-        # two bullet rules alone cannot finish; the ascending-basis fill must
+        # the first row's non-pivot entry sits in the second row's pivot
+        # column and offers nothing, but the second row's offers column 2,
+        # so rule 2 completes P without the fill
         p = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         aug = augment_to_invertible(p)
         assert abs(np.linalg.det(aug.p_star)) >= 1e-12
         assert np.array_equal(aug.p_star[:2], p)
+        np.testing.assert_array_equal(aug.added_rows, [[0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e11])
+    def test_scaled_views_add_the_same_rows(self, scale):
+        # the rank tests do not depend on the scale of P
+        for p in ([[1.0, -1.0, 0.0, 0.0]], [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]):
+            p = np.array(p)
+            aug = augment_to_invertible(scale * p)
+            np.testing.assert_array_equal(aug.added_rows, augment_to_invertible(p).added_rows)
+            assert np.array_equal(aug.p_star[: p.shape[0]], scale * p)
 
     def test_rejected_candidate_is_skipped(self):
         # rule 2 offers column 1, then column 2; the unit row of column 1 is
