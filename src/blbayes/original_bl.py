@@ -34,9 +34,10 @@ class EquilibriumInputs:
     def __post_init__(self):
         object.__setattr__(self, "w_eq", np.asarray(self.w_eq, dtype=float))
         object.__setattr__(self, "sigma", require_spd(self.sigma, "Sigma"))
-        if self.risk_aversion <= 0:
+        # written as "not > 0" so that NaN is rejected too
+        if not self.risk_aversion > 0:
             raise ValidationError("risk_aversion", "must be > 0")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValidationError("tau", "must be > 0")
         if self.w_eq.shape != (self.sigma.shape[0],):
             raise DimensionError("w_eq length does not match Sigma")
@@ -70,7 +71,7 @@ def bl_posterior(pi, tau: float, sigma, views: ViewSet | None) -> BlPosterior:
     """
     pi = np.asarray(pi, dtype=float)
     sigma = require_spd(sigma, "Sigma")
-    if tau <= 0:
+    if not tau > 0:  # NaN fails too
         raise ValidationError("tau", "must be > 0")
     n = sigma.shape[0]
     if pi.shape != (n,):

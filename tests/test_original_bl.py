@@ -4,6 +4,7 @@ equilibrium-plus-tilts decomposition."""
 import numpy as np
 import pytest
 
+from blbayes.errors import ValidationError
 from blbayes.original_bl import (
     BlPosterior,
     EquilibriumInputs,
@@ -46,7 +47,19 @@ class TestEquilibrium:
         np.testing.assert_allclose(equilibrium_returns(inp), [0.0625, 0.125], rtol=1e-14)
 
 
+    @pytest.mark.parametrize("field", ["risk_aversion", "tau"])
+    def test_nan_scalar_rejected(self, field):
+        kw = dict(risk_aversion=2.5, w_eq=np.full(2, 0.5), sigma=np.eye(2), tau=0.05)
+        kw[field] = float("nan")
+        with pytest.raises(ValidationError, match=field):
+            EquilibriumInputs(**kw)
+
+
 class TestBlPosterior:
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValidationError, match="tau"):
+            bl_posterior(np.zeros(2), float("nan"), np.eye(2), None)
+
     def test_no_views_prior_only(self):
         sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
         pi = np.array([0.03, 0.05])
