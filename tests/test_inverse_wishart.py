@@ -231,18 +231,6 @@ class TestChains:
         assert d[1e-6] < d[1e-4]
         assert d[1e-9] < d[1e-6] / 4
 
-    def test_augmented_agrees_with_nonsquare_for_square_p(self):
-        rng = np.random.default_rng(51)
-        n, m = 2, 25
-        returns = rng.multivariate_normal([0.01, -0.02], random_spd(rng, n, jitter=0.3) * 0.01, size=m)
-        views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
-        cfg = make_config(iters=12_000, burn=1500, seed=314)
-        months = rng.normal(size=(8, 2)) * 0.01
-        sa = gibbs_augmented(returns, views, months, cfg)
-        sb = gibbs_nonsquare(returns, views, replace(cfg, seed=2718))
-        comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
-        assert np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb)
-
     def test_augmented_is_nonsquare_chain_for_square_p(self, tmp_path):
         # a square invertible P gains no row and keeps q and Omega, so the
         # augmented sampler runs the very chain of the non-square one
