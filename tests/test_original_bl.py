@@ -46,7 +46,6 @@ class TestEquilibrium:
         inp = EquilibriumInputs(2.5, np.array([0.5, 0.5]), sigma, 0.05)
         np.testing.assert_allclose(equilibrium_returns(inp), [0.0625, 0.125], rtol=1e-14)
 
-
     @pytest.mark.parametrize("field", ["risk_aversion", "tau"])
     def test_nan_scalar_rejected(self, field):
         kw = dict(risk_aversion=2.5, w_eq=np.full(2, 0.5), sigma=np.eye(2), tau=0.05)

@@ -229,7 +229,7 @@ class TestTransformedHyperparams:
             )
         np.linalg.cholesky(omega_star)
         assert omega_star[0, 0] == 1e-10
-        assert omega_star[1, 1] == np.var(months[:, 1], ddof=1)
+        assert omega_star[1, 1] == np.cov(months, rowvar=False, ddof=1)[1, 1]
         assert any("scaling the cross blocks" in r.message for r in caplog.records)
 
     def test_demo_omega_star_keeps_both_blocks(self, demo_panel, demo_views_factory):
