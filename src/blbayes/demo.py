@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PricePanel, ReturnPanel, compute_returns
-from .sampling import RngStream, sample_mvn
+from .sampling import RngStream
 from .views import ViewSet
 
 DEMO_SEED = 20140102
@@ -56,11 +56,12 @@ def demo_dates() -> list[date]:
 def demo_price_panel() -> PricePanel:
     """Deterministically regenerated price panel."""
     dates = demo_dates()
-    rng = RngStream(DEMO_SEED)
+    gen = RngStream(DEMO_SEED).generator
+    chol = np.linalg.cholesky(DEMO_DAILY_COV)
     prices = np.empty((len(dates), len(DEMO_TICKERS)))
     prices[0] = DEMO_START_PRICES
     for t in range(1, len(dates)):
-        r = sample_mvn(DEMO_DAILY_MEAN, DEMO_DAILY_COV, rng)
+        r = DEMO_DAILY_MEAN + chol @ gen.standard_normal(len(DEMO_TICKERS))
         prices[t] = prices[t - 1] * (1.0 + r)
     return PricePanel(tickers=DEMO_TICKERS, dates=tuple(dates), prices=prices)
 

@@ -13,7 +13,8 @@ loop itself, :func:`gibbs_chain`, is shared with the log-covariance sampler,
 which supplies its own covariance step. Every covariance step returns the
 draw together with its inverse and its log det, computed from the factor the
 step already holds, so the loop neither inverts nor factors a drawn
-covariance.
+covariance. The mean draw takes its conditional in precision form and factors
+that precision once, so no matrix is inverted in the loop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
 from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
-from .linalg import require_spd, spd_inverse, symmetrize
+from .linalg import require_spd, symmetrize
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
@@ -103,17 +104,6 @@ def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: 
         )
 
 
-def _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m: int):
-    """Mean and covariance of the mean-return conditional,
-    ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
-    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``, from ``Sigma^-1`` and
-    the views' ``(P' Omega^-1 P, P' Omega^-1 q)`` of
-    :func:`~blbayes.views.view_precision`."""
-    cov = spd_inverse(symmetrize(m * sigma_inv + prior_prec), "mu conditional precision")
-    mean = cov @ (m * sigma_inv @ rbar + prior_vec)
-    return mean, cov
-
-
 def sigma_conditional(residual_scatter, nu: float, sigma0, m: int):
     """Inverse-Wishart parameters of the covariance conditional:
     ``(nu + m, Sigma0 + sum_i (r_i - mu)(r_i - mu)')``."""
@@ -152,7 +142,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     its log det (for the trace) and an accept flag. The step logs the "Sigma
     draw" condition warning. The loop then draws mu from its normal
     conditional given that covariance and the views ``p_eff``, ``q_eff``,
-    ``omega_eff``, whose precision it builds from ``sigma_inv``. ``cfg``
+    ``omega_eff``: with precision ``m Sigma^-1 + P' Omega^-1 P`` and shift
+    ``m Sigma^-1 rbar + P' Omega^-1 q``, built from ``sigma_inv`` and drawn
+    from the precision's one Cholesky factor (:func:`sample_mvn`). ``cfg``
     supplies ``iters``, ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the
     accept flag to the trace rows.
 
@@ -174,8 +166,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     try:
         for t in range(cfg.iters):
             sigma, sigma_inv, log_det, accepts[t] = sigma_step(mu, rng)
-            mean, cov = _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
-            mu = sample_mvn(mean, cov, rng)
+            mu = sample_mvn(m * sigma_inv @ rbar + prior_vec,
+                            precision=m * sigma_inv + prior_prec, rng=rng,
+                            name="mu conditional precision")
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
                 raise ChainError("non-finite draw in Gibbs chain", iteration=t)
             mu_draws[t] = mu

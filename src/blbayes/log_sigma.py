@@ -45,7 +45,7 @@ from .linalg import (
     vec_star_inverse,
     warn_condition,
 )
-from .sampling import sample_inverse_gamma, sample_mvn_precision
+from .sampling import sample_inverse_gamma, sample_mvn
 from .views import ViewSet
 
 log = logging.getLogger(__name__)
@@ -331,9 +331,9 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         s_mat = _scatter(returns_current, mu)
         quad = build_Q(s_mat, m)
         g_mat = build_G(n, sigma1_sq, sigma2_sq)
-        candidate = sample_mvn_precision(
-            quad.q_matrix @ quad.lambda_vec, quad.q_matrix + g_mat, rng
-        )
+        candidate = sample_mvn(quad.q_matrix @ quad.lambda_vec,
+                               precision=quad.q_matrix + g_mat, rng=rng,
+                               name="log_sigma proposal precision Q+G")
         w, v, exp_neg_a = _decompose(candidate)
         loglik = _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m)
         log_rho = mh_log_ratio(candidate, alpha, loglik,

@@ -10,7 +10,9 @@ degrees of freedom that appears in the conjugate covariance posterior, and
 ``E[X] = scale / (nu - n - 1)`` when ``nu > n + 1``. Conventions for this
 family vary between texts; this one is pinned here on purpose. A draw comes
 with its inverse, both from the one Bartlett factor, so no sampler inverts a
-drawn covariance. Every kernel here is numpy-only.
+drawn covariance. The multivariate normal is given by its precision, the form
+in which every sampler's normal conditional arises, and is drawn from that
+precision's one Cholesky factor. Every kernel here is numpy-only.
 """
 
 from __future__ import annotations
@@ -57,39 +59,24 @@ class RngStream:
         return self._gen
 
 
-def sample_mvn(mean, cov, rng: RngStream) -> np.ndarray:
-    """One draw from N(mean, cov) via the Cholesky factor of ``cov``."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or mean.shape != (cov.shape[0],):
-        raise DimensionError(
-            f"sample_mvn: mean {mean.shape} does not match cov {cov.shape}"
-        )
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("sample_mvn: covariance is not SPD") from exc
-    z = rng.generator.standard_normal(mean.size)
-    return mean + chol @ z
-
-
-def sample_mvn_precision(shift, precision, rng: RngStream) -> np.ndarray:
+def sample_mvn(shift, *, precision, rng: RngStream,
+               name: str = "sample_mvn precision") -> np.ndarray:
     """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
     Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
 
-    Takes as many standard normals from ``rng`` as :func:`sample_mvn` of the
-    same dimension. The factor logs the condition warning of
-    :func:`~blbayes.linalg.spd_cholesky`.
+    ``precision`` is keyword-only, so a covariance passed by position is a
+    ``TypeError``, not a draw from the wrong law. Takes ``shift.size``
+    standard normals from ``rng``. The factor logs the condition warning of
+    :func:`~blbayes.linalg.spd_cholesky` under ``name``.
     """
     shift = np.asarray(shift, dtype=float)
     precision = np.asarray(precision, dtype=float)
     if (precision.ndim != 2 or precision.shape[0] != precision.shape[1]
             or shift.shape != (precision.shape[0],)):
         raise DimensionError(
-            f"sample_mvn_precision: shift {shift.shape} does not match "
-            f"precision {precision.shape}"
+            f"sample_mvn: shift {shift.shape} does not match precision {precision.shape}"
         )
-    chol = spd_cholesky(precision, "sample_mvn_precision precision")
+    chol = spd_cholesky(precision, name)
     z = rng.generator.standard_normal(shift.size)
     return np.linalg.solve(chol.T, np.linalg.solve(chol, shift) + z)
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,40 @@ def random_spd(rng, n, jitter=0.1):
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return 0.5 * (a + a.T)
+
+
+def count_engine_calls(monkeypatch, owner, attr):
+    """Count the calls of ``owner.<attr>``: replace it there and in every
+    ``blbayes`` module that binds it by name, and return the call list."""
+    original = getattr(owner, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "blbayes" or name.startswith("blbayes.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def calls_per_iteration(run_chain, counters, iters=(20, 40)):
+    """Calls per chain iteration of each counter in ``counters``.
+
+    ``run_chain(iters)`` runs at two lengths and the counts are differenced,
+    so calls made once per chain (set-up, summary) cancel.
+    """
+    totals = []
+    for length in iters:
+        for calls in counters:
+            calls.clear()
+        run_chain(length)
+        totals.append([len(calls) for calls in counters])
+    return [(b - a) / (iters[1] - iters[0]) for a, b in zip(*totals)]
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the engine against.
 
 Two kinds live here. The first are closed forms that no code in the package
-calls: the mean-return conditional as a (mean, covariance) pair, completing
+calls: the mean-return conditional as a (shift, precision) and as a (mean,
+covariance) pair, completing
 the square, the Volterra log density and the symmetric matrix exponential.
 The second are longhand forms of engine code: the f-vectors of all n^2
 eigenvector pairs, xi with both branches always evaluated, the prior
@@ -16,7 +17,7 @@ import numpy as np
 
 from blbayes.diagnostics import summarize_mu_sigma
 from blbayes.errors import AugmentationError, DimensionError, RankError
-from blbayes.inverse_wishart import _iw_step, _mu_conditional_pre, gibbs_chain
+from blbayes.inverse_wishart import _iw_step, gibbs_chain
 from blbayes.linalg import (
     require_spd,
     require_symmetric,
@@ -36,14 +37,11 @@ from blbayes.views import (
 )
 
 
-def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
-    """Mean and covariance of the mean-return conditional.
-
-    ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
-    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``. ``omega_eff=None``
-    drops the view term entirely (the vague-views limit: mean -> rbar,
-    cov -> Sigma/m).
-    """
+def mu_conditional_precision(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
+    """Shift and precision of the mean-return conditional,
+    ``(m Sigma^-1 rbar + P' Omega^-1 q, m Sigma^-1 + P' Omega^-1 P)``: the
+    form :func:`~blbayes.sampling.sample_mvn` draws from. ``omega_eff=None``
+    drops the view term entirely (the vague-views limit)."""
     rbar = np.asarray(rbar, dtype=float)
     n = rbar.size
     sigma_inv = spd_inverse(sigma, "mu conditional Sigma")
@@ -52,7 +50,20 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
         prior_vec = np.zeros(n)
     else:
         prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
-    return _mu_conditional_pre(rbar, sigma_inv, prior_prec, prior_vec, m)
+    return m * sigma_inv @ rbar + prior_vec, symmetrize(m * sigma_inv + prior_prec)
+
+
+def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
+    """Mean and covariance of the mean-return conditional.
+
+    ``cov = (m Sigma^-1 + P' Omega^-1 P)^-1`` and
+    ``mean = cov (m Sigma^-1 rbar + P' Omega^-1 q)``. ``omega_eff=None``
+    drops the view term entirely (the vague-views limit: mean -> rbar,
+    cov -> Sigma/m).
+    """
+    shift, precision = mu_conditional_precision(rbar, sigma, q_eff, omega_eff, p_eff, m)
+    cov = spd_inverse(precision, "mu conditional precision")
+    return cov @ shift, cov
 
 
 def complete_square(a_mat, a_vec, b_mat, b_vec):

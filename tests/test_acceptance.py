@@ -36,7 +36,13 @@ from blbayes.original_bl import (
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible
 from conftest import random_spd
-from oracles import StructuralDesign, complete_square, mu_conditional, volterra_log_density
+from oracles import (
+    StructuralDesign,
+    complete_square,
+    mu_conditional,
+    mu_conditional_precision,
+    volterra_log_density,
+)
 
 
 def check(num: int, name: str, ok: bool, started: float, budget: float):
@@ -249,8 +255,10 @@ def test_criterion_07_gibbs_conjugacy_cross_check():
     views = ViewSet(p, np.array([0.05]), np.array([2e-3]))
     rbar = rng.normal(size=n) * 0.01
     mean, cov = mu_conditional(rbar, sigma, views.q, views.omega, p, m)
+    shift, precision = mu_conditional_precision(rbar, sigma, views.q, views.omega, p, m)
     stream = RngStream(1007)
-    draws = np.array([sample_mvn(mean, cov, stream) for _ in range(10_000)])
+    draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
+                      for _ in range(10_000)])
     se = np.sqrt(np.diag(cov) / draws.shape[0])
     part_a = bool(np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se))
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blbayes import demo, inverse_wishart
+from blbayes import demo, linalg
 from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
 from blbayes.errors import InsufficientDataError, ValidationError
@@ -20,12 +20,11 @@ from blbayes.inverse_wishart import (
     gibbs_nonsquare,
     sigma_conditional,
 )
-from blbayes.linalg import spd_inverse
 from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
-from conftest import random_spd
-from oracles import gibbs_augmented_view_space, mu_conditional
+from conftest import calls_per_iteration, count_engine_calls, random_spd
+from oracles import gibbs_augmented_view_space, mu_conditional, mu_conditional_precision
 
 
 def make_config(n=2, **kw):
@@ -286,25 +285,32 @@ class TestChains:
         z = (mean_a - mean_b) / np.sqrt(se_a**2 + se_b**2)
         assert np.abs(z).max() < 4
 
+    @staticmethod
+    def chain(returns, views, variant):
+        months = np.random.default_rng(52).normal(size=(8, 2)) * 0.01
+
+        def run(iters):
+            cfg = make_config(iters=iters, burn=5)
+            if variant == "nonsquare":
+                gibbs_nonsquare(returns, views, cfg)
+            else:
+                gibbs_augmented(returns, views, months, cfg)
+        return run
+
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
-    def test_inverts_once_per_iteration(self, small_dataset, monkeypatch, variant):
-        # the covariance step returns its draw's inverse, so the loop inverts
-        # only the mu conditional's precision
-        returns, views = small_dataset
-        calls = []
+    def test_loop_inverts_nothing(self, small_dataset, monkeypatch, variant):
+        # the covariance step returns its draw's inverse and mu is drawn from
+        # its precision, so spd_inverse runs only in set-up (Omega^-1)
+        calls = count_engine_calls(monkeypatch, linalg, "spd_inverse")
+        assert calls_per_iteration(self.chain(*small_dataset, variant), [calls]) == [0]
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return spd_inverse(*args, **kwargs)
-
-        monkeypatch.setattr(inverse_wishart, "spd_inverse", counting)
-        cfg = make_config(iters=40, burn=10)
-        if variant == "nonsquare":
-            gibbs_nonsquare(returns, views, cfg)
-        else:
-            months = np.random.default_rng(52).normal(size=(8, 2)) * 0.01
-            gibbs_augmented(returns, views, months, cfg)
-        assert len(calls) == 40
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_factors_each_matrix_once(self, small_dataset, monkeypatch, variant):
+        # per iteration: one Cholesky factor of the Inverse-Wishart scale,
+        # one of mu's conditional precision, and no inverse
+        counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
+                    count_engine_calls(monkeypatch, np.linalg, "inv")]
+        assert calls_per_iteration(self.chain(*small_dataset, variant), counters) == [2, 0]
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
@@ -415,7 +421,9 @@ class TestMuSamplerLongRun:
         views = ViewSet(p, np.array([0.05]), np.array([2e-3]))
         rbar = rng.normal(size=n) * 0.01
         mean, cov = mu_conditional(rbar, sigma, views.q, views.omega, p, m)
+        shift, precision = mu_conditional_precision(rbar, sigma, views.q, views.omega, p, m)
         stream = RngStream(71)
-        draws = np.array([sample_mvn(mean, cov, stream) for _ in range(10_000)])
+        draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
+                          for _ in range(10_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)

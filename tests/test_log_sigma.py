@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from blbayes import inverse_wishart, log_sigma
+from blbayes import linalg, log_sigma
 from blbayes.diagnostics import posterior_mean_se
 from blbayes.errors import (
     BasisError,
@@ -40,7 +40,7 @@ from blbayes.log_sigma import (
 )
 from blbayes.sampling import RngStream, sample_mvn
 from blbayes.views import ViewSet
-from conftest import random_spd, random_symmetric
+from conftest import calls_per_iteration, count_engine_calls, random_spd, random_symmetric
 from oracles import (
     StructuralDesign,
     f_vectors_all_pairs,
@@ -449,15 +449,17 @@ class TestMhRatio:
         m = 30
         quad = build_Q(s, m)
         g = 0.4 * (np.eye(3) - np.ones((3, 3)) / 3)
-        prop_cov = spd_inverse(quad.q_matrix + g)
-        center = prop_cov @ (quad.q_matrix @ quad.lambda_vec)
+        prop_prec = quad.q_matrix + g
+        prop_shift = quad.q_matrix @ quad.lambda_vec
+        prop_cov = spd_inverse(prop_prec)
+        center = prop_cov @ prop_shift
 
         stream = RngStream(99)
         alpha = quad.lambda_vec.copy()
         n_iter, burn = 40_000, 2_000
         draws = np.empty((n_iter, 3))
         for t in range(n_iter):
-            cand = sample_mvn(center, prop_cov, stream)
+            cand = sample_mvn(prop_shift, precision=prop_prec, rng=stream)
             lr = self.ratio(cand, alpha, s, m, quad)
             if np.log(stream.generator.random()) < lr:
                 alpha = cand
@@ -561,19 +563,24 @@ class TestGibbsLogSigma:
         gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
         assert len(calls) == 50
 
-    def test_inverts_once_per_iteration(self, four_asset_data, monkeypatch):
-        # the step hands the loop Sigma^-1, so only the mu conditional's
-        # precision is inverted
-        returns, views = four_asset_data
-        calls = []
+    @staticmethod
+    def chain(returns, views):
+        def run(iters):
+            gibbs_log_sigma(returns, views, LogSigmaConfig(iters=iters, burn=5, seed=4))
+        return run
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return spd_inverse(*args, **kwargs)
+    def test_loop_inverts_nothing(self, four_asset_data, monkeypatch):
+        # the step hands the loop Sigma^-1 and mu is drawn from its
+        # precision, so spd_inverse runs only in set-up (Omega^-1)
+        calls = count_engine_calls(monkeypatch, linalg, "spd_inverse")
+        assert calls_per_iteration(self.chain(*four_asset_data), [calls]) == [0]
 
-        monkeypatch.setattr(inverse_wishart, "spd_inverse", counting)
-        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=50, burn=10, seed=4))
-        assert len(calls) == 50
+    def test_factors_each_matrix_once(self, four_asset_data, monkeypatch):
+        # per iteration: one Cholesky factor of the proposal precision Q+G,
+        # one of mu's conditional precision, and no inverse
+        counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
+                    count_engine_calls(monkeypatch, np.linalg, "inv")]
+        assert calls_per_iteration(self.chain(*four_asset_data), counters) == [2, 0]
 
     def test_decomposes_once_per_iteration(self, four_asset_data, monkeypatch, tmp_path):
         # one eigh of the scatter in build_Q and one of the candidate, on

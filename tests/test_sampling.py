@@ -9,7 +9,7 @@ from scipy import stats
 from blbayes.errors import (
     DegreesOfFreedomError,
     DimensionError,
-    NotPositiveDefiniteError,
+    NumericalError,
     ParameterError,
 )
 from blbayes.sampling import (
@@ -18,22 +18,20 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
-    sample_mvn_precision,
 )
 from conftest import random_spd
 
 
 class TestDeterminism:
     def test_same_stream_replays(self):
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        a = sample_mvn(np.zeros(2), cov, RngStream(42, 1))
-        b = sample_mvn(np.zeros(2), cov, RngStream(42, 1))
+        precision = np.array([[2.0, 0.3], [0.3, 1.0]])
+        a = sample_mvn(np.zeros(2), precision=precision, rng=RngStream(42, 1))
+        b = sample_mvn(np.zeros(2), precision=precision, rng=RngStream(42, 1))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        cov = np.eye(2)
-        a = sample_mvn(np.zeros(2), cov, RngStream(42, 1))
-        b = sample_mvn(np.zeros(2), cov, RngStream(42, 2))
+        a = sample_mvn(np.zeros(2), precision=np.eye(2), rng=RngStream(42, 1))
+        b = sample_mvn(np.zeros(2), precision=np.eye(2), rng=RngStream(42, 2))
         assert not np.array_equal(a, b)
 
     def test_inverse_wishart_replays(self):
@@ -58,7 +56,8 @@ class TestDeterminism:
 class TestMvn:
     def test_moments_identity_covariance(self):
         rng = RngStream(123)
-        draws = np.array([sample_mvn(np.zeros(3), np.eye(3), rng) for _ in range(100_000)])
+        draws = np.array([sample_mvn(np.zeros(3), precision=np.eye(3), rng=rng)
+                          for _ in range(100_000)])
         var = draws.var(axis=0)
         assert np.all(var > 0.97) and np.all(var < 1.03)
         # mean within 4 standard errors of 0
@@ -68,26 +67,32 @@ class TestMvn:
     def test_general_covariance_mean(self):
         cov = np.array([[0.5, 0.2], [0.2, 0.8]])
         mean = np.array([1.0, -2.0])
+        precision = np.linalg.inv(cov)
         rng = RngStream(124)
-        draws = np.array([sample_mvn(mean, cov, rng) for _ in range(50_000)])
+        draws = np.array([sample_mvn(precision @ mean, precision=precision, rng=rng)
+                          for _ in range(50_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
     def test_rejects_non_spd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            sample_mvn(np.zeros(2), np.diag([1.0, -1.0]), RngStream(1))
+        with pytest.raises(NumericalError, match="not SPD probe: Cholesky failed"):
+            sample_mvn(np.zeros(2), precision=np.diag([1.0, -1.0]), rng=RngStream(1),
+                       name="not SPD probe")
 
     def test_rejects_zero_covariance(self):
-        # the degenerate cov -> 0 limit is disallowed, not silently sampled
-        with pytest.raises(NotPositiveDefiniteError):
-            sample_mvn(np.zeros(2), np.zeros((2, 2)), RngStream(1))
+        # the degenerate precision -> 0 limit (infinite covariance) is
+        # disallowed, not silently sampled
+        with pytest.raises(NumericalError):
+            sample_mvn(np.zeros(2), precision=np.zeros((2, 2)), rng=RngStream(1))
 
     def test_shape(self):
-        d = sample_mvn(np.zeros(5), np.eye(5), RngStream(2))
+        d = sample_mvn(np.zeros(5), precision=np.eye(5), rng=RngStream(2))
         assert d.shape == (5,)
 
 
 class TestMvnPrecision:
+    """The precision form: law, normals used, condition warning, shapes."""
+
     def test_moments(self):
         rng = np.random.default_rng(125)
         precision = random_spd(rng, 6)
@@ -96,19 +101,25 @@ class TestMvnPrecision:
         mean = cov @ shift
         stream = RngStream(126)
         n = 20_000
-        draws = np.array([sample_mvn_precision(shift, precision, stream) for _ in range(n)])
+        draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
+                          for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
         # Var(x_i x_j) = cov_ii cov_jj + cov_ij^2 for a centred normal
         cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
 
-    def test_uses_as_many_normals_as_sample_mvn(self):
+    def test_draws_n_standard_normals(self):
         precision = random_spd(np.random.default_rng(127), 5)
         a, b = RngStream(128), RngStream(128)
-        sample_mvn_precision(np.ones(5), precision, a)
-        sample_mvn(np.zeros(5), np.linalg.inv(precision), b)
+        sample_mvn(np.ones(5), precision=precision, rng=a)
+        b.generator.standard_normal(5)
         assert a.generator.random() == b.generator.random()
+
+    def test_precision_is_keyword_only(self):
+        # a covariance passed by position must not be drawn as a precision
+        with pytest.raises(TypeError):
+            sample_mvn(np.zeros(2), np.eye(2), RngStream(1))
 
     def test_ill_conditioned_precision_warns(self, caplog):
         q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))
@@ -116,13 +127,13 @@ class TestMvnPrecision:
         precision = 0.5 * (precision + precision.T)
         assert 0.5e11 < np.linalg.cond(precision) < 2e11
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_mvn_precision(np.ones(3), precision, RngStream(3))
+            sample_mvn(np.ones(3), precision=precision, rng=RngStream(3), name="probe Q")
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "condition number" in caplog.records[0].message
+        assert caplog.records[0].message.startswith("probe Q: condition number")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            sample_mvn_precision(np.zeros(3), np.eye(2), RngStream(1))
+            sample_mvn(np.zeros(3), precision=np.eye(2), rng=RngStream(1))
 
 
 class TestInverseWishart:
