@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -179,8 +180,9 @@ class SweepGrid:
         object.__setattr__(self, "omega2_values", o2)
         if not o1 or not o2:
             raise ValidationError("grid", "omega value lists must be non-empty")
-        if any(v <= 0 for v in o1 + o2):
-            raise ValidationError("grid", "omega values must be positive")
+        # a chained "0 < v < inf" is False for NaN and infinity too
+        if not all(0 < v < math.inf for v in o1 + o2):
+            raise ValidationError("grid", "omega values must be finite and > 0")
         if self.model not in MODELS:
             raise ValidationError("grid.model", f"unknown model {self.model!r}")
 

@@ -144,8 +144,8 @@ def _cmd_backtest(args) -> int:
         weights = np.asarray(doc, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError("weights", f"expected a flat array of numbers: {exc}")
-    if weights.ndim != 1:
-        raise ValidationError("weights", "expected a flat array of weights")
+    if weights.ndim != 1 or not np.all(np.isfinite(weights)):
+        raise ValidationError("weights", "expected a flat array of finite weights")
     profit, curve = backtest_profit(weights, panel.test, cfg.settings.capital)
     payload = {
         "capital": cfg.settings.capital,

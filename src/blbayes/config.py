@@ -9,6 +9,7 @@ entry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -32,22 +33,28 @@ def _get(doc: dict, key: str, kind, path: str, required: bool = True, default=No
             raise ValidationError(path, "missing required field")
         return default
     value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        return _number(value, path)
     if kind is not None and not isinstance(value, kind):
         raise ValidationError(path, f"expected {getattr(kind, '__name__', kind)}")
     return value
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float. ``json`` parses ``NaN`` and
+    ``Infinity``; every number of a config or grid passes through here, so
+    none reaches a model."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(path, "expected a number")
+    if not math.isfinite(value):
+        raise ValidationError(path, f"expected a finite number, got {value}")
+    return float(value)
+
+
 def _number_list(value, path: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ValidationError(path, "expected a non-empty array of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{path}[{i}]", "expected a number")
-        out.append(float(v))
-    return out
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,7 @@ class RunConfig:
 
         nu = doc.get("nu")
         if nu is not None:
-            if isinstance(nu, bool) or not isinstance(nu, (int, float)):
-                raise ValidationError("nu", "expected a number or null")
-            nu = float(nu)
+            nu = _number(nu, "nu")
             if nu <= n - 1:
                 raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
         sigma0 = doc.get("sigma0")

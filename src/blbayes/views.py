@@ -55,8 +55,9 @@ class ViewSet:
             raise ValidationError(
                 "views.omega", f"expected length {k}, got shape {self.omega_diag.shape}"
             )
-        if np.any(self.omega_diag <= 0):
-            raise ValidationError("views.omega", "all entries must be strictly positive")
+        # "not > 0" and isfinite, so that NaN and infinity are rejected too
+        if not np.all((self.omega_diag > 0) & np.isfinite(self.omega_diag)):
+            raise ValidationError("views.omega", "all entries must be finite and > 0")
         if np.any(~self.p.any(axis=1)):
             raise ValidationError("views.P", "contains an all-zero row")
 

@@ -184,6 +184,11 @@ class TestSweep:
             distances += [r.distance for r in run_sweep(grid, panel, views, settings)]
         assert len(set(distances)) == len(distances) == 4
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_grid_rejects_non_finite_or_nonpositive_omega(self, value):
+        with pytest.raises(ValidationError, match="omega values must be finite and > 0"):
+            SweepGrid((value, 1e-4), (1e-4,), "iw_nonsquare", base_seed=4)
+
     def test_failed_point_isolated(self, sweep_inputs):
         panel, views, settings = sweep_inputs
         # 1e-13 is below the hard omega floor: that point fails, others run

@@ -212,6 +212,67 @@ class TestRun:
         assert "tickers" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+class TestNonFiniteNumbers:
+    """JSON admits NaN and Infinity; every number of a config, a grid or a
+    weights file must be finite, and a run exits 2 naming the field."""
+
+    @pytest.mark.parametrize("model, keys, value, path", [
+        ("iw_nonsquare", ("views", "omega"), [NAN, 1e-4], "views.omega[0]"),
+        ("iw_nonsquare", ("views", "omega"), [INF, 1e-4], "views.omega[0]"),
+        ("iw_nonsquare", ("views", "q"), [NAN, 0.05], "views.q[0]"),
+        ("iw_nonsquare", ("views", "P"), [[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -INF]],
+         "views.P[1][3]"),
+        ("iw_nonsquare", ("capital",), NAN, "capital"),
+        ("iw_nonsquare", ("risk_aversion",), INF, "risk_aversion"),
+        ("iw_nonsquare", ("tau",), NAN, "tau"),
+        ("iw_nonsquare", ("nu",), NAN, "nu"),
+        ("iw_nonsquare", ("sigma0",), [[1.0, 0, 0, 0], [0, NAN, 0, 0], [0, 0, 1.0, 0],
+                                       [0, 0, 0, 1.0]], "sigma0[1][1]"),
+        ("original", ("w_eq",), [0.25, 0.25, INF, 0.25], "w_eq[2]"),
+    ], ids=["omega-nan", "omega-inf", "q-nan", "P-inf", "capital-nan", "risk_aversion-inf",
+            "tau-nan", "nu-nan", "sigma0-nan", "w_eq-inf"])
+    def test_run_config_exit_2(self, demo_dir, tmp_path, capsys, model, keys, value, path):
+        doc = small_config(demo_dir, model)
+        _set(doc, keys, value)
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert f"error: {path}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, values, path", [
+        ("omega1", [NAN, 1e-4], "omega1[0]"),
+        ("omega2", [1e-4, INF], "omega2[1]"),
+    ], ids=["omega1-nan", "omega2-inf"])
+    def test_sweep_grid_exit_2(self, demo_dir, tmp_path, capsys, key, values, path):
+        grid = {"omega1": [1e-4], "omega2": [1e-4], key: values}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid", str(grid_path),
+                     "--out", str(out)]) == 2
+        assert f"error: {path}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_backtest_weights_exit_2(self, demo_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_config(demo_dir, "original"))
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": [0.25, NAN, 0.25, 0.25]}))
+        assert main(["backtest", "--config", str(cfg), "--weights", str(path),
+                     "--out", str(tmp_path / "bt.json")]) == 2
+        assert "weights: expected a flat array of finite weights" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_workers_do_not_change_bytes(self, demo_dir, tmp_path):
         cfg = write_config(tmp_path, small_config(demo_dir))

@@ -38,6 +38,11 @@ class TestViewSet:
         with pytest.raises(ValidationError):
             ViewSet([[1.0, 0.0]], [0.1], [0.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_omega(self, value):
+        with pytest.raises(ValidationError, match="views.omega: all entries must be finite"):
+            ViewSet([[1.0, 0.0], [0.0, 1.0]], [0.1, 0.1], [value, 1e-4])
+
     def test_rejects_more_views_than_assets(self):
         with pytest.raises(ValidationError):
             ViewSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0] * 3, [1e-4] * 3)
