@@ -166,9 +166,9 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     try:
         for t in range(cfg.iters):
             sigma, sigma_inv, log_det, accepts[t] = sigma_step(mu, rng)
-            mu = sample_mvn(m * sigma_inv @ rbar + prior_vec,
-                            precision=m * sigma_inv + prior_prec, rng=rng,
-                            name="mu conditional precision")
+            data_prec = m * sigma_inv
+            mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
+                            rng=rng, name="mu conditional precision")
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
                 raise ChainError("non-finite draw in Gibbs chain", iteration=t)
             mu_draws[t] = mu
