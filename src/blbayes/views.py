@@ -55,7 +55,7 @@ class ViewSet:
             raise ValidationError(
                 "views.omega", f"expected length {k}, got shape {self.omega_diag.shape}"
             )
-        # "not > 0" and isfinite, so that NaN and infinity are rejected too
+        # NaN fails "> 0" and infinity fails isfinite
         if not np.all((self.omega_diag > 0) & np.isfinite(self.omega_diag)):
             raise ValidationError("views.omega", "all entries must be finite and > 0")
         if np.any(~self.p.any(axis=1)):

@@ -15,6 +15,7 @@ from blbayes.cli import main
 from blbayes.config import RunConfig
 from blbayes.data import PricePanel
 from blbayes.demo import write_demo_files
+from conftest import count_engine_calls
 
 
 @pytest.fixture(scope="module")
@@ -36,19 +37,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def count_calls(monkeypatch, name):
-    """Replace ``blbayes.cli.<name>`` with a wrapper that counts its calls."""
-    calls = []
-    fn = getattr(cli, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(cli, name, counting)
-    return calls
 
 
 class TestIngest:
@@ -84,7 +72,7 @@ class TestRun:
         assert list(doc)[:5] == ["model", "mu_post", "sigma_post", "weights", "diagnostics"]
 
     def test_unwritable_out_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "run_model")
+        calls = count_engine_calls(monkeypatch, cli, "run_model")
         cfg = write_config(tmp_path, small_config(demo_dir, "original"))
         out = tmp_path / "no" / "such" / "x.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -296,7 +284,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_unwritable_out_fails_before_sweeping(self, demo_dir, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, "run_sweep")
+        calls = count_engine_calls(monkeypatch, cli, "run_sweep")
         cfg = write_config(tmp_path, small_config(demo_dir))
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
