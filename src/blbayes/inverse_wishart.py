@@ -144,7 +144,8 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     conditional given that covariance and the views ``p_eff``, ``q_eff``,
     ``omega_eff``: with precision ``m Sigma^-1 + P' Omega^-1 P`` and shift
     ``m Sigma^-1 rbar + P' Omega^-1 q``, built from ``sigma_inv`` and drawn
-    from the precision's one Cholesky factor (:func:`sample_mvn`). ``cfg``
+    from the precision's one Cholesky factor with the covariance's Cholesky
+    noise (:func:`sample_mvn` with ``cov_cholesky``). ``cfg``
     supplies ``iters``, ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the
     accept flag to the trace rows.
 
@@ -168,7 +169,7 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
             sigma, sigma_inv, log_det, accepts[t] = sigma_step(mu, rng)
             data_prec = m * sigma_inv
             mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
-                            rng=rng, name="mu conditional precision")
+                            rng=rng, name="mu conditional precision", cov_cholesky=True)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
                 raise ChainError("non-finite draw in Gibbs chain", iteration=t)
             mu_draws[t] = mu

@@ -59,10 +59,18 @@ class RngStream:
         return self._gen
 
 
-def sample_mvn(shift, *, precision, rng: RngStream,
-               name: str = "sample_mvn precision") -> np.ndarray:
+def sample_mvn(shift, *, precision, rng: RngStream, name: str = "sample_mvn precision",
+               cov_cholesky: bool = False) -> np.ndarray:
     """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
     Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
+
+    With ``cov_cholesky`` the noise is ``chol(P^-1) z``, the lower Cholesky
+    factor of the covariance, as a covariance-form sampler draws it: ``P`` is
+    factored in reversed coordinate order, ``J P J = L L'`` with ``J`` the
+    exchange matrix, and ``x = J L'^-1 (L^-1 J shift + J z)``, since
+    ``J L'^-1 J = chol(P^-1)``. The chains' mean conditional is drawn this
+    way, so its draws are those of the covariance form it replaced; neither
+    form forms ``P^-1``.
 
     ``precision`` is keyword-only, so a covariance passed by position is a
     ``TypeError``, not a draw from the wrong law. Takes ``shift.size``
@@ -76,9 +84,10 @@ def sample_mvn(shift, *, precision, rng: RngStream,
         raise DimensionError(
             f"sample_mvn: shift {shift.shape} does not match precision {precision.shape}"
         )
-    chol = spd_cholesky(precision, name)
+    order = slice(None, None, -1) if cov_cholesky else slice(None)
+    chol = spd_cholesky(precision[order, order], name)
     z = rng.generator.standard_normal(shift.size)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, shift) + z)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, shift[order]) + z[order])[order]
 
 
 @functools.cache

@@ -257,7 +257,7 @@ def test_criterion_07_gibbs_conjugacy_cross_check():
     mean, cov = mu_conditional(rbar, sigma, views.q, views.omega, p, m)
     shift, precision = mu_conditional_precision(rbar, sigma, views.q, views.omega, p, m)
     stream = RngStream(1007)
-    draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
+    draws = np.array([sample_mvn(shift, precision=precision, rng=stream, cov_cholesky=True)
                       for _ in range(10_000)])
     se = np.sqrt(np.diag(cov) / draws.shape[0])
     part_a = bool(np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se))

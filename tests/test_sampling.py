@@ -109,6 +109,20 @@ class TestMvnPrecision:
         cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
 
+    def test_cov_cholesky_is_the_covariance_form_draw(self):
+        # the reversed-order factor of P gives chol(P^-1), so the draw is
+        # the covariance form's from the same normals
+        rng = np.random.default_rng(129)
+        for n in (1, 2, 4, 10):
+            precision = random_spd(rng, n)
+            shift = rng.normal(size=n)
+            cov = np.linalg.inv(precision)
+            z = RngStream(130).generator.standard_normal(n)
+            expected = cov @ shift + np.linalg.cholesky(0.5 * (cov + cov.T)) @ z
+            draw = sample_mvn(shift, precision=precision, rng=RngStream(130),
+                              cov_cholesky=True)
+            np.testing.assert_allclose(draw, expected, rtol=1e-10, atol=1e-12)
+
     def test_draws_n_standard_normals(self):
         precision = random_spd(np.random.default_rng(127), 5)
         a, b = RngStream(128), RngStream(128)
