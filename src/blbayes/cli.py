@@ -142,7 +142,7 @@ def _cmd_backtest(args) -> int:
         doc = doc["weights"]
     try:
         weights = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("weights", f"expected a flat array of numbers: {exc}")
     if weights.ndim != 1 or not np.all(np.isfinite(weights)):
         raise ValidationError("weights", "expected a flat array of finite weights")

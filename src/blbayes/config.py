@@ -46,9 +46,13 @@ def _number(value, path: str) -> float:
     none reaches a model."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, "expected a number")
-    if not math.isfinite(value):
-        raise ValidationError(path, f"expected a finite number, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer literal beyond the float range
+        raise ValidationError(path, "expected a finite number, got a too large integer") from None
+    if not math.isfinite(number):
+        raise ValidationError(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _number_list(value, path: str) -> list[float]:

@@ -226,8 +226,9 @@ class TestNonFiniteNumbers:
         ("iw_nonsquare", ("sigma0",), [[1.0, 0, 0, 0], [0, NAN, 0, 0], [0, 0, 1.0, 0],
                                        [0, 0, 0, 1.0]], "sigma0[1][1]"),
         ("original", ("w_eq",), [0.25, 0.25, INF, 0.25], "w_eq[2]"),
+        ("iw_nonsquare", ("capital",), 10**400, "capital"),
     ], ids=["omega-nan", "omega-inf", "q-nan", "P-inf", "capital-nan", "risk_aversion-inf",
-            "tau-nan", "nu-nan", "sigma0-nan", "w_eq-inf"])
+            "tau-nan", "nu-nan", "sigma0-nan", "w_eq-inf", "capital-huge-int"])
     def test_run_config_exit_2(self, demo_dir, tmp_path, capsys, model, keys, value, path):
         doc = small_config(demo_dir, model)
         _set(doc, keys, value)
@@ -252,13 +253,17 @@ class TestNonFiniteNumbers:
         assert f"error: {path}: expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_backtest_weights_exit_2(self, demo_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("bad, message", [
+        (NAN, "weights: expected a flat array of finite weights"),
+        (10**400, "weights: expected a flat array of numbers"),
+    ], ids=["nan", "huge-int"])
+    def test_backtest_weights_exit_2(self, demo_dir, tmp_path, capsys, bad, message):
         cfg = write_config(tmp_path, small_config(demo_dir, "original"))
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"weights": [0.25, NAN, 0.25, 0.25]}))
+        path.write_text(json.dumps({"weights": [0.25, bad, 0.25, 0.25]}))
         assert main(["backtest", "--config", str(cfg), "--weights", str(path),
                      "--out", str(tmp_path / "bt.json")]) == 2
-        assert "weights: expected a flat array of finite weights" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:
