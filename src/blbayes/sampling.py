@@ -64,13 +64,11 @@ def sample_mvn(shift, *, precision, rng: RngStream, name: str = "sample_mvn prec
     """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
     Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
 
-    With ``cov_cholesky`` the noise is ``chol(P^-1) z``, the lower Cholesky
-    factor of the covariance, as a covariance-form sampler draws it: ``P`` is
-    factored in reversed coordinate order, ``J P J = L L'`` with ``J`` the
-    exchange matrix, and ``x = J L'^-1 (L^-1 J shift + J z)``, since
-    ``J L'^-1 J = chol(P^-1)``. The chains' mean conditional is drawn this
-    way, so its draws are those of the covariance form it replaced; neither
-    form forms ``P^-1``.
+    With ``cov_cholesky``, ``P`` is factored in reversed coordinate order,
+    ``J P J = L L'`` with ``J`` the exchange matrix, and
+    ``x = J L'^-1 (L^-1 J shift + J z)``. As ``J L'^-1 J = chol(P^-1)``, this
+    is the covariance-form draw ``P^-1 shift + chol(P^-1) z`` from the same
+    normals, made without forming ``P^-1``.
 
     ``precision`` is keyword-only, so a covariance passed by position is a
     ``TypeError``, not a draw from the wrong law. Takes ``shift.size``
