@@ -47,7 +47,8 @@ def backtest_profit(weights, test_returns, capital: float):
     Position i is ``capital * w_i`` (shorts allowed, no margin or costs);
     profit is the sum of position times cumulative simple return. Returns
     ``(profit, daily_curve)`` where the curve is the cumulative profit after
-    each test day.
+    each test day. A profit too large for a float comes back infinite (or
+    NaN), without a numpy warning; writing it out fails with its field.
     """
     weights = np.asarray(weights, dtype=float)
     rets = np.asarray(test_returns, dtype=float)
@@ -55,9 +56,10 @@ def backtest_profit(weights, test_returns, capital: float):
         raise InsufficientDataError("backtest needs a non-empty test window")
     if rets.shape[1] != weights.size:
         raise DimensionError("weights length does not match the test panel")
-    positions = capital * weights
-    growth = np.cumprod(1.0 + rets, axis=0)
-    curve = (growth - 1.0) @ positions
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = capital * weights
+        growth = np.cumprod(1.0 + rets, axis=0)
+        curve = (growth - 1.0) @ positions
     return float(curve[-1]), [float(x) for x in curve]
 
 
@@ -104,19 +106,31 @@ def historical_covariance(panel: ReturnPanel) -> np.ndarray:
     return np.cov(hist, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
 
 
-def run_model(model: str, panel: ReturnPanel, views: ViewSet,
-              settings: ModelSettings, seed: int, stream_id: int = 0,
-              trace_path=None, compute_profit: bool = True) -> ModelResult:
+def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, seed: int,
+              stream_id=0, trace_path=None, compute_profit: bool = True):
     """Run one model end to end: posterior, weights, view distance, and
-    (optionally) the test-window profit."""
+    (optionally) the test-window profit.
+
+    ``views`` is one :class:`~blbayes.views.ViewSet` with ``stream_id`` one
+    stream id, for one :class:`ModelResult`. Or ``views`` is a sequence of
+    view sets, one per point, with ``stream_id`` a sequence of equal length,
+    for a list of results in order: the Inverse-Wishart models then run the
+    points as one lock-step batch, the other models one point at a time.
+    Each result is bit for bit the result of its point run alone.
+    """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
+    single = isinstance(views, ViewSet)
+    points = [views] if single else list(views)
+    stream_ids = [stream_id] if single else list(stream_id)
+    if len(points) != len(stream_ids):
+        raise DimensionError(f"{len(points)} view sets for {len(stream_ids)} stream ids")
     n = len(panel.tickers)
-    if views.n != n:
+    if any(v.n != n for v in points):
         raise DimensionError("views and panel disagree on the number of assets")
     hist_cov = historical_covariance(panel)
 
-    summary = None
+    summaries = [None] * len(points)
     if model == "original":
         if settings.w_eq is None:
             raise ValidationError("w_eq", "the original model needs equilibrium weights")
@@ -126,36 +140,49 @@ def run_model(model: str, panel: ReturnPanel, views: ViewSet,
             sigma=hist_cov,
             tau=settings.tau,
         )
-        post = bl_posterior(equilibrium_returns(inputs), settings.tau, hist_cov, views)
-        mu_post, sigma_post = post.mu_bar, post.sigma_bar
+        pi = equilibrium_returns(inputs)
+        posts = [bl_posterior(pi, settings.tau, hist_cov, v) for v in points]
+        estimates = [(post.mu_bar, post.sigma_bar) for post in posts]
     else:
         if model == "log_sigma":
-            cfg = LogSigmaConfig(iters=settings.iters, burn=settings.burn,
-                                 seed=seed, stream_id=stream_id)
-            summary = gibbs_log_sigma(panel.current, views, cfg, trace_path=trace_path)
+            summaries = [
+                gibbs_log_sigma(panel.current, v,
+                                LogSigmaConfig(iters=settings.iters, burn=settings.burn,
+                                               seed=seed, stream_id=s),
+                                trace_path=trace_path)
+                for v, s in zip(points, stream_ids)
+            ]
         else:
-            cfg = IwConfig.default_for(hist_cov, iters=settings.iters,
-                                       burn=settings.burn, seed=seed, nu=settings.nu,
-                                       sigma0=settings.sigma0, stream_id=stream_id,
-                                       allow_small_omega=settings.allow_small_omega)
+            cfgs = [IwConfig.default_for(hist_cov, iters=settings.iters, burn=settings.burn,
+                                         seed=seed, nu=settings.nu, sigma0=settings.sigma0,
+                                         stream_id=s,
+                                         allow_small_omega=settings.allow_small_omega)
+                    for s in stream_ids]
+            # one point runs as one chain, a batch as one lock-step batch
+            chain_views, chain_cfgs = (views, cfgs[0]) if single else (points, cfgs)
             if model == "iw_augmented":
                 months = monthly_means(panel.historical, panel.m)
-                summary = gibbs_augmented(panel.current, views, months, cfg,
-                                          trace_path=trace_path)
+                summaries = gibbs_augmented(panel.current, chain_views, months, chain_cfgs,
+                                            trace_path=trace_path)
             else:
-                summary = gibbs_nonsquare(panel.current, views, cfg,
-                                          trace_path=trace_path)
-        mu_post, sigma_post = summary.mu_post, summary.sigma_post
+                summaries = gibbs_nonsquare(panel.current, chain_views, chain_cfgs,
+                                            trace_path=trace_path)
+            if single:
+                summaries = [summaries]
+        estimates = [(s.mu_post, s.sigma_post) for s in summaries]
 
-    weights = optimal_weights(mu_post, sigma_post, settings.risk_aversion)
-    distance = view_distance(views.p, mu_post, views.q)
-    profit = curve = None
-    if compute_profit:
-        profit, curve = backtest_profit(weights, panel.test, settings.capital)
-    return ModelResult(
-        model=model, mu_post=mu_post, sigma_post=sigma_post, weights=weights,
-        distance=distance, summary=summary, profit=profit, daily_curve=curve,
-    )
+    results = []
+    for v, (mu_post, sigma_post), summary in zip(points, estimates, summaries):
+        weights = optimal_weights(mu_post, sigma_post, settings.risk_aversion)
+        profit = curve = None
+        if compute_profit:
+            profit, curve = backtest_profit(weights, panel.test, settings.capital)
+        results.append(ModelResult(
+            model=model, mu_post=mu_post, sigma_post=sigma_post, weights=weights,
+            distance=view_distance(v.p, mu_post, v.q), summary=summary, profit=profit,
+            daily_curve=curve,
+        ))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +236,29 @@ class SweepRecord:
     seed: int
 
 
-def _sweep_point(args) -> SweepRecord:
-    index, w1, w2, panel, views, settings, model, seed = args
-    point_views = views.with_omega([w1, w2])
+def _sweep_batch(task) -> list[SweepRecord]:
+    """The records of a contiguous run of grid points, whose chains run as
+    one batch. If the batch fails, its points run again one at a time, so
+    that every record, ``ok`` or error, is what an unbatched sweep gives."""
+    points, panel, views, settings, model, seed = task
     try:
-        res = run_model(model, panel, point_views, settings, seed=seed, stream_id=index)
-        accept = res.summary.acceptance_rate if res.summary is not None else 1.0
-        rec = SweepRecord(
-            omega1=w1, omega2=w2, distance=res.distance, profit=res.profit,
-            status="ok", acceptance_rate=accept, seed=seed,
-        )
+        results = run_model(model, panel, [views.with_omega([w1, w2]) for _, w1, w2 in points],
+                            settings, seed=seed, stream_id=[index for index, _, _ in points])
     except (BlBayesError, np.linalg.LinAlgError) as exc:
+        if len(points) > 1:
+            return [rec for point in points
+                    for rec in _sweep_batch(((point,), panel, views, settings, model, seed))]
+        (_, w1, w2), = points
         log.warning("sweep point (%g, %g) failed: %s", w1, w2, exc)
-        rec = SweepRecord(
+        return [SweepRecord(
             omega1=w1, omega2=w2, distance=float("nan"), profit=float("nan"),
-            status=f"error:{type(exc).__name__}", acceptance_rate=float("nan"),
-            seed=seed,
-        )
-    return rec
+            status=f"error:{type(exc).__name__}", acceptance_rate=float("nan"), seed=seed,
+        )]
+    return [SweepRecord(
+        omega1=w1, omega2=w2, distance=res.distance, profit=res.profit, status="ok",
+        acceptance_rate=res.summary.acceptance_rate if res.summary is not None else 1.0,
+        seed=seed,
+    ) for (_, w1, w2), res in zip(points, results)]
 
 
 def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
@@ -234,22 +266,26 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     """Evaluate the model at every grid point.
 
     Point ``index`` runs on the stream ``(base_seed, index)``, so no two
-    points of any sweeps share a stream. With ``workers > 1`` the points run
-    in a process pool of at most one worker per point; either way the records
-    come back in grid order, and individual failures are recorded in-row
+    points of any sweeps share a stream. The grid is split into
+    ``min(workers, points)`` contiguous batches of near-equal size, each run
+    as one lock-step batch (:func:`run_model`); with more than one batch,
+    each is one task of a process pool. A point's record does not depend on
+    the batch it ran in, so the records, which come back in grid order, do
+    not depend on ``workers``. Individual failures are recorded in-row
     rather than aborting the sweep.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
-    tasks = [
-        (index, w1, w2, panel, views, settings, grid.model, grid.base_seed)
-        for index, w1, w2 in grid.points()
-    ]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return list(map(_sweep_point, tasks))
+    points = list(grid.points())
+    workers = max(1, min(workers, len(points)))
+    size, extra = divmod(len(points), workers)
+    bounds = [b * size + min(b, extra) for b in range(workers + 1)]
+    tasks = [(tuple(points[lo:hi]), panel, views, settings, grid.model, grid.base_seed)
+             for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        return _sweep_batch(tasks[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, tasks))
+        return [rec for batch in pool.map(_sweep_batch, tasks) for rec in batch]
 
 
 SWEEP_CSV_COLUMNS = ("omega1", "omega2", "distance", "profit", "status",

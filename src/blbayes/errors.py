@@ -53,7 +53,8 @@ class FormatError(BlBayesError):
 
 
 class NumericalError(BlBayesError):
-    """A linear system was too ill-conditioned or a factorization failed."""
+    """A linear system was too ill-conditioned, a factorization failed, or
+    an output value is not finite."""
 
 
 class ChainError(BlBayesError):

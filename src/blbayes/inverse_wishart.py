@@ -14,7 +14,9 @@ which supplies its own covariance step. Every covariance step returns the
 draw together with its inverse and its log det, computed from the factor the
 step already holds, so the loop neither inverts nor factors a drawn
 covariance. The mean draw takes its conditional in precision form and factors
-that precision once, so no matrix is inverted in the loop.
+that precision once, so no matrix is inverted in the loop. Both samplers
+also run a batch of chains in lock step, as stacked arrays through the same
+loop, with results bit for bit those of each chain run alone.
 """
 
 from __future__ import annotations
@@ -133,21 +135,28 @@ class _TraceWriter:
         self._fh.close()
 
 
-def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
-                trace_path=None, mh: bool = False):
-    """The Gibbs loop every sampler shares.
+def gibbs_chain(returns, views, cfg, sigma_step, trace_path=None, mh: bool = False):
+    """The Gibbs loop every sampler shares, for one chain or for a batch of
+    chains advanced in lock step as stacked arrays.
+
+    One chain has the views ``views = (p, q, omega)`` on its mean and the
+    config ``cfg``, which supplies ``iters``, ``burn`` and the ``seed`` and
+    ``stream_id`` of its stream. A batch of G chains passes a list of view
+    triples and a list of configs that share ``iters`` and ``burn``: every
+    array below then gains a leading axis of length G, and ``rng`` is the
+    list of the chains' streams. Each chain draws from its own stream in the
+    order it draws alone, so its draws do not depend on the batch.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
-    ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its inverse,
-    its log det (for the trace) and an accept flag. The step logs the "Sigma
-    draw" condition warning. The loop then draws mu from its normal
-    conditional given that covariance and the views ``p_eff``, ``q_eff``,
-    ``omega_eff``: with precision ``m Sigma^-1 + P' Omega^-1 P`` and shift
-    ``m Sigma^-1 rbar + P' Omega^-1 q``, built from ``sigma_inv`` and drawn
-    from the precision's one Cholesky factor with the covariance's Cholesky
-    noise (:func:`sample_mvn` with ``cov_cholesky``). ``cfg``
-    supplies ``iters``, ``burn``, ``seed`` and ``stream_id``. ``mh`` adds the
-    accept flag to the trace rows.
+    ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its
+    inverse, its log det (for the trace) and an accept flag. The step logs
+    the "Sigma draw" condition warning. The loop then draws mu from its
+    normal conditional given that covariance and the views: with precision
+    ``m Sigma^-1 + P' Omega^-1 P`` and shift ``m Sigma^-1 rbar + P' Omega^-1 q``,
+    built from ``sigma_inv`` and drawn from the precision's one Cholesky
+    factor with the covariance's Cholesky noise (:func:`sample_mvn` with
+    ``cov_cholesky``). A trace follows one chain; ``mh`` adds the accept flag
+    to its rows.
 
     Returns (mu draws over all iterations, post-burn Sigma mean, accept flags).
     """
@@ -155,63 +164,96 @@ def gibbs_chain(returns, q_eff, omega_eff, p_eff, cfg, sigma_step,
     m, n = returns.shape
     if m < 1:
         raise InsufficientDataError("the chain needs at least one row of returns")
+    batch = isinstance(cfg, (list, tuple))
+    cfgs, chain_views = (cfg, views) if batch else ([cfg], [views])
+    if not cfgs or len(chain_views) != len(cfgs):
+        raise DimensionError(f"{len(chain_views)} view sets for {len(cfgs)} chain configs")
+    iters, burn = cfgs[0].iters, cfgs[0].burn
+    if any((c.iters, c.burn) != (iters, burn) for c in cfgs):
+        raise ValidationError("iters", "the chains of a batch must share iters and burn")
+    if trace_path and batch:
+        raise DimensionError("a trace follows one chain")
     rbar = returns.mean(axis=0)
-    prior_prec, prior_vec = view_precision(omega_eff, q_eff, p_eff)
+    priors = [view_precision(omega, q, p) for p, q, omega in chain_views]
+    prior_prec = np.array([prec for prec, _ in priors])
+    prior_vec = np.array([vec for _, vec in priors])
+    rng = [RngStream(c.seed, c.stream_id) for c in cfgs]
+    lead = (len(cfgs),) if batch else ()
+    if not batch:
+        prior_prec, prior_vec, rng = prior_prec[0], prior_vec[0], rng[0]
 
-    rng = RngStream(cfg.seed, cfg.stream_id)
-    mu = rbar.copy()
-    mu_draws = np.empty((cfg.iters, n))
-    sigma_sum = np.zeros((n, n))
-    accepts = np.zeros(cfg.iters, dtype=bool)
+    mu = np.broadcast_to(rbar, lead + (n,)).copy()
+    mu_draws = np.empty(lead + (iters, n))
+    sigma_sum = np.zeros(lead + (n, n))
+    accepts = np.zeros(lead + (iters,), dtype=bool)
     trace = _TraceWriter(trace_path, n, mh) if trace_path else None
     try:
-        for t in range(cfg.iters):
-            sigma, sigma_inv, log_det, accepts[t] = sigma_step(mu, rng)
+        for t in range(iters):
+            sigma, sigma_inv, log_det, accepts[..., t] = sigma_step(mu, rng)
             data_prec = m * sigma_inv
             mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
                             rng=rng, name="mu conditional precision", cov_cholesky=True)
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+            if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
                 raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-            mu_draws[t] = mu
-            if t >= cfg.burn:
+            mu_draws[..., t, :] = mu
+            if t >= burn:
                 sigma_sum += sigma
             if trace is not None:
                 trace.row(t, mu, log_det, int(accepts[t]) if mh else None)
     finally:
         if trace is not None:
             trace.close()
-    return mu_draws, sigma_sum / (cfg.iters - cfg.burn), accepts
+    return mu_draws, sigma_sum / (iters - burn), accepts
 
 
 def _iw_step(returns, nu: float, sigma0):
-    """Covariance step of the Inverse-Wishart models: an exact conditional
-    draw with its inverse and log det, so every step is accepted."""
+    """Covariance step of the Inverse-Wishart models, for one chain or a
+    batch: an exact conditional draw with its inverse and log det, so every
+    step is accepted."""
     m = returns.shape[0]
 
     def step(mu, rng):
-        resid = returns - mu
-        dof, scale = sigma_conditional(resid.T @ resid, nu, sigma0, m)
+        resid = returns - mu[..., None, :]
+        dof, scale = sigma_conditional(resid.swapaxes(-1, -2) @ resid, nu, sigma0, m)
         return *sample_inverse_wishart(dof, scale, rng), True
 
     return step
 
 
-def _iw_chain(returns_current, p, q, omega, cfg: IwConfig,
-              trace_path=None) -> PosteriorSummary:
-    """The asset-space chain both Inverse-Wishart samplers run, with the
-    views ``(p, q, omega)`` on the mean."""
+def _iw_chain(returns_current, views, cfg, prior, trace_path):
+    """The asset-space chain both Inverse-Wishart samplers run. ``prior(v, c)``
+    validates one view set ``v`` under its config ``c`` and returns the views
+    ``(p, q, omega)`` of its chain.
+
+    ``views`` is one :class:`~blbayes.views.ViewSet` with ``cfg`` one
+    :class:`IwConfig`, for one summary; or a sequence of view sets with a
+    sequence of configs that differ at most in ``seed`` and ``stream_id``,
+    run as one lock-step batch (:func:`gibbs_chain`), for a list of summaries
+    in order.
+    """
+    batch = not isinstance(views, ViewSet)
+    point_views, cfgs = (list(views), list(cfg)) if batch else ([views], [cfg])
+    if not cfgs or len(point_views) != len(cfgs):
+        raise DimensionError(f"{len(point_views)} view sets for {len(cfgs)} chain configs")
     returns_current = np.asarray(returns_current, dtype=float)
-    if returns_current.shape[1] != p.shape[1]:
+    chain_views = [prior(v, c) for v, c in zip(point_views, cfgs)]
+    if any(returns_current.shape[1] != p.shape[1] for p, _, _ in chain_views):
         raise DimensionError("returns and views disagree on the number of assets")
-    mu_draws, sigma_mean, accepts = gibbs_chain(
-        returns_current, q, omega, p, cfg,
-        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
+    nu, sigma0 = cfgs[0].nu, cfgs[0].sigma0
+    if any(c.nu != nu or not np.array_equal(c.sigma0, sigma0) for c in cfgs):
+        raise ValidationError("nu", "the chains of a batch must share nu and Sigma0")
+    mu_draws, sigma_means, accepts = gibbs_chain(
+        returns_current, chain_views if batch else chain_views[0], cfgs if batch else cfg,
+        _iw_step(returns_current, nu, sigma0), trace_path,
     )
-    return summarize_mu_sigma(mu_draws, sigma_mean, accepts, cfg.burn)
+    if not batch:
+        return summarize_mu_sigma(mu_draws, sigma_means, accepts, cfg.burn)
+    return [summarize_mu_sigma(*chain, c.burn)
+            for *chain, c in zip(mu_draws, sigma_means, accepts, cfgs)]
 
 
-def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
-                    cfg: IwConfig, trace_path=None) -> PosteriorSummary:
+def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg,
+                    trace_path=None):
     """Sampler with the augmented views: extend P to an invertible P*, put
     the prior ``(q*, Omega*)`` of
     :func:`~blbayes.views.build_transformed_hyperparams` on ``P* mu``, and
@@ -219,18 +261,29 @@ def gibbs_augmented(returns_current, views: ViewSet, monthly_mean_vectors,
 
     The chain, ``cfg.sigma0`` and the trace are all in asset space. The
     Inverse-Wishart family is closed under congruence, so this is, in law,
-    the chain in view space ``P* mu`` mapped back to asset space.
+    the chain in view space ``P* mu`` mapped back to asset space. Sequences
+    of view sets and configs run as one batch (see :func:`gibbs_nonsquare`).
     """
-    check_omega_floor(views, OMEGA_FLOOR_IW, cfg.allow_small_omega, "augmented")
-    aug = augment_to_invertible(views.p)
-    q_star, omega_star = build_transformed_hyperparams(
-        aug, views.q, views.omega, monthly_mean_vectors
-    )
-    return _iw_chain(returns_current, aug.p_star, q_star, omega_star, cfg, trace_path)
+    def prior(v, c):
+        check_omega_floor(v, OMEGA_FLOOR_IW, c.allow_small_omega, "augmented")
+        aug = augment_to_invertible(v.p)
+        return (aug.p_star,
+                *build_transformed_hyperparams(aug, v.q, v.omega, monthly_mean_vectors))
+
+    return _iw_chain(returns_current, views, cfg, prior, trace_path)
 
 
-def gibbs_nonsquare(returns_current, views: ViewSet, cfg: IwConfig,
-                    trace_path=None) -> PosteriorSummary:
-    """Asset-space sampler with the investor's P unmodified."""
-    check_omega_floor(views, OMEGA_FLOOR_IW, cfg.allow_small_omega, "non-square")
-    return _iw_chain(returns_current, views.p, views.q, views.omega, cfg, trace_path)
+def gibbs_nonsquare(returns_current, views, cfg, trace_path=None):
+    """Asset-space sampler with the investor's P unmodified.
+
+    Given one view set and one :class:`IwConfig`, returns one summary. Given
+    a sequence of view sets and a matching sequence of configs, which differ
+    at most in ``seed`` and ``stream_id``, runs the chains as one lock-step
+    batch and returns their summaries in order; each is bit for bit the
+    summary of its chain run alone.
+    """
+    def prior(v, c):
+        check_omega_floor(v, OMEGA_FLOOR_IW, c.allow_small_omega, "non-square")
+        return v.p, v.q, v.omega
+
+    return _iw_chain(returns_current, views, cfg, prior, trace_path)

@@ -1,5 +1,7 @@
 """Deterministic JSON output: insertion-ordered keys, floats at 17
-significant digits, no dependence on interpreter hash state."""
+significant digits, no dependence on interpreter hash state. JSON has no
+literal for a non-finite float, so one is a :class:`NumericalError` that
+names its field."""
 
 from __future__ import annotations
 
@@ -8,8 +10,10 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
 
-def _emit(value, indent: int, pad: str) -> str:
+
+def _emit(value, indent: int, pad: str, path: str) -> str:
     if isinstance(value, np.ndarray):
         value = value.tolist()
     elif isinstance(value, np.generic):
@@ -18,16 +22,16 @@ def _emit(value, indent: int, pad: str) -> str:
         if not value:
             return "{}"
         inner = pad + " " * indent
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, indent, inner)}"
-            for k, v in value.items()
-        ]
+        items = []
+        for k, v in value.items():
+            field = f"{path}.{k}" if path else str(k)
+            items.append(f"{inner}{json.dumps(str(k))}: {_emit(v, indent, inner, field)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + " " * indent
-        items = [f"{inner}{_emit(v, indent, inner)}" for v in value]
+        items = [f"{inner}{_emit(v, indent, inner, f'{path}[{i}]')}" for i, v in enumerate(value)]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -35,7 +39,7 @@ def _emit(value, indent: int, pad: str) -> str:
         return "null"
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError("refusing to serialize a non-finite float")
+            raise NumericalError(f"{path or 'output'}: {value} is not a finite number")
         return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
@@ -46,4 +50,4 @@ def _emit(value, indent: int, pad: str) -> str:
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize with stable bytes: same input, same output, always."""
-    return _emit(obj, indent, "") + "\n"
+    return _emit(obj, indent, "", "") + "\n"

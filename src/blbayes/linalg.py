@@ -36,9 +36,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return 0.5*(A + A.T); output is exactly symmetric."""
-    a = as_matrix(a)
-    return 0.5 * (a + a.T)
+    """Return 0.5*(A + A.T), of each matrix of a stack ``(..., n, n)``;
+    output is exactly symmetric."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"matrix must be square in its last two axes, got shape {a.shape}")
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def require_symmetric(a, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
@@ -72,33 +75,36 @@ def require_spd(a, name: str = "matrix") -> np.ndarray:
 
 
 def spd_eigh(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of an SPD matrix, validated
-    as :func:`require_spd` does but from this one decomposition."""
-    a = require_symmetric(a, name)
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix, whose
+    spectrum is validated as :func:`require_spd` does but from this one
+    decomposition. Symmetry is not checked: ``eigh`` reads one triangle, so
+    ``a`` must be symmetric by construction or checked by the caller."""
     w, v = np.linalg.eigh(a)
     _require_positive_spectrum(w, name)
     return w, v
 
 
 def spd_cholesky(a, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of SPD ``a``.
+    """Lower Cholesky factor of SPD ``a``, or of each matrix of a stack
+    ``(G, n, n)``.
 
-    Logs a warning when ``(max diag L / min diag L)^2``, a lower bound on the
-    2-norm condition number of ``a``, exceeds ``COND_WARN``; raises
-    :class:`NumericalError` with the eigenvalue range if the factorization
-    fails.
+    Logs a warning for each matrix whose ``(max diag L / min diag L)^2``, a
+    lower bound on its 2-norm condition number, exceeds ``COND_WARN``;
+    raises :class:`NumericalError` with the eigenvalue range (over the whole
+    stack) if a factorization fails.
     """
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         w = np.linalg.eigvalsh(symmetrize(a))
         raise NumericalError(
-            f"{name}: Cholesky failed; eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
+            f"{name}: Cholesky failed; eigenvalue range [{w.min():.3e}, {w.max():.3e}]"
         ) from exc
     # Python floats: numpy reductions of an n-vector cost about as much as
     # the factorization itself at the sizes the chains use
-    d = c.diagonal().tolist()
-    warn_condition(name, (max(d) / min(d)) ** 2)
+    diagonals = c.diagonal(0, -2, -1).tolist()
+    for d in diagonals if c.ndim == 3 else [diagonals]:
+        warn_condition(name, (max(d) / min(d)) ** 2)
     return c
 
 
@@ -219,5 +225,5 @@ def matrix_log_spd(a) -> np.ndarray:
     logs of the input's eigenvalues. Raises
     :class:`NotPositiveDefiniteError` for non-SPD input.
     """
-    w, v = spd_eigh(a, "matrix_log_spd input")
+    w, v = spd_eigh(require_symmetric(a, "matrix_log_spd input"), "matrix_log_spd input")
     return symmetrize((v * np.log(w)) @ v.T)

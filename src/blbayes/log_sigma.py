@@ -42,6 +42,7 @@ from .linalg import (
     vec_star,
     vec_star_bilinear,
     vec_star_dim,
+    vec_star_indices,
     vec_star_inverse,
     warn_condition,
 )
@@ -148,7 +149,8 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     from the eigen-decomposition of the scatter matrix, as one product
     ``F' W F`` of the d rows of :func:`build_f_vectors` with their weights.
     Near-degenerate eigenvalue pairs go through the series limit of xi,
-    never an error.
+    never an error. ``s_matrix`` must be symmetric, as the chain's scatter is
+    by construction; only its spectrum is checked.
     """
     evals, evecs = spd_eigh(s_matrix, "scatter matrix")
     if m < 1:
@@ -161,7 +163,8 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     weights[n:] = m * xi_coefficient(evals[pi[n:]], evals[pj[n:]])
     terms = (f * weights[:, None]).T @ f
 
-    lambda_vec = vec_star((evecs * np.log(evals)) @ evecs.T)
+    rows, cols = vec_star_indices(n)
+    lambda_vec = symmetrize((evecs * np.log(evals)) @ evecs.T)[rows, cols]
     return VolterraQuadratic(lambda_vec=lambda_vec, q_matrix=symmetrize(terms))
 
 
@@ -319,7 +322,8 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     # Data-centred start: alpha at the log of the scatter of the sample mean
     # (where the loop starts mu), so Sigma is that scatter up to rounding;
     # block variances at the empirical variances of the matching alpha
-    # blocks. matrix_log_spd and build_Q validate each scatter.
+    # blocks. matrix_log_spd validates the start scatter, and build_Q the
+    # spectrum of each scatter after it (symmetric by construction).
     alpha = vec_star(matrix_log_spd(_scatter(returns_current, returns_current.mean(axis=0))))
     sigma, sigma_inv, log_det = _sigma_pair(*_decompose(alpha))
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
@@ -350,7 +354,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         return sigma, sigma_inv, log_det, accepted
 
     mu_draws, sigma_mean, accepts = gibbs_chain(
-        returns_current, views.q, views.omega, views.p, cfg, step, trace_path, mh=True
+        returns_current, (views.p, views.q, views.omega), cfg, step, trace_path, mh=True
     )
     return summarize_mu_sigma(
         mu_draws, sigma_mean, accepts, cfg.burn, extra={"ig_scale_floor_hits": floor_hits}

@@ -12,7 +12,10 @@ family vary between texts; this one is pinned here on purpose. A draw comes
 with its inverse, both from the one Bartlett factor, so no sampler inverts a
 drawn covariance. The multivariate normal is given by its precision, the form
 in which every sampler's normal conditional arises, and is drawn from that
-precision's one Cholesky factor. Every kernel here is numpy-only.
+precision's one Cholesky factor. Both samplers also draw for a batch of
+chains stacked along a leading axis, each from its own stream, and a chain's
+draw does not depend on the batch it is drawn in. Every kernel here is
+numpy-only.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class RngStream:
         return self._gen
 
 
-def sample_mvn(shift, *, precision, rng: RngStream, name: str = "sample_mvn precision",
+def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
                cov_cholesky: bool = False) -> np.ndarray:
     """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
     Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
@@ -70,22 +73,40 @@ def sample_mvn(shift, *, precision, rng: RngStream, name: str = "sample_mvn prec
     is the covariance-form draw ``P^-1 shift + chol(P^-1) z`` from the same
     normals, made without forming ``P^-1``.
 
-    ``precision`` is keyword-only, so a covariance passed by position is a
-    ``TypeError``, not a draw from the wrong law. Takes ``shift.size``
-    standard normals from ``rng``. The factor logs the condition warning of
-    :func:`~blbayes.linalg.spd_cholesky` under ``name``.
+    A batch of G chains passes ``shift`` as ``(G, n)``, ``precision`` as
+    ``(G, n, n)`` and ``rng`` as G streams, and gets ``(G, n)`` back; chain
+    g's draw is bit for bit the draw of its slices alone. ``precision`` is
+    keyword-only, so a covariance passed by position is a ``TypeError``, not
+    a draw from the wrong law. Takes n standard normals from each stream.
+    The factor logs the condition warning of
+    :func:`~blbayes.linalg.spd_cholesky` under ``name``, per chain.
     """
     shift = np.asarray(shift, dtype=float)
     precision = np.asarray(precision, dtype=float)
-    if (precision.ndim != 2 or precision.shape[0] != precision.shape[1]
-            or shift.shape != (precision.shape[0],)):
+    if shift.ndim not in (1, 2) or precision.shape != shift.shape + shift.shape[-1:]:
         raise DimensionError(
             f"sample_mvn: shift {shift.shape} does not match precision {precision.shape}"
         )
+    n = shift.shape[-1]
+    if shift.ndim == 1:
+        z = rng.generator.standard_normal(n)
+    elif len(rng) != len(shift):
+        raise DimensionError(f"sample_mvn: {len(rng)} streams for {len(shift)} chains")
+    else:
+        z = np.array([r.generator.standard_normal(n) for r in rng])
     order = slice(None, None, -1) if cov_cholesky else slice(None)
-    chol = spd_cholesky(precision[order, order], name)
-    z = rng.generator.standard_normal(shift.size)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, shift[order]) + z[order])[order]
+    chol = spd_cholesky(precision[..., order, order], name)
+    inner = _solve_vectors(chol, shift[..., order]) + z[..., order]
+    return _solve_vectors(chol.swapaxes(-1, -2), inner)[..., order]
+
+
+def _solve_vectors(a, b) -> np.ndarray:
+    """``a^-1 b`` for a matrix and a vector, or for stacks of both: numpy
+    reads a stack ``(G, n)`` of right-hand sides as one matrix, so each is
+    passed as a column."""
+    if b.ndim == 1:
+        return np.linalg.solve(a, b)
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 @functools.cache
@@ -111,8 +132,7 @@ def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
     return a
 
 
-def sample_inverse_wishart(dof: float, scale,
-                           rng: RngStream) -> tuple[np.ndarray, np.ndarray, float]:
+def sample_inverse_wishart(dof: float, scale, rng):
     """One draw ``Sigma`` from the Inverse Wishart with the density pinned
     above, returned with its inverse and log det:
     ``(Sigma, Sigma^-1, log det Sigma)``.
@@ -125,9 +145,20 @@ def sample_inverse_wishart(dof: float, scale,
     warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
     as ``max diag Sigma * max diag Sigma^-1`` (a lower bound on its 2-norm
     condition number).
+
+    A batch of G chains with a common ``dof`` passes ``scale`` as
+    ``(G, n, n)`` and ``rng`` as G streams, and gets ``(G, n, n)`` stacks and
+    a list of G log dets back; each chain draws its Bartlett factor from its
+    own stream, and its draw is bit for bit the draw of its slice alone. The
+    condition warning is per chain.
     """
     scale = np.asarray(scale, dtype=float)
-    n = scale.shape[0]
+    batch = scale.ndim == 3
+    if scale.ndim not in (2, 3) or (batch and len(rng) != len(scale)):
+        raise DimensionError(
+            f"sample_inverse_wishart: {len(rng) if batch else 1} streams for scale {scale.shape}"
+        )
+    n = scale.shape[-1]
     if dof <= n - 1:
         raise DegreesOfFreedomError(
             f"Inverse Wishart needs dof > n-1 = {n - 1}, got {dof}"
@@ -136,17 +167,24 @@ def sample_inverse_wishart(dof: float, scale,
         chol = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("sample_inverse_wishart: scale is not SPD") from exc
-    a = _bartlett_factor(dof, n, rng)
-    m_factor = np.linalg.solve(a, chol.T)
-    n_factor = np.linalg.solve(chol.T, a)
-    sigma = symmetrize(m_factor.T @ m_factor)
-    sigma_inv = symmetrize(n_factor @ n_factor.T)
-    warn_condition("Sigma draw",
-                   max(sigma.diagonal().tolist()) * max(sigma_inv.diagonal().tolist()))
-    # Python floats: numpy's log and sum of an n-vector cost more than the
-    # n scalar logs at the sizes the chains use
-    log_det = 2.0 * sum(map(math.log, (chol.diagonal() / a.diagonal()).tolist()))
-    return sigma, sigma_inv, log_det
+    if batch:
+        a = np.array([_bartlett_factor(dof, n, r) for r in rng])
+    else:
+        a = _bartlett_factor(dof, n, rng)
+    chol_t = chol.swapaxes(-1, -2)
+    m_factor = np.linalg.solve(a, chol_t)
+    n_factor = np.linalg.solve(chol_t, a)
+    sigma = symmetrize(m_factor.swapaxes(-1, -2) @ m_factor)
+    sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
+    # Python floats: numpy's reductions, log and sum of an n-vector cost
+    # more than the n scalar operations at the sizes the chains use
+    diagonals = (sigma.diagonal(0, -2, -1).tolist(), sigma_inv.diagonal(0, -2, -1).tolist(),
+                 (chol.diagonal(0, -2, -1) / a.diagonal(0, -2, -1)).tolist())
+    log_det = []
+    for d, d_inv, ratio in zip(*diagonals) if batch else [diagonals]:
+        warn_condition("Sigma draw", max(d) * max(d_inv))
+        log_det.append(2.0 * sum(map(math.log, ratio)))
+    return sigma, sigma_inv, log_det if batch else log_det[0]
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:

@@ -339,7 +339,22 @@ def test_criterion_09_determinism(tmp_path):
                          "--workers", workers, "--out", str(out)]) == 0
         csvs.append(out.read_bytes())
     ok &= csvs[0] == csvs[1] == csvs[2]
-    check(9, "reruns and worker counts 1 vs 8 give identical bytes", ok, t0, 120.0)
+
+    # batch sizes: each worker runs its contiguous share of a 3x3 grid as
+    # one lock-step batch, so 1, 3 and 9 workers give batches of 9, 3 and 1
+    # points, and 2 and 8 workers batches of 5+4 and 2+1+...+1
+    grid9 = tmp_path / "grid9.json"
+    grid9.write_text(json.dumps({"omega1": [1e-5, 1e-4, 1e-3], "omega2": [1e-5, 1e-4, 1e-3],
+                                 "base_seed": 78}))
+    csvs9 = []
+    for workers in ("1", "3", "9", "2", "8"):
+        out = tmp_path / f"sweep9_w{workers}.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--grid", str(grid9),
+                         "--workers", workers, "--out", str(out)]) == 0
+        csvs9.append(out.read_bytes())
+    ok &= len(set(csvs9)) == 1
+    check(9, "reruns, worker counts 1, 2, 8 and batch sizes 1, 3, 9 give identical bytes",
+          ok, t0, 120.0)
 
 
 def test_criterion_10_log_sigma_sampler_health():

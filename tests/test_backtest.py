@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blbayes import backtest
+from blbayes import backtest, inverse_wishart
 from blbayes.backtest import (
     ModelSettings,
     SweepGrid,
@@ -16,6 +16,7 @@ from blbayes.backtest import (
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.original_bl import bl_posterior, optimal_weights
 from blbayes.views import ViewSet
+from conftest import count_engine_calls
 
 
 class TestCapmWeights:
@@ -173,6 +174,77 @@ class TestSweep:
         assert records == run_sweep(grid, panel, views, settings, workers=1)
         run_sweep(grid, panel, views, settings, workers=2)
         assert sizes == [9, 2]
+
+    def test_contiguous_batches(self, sweep_inputs, monkeypatch):
+        # W workers get W contiguous runs of grid points, sizes differing by
+        # at most one; one worker runs the whole grid in-process
+        batches = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                batches.append([[index for index, _, _ in task[0]] for task in tasks])
+                return map(fn, tasks)
+
+        monkeypatch.setattr(backtest, "ProcessPoolExecutor", InProcessPool)
+        panel, views, settings = sweep_inputs
+        grid = SweepGrid((1e-4, 2e-4, 3e-4), (1e-4, 2e-4, 3e-4), "original", base_seed=5)
+        records = run_sweep(grid, panel, views, settings, workers=1)
+        assert batches == []
+        for workers in (2, 4):
+            assert run_sweep(grid, panel, views, settings, workers=workers) == records
+        assert batches == [[[0, 1, 2, 3, 4], [5, 6, 7, 8]],
+                           [[0, 1, 2], [3, 4], [5, 6], [7, 8]]]
+
+    @pytest.mark.parametrize("model", backtest.MODELS)
+    def test_batch_of_points_equals_points_alone(self, sweep_inputs, model):
+        panel, views, settings = sweep_inputs
+        points = [views.with_omega([w, 2 * w]) for w in (1e-5, 1e-4, 1e-3)]
+        results = run_model(model, panel, points, settings, seed=8, stream_id=[4, 5, 6])
+        assert len(results) == 3
+        for v, stream_id, res in zip(points, (4, 5, 6), results):
+            alone = run_model(model, panel, v, settings, seed=8, stream_id=stream_id)
+            assert res.distance == alone.distance and res.profit == alone.profit
+            for field in ("mu_post", "sigma_post", "weights"):
+                assert np.array_equal(getattr(res, field), getattr(alone, field)), field
+
+    def test_failed_chain_reruns_its_batch_point_by_point(self, sweep_inputs, monkeypatch,
+                                                         tmp_path):
+        # the chain on stream 1 draws a NaN covariance: its batch fails, and
+        # its points run again one at a time, so that point records the
+        # error of an unbatched run and the other points stay ok
+        panel, views, settings = sweep_inputs
+        original = inverse_wishart.sample_inverse_wishart
+
+        def poisoned(dof, scale, rngs):
+            sigma, sigma_inv, log_det = original(dof, scale, rngs)
+            for g, rng in enumerate(rngs):
+                if rng.stream_id == 1:
+                    sigma[g] = np.nan
+            return sigma, sigma_inv, log_det
+
+        monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", poisoned)
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_nonsquare")
+        grid = SweepGrid((1e-5, 1e-4), (1e-5, 1e-4), "iw_nonsquare", base_seed=6)
+        batched = run_sweep(grid, panel, views, settings, workers=1)
+        assert len(chains) == 1 + 4  # the batch, then each point alone
+        assert [r.status for r in batched] == ["ok", "error:ChainError", "ok", "ok"]
+        alone = [rec for point in grid.points()
+                 for rec in backtest._sweep_batch(((point,), panel, views, settings,
+                                                   grid.model, grid.base_seed))]
+        pa, pb = tmp_path / "batched.csv", tmp_path / "alone.csv"
+        write_sweep_csv(batched, pa)
+        write_sweep_csv(alone, pb)
+        assert pa.read_bytes() == pb.read_bytes()
 
     def test_neighbouring_base_seeds_share_no_stream(self, sweep_inputs):
         # one (omega1, omega2) pair repeated: equal distances would mean that

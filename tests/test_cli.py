@@ -178,6 +178,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert out.read_text() == "earlier"
 
+    def test_non_finite_output_exit_3(self, demo_dir, tmp_path, capsys):
+        # a finite but huge capital overflows the profit to infinity, which
+        # JSON cannot hold: one error line naming the field, no output file
+        doc = small_config(demo_dir, model="original", capital=1e308)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: profit.profit: -inf is not a finite number\n"
+        assert not out.exists()
+
     def test_small_nu_without_sigma0_exit_2(self, demo_dir, tmp_path, capsys):
         # n = 4: nu = 4.5 is a valid Inverse-Wishart dof, but the default
         # Sigma0 = (nu - n - 1) * hist covariance would not be SPD

@@ -7,7 +7,7 @@ import pytest
 
 from blbayes import jsonio
 from blbayes.config import RunConfig, load_grid
-from blbayes.errors import ValidationError
+from blbayes.errors import NumericalError, ValidationError
 
 
 def base_doc(tmp_path):
@@ -150,10 +150,11 @@ class TestJsonWriter:
 """
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        # a numerical failure (exit 3 from the CLI) that names the field
+        with pytest.raises(NumericalError, match=r"^x: nan is not a finite number$"):
             jsonio.dumps({"x": float("nan")})
-        with pytest.raises(ValueError):
-            jsonio.dumps({"x": float("inf")})
+        with pytest.raises(NumericalError, match=r"^a\.b\[1\]: inf is not a finite number$"):
+            jsonio.dumps({"a": {"b": [1.0, float("inf")]}})
 
     def test_stable_bytes(self):
         doc = {"z": [1.0, 2.5], "a": {"nested": True, "s": "text"}}

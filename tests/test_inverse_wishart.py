@@ -10,7 +10,7 @@ import pytest
 from blbayes import demo, linalg
 from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
-from blbayes.errors import InsufficientDataError, ValidationError
+from blbayes.errors import DimensionError, InsufficientDataError, ValidationError
 from blbayes.inverse_wishart import (
     IwConfig,
     check_chain_length,
@@ -329,6 +329,67 @@ class TestChains:
         assert path.read_bytes() == path2.read_bytes()
 
 
+class TestBatchedChains:
+    """Chains advanced in lock step as one batch: each chain's summary is bit
+    for bit the summary of its chain run alone."""
+
+    months = np.random.default_rng(55).normal(size=(8, 2)) * 0.01
+
+    def sampler(self, variant):
+        if variant == "nonsquare":
+            return gibbs_nonsquare
+        return lambda returns, views, cfg, **kw: gibbs_augmented(returns, views, self.months,
+                                                                 cfg, **kw)
+
+    @staticmethod
+    def points(views, count):
+        return ([views.with_omega([10.0 ** -(2 + g)]) for g in range(count)],
+                [make_config(iters=300, burn=60, seed=5, stream_id=g) for g in range(count)])
+
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_batch_equals_chains_alone(self, small_dataset, variant):
+        returns, views = small_dataset
+        run = self.sampler(variant)
+        point_views, cfgs = self.points(views, 3)
+        batch = run(returns, point_views, cfgs)
+        assert len(batch) == 3
+        for v, cfg, s in zip(point_views, cfgs, batch):
+            alone = run(returns, v, cfg)
+            for field in ("mu_post", "sigma_post", "n_eff", "mu_se", "mu_draw_cov", "geweke_z"):
+                assert np.array_equal(getattr(s, field), getattr(alone, field)), field
+            assert s.acceptance_rate == alone.acceptance_rate == 1.0
+
+    def test_batch_shares_chain_length_and_prior(self, small_dataset):
+        returns, views = small_dataset
+        point_views, cfgs = self.points(views, 2)
+        with pytest.raises(ValidationError, match="share iters and burn"):
+            gibbs_nonsquare(returns, point_views, [cfgs[0], replace(cfgs[1], iters=400)])
+        with pytest.raises(ValidationError, match="share nu and Sigma0"):
+            gibbs_nonsquare(returns, point_views, [cfgs[0], replace(cfgs[1], nu=5.0)])
+        with pytest.raises(DimensionError, match="2 view sets for 1 chain configs"):
+            gibbs_nonsquare(returns, point_views, cfgs[:1])
+
+    def test_trace_follows_one_chain(self, small_dataset, tmp_path):
+        returns, views = small_dataset
+        point_views, cfgs = self.points(views, 2)
+        with pytest.raises(DimensionError, match="a trace follows one chain"):
+            gibbs_nonsquare(returns, point_views, cfgs, trace_path=tmp_path / "t.csv")
+
+    def test_factors_each_stack_once(self, small_dataset, monkeypatch):
+        # a lock-step iteration of three chains makes the two Cholesky
+        # calls of one chain, each on a stack of three matrices
+        returns, views = small_dataset
+        counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
+                    count_engine_calls(monkeypatch, np.linalg, "inv"),
+                    count_engine_calls(monkeypatch, linalg, "spd_inverse")]
+
+        def run(iters):
+            point_views, cfgs = self.points(views, 3)
+            gibbs_nonsquare(returns, point_views, [replace(c, iters=iters, burn=5) for c in cfgs])
+
+        assert calls_per_iteration(run, counters) == [2, 0, 0]
+
+
 class TestGibbsChain:
     """The shared loop, driven by a stub covariance step that returns a
     fixed Sigma and accepts every other iteration."""
@@ -347,7 +408,7 @@ class TestGibbsChain:
         return step
 
     def run(self, returns, views, step, cfg, trace_path=None):
-        return gibbs_chain(returns, views.q, views.omega, views.p, cfg, step,
+        return gibbs_chain(returns, (views.p, views.q, views.omega), cfg, step,
                            trace_path, mh=True)
 
     def test_flags_trace_and_sigma_mean(self, small_dataset, tmp_path):

@@ -270,6 +270,65 @@ class TestSigmaDrawConditionWarning:
         assert caplog.records == []
 
 
+class TestBatch:
+    """G chains drawn as one stack, each from its own stream: every chain's
+    draw is bit for bit the draw of its slice alone."""
+
+    @staticmethod
+    def streams(count, seed):
+        return [RngStream(seed, g) for g in range(count)]
+
+    @pytest.mark.parametrize("g_count", [1, 3, 9])
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_inverse_wishart_equals_its_slices(self, n, g_count):
+        gen = np.random.default_rng(310 + n)
+        scale = np.array([random_spd(gen, n) for _ in range(g_count)])
+        batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
+        sigma, sigma_inv, log_det = sample_inverse_wishart(n + 2.5, scale, batch)
+        assert sigma.shape == sigma_inv.shape == (g_count, n, n)
+        assert len(log_det) == g_count
+        for g in range(g_count):
+            s, s_inv, ld = sample_inverse_wishart(n + 2.5, scale[g], alone[g])
+            assert np.array_equal(sigma[g], s) and np.array_equal(sigma_inv[g], s_inv)
+            assert log_det[g] == ld
+            # each chain took exactly its own draws from its own stream
+            assert batch[g].generator.random() == alone[g].generator.random()
+
+    @pytest.mark.parametrize("cov_cholesky", [False, True])
+    @pytest.mark.parametrize("g_count", [1, 3, 9])
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_mvn_equals_its_slices(self, n, g_count, cov_cholesky):
+        gen = np.random.default_rng(320 + n)
+        precision = np.array([random_spd(gen, n) for _ in range(g_count)])
+        shift = gen.normal(size=(g_count, n))
+        batch, alone = self.streams(g_count, 321), self.streams(g_count, 321)
+        draws = sample_mvn(shift, precision=precision, rng=batch, cov_cholesky=cov_cholesky)
+        assert draws.shape == (g_count, n)
+        for g in range(g_count):
+            one = sample_mvn(shift[g], precision=precision[g], rng=alone[g],
+                             cov_cholesky=cov_cholesky)
+            assert np.array_equal(draws[g], one)
+            assert batch[g].generator.random() == alone[g].generator.random()
+
+    def test_one_stream_per_chain(self):
+        stack = np.tile(np.eye(2), (3, 1, 1))
+        with pytest.raises(DimensionError, match="2 streams for 3 chains"):
+            sample_mvn(np.zeros((3, 2)), precision=stack, rng=self.streams(2, 1))
+        with pytest.raises(DimensionError, match="2 streams"):
+            sample_inverse_wishart(5.0, stack, self.streams(2, 1))
+
+    def test_condition_warnings_are_per_chain(self, caplog):
+        # of three chains only the middle one is ill-conditioned, and only
+        # it logs, once per sampler
+        q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0]
+        ill = (q * [1.0, 1e-12]) @ q.T
+        stack = np.array([np.eye(2), 0.5 * (ill + ill.T), 2.0 * np.eye(2)])
+        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+            sample_inverse_wishart(12.0, stack, self.streams(3, 7))
+            sample_mvn(np.ones((3, 2)), precision=stack, rng=self.streams(3, 8), name="probe")
+        assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
+
+
 class TestInverseGamma:
     def test_mean(self):
         rng = RngStream(300)
