@@ -166,8 +166,6 @@ def gibbs_chain(returns, views, cfg, sigma_step, trace_path=None, mh: bool = Fal
         raise InsufficientDataError("the chain needs at least one row of returns")
     batch = isinstance(cfg, (list, tuple))
     cfgs, chain_views = (cfg, views) if batch else ([cfg], [views])
-    if not cfgs or len(chain_views) != len(cfgs):
-        raise DimensionError(f"{len(chain_views)} view sets for {len(cfgs)} chain configs")
     iters, burn = cfgs[0].iters, cfgs[0].burn
     if any((c.iters, c.burn) != (iters, burn) for c in cfgs):
         raise ValidationError("iters", "the chains of a batch must share iters and burn")
