@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -104,9 +105,9 @@ class ReturnPanel:
 def ingest_prices(source) -> PricePanel:
     """Parse a ``date,<T1>,...,<Tn>`` CSV stream into a validated panel.
 
-    Rows are sorted ascending by date. Duplicate dates, blank or
-    non-positive prices, and ragged rows raise :class:`FormatError` naming
-    the offending row/column.
+    Rows are sorted ascending by date. Duplicate dates, blank, non-numeric,
+    non-finite or non-positive prices, and ragged rows raise
+    :class:`FormatError` naming the offending row/column.
     """
     reader = csv.reader(source)
     try:
@@ -135,24 +136,13 @@ def ingest_prices(source) -> PricePanel:
         if d in seen:
             raise FormatError(f"row {lineno}: duplicate date {d.isoformat()}")
         seen.add(d)
-        prices = []
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise FormatError(
-                    f"row {lineno}, column {tickers[j]!r}: blank price cell"
-                )
-            try:
-                value = float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"row {lineno}, column {tickers[j]!r}: bad price {cell!r}"
-                )
-            if value <= 0 or not np.isfinite(value):
-                raise FormatError(
-                    f"row {lineno}, column {tickers[j]!r}: non-positive price {cell!r}"
-                )
-            prices.append(value)
+        try:
+            prices = [float(cell) for cell in row[1:]]
+        except ValueError:
+            prices = None
+        # a chained comparison is False for NaN too
+        if prices is None or not all(0 < value < math.inf for value in prices):
+            _raise_bad_cell(lineno, tickers, row[1:])
         rows.append((d, prices))
 
     if len(rows) < 2:
@@ -161,6 +151,24 @@ def ingest_prices(source) -> PricePanel:
     dates = tuple(d for d, _ in rows)
     block = np.array([p for _, p in rows], dtype=float)
     return PricePanel(tickers=tickers, dates=dates, prices=block)
+
+
+def _raise_bad_cell(lineno: int, tickers, cells) -> None:
+    """Raise the :class:`FormatError` of the first bad price cell of a row:
+    blank, not a number, not finite, or not positive."""
+    for ticker, cell in zip(tickers, cells):
+        where = f"row {lineno}, column {ticker!r}"
+        cell = cell.strip()
+        if not cell:
+            raise FormatError(f"{where}: blank price cell")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise FormatError(f"{where}: bad price {cell!r}")
+        if not math.isfinite(value):
+            raise FormatError(f"{where}: non-finite price {cell!r}")
+        if value <= 0:
+            raise FormatError(f"{where}: non-positive price {cell!r}")
 
 
 def compute_returns(panel: PricePanel, m: int, test_start: date) -> ReturnPanel:

@@ -28,8 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
-from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
-from .linalg import require_spd, symmetrize
+from .errors import (
+    BatchValidationError,
+    BlBayesError,
+    ChainError,
+    DimensionError,
+    InsufficientDataError,
+    ValidationError,
+)
+from .linalg import centred_scatter, require_spd, scatter_about
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
@@ -108,9 +115,9 @@ def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: 
 
 def sigma_conditional(residual_scatter, nu: float, sigma0, m: int):
     """Inverse-Wishart parameters of the covariance conditional:
-    ``(nu + m, Sigma0 + sum_i (r_i - mu)(r_i - mu)')``."""
-    scatter = symmetrize(np.asarray(residual_scatter, dtype=float))
-    return nu + m, np.asarray(sigma0, dtype=float) + scatter
+    ``(nu + m, Sigma0 + sum_i (r_i - mu)(r_i - mu)')``, given that symmetric
+    scatter (of one chain, or a stack of them)."""
+    return nu + m, np.asarray(sigma0, dtype=float) + residual_scatter
 
 
 class _TraceWriter:
@@ -207,12 +214,13 @@ def gibbs_chain(returns, views, cfg, sigma_step, trace_path=None, mh: bool = Fal
 def _iw_step(returns, nu: float, sigma0):
     """Covariance step of the Inverse-Wishart models, for one chain or a
     batch: an exact conditional draw with its inverse and log det, so every
-    step is accepted."""
+    step is accepted. The returns' centred scatter is computed once; each
+    step adds the rank-one term of its mu (:func:`~blbayes.linalg.scatter_about`)."""
     m = returns.shape[0]
+    rbar, centred = centred_scatter(returns)
 
     def step(mu, rng):
-        resid = returns - mu[..., None, :]
-        dof, scale = sigma_conditional(resid.swapaxes(-1, -2) @ resid, nu, sigma0, m)
+        dof, scale = sigma_conditional(scatter_about(centred, rbar, mu, m), nu, sigma0, m)
         return *sample_inverse_wishart(dof, scale, rng), True
 
     return step
@@ -227,19 +235,32 @@ def _iw_chain(returns_current, views, cfg, prior, trace_path):
     :class:`IwConfig`, for one summary; or a sequence of view sets with a
     sequence of configs that differ at most in ``seed`` and ``stream_id``,
     run as one lock-step batch (:func:`gibbs_chain`), for a list of summaries
-    in order.
+    in order. Every point of a batch is validated before any chain runs; if
+    any fails, :class:`~blbayes.errors.BatchValidationError` names each
+    failed point with the exception it raises alone.
     """
     batch = not isinstance(views, ViewSet)
     point_views, cfgs = (list(views), list(cfg)) if batch else ([views], [cfg])
     if not cfgs or len(point_views) != len(cfgs):
         raise DimensionError(f"{len(point_views)} view sets for {len(cfgs)} chain configs")
-    returns_current = np.asarray(returns_current, dtype=float)
-    chain_views = [prior(v, c) for v, c in zip(point_views, cfgs)]
-    if any(returns_current.shape[1] != p.shape[1] for p, _, _ in chain_views):
-        raise DimensionError("returns and views disagree on the number of assets")
     nu, sigma0 = cfgs[0].nu, cfgs[0].sigma0
     if any(c.nu != nu or not np.array_equal(c.sigma0, sigma0) for c in cfgs):
         raise ValidationError("nu", "the chains of a batch must share nu and Sigma0")
+    returns_current = np.asarray(returns_current, dtype=float)
+    chain_views, failures = [], {}
+    for g, (v, c) in enumerate(zip(point_views, cfgs)):
+        try:
+            p, q, omega = prior(v, c)
+            if returns_current.shape[1] != p.shape[1]:
+                raise DimensionError("returns and views disagree on the number of assets")
+        except (BlBayesError, np.linalg.LinAlgError) as exc:
+            if not batch:
+                raise
+            failures[g] = exc
+        else:
+            chain_views.append((p, q, omega))
+    if failures:
+        raise BatchValidationError(failures)
     mu_draws, sigma_means, accepts = gibbs_chain(
         returns_current, chain_views if batch else chain_views[0], cfgs if batch else cfg,
         _iw_step(returns_current, nu, sigma0), trace_path,

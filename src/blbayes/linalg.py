@@ -115,6 +115,24 @@ def warn_condition(name: str, cond: float) -> None:
         log.warning("%s: condition number >= %.3e exceeds %.0e", name, cond, COND_WARN)
 
 
+def centred_scatter(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Mean ``rbar`` of the rows ``r_i`` of an ``(m, n)`` array and their
+    centred scatter ``sum_i (r_i - rbar)(r_i - rbar)'``, exactly symmetric."""
+    rows = np.asarray(rows, dtype=float)
+    rbar = rows.mean(axis=0)
+    resid = rows - rbar
+    return rbar, symmetrize(resid.T @ resid)
+
+
+def scatter_about(centred, rbar, mu, weight: float) -> np.ndarray:
+    """``centred + weight (rbar - mu)(rbar - mu)'``, for one ``mu`` or a stack
+    ``(G, n)`` of them. With ``weight = m`` and the :func:`centred_scatter` of
+    m rows this is their scatter ``sum_i (r_i - mu)(r_i - mu)'``, made without
+    the rows; it is exactly symmetric when ``centred`` is."""
+    dev = rbar - mu
+    return centred + weight * (dev[..., :, None] * dev[..., None, :])
+
+
 def spd_solve(a, b, name: str = "system"):
     """Solve ``a @ x = b`` for SPD ``a`` through its Cholesky factor (see
     :func:`spd_cholesky` for the condition warning and the failure report)."""

@@ -36,7 +36,9 @@ from .errors import (
 )
 from .inverse_wishart import OMEGA_FLOOR_HARD, check_chain_length, check_omega_floor, gibbs_chain
 from .linalg import (
+    centred_scatter,
     matrix_log_spd,
+    scatter_about,
     spd_eigh,
     symmetrize,
     vec_star,
@@ -283,11 +285,6 @@ def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:
     return symmetrize((v * np.exp(w)) @ v.T), symmetrize(exp_neg_a), float(w.sum())
 
 
-def _scatter(returns, mu) -> np.ndarray:
-    resid = returns - mu
-    return symmetrize(resid.T @ resid / returns.shape[0])
-
-
 def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
                     trace_path=None) -> PosteriorSummary:
     """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model.
@@ -295,10 +292,11 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     The covariance step, given the current mu: (1) build the scatter, its
     eigen-quantities, Q, and G from the current block variances, (2) propose
     alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
-    factor of Q+G, and accept with :func:`mh_log_ratio`. One eigh of the
-    candidate gives its likelihood and, if accepted, Sigma, Sigma^-1 and
-    log det Sigma; the current alpha's likelihood comes from those cached
-    values and this iteration's S. (3) Draw the two block variances. The
+    factor of Q+G and one solve with it, and accept with
+    :func:`mh_log_ratio`. One eigh of the candidate gives its likelihood
+    and, if accepted, Sigma, Sigma^-1 and log det Sigma; the current alpha's
+    likelihood comes from those cached values and this iteration's S.
+    (3) Draw the two block variances. The
     shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu
     with the investor's P.
 
@@ -322,9 +320,12 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     # Data-centred start: alpha at the log of the scatter of the sample mean
     # (where the loop starts mu), so Sigma is that scatter up to rounding;
     # block variances at the empirical variances of the matching alpha
-    # blocks. matrix_log_spd validates the start scatter, and build_Q the
+    # blocks. Each step's scatter is this one plus the rank-one term of its
+    # mu. matrix_log_spd validates the start scatter, and build_Q the
     # spectrum of each scatter after it (symmetric by construction).
-    alpha = vec_star(matrix_log_spd(_scatter(returns_current, returns_current.mean(axis=0))))
+    rbar, s_centred = centred_scatter(returns_current)
+    s_centred /= m
+    alpha = vec_star(matrix_log_spd(s_centred))
     sigma, sigma_inv, log_det = _sigma_pair(*_decompose(alpha))
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
     sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
@@ -332,7 +333,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
 
     def step(mu, rng):
         nonlocal alpha, sigma, sigma_inv, log_det, sigma1_sq, sigma2_sq, floor_hits
-        s_mat = _scatter(returns_current, mu)
+        s_mat = scatter_about(s_centred, rbar, mu, 1.0)
         quad = build_Q(s_mat, m)
         g_mat = build_G(n, sigma1_sq, sigma2_sq)
         candidate = sample_mvn(quad.q_matrix @ quad.lambda_vec,

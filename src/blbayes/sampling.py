@@ -11,11 +11,11 @@ degrees of freedom that appears in the conjugate covariance posterior, and
 family vary between texts; this one is pinned here on purpose. A draw comes
 with its inverse, both from the one Bartlett factor, so no sampler inverts a
 drawn covariance. The multivariate normal is given by its precision, the form
-in which every sampler's normal conditional arises, and is drawn from that
-precision's one Cholesky factor. Both samplers also draw for a batch of
-chains stacked along a leading axis, each from its own stream, and a chain's
-draw does not depend on the batch it is drawn in. Every kernel here is
-numpy-only.
+in which every sampler's normal conditional arises, and is drawn with that
+precision's one Cholesky factor and one solve. Both samplers also draw for a
+batch of chains stacked along a leading axis, each from its own stream, and a
+chain's draw does not depend on the batch it is drawn in. Every kernel here
+is numpy-only.
 """
 
 from __future__ import annotations
@@ -65,13 +65,15 @@ class RngStream:
 def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
                cov_cholesky: bool = False) -> np.ndarray:
     """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
-    Cholesky factor ``P = L L'``: ``x = L'^-1 (L^-1 shift + z)``.
+    Cholesky factor ``P = L L'`` and one solve with ``P``:
+    ``x = P^-1 (shift + L z)``, which is the canonical-form draw
+    ``L'^-1 (L^-1 shift + z)`` as ``P^-1 L = L'^-1``.
 
     With ``cov_cholesky``, ``P`` is factored in reversed coordinate order,
     ``J P J = L L'`` with ``J`` the exchange matrix, and
-    ``x = J L'^-1 (L^-1 J shift + J z)``. As ``J L'^-1 J = chol(P^-1)``, this
-    is the covariance-form draw ``P^-1 shift + chol(P^-1) z`` from the same
-    normals, made without forming ``P^-1``.
+    ``x = P^-1 (shift + J L J z)``. As ``P^-1 J L J = J L'^-1 J = chol(P^-1)``,
+    this is the covariance-form draw ``P^-1 shift + chol(P^-1) z`` from the
+    same normals, made without forming ``P^-1``.
 
     A batch of G chains passes ``shift`` as ``(G, n)``, ``precision`` as
     ``(G, n, n)`` and ``rng`` as G streams, and gets ``(G, n)`` back; chain
@@ -95,18 +97,10 @@ def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
     else:
         z = np.array([r.generator.standard_normal(n) for r in rng])
     order = slice(None, None, -1) if cov_cholesky else slice(None)
-    chol = spd_cholesky(precision[..., order, order], name)
-    inner = _solve_vectors(chol, shift[..., order]) + z[..., order]
-    return _solve_vectors(chol.swapaxes(-1, -2), inner)[..., order]
-
-
-def _solve_vectors(a, b) -> np.ndarray:
-    """``a^-1 b`` for a matrix and a vector, or for stacks of both: numpy
-    reads a stack ``(G, n)`` of right-hand sides as one matrix, so each is
-    passed as a column."""
-    if b.ndim == 1:
-        return np.linalg.solve(a, b)
-    return np.linalg.solve(a, b[..., None])[..., 0]
+    noise_factor = spd_cholesky(precision[..., order, order], name)[..., order, order]
+    # each right-hand side a column, so a stack of them is not read as one matrix
+    rhs = shift[..., None] + noise_factor @ z[..., None]
+    return np.linalg.solve(precision, rhs)[..., 0]
 
 
 @functools.cache

@@ -2,13 +2,14 @@
 
 Two kinds live here. The first are closed forms that no code in the package
 calls: the mean-return conditional as a (shift, precision) and as a (mean,
-covariance) pair, completing
-the square, the Volterra log density and the symmetric matrix exponential.
-The second are longhand forms of engine code: the f-vectors of all n^2
-eigenvector pairs, xi with both branches always evaluated, the prior
-precision G through its 2x2 core solve from the block design of the alpha
-prior, view augmentation as two loops, over the rule candidates and then over
-the fill, and the augmented-views sampler run in view space.
+covariance) pair, the canonical-form normal draw through two solves with a
+Cholesky factor, completing the square, the Volterra log density and the
+symmetric matrix exponential. The second are longhand forms of engine code:
+the f-vectors of all n^2 eigenvector pairs, xi with both branches always
+evaluated, the prior precision G through its 2x2 core solve from the block
+design of the alpha prior, view augmentation as two loops, over the rule
+candidates and then over the fill, and the augmented-views sampler run in
+view space.
 """
 
 from dataclasses import dataclass
@@ -64,6 +65,18 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
     shift, precision = mu_conditional_precision(rbar, sigma, q_eff, omega_eff, p_eff, m)
     cov = spd_inverse(precision, "mu conditional precision")
     return cov @ shift, cov
+
+
+def mvn_two_solves(shift, precision, z, cov_cholesky: bool = False) -> np.ndarray:
+    """The canonical-form draw from N(P^-1 shift, P^-1) with the normals
+    ``z``, through two solves with the Cholesky factor of ``P = L L'``:
+    ``x = L'^-1 (L^-1 shift + z)``. With ``cov_cholesky``, ``J P J = L L'``
+    and ``x = J L'^-1 (L^-1 J shift + J z)``, for ``J`` the exchange
+    matrix."""
+    order = slice(None, None, -1) if cov_cholesky else slice(None)
+    chol = np.linalg.cholesky(np.asarray(precision, dtype=float)[order, order])
+    inner = np.linalg.solve(chol, np.asarray(shift, dtype=float)[order]) + z[order]
+    return np.linalg.solve(chol.T, inner)[order]
 
 
 def complete_square(a_mat, a_vec, b_mat, b_vec):

@@ -1,5 +1,7 @@
 """Weights, profits, distances, and the deterministic parallel sweep."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,38 @@ class TestSweep:
         alone = [rec for point in grid.points()
                  for rec in backtest._sweep_batch(((point,), panel, views, settings,
                                                    grid.model, grid.base_seed))]
+        pa, pb = tmp_path / "batched.csv", tmp_path / "alone.csv"
+        write_sweep_csv(batched, pa)
+        write_sweep_csv(alone, pb)
+        assert pa.read_bytes() == pb.read_bytes()
+
+    def test_invalid_points_leave_the_batch(self, sweep_inputs, monkeypatch, tmp_path, caplog):
+        # omega1 = 1e-10 is below the Inverse-Wishart floor, so the three
+        # points of that row fail validation before any chain runs; they get
+        # the records of an unbatched run and the six valid points run as one
+        # batch, with no point run alone
+        panel, views, settings = sweep_inputs
+        original = backtest.gibbs_nonsquare
+        batch_sizes = []
+
+        def recording(returns, point_views, cfgs, **kwargs):
+            batch_sizes.append(len(point_views))
+            return original(returns, point_views, cfgs, **kwargs)
+
+        monkeypatch.setattr(backtest, "gibbs_nonsquare", recording)
+        grid = SweepGrid((1e-10, 1e-5, 1e-4), (1e-5, 1e-4, 1e-3), "iw_nonsquare", base_seed=7)
+        with caplog.at_level(logging.WARNING, logger="blbayes.backtest"):
+            batched = run_sweep(grid, panel, views, settings, workers=1)
+        batched_warnings = [r.getMessage() for r in caplog.records]
+        assert batch_sizes == [9, 6]
+        assert [r.status for r in batched] == ["error:ValidationError"] * 3 + ["ok"] * 6
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="blbayes.backtest"):
+            alone = [rec for point in grid.points()
+                     for rec in backtest._sweep_batch(((point,), panel, views, settings,
+                                                       grid.model, grid.base_seed))]
+        assert [r.getMessage() for r in caplog.records] == batched_warnings
+        assert len(batched_warnings) == 3
         pa, pb = tmp_path / "batched.csv", tmp_path / "alone.csv"
         write_sweep_csv(batched, pa)
         write_sweep_csv(alone, pb)

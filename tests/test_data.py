@@ -49,6 +49,49 @@ class TestIngest:
         with pytest.raises(FormatError, match="non-positive"):
             panel_from("date,AAA\n2020-01-01,1\n2020-01-02,-3\n")
 
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite price 'nan'"),
+        ("inf", "non-finite price 'inf'"),
+        ("-inf", "non-finite price '-inf'"),
+        ("0", "non-positive price '0'"),
+        ("-1", "non-positive price '-1'"),
+        ("abc", "bad price 'abc'"),
+        ("   ", "blank price cell"),
+    ])
+    def test_bad_cell_names_row_and_column(self, cell, message):
+        with pytest.raises(FormatError) as exc:
+            panel_from(f"date,AAA,BBB\n2020-01-01,1,2\n2020-01-02,1,{cell}\n")
+        assert str(exc.value) == f"row 3, column 'BBB': {message}"
+
+    def test_first_bad_cell_of_a_row_is_named(self):
+        with pytest.raises(FormatError, match=r"^row 2, column 'AAA': non-finite"):
+            panel_from("date,AAA,BBB,CCC\n2020-01-01,nan,abc,\n2020-01-02,1,2,3\n")
+        with pytest.raises(FormatError, match=r"^row 2, column 'BBB': blank"):
+            panel_from("date,AAA,BBB,CCC\n2020-01-01,1,,-1\n2020-01-02,1,2,3\n")
+
+    def test_row_errors_come_before_cell_errors(self):
+        with pytest.raises(FormatError, match="duplicate date"):
+            panel_from("date,AAA\n2020-01-01,1\n2020-01-01,nan\n")
+        with pytest.raises(FormatError, match="ISO-8601"):
+            panel_from("date,AAA\n2020-01-01,1\n2020-13-01,nan\n")
+        with pytest.raises(FormatError, match="expected 3 cells"):
+            panel_from("date,AAA,BBB\n2020-01-01,1,2\n2020-01-02,nan\n")
+
+    def test_space_padded_number_parses(self):
+        p = panel_from("date,AAA,BBB\n2020-01-01, 1.5 ,2\n2020-01-02,\t3e0,  4.25\n")
+        np.testing.assert_array_equal(p.prices, [[1.5, 2.0], [3.0, 4.25]])
+
+    def test_demo_panel_is_parsed_exactly(self):
+        # every cell of the demo CSV is the float of its text, in date order
+        path = demo.prices_csv_path()
+        with open(path, newline="") as fh:
+            panel = ingest_prices(fh)
+        lines = path.read_text().splitlines()[1:]
+        expected = sorted((date.fromisoformat(line.split(",")[0]),
+                           [float(c) for c in line.split(",")[1:]]) for line in lines if line)
+        assert panel.dates == tuple(d for d, _ in expected)
+        assert np.array_equal(panel.prices, np.array([p for _, p in expected]))
+
     def test_bad_header(self):
         with pytest.raises(FormatError):
             panel_from("when,AAA\n2020-01-01,1\n")

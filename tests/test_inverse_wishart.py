@@ -7,10 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blbayes import demo, linalg
+from blbayes import demo, inverse_wishart, linalg
 from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
-from blbayes.errors import DimensionError, InsufficientDataError, ValidationError
+from blbayes.errors import (
+    BatchValidationError,
+    DimensionError,
+    InsufficientDataError,
+    ValidationError,
+)
 from blbayes.inverse_wishart import (
     IwConfig,
     check_chain_length,
@@ -302,11 +307,13 @@ class TestChains:
         # per iteration: one Cholesky factor of the Inverse-Wishart scale,
         # one of mu's conditional precision, and no inverse; the covariance
         # step returns its draw's inverse, so spd_inverse runs only in set-up
-        # (Omega^-1)
+        # (Omega^-1). Three solves: two in the Bartlett step, one for mu
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
-                    count_engine_calls(monkeypatch, linalg, "spd_inverse")]
-        assert calls_per_iteration(self.chain(*small_dataset, variant), counters) == [2, 0, 0]
+                    count_engine_calls(monkeypatch, linalg, "spd_inverse"),
+                    count_engine_calls(monkeypatch, np.linalg, "solve")]
+        assert calls_per_iteration(self.chain(*small_dataset, variant),
+                                   counters) == [2, 0, 0, 3]
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
@@ -369,6 +376,25 @@ class TestBatchedChains:
         with pytest.raises(DimensionError, match="2 view sets for 1 chain configs"):
             gibbs_nonsquare(returns, point_views, cfgs[:1])
 
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_invalid_points_are_named_before_any_chain(self, small_dataset, monkeypatch,
+                                                       variant):
+        # every point is validated first, and each failure is the error of
+        # its point run alone
+        returns, views = small_dataset
+        run = self.sampler(variant)
+        point_views, cfgs = self.points(views, 3)
+        point_views[0] = point_views[2] = views.with_omega([1e-10])
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        with pytest.raises(BatchValidationError) as exc:
+            run(returns, point_views, cfgs)
+        assert chains == [] and sorted(exc.value.errors) == [0, 2]
+        for g in (0, 2):
+            with pytest.raises(ValidationError) as alone:
+                run(returns, point_views[g], cfgs[g])
+            assert type(exc.value.errors[g]) is ValidationError
+            assert str(exc.value.errors[g]) == str(alone.value)
+
     def test_trace_follows_one_chain(self, small_dataset, tmp_path):
         returns, views = small_dataset
         point_views, cfgs = self.points(views, 2)
@@ -377,17 +403,18 @@ class TestBatchedChains:
 
     def test_factors_each_stack_once(self, small_dataset, monkeypatch):
         # a lock-step iteration of three chains makes the two Cholesky
-        # calls of one chain, each on a stack of three matrices
+        # calls and three solves of one chain, each on a stack of three
         returns, views = small_dataset
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
-                    count_engine_calls(monkeypatch, linalg, "spd_inverse")]
+                    count_engine_calls(monkeypatch, linalg, "spd_inverse"),
+                    count_engine_calls(monkeypatch, np.linalg, "solve")]
 
         def run(iters):
             point_views, cfgs = self.points(views, 3)
             gibbs_nonsquare(returns, point_views, [replace(c, iters=iters, burn=5) for c in cfgs])
 
-        assert calls_per_iteration(run, counters) == [2, 0, 0]
+        assert calls_per_iteration(run, counters) == [2, 0, 0, 3]
 
 
 class TestGibbsChain:

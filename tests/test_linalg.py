@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from blbayes.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from blbayes.linalg import (
     _bilinear_gather,
+    centred_scatter,
     matrix_log_spd,
+    scatter_about,
     spd_inverse,
     spd_solve,
     vec_star,
@@ -235,6 +237,22 @@ class TestQuadraticIdentities:
                 (rbar - mu) @ sigma_inv @ (rbar - mu)
             )
             assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (4, 21), (10, 30)])
+    def test_rank_one_scatter_equals_residual_product(self, n, m):
+        # the centred scatter plus m (rbar-mu)(rbar-mu)' is the scatter about
+        # mu, exactly symmetric, for one mu and for a stack of them
+        rng = np.random.default_rng(33 + n)
+        rows = rng.normal(size=(m, n)) * 0.01 + 0.001
+        rbar, centred = centred_scatter(rows)
+        mus = rbar + rng.normal(size=(3, n)) * [[0.0], [0.001], [0.1]]
+        stack = scatter_about(centred, rbar, mus, m)
+        for mu, scatter in zip(mus, stack):
+            resid = rows - mu
+            expected = resid.T @ resid
+            assert np.linalg.norm(scatter - expected) <= 1e-14 * np.linalg.norm(expected)
+            assert np.array_equal(scatter, scatter.T)
+            assert np.array_equal(scatter_about(centred, rbar, mu, m), scatter)
 
     def test_linear_term_absorption(self):
         # x'Mx - 2b'x == (x - M^-1 b)' M (x - M^-1 b) - b' M^-1 b

@@ -572,11 +572,13 @@ class TestGibbsLogSigma:
     def test_factors_each_matrix_once(self, four_asset_data, monkeypatch):
         # per iteration: one Cholesky factor of the proposal precision Q+G,
         # one of mu's conditional precision, and no inverse; the step hands
-        # the loop Sigma^-1, so spd_inverse runs only in set-up (Omega^-1)
+        # the loop Sigma^-1, so spd_inverse runs only in set-up (Omega^-1).
+        # One solve per normal draw: the proposal and mu
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
-                    count_engine_calls(monkeypatch, linalg, "spd_inverse")]
-        assert calls_per_iteration(self.chain(*four_asset_data), counters) == [2, 0, 0]
+                    count_engine_calls(monkeypatch, linalg, "spd_inverse"),
+                    count_engine_calls(monkeypatch, np.linalg, "solve")]
+        assert calls_per_iteration(self.chain(*four_asset_data), counters) == [2, 0, 0, 2]
 
     def test_decomposes_once_per_iteration(self, four_asset_data, monkeypatch, tmp_path):
         # one eigh of the scatter in build_Q and one of the candidate, on

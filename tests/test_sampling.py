@@ -20,6 +20,7 @@ from blbayes.sampling import (
     sample_mvn,
 )
 from conftest import random_spd
+from oracles import mvn_two_solves
 
 
 class TestDeterminism:
@@ -122,6 +123,29 @@ class TestMvnPrecision:
             draw = sample_mvn(shift, precision=precision, rng=RngStream(130),
                               cov_cholesky=True)
             np.testing.assert_allclose(draw, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("cov_cholesky", [False, True])
+    @pytest.mark.parametrize("g_count", [None, 3, 9])
+    @pytest.mark.parametrize("n", [1, 4, 7, 55])
+    def test_one_solve_equals_two_solve_form(self, n, g_count, cov_cholesky):
+        # x = P^-1 (shift + R z) is the canonical-form draw from the same
+        # normals: it moves from the two-solve form by rounding only
+        gen = np.random.default_rng(330 + n)
+        count = 1 if g_count is None else g_count
+        precision = np.array([random_spd(gen, n) for _ in range(count)])
+        shift = gen.normal(size=(count, n))
+        assert max(np.linalg.cond(precision)) <= 1e4
+        streams = [RngStream(331, g) for g in range(count)]
+        if g_count is None:
+            draws = sample_mvn(shift[0], precision=precision[0], rng=streams[0],
+                               cov_cholesky=cov_cholesky)[None]
+        else:
+            draws = sample_mvn(shift, precision=precision, rng=streams,
+                               cov_cholesky=cov_cholesky)
+        for g in range(count):
+            z = RngStream(331, g).generator.standard_normal(n)
+            expected = mvn_two_solves(shift[g], precision[g], z, cov_cholesky)
+            assert np.linalg.norm(draws[g] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_draws_n_standard_normals(self):
         precision = random_spd(np.random.default_rng(127), 5)
@@ -296,7 +320,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("cov_cholesky", [False, True])
     @pytest.mark.parametrize("g_count", [1, 3, 9])
-    @pytest.mark.parametrize("n", [1, 4, 7])
+    @pytest.mark.parametrize("n", [1, 4, 7, 55])
     def test_mvn_equals_its_slices(self, n, g_count, cov_cholesky):
         gen = np.random.default_rng(320 + n)
         precision = np.array([random_spd(gen, n) for _ in range(g_count)])
