@@ -120,9 +120,10 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     ``views`` is one :class:`~blbayes.views.ViewSet` with ``stream_id`` one
     stream id, for one :class:`ModelResult`. Or ``views`` is a sequence of
     view sets, one per point, with ``stream_id`` a sequence of equal length,
-    for a list of results in order: the Inverse-Wishart models then run the
-    points as one lock-step batch, the other models one point at a time.
-    Each result is bit for bit the result of its point run alone.
+    for a list of results in order. Each point runs on the stream ``(seed,
+    stream id)`` under the one chain config of ``settings``: the
+    Inverse-Wishart models run the points as one lock-step batch, the others
+    one at a time. Each result is bit for bit that of its point run alone.
     """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
@@ -151,30 +152,20 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
         estimates = [(post.mu_bar, post.sigma_bar) for post in posts]
     else:
         if model == "log_sigma":
-            summaries = [
-                gibbs_log_sigma(panel.current, v,
-                                LogSigmaConfig(iters=settings.iters, burn=settings.burn,
-                                               seed=seed, stream_id=s),
-                                trace_path=trace_path)
-                for v, s in zip(points, stream_ids)
-            ]
+            cfg = LogSigmaConfig(iters=settings.iters, burn=settings.burn, seed=seed)
+            summaries = [gibbs_log_sigma(panel.current, v, cfg, s, trace_path=trace_path)
+                         for v, s in zip(points, stream_ids)]
         else:
-            cfgs = [IwConfig.default_for(hist_cov, iters=settings.iters, burn=settings.burn,
-                                         seed=seed, nu=settings.nu, sigma0=settings.sigma0,
-                                         stream_id=s,
-                                         allow_small_omega=settings.allow_small_omega)
-                    for s in stream_ids]
-            # one point runs as one chain, a batch as one lock-step batch
-            chain_views, chain_cfgs = (views, cfgs[0]) if single else (points, cfgs)
+            cfg = IwConfig.default_for(hist_cov, iters=settings.iters, burn=settings.burn,
+                                       seed=seed, nu=settings.nu, sigma0=settings.sigma0,
+                                       allow_small_omega=settings.allow_small_omega)
             if model == "iw_augmented":
                 months = monthly_means(panel.historical, panel.m)
-                summaries = gibbs_augmented(panel.current, chain_views, months, chain_cfgs,
+                summaries = gibbs_augmented(panel.current, points, months, cfg, stream_ids,
                                             trace_path=trace_path)
             else:
-                summaries = gibbs_nonsquare(panel.current, chain_views, chain_cfgs,
+                summaries = gibbs_nonsquare(panel.current, points, cfg, stream_ids,
                                             trace_path=trace_path)
-            if single:
-                summaries = [summaries]
         estimates = [(s.mu_post, s.sigma_post) for s in summaries]
 
     results = []

@@ -15,8 +15,9 @@ draw together with its inverse and its log det, computed from the factor the
 step already holds, so the loop neither inverts nor factors a drawn
 covariance. The mean draw takes its conditional in precision form and factors
 that precision once, so no matrix is inverted in the loop. Both samplers
-also run a batch of chains in lock step, as stacked arrays through the same
-loop, with results bit for bit those of each chain run alone.
+run G view sets under one :class:`IwConfig` with G stream ids as one batch
+of chains in lock step, and each summary is bit for bit that of its chain
+run alone.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class IwConfig:
     iters: int
     burn: int
     seed: int
-    stream_id: int = 0
     allow_small_omega: bool = False
 
     def __post_init__(self):
@@ -142,17 +142,15 @@ class _TraceWriter:
         self._fh.close()
 
 
-def gibbs_chain(returns, views, cfg, sigma_step, trace_path=None, mh: bool = False):
-    """The Gibbs loop every sampler shares, for one chain or for a batch of
-    chains advanced in lock step as stacked arrays.
+def gibbs_chain(returns, views, cfg, stream_ids, sigma_step, trace_path=None, mh=False):
+    """The Gibbs loop every sampler shares: G chains advanced in lock step.
 
-    One chain has the views ``views = (p, q, omega)`` on its mean and the
-    config ``cfg``, which supplies ``iters``, ``burn`` and the ``seed`` and
-    ``stream_id`` of its stream. A batch of G chains passes a list of view
-    triples and a list of configs that share ``iters`` and ``burn``: every
-    array below then gains a leading axis of length G, and ``rng`` is the
-    list of the chains' streams. Each chain draws from its own stream in the
-    order it draws alone, so its draws do not depend on the batch.
+    Chain g has the views ``views[g] = (p, q, omega)`` on its mean and the
+    stream ``(cfg.seed, stream_ids[g])``; ``cfg`` supplies ``iters`` and
+    ``burn``. Every array below has a leading axis of length G and ``rng`` is
+    the list of streams, except that a batch of one runs on plain arrays and
+    one stream, which spares numpy's overhead on stacks of one. Each chain
+    draws from its own stream in the order it draws alone.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
     ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its
@@ -165,46 +163,46 @@ def gibbs_chain(returns, views, cfg, sigma_step, trace_path=None, mh: bool = Fal
     ``cov_cholesky``). A trace follows one chain; ``mh`` adds the accept flag
     to its rows.
 
-    Returns (mu draws over all iterations, post-burn Sigma mean, accept flags).
+    Returns, each with a leading axis of length G: mu draws over all
+    iterations, post-burn Sigma means, accept flags.
     """
     returns = np.asarray(returns, dtype=float)
     m, n = returns.shape
     if m < 1:
         raise InsufficientDataError("the chain needs at least one row of returns")
-    batch = isinstance(cfg, (list, tuple))
-    cfgs, chain_views = (cfg, views) if batch else ([cfg], [views])
-    iters, burn = cfgs[0].iters, cfgs[0].burn
-    if any((c.iters, c.burn) != (iters, burn) for c in cfgs):
-        raise ValidationError("iters", "the chains of a batch must share iters and burn")
-    if trace_path and batch:
+    count = len(views)
+    if count == 0 or len(stream_ids) != count:
+        raise DimensionError(f"{count} view sets for {len(stream_ids)} stream ids")
+    if trace_path and count > 1:
         raise DimensionError("a trace follows one chain")
+    iters, burn = cfg.iters, cfg.burn
     rbar = returns.mean(axis=0)
-    priors = [view_precision(omega, q, p) for p, q, omega in chain_views]
+    priors = [view_precision(omega, q, p) for p, q, omega in views]
     prior_prec = np.array([prec for prec, _ in priors])
     prior_vec = np.array([vec for _, vec in priors])
-    rng = [RngStream(c.seed, c.stream_id) for c in cfgs]
-    lead = (len(cfgs),) if batch else ()
-    if not batch:
-        prior_prec, prior_vec, rng = prior_prec[0], prior_vec[0], rng[0]
-
-    mu = np.broadcast_to(rbar, lead + (n,)).copy()
-    mu_draws = np.empty(lead + (iters, n))
-    sigma_sum = np.zeros(lead + (n, n))
-    accepts = np.zeros(lead + (iters,), dtype=bool)
+    rng = [RngStream(cfg.seed, s) for s in stream_ids]
+    mu = np.broadcast_to(rbar, (count, n)).copy()
+    mu_draws = np.empty((count, iters, n))
+    sigma_sum = np.zeros((count, n, n))
+    accepts = np.zeros((count, iters), dtype=bool)
+    # the loop runs on all chains, or on chain 0's slices: plain arrays, one stream
+    g = slice(None) if count > 1 else 0
+    mu, draws, sigma_acc, flags, prior_prec, prior_vec, rng = (
+        a[g] for a in (mu, mu_draws, sigma_sum, accepts, prior_prec, prior_vec, rng))
     trace = _TraceWriter(trace_path, n, mh) if trace_path else None
     try:
         for t in range(iters):
-            sigma, sigma_inv, log_det, accepts[..., t] = sigma_step(mu, rng)
+            sigma, sigma_inv, log_det, flags[..., t] = sigma_step(mu, rng)
             data_prec = m * sigma_inv
             mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
                             rng=rng, name="mu conditional precision", cov_cholesky=True)
             if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
                 raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-            mu_draws[..., t, :] = mu
+            draws[..., t, :] = mu
             if t >= burn:
-                sigma_sum += sigma
+                sigma_acc += sigma
             if trace is not None:
-                trace.row(t, mu, log_det, int(accepts[t]) if mh else None)
+                trace.row(t, mu, log_det, int(flags[t]) if mh else None)
     finally:
         if trace is not None:
             trace.close()
@@ -226,35 +224,24 @@ def _iw_step(returns, nu: float, sigma0):
     return step
 
 
-def _iw_chain(returns_current, views, cfg, prior, trace_path):
-    """The asset-space chain both Inverse-Wishart samplers run. ``prior(v, c)``
-    validates one view set ``v`` under its config ``c`` and returns the views
-    ``(p, q, omega)`` of its chain.
-
-    ``views`` is one :class:`~blbayes.views.ViewSet` with ``cfg`` one
-    :class:`IwConfig`, for one summary; or a sequence of view sets with a
-    sequence of configs that differ at most in ``seed`` and ``stream_id``,
-    run as one lock-step batch (:func:`gibbs_chain`), for a list of summaries
-    in order. Every point of a batch is validated before any chain runs; if
-    any fails, :class:`~blbayes.errors.BatchValidationError` names each
-    failed point with the exception it raises alone.
+def _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path):
+    """The asset-space chains both Inverse-Wishart samplers run, one per view
+    set, as one lock-step batch (:func:`gibbs_chain`); returns their
+    summaries in order. ``prior(v)`` validates one view set and returns the
+    views ``(p, q, omega)`` of its chain. Every point is validated before any
+    chain runs: a batch of one raises its point's error, a larger batch
+    :class:`~blbayes.errors.BatchValidationError` naming each failed point
+    with the exception it raises alone.
     """
-    batch = not isinstance(views, ViewSet)
-    point_views, cfgs = (list(views), list(cfg)) if batch else ([views], [cfg])
-    if not cfgs or len(point_views) != len(cfgs):
-        raise DimensionError(f"{len(point_views)} view sets for {len(cfgs)} chain configs")
-    nu, sigma0 = cfgs[0].nu, cfgs[0].sigma0
-    if any(c.nu != nu or not np.array_equal(c.sigma0, sigma0) for c in cfgs):
-        raise ValidationError("nu", "the chains of a batch must share nu and Sigma0")
     returns_current = np.asarray(returns_current, dtype=float)
     chain_views, failures = [], {}
-    for g, (v, c) in enumerate(zip(point_views, cfgs)):
+    for g, v in enumerate(views):
         try:
-            p, q, omega = prior(v, c)
+            p, q, omega = prior(v)
             if returns_current.shape[1] != p.shape[1]:
                 raise DimensionError("returns and views disagree on the number of assets")
         except (BlBayesError, np.linalg.LinAlgError) as exc:
-            if not batch:
+            if len(views) == 1:
                 raise
             failures[g] = exc
         else:
@@ -262,16 +249,14 @@ def _iw_chain(returns_current, views, cfg, prior, trace_path):
     if failures:
         raise BatchValidationError(failures)
     mu_draws, sigma_means, accepts = gibbs_chain(
-        returns_current, chain_views if batch else chain_views[0], cfgs if batch else cfg,
-        _iw_step(returns_current, nu, sigma0), trace_path,
+        returns_current, chain_views, cfg, stream_ids,
+        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
     )
-    if not batch:
-        return summarize_mu_sigma(mu_draws, sigma_means, accepts, cfg.burn)
-    return [summarize_mu_sigma(*chain, c.burn)
-            for *chain, c in zip(mu_draws, sigma_means, accepts, cfgs)]
+    return [summarize_mu_sigma(*chain, cfg.burn)
+            for chain in zip(mu_draws, sigma_means, accepts)]
 
 
-def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg,
+def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_ids,
                     trace_path=None):
     """Sampler with the augmented views: extend P to an invertible P*, put
     the prior ``(q*, Omega*)`` of
@@ -280,29 +265,27 @@ def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg,
 
     The chain, ``cfg.sigma0`` and the trace are all in asset space. The
     Inverse-Wishart family is closed under congruence, so this is, in law,
-    the chain in view space ``P* mu`` mapped back to asset space. Sequences
-    of view sets and configs run as one batch (see :func:`gibbs_nonsquare`).
+    the chain in view space ``P* mu`` mapped back to asset space. A batch
+    runs as in :func:`gibbs_nonsquare`.
     """
-    def prior(v, c):
-        check_omega_floor(v, OMEGA_FLOOR_IW, c.allow_small_omega, "augmented")
+    def prior(v):
+        check_omega_floor(v, OMEGA_FLOOR_IW, cfg.allow_small_omega, "augmented")
         aug = augment_to_invertible(v.p)
         return (aug.p_star,
                 *build_transformed_hyperparams(aug, v.q, v.omega, monthly_mean_vectors))
 
-    return _iw_chain(returns_current, views, cfg, prior, trace_path)
+    return _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path)
 
 
-def gibbs_nonsquare(returns_current, views, cfg, trace_path=None):
+def gibbs_nonsquare(returns_current, views, cfg, stream_ids, trace_path=None):
     """Asset-space sampler with the investor's P unmodified.
 
-    Given one view set and one :class:`IwConfig`, returns one summary. Given
-    a sequence of view sets and a matching sequence of configs, which differ
-    at most in ``seed`` and ``stream_id``, runs the chains as one lock-step
-    batch and returns their summaries in order; each is bit for bit the
-    summary of its chain run alone.
+    Runs G view sets under one :class:`IwConfig`, point g on the stream
+    ``(cfg.seed, stream_ids[g])``, as one lock-step batch, and returns their
+    G summaries in order. A trace needs a batch of one.
     """
-    def prior(v, c):
-        check_omega_floor(v, OMEGA_FLOOR_IW, c.allow_small_omega, "non-square")
+    def prior(v):
+        check_omega_floor(v, OMEGA_FLOOR_IW, cfg.allow_small_omega, "non-square")
         return v.p, v.q, v.omega
 
-    return _iw_chain(returns_current, views, cfg, prior, trace_path)
+    return _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path)

@@ -271,7 +271,6 @@ class LogSigmaConfig:
     iters: int
     burn: int
     seed: int
-    stream_id: int = 0
 
     def __post_init__(self):
         check_chain_length(self.iters, self.burn)
@@ -286,7 +285,7 @@ def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
-                    trace_path=None) -> PosteriorSummary:
+                    stream_id: int = 0, trace_path=None) -> PosteriorSummary:
     """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model.
 
     The covariance step, given the current mu: (1) build the scatter, its
@@ -298,7 +297,8 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     likelihood comes from those cached values and this iteration's S.
     (3) Draw the two block variances. The
     shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu
-    with the investor's P.
+    with the investor's P. The chain is a batch of one, on the stream
+    ``(cfg.seed, stream_id)``.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
@@ -354,9 +354,9 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
         return sigma, sigma_inv, log_det, accepted
 
-    mu_draws, sigma_mean, accepts = gibbs_chain(
-        returns_current, (views.p, views.q, views.omega), cfg, step, trace_path, mh=True
+    mu_draws, sigma_means, accepts = gibbs_chain(
+        returns_current, [(views.p, views.q, views.omega)], cfg, [stream_id], step,
+        trace_path, mh=True,
     )
-    return summarize_mu_sigma(
-        mu_draws, sigma_mean, accepts, cfg.burn, extra={"ig_scale_floor_hits": floor_hits}
-    )
+    return summarize_mu_sigma(mu_draws[0], sigma_means[0], accepts[0], cfg.burn,
+                              extra={"ig_scale_floor_hits": floor_hits})

@@ -263,8 +263,8 @@ def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg
     )
     sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
     transformed = returns_current @ p_star.T
-    mu_star_draws, sigma_star_mean, accepts = gibbs_chain(
-        transformed, (np.eye(p_star.shape[0]), q_star, omega_star), cfg,
+    [mu_star_draws], [sigma_star_mean], [accepts] = gibbs_chain(
+        transformed, [(np.eye(p_star.shape[0]), q_star, omega_star)], cfg, [0],
         _iw_step(transformed, cfg.nu, sigma0_star),
     )
     mu_draws = mu_star_draws @ p_star_inv.T

@@ -268,8 +268,8 @@ def test_criterion_07_gibbs_conjugacy_cross_check():
     sq_views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
     cfg = IwConfig(nu=4, sigma0=0.02 * np.eye(2), iters=12_000, burn=1_500, seed=314)
     months = gen.normal(size=(8, 2)) * 0.01
-    sa = gibbs_augmented(returns, sq_views, months, cfg)
-    sb = gibbs_nonsquare(returns, sq_views, replace(cfg, seed=2718))
+    [sa] = gibbs_augmented(returns, [sq_views], months, cfg, [0])
+    [sb] = gibbs_nonsquare(returns, [sq_views], replace(cfg, seed=2718), [0])
     comb = np.sqrt(sa.mu_se**2 + sb.mu_se**2)
     part_b = bool(np.all(np.abs(sa.mu_post - sb.mu_post) < 3 * comb))
     check(7, "mean conditional matches closed form; two samplers agree on square P",

@@ -227,11 +227,13 @@ class TestSweep:
         panel, views, settings = sweep_inputs
         original = inverse_wishart.sample_inverse_wishart
 
-        def poisoned(dof, scale, rngs):
-            sigma, sigma_inv, log_det = original(dof, scale, rngs)
-            for g, rng in enumerate(rngs):
-                if rng.stream_id == 1:
-                    sigma[g] = np.nan
+        def poisoned(dof, scale, rng):
+            sigma, sigma_inv, log_det = original(dof, scale, rng)
+            # a batch of one draws on its one stream, a larger batch on a list
+            if isinstance(rng, list):
+                sigma[[stream.stream_id == 1 for stream in rng]] = np.nan
+            elif rng.stream_id == 1:
+                sigma[...] = np.nan
             return sigma, sigma_inv, log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", poisoned)
@@ -257,9 +259,9 @@ class TestSweep:
         original = backtest.gibbs_nonsquare
         batch_sizes = []
 
-        def recording(returns, point_views, cfgs, **kwargs):
+        def recording(returns, point_views, cfg, stream_ids, **kwargs):
             batch_sizes.append(len(point_views))
-            return original(returns, point_views, cfgs, **kwargs)
+            return original(returns, point_views, cfg, stream_ids, **kwargs)
 
         monkeypatch.setattr(backtest, "gibbs_nonsquare", recording)
         grid = SweepGrid((1e-10, 1e-5, 1e-4), (1e-5, 1e-4, 1e-3), "iw_nonsquare", base_seed=7)

@@ -130,7 +130,7 @@ class TestOmegaFloors:
         returns, views = small_dataset
         months = np.random.default_rng(55).normal(size=(8, 2)) * 0.01
         with pytest.raises(ValidationError, match="augmented floor 1e-09"):
-            gibbs_augmented(returns, views.with_omega([1e-10]), months, make_config())
+            gibbs_augmented(returns, [views.with_omega([1e-10])], months, make_config(), [0])
 
     def test_override_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="blbayes.inverse_wishart"):
@@ -197,18 +197,18 @@ class TestChains:
     def test_determinism(self, small_dataset):
         returns, views = small_dataset
         cfg = make_config(iters=800, burn=100)
-        a = gibbs_nonsquare(returns, views, cfg)
-        b = gibbs_nonsquare(returns, views, cfg)
+        [a] = gibbs_nonsquare(returns, [views], cfg, [0])
+        [b] = gibbs_nonsquare(returns, [views], cfg, [0])
         np.testing.assert_array_equal(a.mu_post, b.mu_post)
         np.testing.assert_array_equal(a.sigma_post, b.sigma_post)
-        c = gibbs_nonsquare(returns, views, replace(cfg, seed=988))
+        [c] = gibbs_nonsquare(returns, [views], replace(cfg, seed=988), [0])
         assert not np.array_equal(a.mu_post, c.mu_post)
 
     def test_vague_views_track_sample_mean(self, small_dataset):
         returns, views = small_dataset
         vague = views.with_omega([1e3])
         cfg = make_config(iters=4000, burn=500, seed=21)
-        s = gibbs_nonsquare(returns, vague, cfg)
+        [s] = gibbs_nonsquare(returns, [vague], cfg, [0])
         rbar = returns.mean(axis=0)
         post_sd = np.sqrt(np.diag(s.mu_draw_cov))
         assert np.all(np.abs(s.mu_post - rbar) < 3 * post_sd)
@@ -218,7 +218,7 @@ class TestChains:
         cfg = make_config(iters=3000, burn=400, seed=31)
         dists = []
         for om in (1e-2, 1e-4, 1e-6):
-            s = gibbs_nonsquare(returns, views.with_omega([om]), cfg)
+            [s] = gibbs_nonsquare(returns, [views.with_omega([om])], cfg, [0])
             dists.append(np.linalg.norm(views.p @ s.mu_post - views.q))
         assert dists[0] > dists[1] > dists[2]
 
@@ -250,8 +250,8 @@ class TestChains:
 
         cfg = make_config(iters=400, burn=80, seed=315)
         ta, tb = tmp_path / "a.csv", tmp_path / "b.csv"
-        sa = gibbs_augmented(returns, views, months, cfg, trace_path=ta)
-        sb = gibbs_nonsquare(returns, views, cfg, trace_path=tb)
+        [sa] = gibbs_augmented(returns, [views], months, cfg, [0], trace_path=ta)
+        [sb] = gibbs_nonsquare(returns, [views], cfg, [0], trace_path=tb)
         for field in ("mu_post", "sigma_post", "n_eff"):
             assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
         assert ta.read_bytes() == tb.read_bytes()
@@ -261,7 +261,7 @@ class TestChains:
         months = np.random.default_rng(54).normal(size=(8, 2)) * 0.01
         cfg = make_config(iters=300, burn=60, seed=17)
         path = tmp_path / "trace.csv"
-        s = gibbs_augmented(returns, views, months, cfg, trace_path=path)
+        [s] = gibbs_augmented(returns, [views], months, cfg, [0], trace_path=path)
         rows = np.array([[float(c) for c in r] for r in
                          csv.reader(path.read_text().splitlines()[1:])])
         np.testing.assert_allclose(rows[cfg.burn:, 1:3].mean(axis=0), s.mu_post,
@@ -285,7 +285,9 @@ class TestChains:
             out = np.array(out)
             return out.mean(axis=0), out.std(axis=0, ddof=1) / np.sqrt(len(seeds))
 
-        mean_a, se_a = seed_means(gibbs_augmented, range(100, 108))
+        mean_a, se_a = seed_means(
+            lambda returns, v, months, cfg: gibbs_augmented(returns, [v], months, cfg, [0])[0],
+            range(100, 108))
         mean_b, se_b = seed_means(gibbs_augmented_view_space, range(200, 208))
         z = (mean_a - mean_b) / np.sqrt(se_a**2 + se_b**2)
         assert np.abs(z).max() < 4
@@ -297,9 +299,9 @@ class TestChains:
         def run(iters):
             cfg = make_config(iters=iters, burn=5)
             if variant == "nonsquare":
-                gibbs_nonsquare(returns, views, cfg)
+                gibbs_nonsquare(returns, [views], cfg, [0])
             else:
-                gibbs_augmented(returns, views, months, cfg)
+                gibbs_augmented(returns, [views], months, cfg, [0])
         return run
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
@@ -317,7 +319,7 @@ class TestChains:
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
-        s = gibbs_nonsquare(returns, views, make_config(iters=4000, burn=500, seed=61))
+        [s] = gibbs_nonsquare(returns, [views], make_config(iters=4000, burn=500, seed=61), [0])
         assert s.geweke_pass()
         assert s.acceptance_rate == 1.0 and s.acceptance_rate_burn == 1.0
 
@@ -325,14 +327,14 @@ class TestChains:
         returns, views = small_dataset
         cfg = make_config(iters=50, burn=10)
         path = tmp_path / "trace.csv"
-        gibbs_nonsquare(returns, views, cfg, trace_path=path)
+        gibbs_nonsquare(returns, [views], cfg, [0], trace_path=path)
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma"]
         assert len(rows) == 51
         float(rows[1][3])  # parses
         # byte determinism
         path2 = tmp_path / "trace2.csv"
-        gibbs_nonsquare(returns, views, cfg, trace_path=path2)
+        gibbs_nonsquare(returns, [views], cfg, [0], trace_path=path2)
         assert path.read_bytes() == path2.read_bytes()
 
 
@@ -345,36 +347,33 @@ class TestBatchedChains:
     def sampler(self, variant):
         if variant == "nonsquare":
             return gibbs_nonsquare
-        return lambda returns, views, cfg, **kw: gibbs_augmented(returns, views, self.months,
-                                                                 cfg, **kw)
+        return lambda returns, views, cfg, stream_ids, **kw: gibbs_augmented(
+            returns, views, self.months, cfg, stream_ids, **kw)
+
+    cfg = make_config(iters=300, burn=60, seed=5)
 
     @staticmethod
     def points(views, count):
-        return ([views.with_omega([10.0 ** -(2 + g)]) for g in range(count)],
-                [make_config(iters=300, burn=60, seed=5, stream_id=g) for g in range(count)])
+        return [views.with_omega([10.0 ** -(2 + g)]) for g in range(count)], list(range(count))
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_batch_equals_chains_alone(self, small_dataset, variant):
         returns, views = small_dataset
         run = self.sampler(variant)
-        point_views, cfgs = self.points(views, 3)
-        batch = run(returns, point_views, cfgs)
+        point_views, stream_ids = self.points(views, 3)
+        batch = run(returns, point_views, self.cfg, stream_ids)
         assert len(batch) == 3
-        for v, cfg, s in zip(point_views, cfgs, batch):
-            alone = run(returns, v, cfg)
+        for v, stream_id, s in zip(point_views, stream_ids, batch):
+            [alone] = run(returns, [v], self.cfg, [stream_id])
             for field in ("mu_post", "sigma_post", "n_eff", "mu_se", "mu_draw_cov", "geweke_z"):
                 assert np.array_equal(getattr(s, field), getattr(alone, field)), field
             assert s.acceptance_rate == alone.acceptance_rate == 1.0
 
-    def test_batch_shares_chain_length_and_prior(self, small_dataset):
+    def test_batch_needs_a_stream_per_point(self, small_dataset):
         returns, views = small_dataset
-        point_views, cfgs = self.points(views, 2)
-        with pytest.raises(ValidationError, match="share iters and burn"):
-            gibbs_nonsquare(returns, point_views, [cfgs[0], replace(cfgs[1], iters=400)])
-        with pytest.raises(ValidationError, match="share nu and Sigma0"):
-            gibbs_nonsquare(returns, point_views, [cfgs[0], replace(cfgs[1], nu=5.0)])
-        with pytest.raises(DimensionError, match="2 view sets for 1 chain configs"):
-            gibbs_nonsquare(returns, point_views, cfgs[:1])
+        point_views, stream_ids = self.points(views, 2)
+        with pytest.raises(DimensionError, match="2 view sets for 1 stream ids"):
+            gibbs_nonsquare(returns, point_views, self.cfg, stream_ids[:1])
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_invalid_points_are_named_before_any_chain(self, small_dataset, monkeypatch,
@@ -383,23 +382,35 @@ class TestBatchedChains:
         # its point run alone
         returns, views = small_dataset
         run = self.sampler(variant)
-        point_views, cfgs = self.points(views, 3)
+        point_views, stream_ids = self.points(views, 3)
         point_views[0] = point_views[2] = views.with_omega([1e-10])
         chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
         with pytest.raises(BatchValidationError) as exc:
-            run(returns, point_views, cfgs)
+            run(returns, point_views, self.cfg, stream_ids)
         assert chains == [] and sorted(exc.value.errors) == [0, 2]
         for g in (0, 2):
             with pytest.raises(ValidationError) as alone:
-                run(returns, point_views[g], cfgs[g])
+                run(returns, point_views[g:g + 1], self.cfg, stream_ids[g:g + 1])
             assert type(exc.value.errors[g]) is ValidationError
             assert str(exc.value.errors[g]) == str(alone.value)
 
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_one_invalid_point_raises_its_own_error(self, small_dataset, monkeypatch,
+                                                    variant):
+        # a batch of one is a run of its point: its error is not wrapped
+        returns, views = small_dataset
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        with pytest.raises(ValidationError, match="floor 1e-09") as exc:
+            self.sampler(variant)(returns, [views.with_omega([1e-10])], self.cfg, [0])
+        assert type(exc.value) is ValidationError and exc.value.path == "views.omega"
+        assert chains == []
+
     def test_trace_follows_one_chain(self, small_dataset, tmp_path):
         returns, views = small_dataset
-        point_views, cfgs = self.points(views, 2)
+        point_views, stream_ids = self.points(views, 2)
         with pytest.raises(DimensionError, match="a trace follows one chain"):
-            gibbs_nonsquare(returns, point_views, cfgs, trace_path=tmp_path / "t.csv")
+            gibbs_nonsquare(returns, point_views, self.cfg, stream_ids,
+                            trace_path=tmp_path / "t.csv")
 
     def test_factors_each_stack_once(self, small_dataset, monkeypatch):
         # a lock-step iteration of three chains makes the two Cholesky
@@ -410,9 +421,11 @@ class TestBatchedChains:
                     count_engine_calls(monkeypatch, linalg, "spd_inverse"),
                     count_engine_calls(monkeypatch, np.linalg, "solve")]
 
+        point_views, stream_ids = self.points(views, 3)
+
         def run(iters):
-            point_views, cfgs = self.points(views, 3)
-            gibbs_nonsquare(returns, point_views, [replace(c, iters=iters, burn=5) for c in cfgs])
+            gibbs_nonsquare(returns, point_views, replace(self.cfg, iters=iters, burn=5),
+                            stream_ids)
 
         assert calls_per_iteration(run, counters) == [2, 0, 0, 3]
 
@@ -435,8 +448,10 @@ class TestGibbsChain:
         return step
 
     def run(self, returns, views, step, cfg, trace_path=None):
-        return gibbs_chain(returns, (views.p, views.q, views.omega), cfg, step,
-                           trace_path, mh=True)
+        mu_draws, sigma_means, accepts = gibbs_chain(
+            returns, [(views.p, views.q, views.omega)], cfg, [0], step, trace_path, mh=True)
+        assert len(mu_draws) == len(sigma_means) == len(accepts) == 1
+        return mu_draws[0], sigma_means[0], accepts[0]
 
     def test_flags_trace_and_sigma_mean(self, small_dataset, tmp_path):
         returns, views = small_dataset
@@ -467,6 +482,31 @@ class TestGibbsChain:
         assert rows[0][0] == "iteration"
         assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, count):
+        # a batch of one runs on a plain mu of shape (n,) and one stream; a
+        # larger batch on a (G, n) stack and a list of G streams
+        returns, views = small_dataset
+        seen = []
+
+        def step(mu, rng):
+            seen.append((mu.shape, rng))
+            lead = (count,) if count > 1 else ()
+            sigma = np.broadcast_to(self.sigma_fix, lead + (2, 2)).copy()
+            return sigma, np.linalg.inv(sigma), np.full(lead, self.log_det_fix), True
+
+        mu_draws, sigma_means, accepts = gibbs_chain(
+            returns, [(views.p, views.q, views.omega)] * count, make_config(iters=4, burn=1),
+            list(range(7, 7 + count)), step)
+        assert mu_draws.shape == (count, 4, 2) and sigma_means.shape == (count, 2, 2)
+        assert accepts.shape == (count, 4) and accepts.all()
+        if count == 1:
+            assert all(shape == (2,) and isinstance(rng, RngStream) for shape, rng in seen)
+        else:
+            assert all(shape == (count, 2) and len(rng) == count for shape, rng in seen)
+            assert [r.stream_id for r in seen[0][1]] == [7, 8, 9]
+        assert len(seen) == 4
+
     def test_empty_window_rejected(self, small_dataset):
         _, views = small_dataset
         with pytest.raises(InsufficientDataError):
@@ -486,7 +526,7 @@ class TestFullChainOracle:
         nu = 1e6
         cfg = IwConfig(nu=nu, sigma0=(nu - n - 1) * sigma_fix,
                        iters=6000, burn=1000, seed=76)
-        s = gibbs_nonsquare(returns, views, cfg)
+        [s] = gibbs_nonsquare(returns, [views], cfg, [0])
         mean, _ = mu_conditional(returns.mean(axis=0), sigma_fix, views.q,
                                  views.omega, views.p, m)
         assert np.all(np.abs(s.mu_post - mean) < 4 * s.mu_se)
