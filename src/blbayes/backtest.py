@@ -124,6 +124,8 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream id)`` under the one chain config of ``settings``: the
     Inverse-Wishart models run the points as one lock-step batch, the others
     one at a time. Each result is bit for bit that of its point run alone.
+    A trace follows one chain: ``trace_path`` needs one point and a sampling
+    model, which is checked before any sampling.
     """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
@@ -132,6 +134,10 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream_ids = [stream_id] if single else list(stream_id)
     if len(points) != len(stream_ids):
         raise DimensionError(f"{len(points)} view sets for {len(stream_ids)} stream ids")
+    if trace_path and model == "original":
+        raise ValidationError("trace", "the original model runs no chain to trace")
+    if trace_path and len(points) > 1:
+        raise DimensionError("a trace follows one chain")
     n = len(panel.tickers)
     if any(v.n != n for v in points):
         raise DimensionError("views and panel disagree on the number of assets")
@@ -284,8 +290,10 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
+    if workers < 1:
+        raise ValidationError("workers", "must be >= 1")
     points = list(grid.points())
-    workers = max(1, min(workers, len(points)))
+    workers = min(workers, len(points))
     size, extra = divmod(len(points), workers)
     bounds = [b * size + min(b, extra) for b in range(workers + 1)]
     tasks = [(tuple(points[lo:hi]), panel, views, settings, grid.model, grid.base_seed)

@@ -105,9 +105,10 @@ class ReturnPanel:
 def ingest_prices(source) -> PricePanel:
     """Parse a ``date,<T1>,...,<Tn>`` CSV stream into a validated panel.
 
-    Rows are sorted ascending by date. Duplicate dates, blank, non-numeric,
-    non-finite or non-positive prices, and ragged rows raise
-    :class:`FormatError` naming the offending row/column.
+    Rows are sorted ascending by date. A duplicate ticker name, duplicate
+    dates, blank, non-numeric, non-finite or non-positive prices, and ragged
+    rows raise :class:`FormatError` naming the offending ticker, row or
+    column.
     """
     reader = csv.reader(source)
     try:
@@ -119,6 +120,9 @@ def ingest_prices(source) -> PricePanel:
     tickers = tuple(t.strip() for t in header[1:])
     if any(not t for t in tickers):
         raise FormatError("header contains an empty ticker name")
+    if len(set(tickers)) < len(tickers):
+        repeated = next(t for t in tickers if tickers.count(t) > 1)
+        raise FormatError(f"header names ticker {repeated!r} more than once")
 
     rows: list[tuple[date, list[float]]] = []
     seen: set[date] = set()

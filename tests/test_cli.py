@@ -129,6 +129,16 @@ class TestRun:
                      "--trace", str(trace)]) == 0
         assert trace.read_text().startswith("iteration,mu_0")
 
+    def test_trace_of_original_exit_2(self, demo_dir, tmp_path, capsys):
+        # the closed form runs no chain, so a requested trace would never appear
+        cfg = write_config(tmp_path, small_config(demo_dir, "original"))
+        trace, out = tmp_path / "trace.csv", tmp_path / "o.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace: the original model runs no chain to trace\n")
+        assert not trace.exists() and not out.exists()
+
     def test_log_sigma_needs_four_assets(self, tmp_path, capsys):
         csv = tmp_path / "three.csv"
         lines = ["date,A,B,C"]
@@ -201,6 +211,23 @@ class TestRun:
         cfg = write_config(tmp_path, small_config(demo_dir, iters=2, burn=1))
         assert main(["run", "--config", str(cfg)]) == 2
         assert "burn" in capsys.readouterr().err
+
+    def test_duplicate_ticker_exit_2(self, demo_dir, tmp_path, capsys):
+        # the repeated column makes the panel's tickers differ from the
+        # config's list, but the header is rejected first, naming the ticker
+        lines = (demo_dir / "prices.csv").read_text().splitlines()
+        lines[0] = lines[0].replace("BBB", "AAA")
+        prices = tmp_path / "dup.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        doc = small_config(demo_dir)
+        doc["data"]["prices_csv"] = str(prices)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "ticker 'AAA' more than once" in capsys.readouterr().err
+        assert main(["ingest", "--prices", str(prices), "--out", str(out)]) == 2
+        assert "ticker 'AAA' more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_tickers_rejected(self, demo_dir, tmp_path, capsys):
         doc = small_config(demo_dir)
@@ -296,6 +323,17 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(cfg), "--grid", str(grid), "--out", str(out)]) == 2
         assert "base_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_2(self, demo_dir, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid", str(grid),
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: workers: must be >= 1\n"
         assert not out.exists()
 
     def test_unwritable_out_fails_before_sweeping(self, demo_dir, tmp_path, monkeypatch):

@@ -96,6 +96,13 @@ class TestIngest:
         with pytest.raises(FormatError):
             panel_from("when,AAA\n2020-01-01,1\n")
 
+    @pytest.mark.parametrize("header", ["date,AAA,AAA", "date,AAA,BBB, AAA"])
+    def test_duplicate_ticker_named(self, header):
+        # a config's tickers list could not tell the two columns apart
+        with pytest.raises(FormatError, match="header names ticker 'AAA' more than once"):
+            panel_from(header + "\n2020-01-01" + ",1" * header.count(",")
+                       + "\n2020-01-02" + ",2" * header.count(",") + "\n")
+
     def test_bad_date(self):
         with pytest.raises(FormatError, match="ISO-8601"):
             panel_from("date,AAA\n01/02/2020,1\n2020-01-02,2\n")
