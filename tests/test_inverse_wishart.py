@@ -369,7 +369,9 @@ class TestBatchedChains:
                 assert np.array_equal(getattr(s, field), getattr(alone, field)), field
             assert s.acceptance_rate == alone.acceptance_rate == 1.0
 
-    def test_batch_needs_a_stream_per_point(self, small_dataset):
+    def test_batch_shares_chain_length_and_prior(self, small_dataset):
+        # the points of a batch share its one config, so chain length and
+        # prior cannot differ; what can is the number of stream ids
         returns, views = small_dataset
         point_views, stream_ids = self.points(views, 2)
         with pytest.raises(DimensionError, match="2 view sets for 1 stream ids"):
