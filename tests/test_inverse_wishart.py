@@ -504,6 +504,7 @@ class TestGibbsChain:
         assert accepts.shape == (count, 4) and accepts.all()
         if count == 1:
             assert all(shape == (2,) and isinstance(rng, RngStream) for shape, rng in seen)
+            assert seen[0][1].stream_id == 7
         else:
             assert all(shape == (count, 2) and len(rng) == count for shape, rng in seen)
             assert [r.stream_id for r in seen[0][1]] == [7, 8, 9]
