@@ -113,7 +113,7 @@ def historical_covariance(panel: ReturnPanel) -> np.ndarray:
 
 
 def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, seed: int,
-              stream_id=0, trace_path=None, compute_profit: bool = True):
+              stream_id=0, compute_profit: bool = True):
     """Run one model end to end: posterior, weights, view distance, and
     (optionally) the test-window profit.
 
@@ -124,8 +124,6 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream id)`` under the one chain config of ``settings``: the
     Inverse-Wishart models run the points as one lock-step batch, the others
     one at a time. Each result is bit for bit that of its point run alone.
-    A trace follows one chain: ``trace_path`` needs one point and a sampling
-    model, which is checked before any sampling.
     """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
@@ -134,10 +132,6 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream_ids = [stream_id] if single else list(stream_id)
     if len(points) != len(stream_ids):
         raise DimensionError(f"{len(points)} view sets for {len(stream_ids)} stream ids")
-    if trace_path and model == "original":
-        raise ValidationError("trace", "the original model runs no chain to trace")
-    if trace_path and len(points) > 1:
-        raise DimensionError("a trace follows one chain")
     n = len(panel.tickers)
     if any(v.n != n for v in points):
         raise DimensionError("views and panel disagree on the number of assets")
@@ -159,7 +153,7 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     else:
         if model == "log_sigma":
             cfg = LogSigmaConfig(iters=settings.iters, burn=settings.burn, seed=seed)
-            summaries = [gibbs_log_sigma(panel.current, v, cfg, s, trace_path=trace_path)
+            summaries = [gibbs_log_sigma(panel.current, v, cfg, s)
                          for v, s in zip(points, stream_ids)]
         else:
             cfg = IwConfig.default_for(hist_cov, iters=settings.iters, burn=settings.burn,
@@ -167,11 +161,9 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
                                        allow_small_omega=settings.allow_small_omega)
             if model == "iw_augmented":
                 months = monthly_means(panel.historical, panel.m)
-                summaries = gibbs_augmented(panel.current, points, months, cfg, stream_ids,
-                                            trace_path=trace_path)
+                summaries = gibbs_augmented(panel.current, points, months, cfg, stream_ids)
             else:
-                summaries = gibbs_nonsquare(panel.current, points, cfg, stream_ids,
-                                            trace_path=trace_path)
+                summaries = gibbs_nonsquare(panel.current, points, cfg, stream_ids)
         estimates = [(s.mu_post, s.sigma_post) for s in summaries]
 
     results = []
@@ -324,3 +316,18 @@ def write_sweep_csv(records, path) -> None:
                 format(r.acceptance_rate, ".17g"),
                 str(r.seed),
             ])
+
+
+def write_trace_csv(summary: PosteriorSummary, path) -> None:
+    """Chain-trace CSV, one row per iteration, burn-in included: the mean
+    draw, the covariance log det and the accept flag (0/1), floats at 17
+    significant digits for bit-stable output."""
+    n = summary.mu_draws.shape[1]
+    rows = zip(summary.mu_draws.tolist(), summary.log_det_sigma.tolist(),
+               summary.accepted.tolist())
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", *(f"mu_{i}" for i in range(n)), "logdet_sigma", "accepted"])
+        for t, (mu, log_det, accepted) in enumerate(rows):
+            w.writerow([t, *(format(v, ".17g") for v in mu), format(log_det, ".17g"),
+                        int(accepted)])

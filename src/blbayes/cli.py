@@ -3,7 +3,8 @@
 Subcommands: ``ingest`` (CSV -> cached panel JSON), ``run`` (one model, JSON
 summary), ``sweep`` (omega grid, CSV), ``backtest`` (stored weights over the
 test window). Exit codes are stable: 0 success, 2 validation failure or an
-unreadable input or unwritable output file, 3 numerical/runtime failure.
+unreadable input or unwritable output file, 3 numerical/runtime failure
+(out of memory included).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import run_model, run_sweep, write_sweep_csv, backtest_profit
+from .backtest import backtest_profit, run_model, run_sweep, write_sweep_csv, write_trace_csv
 from .config import RunConfig, load_grid
 from .data import ingest_prices
 from .errors import (
@@ -106,18 +107,23 @@ def _claimed_output(path):
 
 def _cmd_run(args) -> int:
     cfg = RunConfig.load(args.config)
+    if args.trace and cfg.model == "original":
+        raise ValidationError("trace", "the original model runs no chain to trace")
     panel = cfg.load_panel()
-    with _claimed_output(args.out) if args.out else contextlib.nullcontext():
-        result = run_model(
-            cfg.model, panel, cfg.views, cfg.settings, seed=cfg.seed,
-            trace_path=args.trace, compute_profit=cfg.backtest,
-        )
+    with contextlib.ExitStack() as claims:
+        for path in (args.out, args.trace):
+            if path:
+                claims.enter_context(_claimed_output(path))
+        result = run_model(cfg.model, panel, cfg.views, cfg.settings, seed=cfg.seed,
+                           compute_profit=cfg.backtest)
         text = jsonio.dumps(_summary_payload(cfg, result))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+        if args.trace:
+            write_trace_csv(result.summary, args.trace)
     return EXIT_OK
 
 
@@ -200,8 +206,8 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BlBayesError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BlBayesError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

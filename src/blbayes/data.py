@@ -49,15 +49,6 @@ class PricePanel:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PricePanel":
-        doc = json.loads(text)
-        return cls(
-            tickers=tuple(doc["tickers"]),
-            dates=tuple(date.fromisoformat(d) for d in doc["dates"]),
-            prices=np.array(doc["rows"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class ReturnPanel:
@@ -96,10 +87,6 @@ class ReturnPanel:
     @property
     def test(self) -> np.ndarray:
         return self.returns[self.cur_end :]
-
-    @property
-    def test_dates(self) -> tuple[date, ...]:
-        return self.dates[self.cur_end :]
 
 
 def ingest_prices(source) -> PricePanel:

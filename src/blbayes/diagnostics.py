@@ -76,6 +76,11 @@ class PosteriorSummary:
     ``mu_post``; ``mu_draw_cov`` the sample covariance of the post-burn mean
     draws (the posterior spread, not the estimator error); ``geweke_z`` the
     split-chain |z| per coordinate.
+
+    The per-iteration record covers every iteration, burn-in included:
+    ``mu_draws`` the mean draws ``(iters, n)``, ``log_det_sigma`` the log
+    det of each covariance draw and ``accepted`` each MH accept flag (all
+    true for pure Gibbs).
     """
 
     mu_post: np.ndarray
@@ -86,20 +91,24 @@ class PosteriorSummary:
     geweke_z: np.ndarray
     acceptance_rate: float
     acceptance_rate_burn: float
+    mu_draws: np.ndarray
+    log_det_sigma: np.ndarray
+    accepted: np.ndarray
     extra: dict | None = None
 
     def geweke_pass(self, z_max: float = 4.0) -> bool:
         return bool(np.all(self.geweke_z < z_max))
 
 
-def summarize_mu_sigma(mu_draws, sigma_mean, accepts, burn: int,
+def summarize_mu_sigma(mu_draws, sigma_mean, log_dets, accepts, burn: int,
                        extra=None) -> PosteriorSummary:
-    """Summary from a chain's mean draws and per-iteration accept flags (both
-    over every iteration, of which the first ``burn`` are burn-in) and its
-    already-averaged post-burn covariance."""
+    """Summary from a chain's mean draws, covariance log dets and accept
+    flags (all over every iteration, of which the first ``burn`` are
+    burn-in) and its already-averaged post-burn covariance."""
     accepts = np.asarray(accepts, dtype=bool)
     accept_burn = accepts[:burn].mean() if burn else float("nan")
-    mu_draws = np.asarray(mu_draws, dtype=float)[burn:]
+    all_draws = np.asarray(mu_draws, dtype=float)
+    mu_draws = all_draws[burn:]
     n_eff = np.array([effective_sample_size(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
     mu_se = np.array([_mean_se(mu_draws[:, i], ess) for i, ess in enumerate(n_eff.tolist())])
     geweke = np.array([geweke_split_z(mu_draws[:, i]) for i in range(mu_draws.shape[1])])
@@ -114,5 +123,8 @@ def summarize_mu_sigma(mu_draws, sigma_mean, accepts, burn: int,
         geweke_z=geweke,
         acceptance_rate=float(accepts[burn:].mean()),
         acceptance_rate_burn=float(accept_burn),
+        mu_draws=all_draws,
+        log_det_sigma=np.asarray(log_dets, dtype=float),
+        accepted=accepts,
         extra=extra,
     )

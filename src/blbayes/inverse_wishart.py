@@ -17,18 +17,18 @@ covariance. The mean draw takes its conditional in precision form and factors
 that precision once, so no matrix is inverted in the loop. Both samplers
 run G view sets under one :class:`IwConfig` with G stream ids as one batch
 of chains in lock step, and each summary is bit for bit that of its chain
-run alone.
+run alone. The loop keeps each chain's every mu draw, log det and accept
+flag, and the summary carries them; no sampler writes a file.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import PosteriorSummary, summarize_mu_sigma
+from .diagnostics import summarize_mu_sigma
 from .errors import (
     BatchValidationError,
     BlBayesError,
@@ -120,29 +120,7 @@ def sigma_conditional(residual_scatter, nu: float, sigma0, m: int):
     return nu + m, np.asarray(sigma0, dtype=float) + residual_scatter
 
 
-class _TraceWriter:
-    """Streams per-iteration chain state to CSV."""
-
-    def __init__(self, path, n: int, mh: bool = False):
-        self._fh = open(path, "w", newline="")
-        self._w = csv.writer(self._fh)
-        cols = ["iteration"] + [f"mu_{i}" for i in range(n)] + ["logdet_sigma"]
-        if mh:
-            cols.append("accepted")
-        self._w.writerow(cols)
-
-    def row(self, iteration: int, mu, logdet: float, accepted: int | None = None):
-        cells = [str(iteration)] + [format(v, ".17g") for v in mu]
-        cells.append(format(logdet, ".17g"))
-        if accepted is not None:
-            cells.append(str(accepted))
-        self._w.writerow(cells)
-
-    def close(self):
-        self._fh.close()
-
-
-def gibbs_chain(returns, views, cfg, stream_ids, sigma_step, trace_path=None, mh=False):
+def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     """The Gibbs loop every sampler shares: G chains advanced in lock step.
 
     Chain g has the views ``views[g] = (p, q, omega)`` on its mean and the
@@ -154,17 +132,17 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step, trace_path=None, mh
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
     ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its
-    inverse, its log det (for the trace) and an accept flag. The step logs
+    inverse, its log det and an accept flag. The step logs
     the "Sigma draw" condition warning. The loop then draws mu from its
     normal conditional given that covariance and the views: with precision
     ``m Sigma^-1 + P' Omega^-1 P`` and shift ``m Sigma^-1 rbar + P' Omega^-1 q``,
     built from ``sigma_inv`` and drawn from the precision's one Cholesky
     factor with the covariance's Cholesky noise (:func:`sample_mvn` with
-    ``cov_cholesky``). A trace follows one chain; ``mh`` adds the accept flag
-    to its rows.
+    ``cov_cholesky``).
 
-    Returns, each with a leading axis of length G: mu draws over all
-    iterations, post-burn Sigma means, accept flags.
+    Returns, each with a leading axis of length G: mu draws, post-burn Sigma
+    means, the steps' log dets as given and their accept flags, all but the
+    Sigma means over every iteration.
     """
     returns = np.asarray(returns, dtype=float)
     m, n = returns.shape
@@ -173,8 +151,6 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step, trace_path=None, mh
     count = len(views)
     if count == 0 or len(stream_ids) != count:
         raise DimensionError(f"{count} view sets for {len(stream_ids)} stream ids")
-    if trace_path and count > 1:
-        raise DimensionError("a trace follows one chain")
     iters, burn = cfg.iters, cfg.burn
     rbar = returns.mean(axis=0)
     priors = [view_precision(omega, q, p) for p, q, omega in views]
@@ -183,30 +159,24 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step, trace_path=None, mh
     rng = [RngStream(cfg.seed, s) for s in stream_ids]
     mu = np.broadcast_to(rbar, (count, n)).copy()
     mu_draws = np.empty((count, iters, n))
+    log_dets = np.empty((count, iters))
+    accepts = np.empty((count, iters), dtype=bool)
     sigma_sum = np.zeros((count, n, n))
-    accepts = np.zeros((count, iters), dtype=bool)
     # the loop runs on all chains, or on chain 0's slices: plain arrays, one stream
     g = slice(None) if count > 1 else 0
-    mu, draws, sigma_acc, flags, prior_prec, prior_vec, rng = (
-        a[g] for a in (mu, mu_draws, sigma_sum, accepts, prior_prec, prior_vec, rng))
-    trace = _TraceWriter(trace_path, n, mh) if trace_path else None
-    try:
-        for t in range(iters):
-            sigma, sigma_inv, log_det, flags[..., t] = sigma_step(mu, rng)
-            data_prec = m * sigma_inv
-            mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
-                            rng=rng, name="mu conditional precision", cov_cholesky=True)
-            if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-            draws[..., t, :] = mu
-            if t >= burn:
-                sigma_acc += sigma
-            if trace is not None:
-                trace.row(t, mu, log_det, int(flags[t]) if mh else None)
-    finally:
-        if trace is not None:
-            trace.close()
-    return mu_draws, sigma_sum / (iters - burn), accepts
+    mu, draws, logdets, flags, sigma_acc, prior_prec, prior_vec, rng = (
+        a[g] for a in (mu, mu_draws, log_dets, accepts, sigma_sum, prior_prec, prior_vec, rng))
+    for t in range(iters):
+        sigma, sigma_inv, logdets[..., t], flags[..., t] = sigma_step(mu, rng)
+        data_prec = m * sigma_inv
+        mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
+                        rng=rng, name="mu conditional precision", cov_cholesky=True)
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+        draws[..., t, :] = mu
+        if t >= burn:
+            sigma_acc += sigma
+    return mu_draws, sigma_sum / (iters - burn), log_dets, accepts
 
 
 def _iw_step(returns, nu: float, sigma0):
@@ -224,7 +194,7 @@ def _iw_step(returns, nu: float, sigma0):
     return step
 
 
-def _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path):
+def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     """The asset-space chains both Inverse-Wishart samplers run, one per view
     set, as one lock-step batch (:func:`gibbs_chain`); returns their
     summaries in order. ``prior(v)`` validates one view set and returns the
@@ -248,22 +218,18 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path):
             chain_views.append((p, q, omega))
     if failures:
         raise BatchValidationError(failures)
-    mu_draws, sigma_means, accepts = gibbs_chain(
-        returns_current, chain_views, cfg, stream_ids,
-        _iw_step(returns_current, cfg.nu, cfg.sigma0), trace_path,
-    )
-    return [summarize_mu_sigma(*chain, cfg.burn)
-            for chain in zip(mu_draws, sigma_means, accepts)]
+    chains = gibbs_chain(returns_current, chain_views, cfg, stream_ids,
+                         _iw_step(returns_current, cfg.nu, cfg.sigma0))
+    return [summarize_mu_sigma(*chain, cfg.burn) for chain in zip(*chains)]
 
 
-def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_ids,
-                    trace_path=None):
+def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_ids):
     """Sampler with the augmented views: extend P to an invertible P*, put
     the prior ``(q*, Omega*)`` of
     :func:`~blbayes.views.build_transformed_hyperparams` on ``P* mu``, and
     run the asset-space chain with the views ``(P*, q*, Omega*)``.
 
-    The chain, ``cfg.sigma0`` and the trace are all in asset space. The
+    The chain, ``cfg.sigma0`` and the recorded draws are all in asset space. The
     Inverse-Wishart family is closed under congruence, so this is, in law,
     the chain in view space ``P* mu`` mapped back to asset space. A batch
     runs as in :func:`gibbs_nonsquare`.
@@ -274,18 +240,18 @@ def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_id
         return (aug.p_star,
                 *build_transformed_hyperparams(aug, v.q, v.omega, monthly_mean_vectors))
 
-    return _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path)
+    return _iw_chain(returns_current, views, cfg, stream_ids, prior)
 
 
-def gibbs_nonsquare(returns_current, views, cfg, stream_ids, trace_path=None):
+def gibbs_nonsquare(returns_current, views, cfg, stream_ids):
     """Asset-space sampler with the investor's P unmodified.
 
     Runs G view sets under one :class:`IwConfig`, point g on the stream
     ``(cfg.seed, stream_ids[g])``, as one lock-step batch, and returns their
-    G summaries in order. A trace needs a batch of one.
+    G summaries in order.
     """
     def prior(v):
         check_omega_floor(v, OMEGA_FLOOR_IW, cfg.allow_small_omega, "non-square")
         return v.p, v.q, v.omega
 
-    return _iw_chain(returns_current, views, cfg, stream_ids, prior, trace_path)
+    return _iw_chain(returns_current, views, cfg, stream_ids, prior)

@@ -285,7 +285,7 @@ def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
-                    stream_id: int = 0, trace_path=None) -> PosteriorSummary:
+                    stream_id: int = 0) -> PosteriorSummary:
     """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model.
 
     The covariance step, given the current mu: (1) build the scatter, its
@@ -354,9 +354,6 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
         return sigma, sigma_inv, log_det, accepted
 
-    mu_draws, sigma_means, accepts = gibbs_chain(
-        returns_current, [(views.p, views.q, views.omega)], cfg, [stream_id], step,
-        trace_path, mh=True,
-    )
-    return summarize_mu_sigma(mu_draws[0], sigma_means[0], accepts[0], cfg.burn,
-                              extra={"ig_scale_floor_hits": floor_hits})
+    [chain] = zip(*gibbs_chain(returns_current, [(views.p, views.q, views.omega)], cfg,
+                               [stream_id], step))
+    return summarize_mu_sigma(*chain, cfg.burn, extra={"ig_scale_floor_hits": floor_hits})

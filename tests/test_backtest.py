@@ -15,7 +15,7 @@ from blbayes.backtest import (
     view_distance,
     write_sweep_csv,
 )
-from blbayes.errors import DimensionError, InsufficientDataError, ValidationError
+from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.original_bl import bl_posterior, optimal_weights
 from blbayes.views import ViewSet
 from conftest import count_engine_calls
@@ -114,27 +114,6 @@ class TestRunModel:
         with pytest.raises(ValidationError, match=f"{field}: must be > 0"):
             run_model("iw_nonsquare", panel, views,
                       ModelSettings(iters=200, burn=50, **{field: value}), seed=1)
-
-    def test_original_has_no_trace(self, sweep_inputs, tmp_path):
-        panel, views, settings = sweep_inputs
-        trace = tmp_path / "t.csv"
-        with pytest.raises(ValidationError, match="no chain to trace") as info:
-            run_model("original", panel, views, settings, seed=1, trace_path=trace)
-        assert info.value.path == "trace" and not trace.exists()
-
-    @pytest.mark.parametrize("model, chain", [("log_sigma", "gibbs_log_sigma"),
-                                              ("iw_nonsquare", "gibbs_nonsquare"),
-                                              ("iw_augmented", "gibbs_augmented")])
-    def test_trace_of_many_points_rejected_before_sampling(self, sweep_inputs, tmp_path,
-                                                           monkeypatch, model, chain):
-        # each point's trace would overwrite the one before
-        panel, views, settings = sweep_inputs
-        calls = count_engine_calls(monkeypatch, backtest, chain)
-        trace = tmp_path / "t.csv"
-        with pytest.raises(DimensionError, match="a trace follows one chain"):
-            run_model(model, panel, [views, views], settings, seed=1, stream_id=[0, 1],
-                      trace_path=trace)
-        assert calls == [] and not trace.exists()
 
     def test_models_produce_consistent_outputs(self, sweep_inputs):
         panel, views, settings = sweep_inputs

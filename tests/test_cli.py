@@ -1,5 +1,6 @@
 """Front-end contracts: exit codes, determinism, and output formats."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blbayes import cli
-from blbayes.backtest import backtest_profit
+from blbayes import cli, inverse_wishart
+from blbayes.backtest import backtest_profit, run_model
 from blbayes.cli import main
 from blbayes.config import RunConfig
-from blbayes.data import PricePanel
+from blbayes.data import ingest_prices
 from blbayes.demo import write_demo_files
 from conftest import count_engine_calls
 
@@ -43,8 +44,12 @@ class TestIngest:
     def test_roundtrip(self, demo_dir, tmp_path):
         out = tmp_path / "panel.json"
         assert main(["ingest", "--prices", str(demo_dir / "prices.csv"), "--out", str(out)]) == 0
-        panel = PricePanel.from_json(out.read_text())
-        assert panel.tickers == ("AAA", "BBB", "CCC", "DDD")
+        doc = json.loads(out.read_text())
+        with open(demo_dir / "prices.csv", newline="") as fh:
+            panel = ingest_prices(fh)
+        assert doc["tickers"] == list(panel.tickers) == ["AAA", "BBB", "CCC", "DDD"]
+        assert doc["dates"] == [d.isoformat() for d in panel.dates]
+        assert doc["rows"] == panel.prices.tolist()
 
     def test_bad_csv_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -123,11 +128,67 @@ class TestRun:
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 5
 
     def test_trace_written(self, demo_dir, tmp_path):
+        # one row per iteration, burn-in included, holding the chain's own
+        # draws at 17 digits; a Gibbs sampler accepts every step
         cfg = write_config(tmp_path, small_config(demo_dir))
         trace = tmp_path / "trace.csv"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.json"),
                      "--trace", str(trace)]) == 0
-        assert trace.read_text().startswith("iteration,mu_0")
+        with open(trace, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["iteration", "mu_0", "mu_1", "mu_2", "mu_3", "logdet_sigma",
+                          "accepted"]
+        run_cfg = RunConfig.load(cfg)
+        s = run_model(run_cfg.model, run_cfg.load_panel(), run_cfg.views, run_cfg.settings,
+                      seed=run_cfg.seed).summary
+        assert len(rows) == run_cfg.settings.iters == 300
+        assert [r[0] for r in rows] == [str(t) for t in range(300)]
+        assert [r[1:5] for r in rows] == [[format(v, ".17g") for v in mu]
+                                          for mu in s.mu_draws.tolist()]
+        assert [r[5] for r in rows] == [format(v, ".17g") for v in s.log_det_sigma.tolist()]
+        assert {r[6] for r in rows} == {"1"}
+
+    def test_unwritable_trace_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
+        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        out, trace = tmp_path / "o.json", tmp_path / "no" / "such" / "t.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []  # the trace is claimed before the chain runs
+        assert not out.exists()
+
+    def test_failed_chain_leaves_no_output_or_trace(self, demo_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        # the sixth covariance draw comes back non-finite
+        draw = inverse_wishart.sample_inverse_wishart
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            sigma, sigma_inv, log_det = draw(*args, **kwargs)
+            return (sigma * np.nan if len(calls) == 6 else sigma), sigma_inv, log_det
+
+        monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", failing)
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        out, trace = tmp_path / "o.json", tmp_path / "t.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite draw in Gibbs chain (iteration 5)\n")
+        assert not out.exists() and not trace.exists()
+
+    def test_unallocatable_chain_exit_3(self, demo_dir, tmp_path, capsys):
+        # 10**14 iterations need petabytes for the draws, beyond any address
+        # space, so the allocation fails at once: one error line, exit 3
+        cfg = write_config(tmp_path, small_config(demo_dir, iters=10**14))
+        out, trace = tmp_path / "o.json", tmp_path / "t.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--trace", str(trace)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not trace.exists()
 
     def test_trace_of_original_exit_2(self, demo_dir, tmp_path, capsys):
         # the closed form runs no chain, so a requested trace would never appear

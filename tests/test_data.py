@@ -108,10 +108,13 @@ class TestIngest:
             panel_from("date,AAA\n01/02/2020,1\n2020-01-02,2\n")
 
     def test_json_roundtrip(self):
-        p = panel_from("date,AAA,BBB\n2020-01-01,1,2\n2020-01-02,3,4\n")
-        q = PricePanel.from_json(p.to_json())
-        assert q.tickers == p.tickers and q.dates == p.dates
-        np.testing.assert_array_equal(q.prices, p.prices)
+        # the panel JSON holds the tickers, the ISO dates and the price rows
+        p = panel_from("date,AAA,BBB\n2020-01-02,3,4\n2020-01-01,1,2\n")
+        assert json.loads(p.to_json()) == {
+            "tickers": ["AAA", "BBB"],
+            "dates": ["2020-01-01", "2020-01-02"],
+            "rows": [[1.0, 2.0], [3.0, 4.0]],
+        }
 
 
 class TestReturns:
@@ -147,7 +150,7 @@ class TestReturns:
 
         assert rp.dates[rp.cur_end - 1] < DEMO_TEST_START
         assert rp.dates[rp.cur_end] >= DEMO_TEST_START
-        assert all(d >= DEMO_TEST_START for d in rp.test_dates)
+        assert all(d >= DEMO_TEST_START for d in rp.dates[rp.cur_end:])
 
     def test_too_few_rows(self):
         p = panel_from("date,AAA\n2020-01-01,100\n2020-01-02,101\n2020-01-03,102\n")

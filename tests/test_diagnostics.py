@@ -87,7 +87,8 @@ class TestSummary:
             return effective_sample_size(x)
 
         monkeypatch.setattr(diagnostics, "effective_sample_size", counting)
-        s = summarize_mu_sigma(draws, np.eye(3), np.ones(260, dtype=bool), burn=60)
+        s = summarize_mu_sigma(draws, np.eye(3), np.zeros(260), np.ones(260, dtype=bool),
+                               burn=60)
         assert sorted(calls) == [100] * 6 + [200] * 3
         for i in range(3):
             assert s.mu_se[i] == posterior_mean_se(draws[60:, i])

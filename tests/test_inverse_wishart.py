@@ -1,6 +1,5 @@
 """Conditionals and full chains of the Inverse-Wishart models."""
 
-import csv
 import logging
 from dataclasses import replace
 
@@ -235,7 +234,7 @@ class TestChains:
         assert d[1e-6] < d[1e-4]
         assert d[1e-9] < d[1e-6] / 4
 
-    def test_augmented_is_nonsquare_chain_for_square_p(self, tmp_path):
+    def test_augmented_is_nonsquare_chain_for_square_p(self):
         # a square invertible P gains no row and keeps q and Omega, so the
         # augmented sampler runs the very chain of the non-square one
         rng = np.random.default_rng(53)
@@ -249,22 +248,19 @@ class TestChains:
         assert np.array_equal(q_star, views.q) and np.array_equal(omega_star, views.omega)
 
         cfg = make_config(iters=400, burn=80, seed=315)
-        ta, tb = tmp_path / "a.csv", tmp_path / "b.csv"
-        [sa] = gibbs_augmented(returns, [views], months, cfg, [0], trace_path=ta)
-        [sb] = gibbs_nonsquare(returns, [views], cfg, [0], trace_path=tb)
-        for field in ("mu_post", "sigma_post", "n_eff"):
+        [sa] = gibbs_augmented(returns, [views], months, cfg, [0])
+        [sb] = gibbs_nonsquare(returns, [views], cfg, [0])
+        for field in ("mu_post", "sigma_post", "n_eff", "mu_draws", "log_det_sigma", "accepted"):
             assert np.array_equal(getattr(sa, field), getattr(sb, field)), field
-        assert ta.read_bytes() == tb.read_bytes()
 
-    def test_augmented_trace_is_in_asset_space(self, small_dataset, tmp_path):
+    def test_augmented_trace_is_in_asset_space(self, small_dataset):
+        # the recorded mean draws are the asset-space draws mu_post averages
         returns, views = small_dataset
         months = np.random.default_rng(54).normal(size=(8, 2)) * 0.01
         cfg = make_config(iters=300, burn=60, seed=17)
-        path = tmp_path / "trace.csv"
-        [s] = gibbs_augmented(returns, [views], months, cfg, [0], trace_path=path)
-        rows = np.array([[float(c) for c in r] for r in
-                         csv.reader(path.read_text().splitlines()[1:])])
-        np.testing.assert_allclose(rows[cfg.burn:, 1:3].mean(axis=0), s.mu_post,
+        [s] = gibbs_augmented(returns, [views], months, cfg, [0])
+        assert s.mu_draws.shape == (300, 2)
+        np.testing.assert_allclose(s.mu_draws[cfg.burn:].mean(axis=0), s.mu_post,
                                    rtol=1e-12, atol=0.0)
 
     def test_augmented_matches_view_space_oracle(self):
@@ -323,19 +319,18 @@ class TestChains:
         assert s.geweke_pass()
         assert s.acceptance_rate == 1.0 and s.acceptance_rate_burn == 1.0
 
-    def test_trace_csv(self, small_dataset, tmp_path):
+    def test_trace_csv(self, small_dataset):
+        # the per-iteration record covers every iteration and a rerun
+        # repeats it bit for bit
         returns, views = small_dataset
         cfg = make_config(iters=50, burn=10)
-        path = tmp_path / "trace.csv"
-        gibbs_nonsquare(returns, [views], cfg, [0], trace_path=path)
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma"]
-        assert len(rows) == 51
-        float(rows[1][3])  # parses
-        # byte determinism
-        path2 = tmp_path / "trace2.csv"
-        gibbs_nonsquare(returns, [views], cfg, [0], trace_path=path2)
-        assert path.read_bytes() == path2.read_bytes()
+        [s] = gibbs_nonsquare(returns, [views], cfg, [0])
+        assert s.mu_draws.shape == (50, 2) and s.log_det_sigma.shape == (50,)
+        assert s.accepted.shape == (50,) and s.accepted.all()
+        assert np.isfinite(s.log_det_sigma).all()
+        [again] = gibbs_nonsquare(returns, [views], cfg, [0])
+        for field in ("mu_draws", "log_det_sigma", "accepted"):
+            assert np.array_equal(getattr(s, field), getattr(again, field)), field
 
 
 class TestBatchedChains:
@@ -347,8 +342,8 @@ class TestBatchedChains:
     def sampler(self, variant):
         if variant == "nonsquare":
             return gibbs_nonsquare
-        return lambda returns, views, cfg, stream_ids, **kw: gibbs_augmented(
-            returns, views, self.months, cfg, stream_ids, **kw)
+        return lambda returns, views, cfg, stream_ids: gibbs_augmented(
+            returns, views, self.months, cfg, stream_ids)
 
     cfg = make_config(iters=300, burn=60, seed=5)
 
@@ -365,7 +360,8 @@ class TestBatchedChains:
         assert len(batch) == 3
         for v, stream_id, s in zip(point_views, stream_ids, batch):
             [alone] = run(returns, [v], self.cfg, [stream_id])
-            for field in ("mu_post", "sigma_post", "n_eff", "mu_se", "mu_draw_cov", "geweke_z"):
+            for field in ("mu_post", "sigma_post", "n_eff", "mu_se", "mu_draw_cov", "geweke_z",
+                          "mu_draws", "log_det_sigma", "accepted"):
                 assert np.array_equal(getattr(s, field), getattr(alone, field)), field
             assert s.acceptance_rate == alone.acceptance_rate == 1.0
 
@@ -407,13 +403,6 @@ class TestBatchedChains:
         assert type(exc.value) is ValidationError and exc.value.path == "views.omega"
         assert chains == []
 
-    def test_trace_follows_one_chain(self, small_dataset, tmp_path):
-        returns, views = small_dataset
-        point_views, stream_ids = self.points(views, 2)
-        with pytest.raises(DimensionError, match="a trace follows one chain"):
-            gibbs_nonsquare(returns, point_views, self.cfg, stream_ids,
-                            trace_path=tmp_path / "t.csv")
-
     def test_factors_each_stack_once(self, small_dataset, monkeypatch):
         # a lock-step iteration of three chains makes the two Cholesky
         # calls and three solves of one chain, each on a stack of three
@@ -437,7 +426,7 @@ class TestGibbsChain:
     fixed Sigma and accepts every other iteration."""
 
     sigma_fix = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
-    # not log det sigma_fix: the trace must carry the step's value as given
+    # not log det sigma_fix: the loop must record the step's value as given
     log_det_fix = -1.25
 
     def stub(self, seen, fail_at=None):
@@ -449,40 +438,30 @@ class TestGibbsChain:
                     len(seen) % 2 == 1)
         return step
 
-    def run(self, returns, views, step, cfg, trace_path=None):
-        mu_draws, sigma_means, accepts = gibbs_chain(
-            returns, [(views.p, views.q, views.omega)], cfg, [0], step, trace_path, mh=True)
-        assert len(mu_draws) == len(sigma_means) == len(accepts) == 1
-        return mu_draws[0], sigma_means[0], accepts[0]
+    def run(self, returns, views, step, cfg):
+        chain = gibbs_chain(returns, [(views.p, views.q, views.omega)], cfg, [0], step)
+        assert len(chain) == 4 and all(len(a) == 1 for a in chain)
+        return [a[0] for a in chain]
 
-    def test_flags_trace_and_sigma_mean(self, small_dataset, tmp_path):
+    def test_flags_trace_and_sigma_mean(self, small_dataset):
         returns, views = small_dataset
         seen = []
-        path = tmp_path / "trace.csv"
-        mu_draws, sigma_mean, accepts = self.run(
-            returns, views, self.stub(seen), make_config(iters=20, burn=5), path
+        mu_draws, sigma_mean, log_dets, accepts = self.run(
+            returns, views, self.stub(seen), make_config(iters=20, burn=5)
         )
         flags = [t % 2 == 0 for t in range(20)]
         assert accepts.tolist() == flags
+        assert log_dets.tolist() == [self.log_det_fix] * 20
         np.testing.assert_array_equal(seen[0], returns.mean(axis=0))
         np.testing.assert_array_equal(seen[1:], mu_draws[:-1])
         np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0] == ["iteration", "mu_0", "mu_1", "logdet_sigma", "accepted"]
-        assert [r[-1] for r in rows[1:]] == [str(int(f)) for f in flags]
-        assert {r[-2] for r in rows[1:]} == {"-1.25"}
 
-    def test_step_error_propagates_and_trace_is_closed(self, small_dataset, tmp_path):
+    def test_step_error_propagates(self, small_dataset):
         returns, views = small_dataset
-        path = tmp_path / "trace.csv"
-        with pytest.raises(RuntimeError, match="stub step failed") as info:
-            self.run(returns, views, self.stub([], fail_at=3),
-                     make_config(iters=20, burn=5), path)
-        # info keeps the loop's frame, and so its open trace, alive: the rows
-        # reach the file only if the loop closed it
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0][0] == "iteration"
-        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+        seen = []
+        with pytest.raises(RuntimeError, match="stub step failed"):
+            self.run(returns, views, self.stub(seen, fail_at=3), make_config(iters=20, burn=5))
+        assert len(seen) == 3
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, count):
@@ -497,10 +476,11 @@ class TestGibbsChain:
             sigma = np.broadcast_to(self.sigma_fix, lead + (2, 2)).copy()
             return sigma, np.linalg.inv(sigma), np.full(lead, self.log_det_fix), True
 
-        mu_draws, sigma_means, accepts = gibbs_chain(
+        mu_draws, sigma_means, log_dets, accepts = gibbs_chain(
             returns, [(views.p, views.q, views.omega)] * count, make_config(iters=4, burn=1),
             list(range(7, 7 + count)), step)
         assert mu_draws.shape == (count, 4, 2) and sigma_means.shape == (count, 2, 2)
+        assert log_dets.shape == (count, 4) and (log_dets == self.log_det_fix).all()
         assert accepts.shape == (count, 4) and accepts.all()
         if count == 1:
             assert all(shape == (2,) and isinstance(rng, RngStream) for shape, rng in seen)

@@ -1,6 +1,5 @@
 """Volterra machinery, the structural prior, and the MH-within-Gibbs chain."""
 
-import csv
 import logging
 import warnings
 
@@ -580,7 +579,7 @@ class TestGibbsLogSigma:
                     count_engine_calls(monkeypatch, np.linalg, "solve")]
         assert calls_per_iteration(self.chain(*four_asset_data), counters) == [2, 0, 0, 2]
 
-    def test_decomposes_once_per_iteration(self, four_asset_data, monkeypatch, tmp_path):
+    def test_decomposes_once_per_iteration(self, four_asset_data, monkeypatch):
         # one eigh of the scatter in build_Q and one of the candidate, on
         # accepted and rejected iterations alike: the current alpha's side of
         # the ratio and an accepted Sigma reuse decompositions already made
@@ -598,11 +597,8 @@ class TestGibbsLogSigma:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(log_sigma, "build_Q", marking_build_Q)
-        path = tmp_path / "trace.csv"
-        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=60, burn=10, seed=4),
-                        trace_path=path)
-        accepted = [r[-1] for r in csv.reader(path.read_text().splitlines()[1:])]
-        assert set(accepted) == {"0", "1"}
+        s = gibbs_log_sigma(returns, views, LogSigmaConfig(iters=60, burn=10, seed=4))
+        assert set(s.accepted.tolist()) == {False, True}
         assert counts[1:] == [2] * 60
 
     def test_lean_step_call_counts(self, four_asset_data, monkeypatch):
@@ -673,12 +669,12 @@ class TestGibbsLogSigma:
                 LogSigmaConfig(iters=10, burn=1, seed=1),
             )
 
-    def test_trace_includes_accept_column(self, four_asset_data, tmp_path):
+    def test_trace_includes_accept_column(self, four_asset_data):
+        # the per-iteration record holds every accept flag, burn-in included,
+        # and the acceptance rates are its shares
         returns, views = four_asset_data
-        path = tmp_path / "trace.csv"
-        gibbs_log_sigma(returns, views, LogSigmaConfig(iters=30, burn=5, seed=3),
-                        trace_path=path)
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0][-1] == "accepted"
-        assert {r[-1] for r in rows[1:]} <= {"0", "1"}
-        assert len(rows) == 31
+        s = gibbs_log_sigma(returns, views, LogSigmaConfig(iters=30, burn=5, seed=3))
+        assert s.accepted.dtype == bool and s.accepted.shape == (30,)
+        assert s.mu_draws.shape == (30, 4) and s.log_det_sigma.shape == (30,)
+        assert s.acceptance_rate == s.accepted[5:].mean()
+        assert s.acceptance_rate_burn == s.accepted[:5].mean()
