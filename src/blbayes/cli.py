@@ -106,6 +106,8 @@ def _claimed_output(path):
 
 
 def _cmd_run(args) -> int:
+    if args.out and args.trace and Path(args.out).resolve() == Path(args.trace).resolve():
+        raise ValidationError("trace", "names the same file as --out")
     cfg = RunConfig.load(args.config)
     if args.trace and cfg.model == "original":
         raise ValidationError("trace", "the original model runs no chain to trace")

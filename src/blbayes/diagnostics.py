@@ -69,6 +69,9 @@ def geweke_split_z(draws) -> float:
 class PosteriorSummary:
     """Post-burn point estimates plus the diagnostics the sweeps record.
 
+    ``mu_post`` is the mean of the post-burn mean draws; ``sigma_post`` the
+    post-burn mean of Sigma's conditional mean given each mu draw for the
+    Inverse-Wishart samplers, and of the Sigma draws for ``log_sigma``.
     ``acceptance_rate`` is the post-burn MH acceptance share (1.0 for pure
     Gibbs); ``acceptance_rate_burn`` the same over the burn-in segment (NaN
     when the burn-in is empty).

@@ -8,17 +8,21 @@ on the mean:
 * ``gibbs_nonsquare`` keeps the investor's ``(P, q, Omega)`` untouched.
 
 A chain alternates one covariance draw (Inverse Wishart) with one mean draw
-(multivariate normal); point estimates are post-burn arithmetic means. The
-loop itself, :func:`gibbs_chain`, is shared with the log-covariance sampler,
-which supplies its own covariance step. Every covariance step returns the
-draw together with its inverse and its log det, computed from the factor the
-step already holds, so the loop neither inverts nor factors a drawn
-covariance. The mean draw takes its conditional in precision form and factors
-that precision once, so no matrix is inverted in the loop. Both samplers
-run G view sets under one :class:`IwConfig` with G stream ids as one batch
-of chains in lock step, and each summary is bit for bit that of its chain
-run alone. The loop keeps each chain's every mu draw, log det and accept
-flag, and the summary carries them; no sampler writes a file.
+(multivariate normal). The point estimate of mu is the post-burn mean of its
+draws; that of Sigma is the post-burn mean of its conditional mean
+``E[Sigma | mu, data]`` given each mu draw, a Rao-Blackwellised estimate with
+the same expectation as the draws' mean and less variance (Gelfand & Smith
+1990; Casella & Robert 1996). The loop itself, :func:`gibbs_chain`, is
+shared with the log-covariance sampler, which supplies its own covariance
+step. Every covariance step returns the inverse of its draw and its log det,
+computed from the factor the step already holds, so the loop neither
+inverts nor factors a drawn covariance, and the Inverse-Wishart step never
+forms the draw at all. The mean draw takes its conditional in precision
+form and factors that precision once, so no matrix is inverted in the loop.
+Both samplers run G view sets under one :class:`IwConfig` with G stream ids
+as one batch of chains in lock step, and each summary is bit for bit that
+of its chain run alone. The loop keeps each chain's every mu draw, log det
+and accept flag, and the summary carries them; no sampler writes a file.
 """
 
 from __future__ import annotations
@@ -131,18 +135,22 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     draws from its own stream in the order it draws alone.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
-    ``(sigma, sigma_inv, log_det, accepted)``: a covariance draw, its
-    inverse, its log det and an accept flag. The step logs
-    the "Sigma draw" condition warning. The loop then draws mu from its
-    normal conditional given that covariance and the views: with precision
+    ``(sigma, sigma_inv, log_det, accepted)``: the Sigma term the loop
+    averages, the inverse of the covariance draw, its log det and an accept
+    flag. The loop averages whatever the step returns as ``sigma``: the
+    Inverse-Wishart step returns the conditional mean ``E[Sigma | mu, data]``
+    of its draw, the log-covariance step (an MH step, with no closed-form
+    mean) the draw itself. The step logs the "Sigma draw" condition warning.
+    The loop then draws mu from its normal conditional given that covariance
+    and the views: with precision
     ``m Sigma^-1 + P' Omega^-1 P`` and shift ``m Sigma^-1 rbar + P' Omega^-1 q``,
     built from ``sigma_inv`` and drawn from the precision's one Cholesky
     factor with the covariance's Cholesky noise (:func:`sample_mvn` with
     ``cov_cholesky``).
 
-    Returns, each with a leading axis of length G: mu draws, post-burn Sigma
-    means, the steps' log dets as given and their accept flags, all but the
-    Sigma means over every iteration.
+    Returns, each with a leading axis of length G: mu draws, the post-burn
+    means of the steps' Sigma terms, the steps' log dets as given and their
+    accept flags, all but the Sigma means over every iteration.
     """
     returns = np.asarray(returns, dtype=float)
     m, n = returns.shape
@@ -168,10 +176,13 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
         a[g] for a in (mu, mu_draws, log_dets, accepts, sigma_sum, prior_prec, prior_vec, rng))
     for t in range(iters):
         sigma, sigma_inv, logdets[..., t], flags[..., t] = sigma_step(mu, rng)
+        # the draw is checked before mu's conditional is factored from it
+        if not (np.isfinite(sigma_inv).all() and np.isfinite(sigma).all()):
+            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
         data_prec = m * sigma_inv
         mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
                         rng=rng, name="mu conditional precision", cov_cholesky=True)
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        if not np.isfinite(mu).all():
             raise ChainError("non-finite draw in Gibbs chain", iteration=t)
         draws[..., t, :] = mu
         if t >= burn:
@@ -181,15 +192,24 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
 
 def _iw_step(returns, nu: float, sigma0):
     """Covariance step of the Inverse-Wishart models, for one chain or a
-    batch: an exact conditional draw with its inverse and log det, so every
-    step is accepted. The returns' centred scatter is computed once; each
-    step adds the rank-one term of its mu (:func:`~blbayes.linalg.scatter_about`)."""
-    m = returns.shape[0]
+    batch: an exact conditional draw, as its inverse and log det, so every
+    step is accepted. Its Sigma term is the draw's conditional mean
+    ``scale / (nu + m - n - 1)``, which exists only when ``nu + m > n + 1``;
+    :class:`~blbayes.errors.InsufficientDataError` otherwise, before any chain
+    runs. The returns' centred scatter is computed once; each step adds the
+    rank-one term of its mu (:func:`~blbayes.linalg.scatter_about`)."""
+    m, n = returns.shape
+    mean_dof = nu + m - n - 1
+    if mean_dof <= 0:
+        raise InsufficientDataError(
+            f"data.m: the posterior mean of Sigma needs nu + m > n + 1 = {n + 1}, "
+            f"got nu = {nu:g} and m = {m}"
+        )
     rbar, centred = centred_scatter(returns)
 
     def step(mu, rng):
         dof, scale = sigma_conditional(scatter_about(centred, rbar, mu, m), nu, sigma0, m)
-        return *sample_inverse_wishart(dof, scale, rng), True
+        return scale / mean_dof, *sample_inverse_wishart(dof, scale, rng), True
 
     return step
 

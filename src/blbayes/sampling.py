@@ -8,14 +8,14 @@ The Inverse Wishart is parameterized by the density exponent
 ``det(X)^-(nu+n+1)/2 * exp(-tr(scale @ X^-1)/2)`` — i.e. ``nu`` is the
 degrees of freedom that appears in the conjugate covariance posterior, and
 ``E[X] = scale / (nu - n - 1)`` when ``nu > n + 1``. Conventions for this
-family vary between texts; this one is pinned here on purpose. A draw comes
-with its inverse, both from the one Bartlett factor, so no sampler inverts a
-drawn covariance. The multivariate normal is given by its precision, the form
-in which every sampler's normal conditional arises, and is drawn with that
-precision's one Cholesky factor and one solve. Both samplers also draw for a
-batch of chains stacked along a leading axis, each from its own stream, and a
-chain's draw does not depend on the batch it is drawn in. Every kernel here
-is numpy-only.
+family vary between texts; this one is pinned here on purpose. A draw is
+returned as its inverse and log det, from the one Bartlett factor and one
+solve: the chains need only those, so the draw itself is never formed. The
+multivariate normal is given by its precision, the form in which every
+sampler's normal conditional arises, and is drawn with that precision's one
+Cholesky factor and one solve. Both samplers also draw for a batch of chains
+stacked along a leading axis, each from its own stream, and a chain's draw
+does not depend on the batch it is drawn in. Every kernel here is numpy-only.
 """
 
 from __future__ import annotations
@@ -128,20 +128,23 @@ def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
 
 def sample_inverse_wishart(dof: float, scale, rng):
     """One draw ``Sigma`` from the Inverse Wishart with the density pinned
-    above, returned with its inverse and log det:
-    ``(Sigma, Sigma^-1, log det Sigma)``.
+    above, returned as its inverse and log det: ``(Sigma^-1, log det Sigma)``.
+    ``Sigma`` itself is never formed; a caller that needs it takes
+    ``inv(Sigma^-1)``.
 
     ``Sigma^-1`` is a Wishart(dof, scale^-1) Bartlett draw. With
-    ``scale = L L'`` and Bartlett factor ``A``, ``Sigma = M'M`` for
-    ``M = A^-1 L'`` and ``Sigma^-1 = N N'`` for ``N = L^-T A``; neither
-    ``scale^-1`` nor an inverse of the draw is formed, and
-    ``log det Sigma = 2 sum log(diag L / diag A)``. Logs the condition
-    warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
-    as ``max diag Sigma * max diag Sigma^-1`` (a lower bound on its 2-norm
-    condition number).
+    ``scale = L L'`` and Bartlett factor ``A``, ``Sigma^-1 = N N'`` for
+    ``N = L^-T A``, one solve; neither ``scale^-1`` nor an inverse of the
+    draw is formed, and ``log det Sigma = 2 sum log(diag L / diag A)``. Logs
+    the condition warning of :func:`~blbayes.linalg.warn_condition` for the
+    draw, estimated as ``max diag scale * max diag Sigma^-1 / ||A||_F^2``.
+    That is a lower bound on its 2-norm condition number: as
+    ``Sigma = M'M`` with ``M = A^-1 L'``,
+    ``Sigma_ii = ||A^-1 L' e_i||^2 >= scale_ii / ||A||_F^2``, and
+    ``max diag Sigma * max diag Sigma^-1 <= cond(Sigma)``.
 
     A batch of G chains with a common ``dof`` passes ``scale`` as
-    ``(G, n, n)`` and ``rng`` as G streams, and gets ``(G, n, n)`` stacks and
+    ``(G, n, n)`` and ``rng`` as G streams, and gets a ``(G, n, n)`` stack and
     a list of G log dets back; each chain draws its Bartlett factor from its
     own stream, and its draw is bit for bit the draw of its slice alone. The
     condition warning is per chain.
@@ -165,20 +168,18 @@ def sample_inverse_wishart(dof: float, scale, rng):
         a = np.array([_bartlett_factor(dof, n, r) for r in rng])
     else:
         a = _bartlett_factor(dof, n, rng)
-    chol_t = chol.swapaxes(-1, -2)
-    m_factor = np.linalg.solve(a, chol_t)
-    n_factor = np.linalg.solve(chol_t, a)
-    sigma = symmetrize(m_factor.swapaxes(-1, -2) @ m_factor)
+    n_factor = np.linalg.solve(chol.swapaxes(-1, -2), a)
     sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
     # Python floats: numpy's reductions, log and sum of an n-vector cost
     # more than the n scalar operations at the sizes the chains use
-    diagonals = (sigma.diagonal(0, -2, -1).tolist(), sigma_inv.diagonal(0, -2, -1).tolist(),
+    diagonals = (scale.diagonal(0, -2, -1).tolist(), sigma_inv.diagonal(0, -2, -1).tolist(),
+                 (a * a).sum((-2, -1)).tolist(),
                  (chol.diagonal(0, -2, -1) / a.diagonal(0, -2, -1)).tolist())
     log_det = []
-    for d, d_inv, ratio in zip(*diagonals) if batch else [diagonals]:
-        warn_condition("Sigma draw", max(d) * max(d_inv))
+    for d, d_inv, a_frob_sq, ratio in zip(*diagonals) if batch else [diagonals]:
+        warn_condition("Sigma draw", max(d) * max(d_inv) / a_frob_sq)
         log_det.append(2.0 * sum(map(math.log, ratio)))
-    return sigma, sigma_inv, log_det if batch else log_det[0]
+    return sigma_inv, log_det if batch else log_det[0]
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:

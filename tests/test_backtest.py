@@ -228,13 +228,13 @@ class TestSweep:
         original = inverse_wishart.sample_inverse_wishart
 
         def poisoned(dof, scale, rng):
-            sigma, sigma_inv, log_det = original(dof, scale, rng)
+            sigma_inv, log_det = original(dof, scale, rng)
             # a batch of one draws on its one stream, a larger batch on a list
             if isinstance(rng, list):
-                sigma[[stream.stream_id == 1 for stream in rng]] = np.nan
+                sigma_inv[[stream.stream_id == 1 for stream in rng]] = np.nan
             elif rng.stream_id == 1:
-                sigma[...] = np.nan
-            return sigma, sigma_inv, log_det
+                sigma_inv[...] = np.nan
+            return sigma_inv, log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", poisoned)
         chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_nonsquare")

@@ -159,6 +159,26 @@ class TestRun:
         assert calls == []  # the trace is claimed before the chain runs
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("trace_name", ["x", "./x", "sub/../x"])
+    def test_trace_onto_out_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch,
+                                   trace_name, existing):
+        # one file cannot hold both the run JSON and the trace: exit 2
+        # before any chain runs, and a file already there is left as it was
+        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        cfg = write_config(tmp_path, small_config(demo_dir))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        if existing:
+            (tmp_path / "x").write_text("kept")
+        assert main(["run", "--config", str(cfg), "--out", "x", "--trace", trace_name]) == 2
+        assert capsys.readouterr().err == "error: trace: names the same file as --out\n"
+        assert calls == []
+        if existing:
+            assert (tmp_path / "x").read_text() == "kept"
+        else:
+            assert not (tmp_path / "x").exists()
+
     def test_failed_chain_leaves_no_output_or_trace(self, demo_dir, tmp_path, capsys,
                                                     monkeypatch):
         # the sixth covariance draw comes back non-finite
@@ -167,8 +187,8 @@ class TestRun:
 
         def failing(*args, **kwargs):
             calls.append(1)
-            sigma, sigma_inv, log_det = draw(*args, **kwargs)
-            return (sigma * np.nan if len(calls) == 6 else sigma), sigma_inv, log_det
+            sigma_inv, log_det = draw(*args, **kwargs)
+            return (sigma_inv * np.nan if len(calls) == 6 else sigma_inv), log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", failing)
         cfg = write_config(tmp_path, small_config(demo_dir))
@@ -265,6 +285,21 @@ class TestRun:
         cfg = write_config(tmp_path, small_config(demo_dir, nu=4.5))
         assert main(["run", "--config", str(cfg)]) == 2
         assert "nu: must exceed n+1" in capsys.readouterr().err
+
+    def test_sigma_mean_without_enough_data_exit_2(self, demo_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        # n = 4, nu = 4 with an explicit Sigma0 and one row of returns: the
+        # conditional mean of Sigma has nu + m - n - 1 = 0 in its
+        # denominator, so the run fails naming data.m before any chain runs
+        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        doc = small_config(demo_dir, nu=4.0, sigma0=(1e-3 * np.eye(4)).tolist())
+        doc["data"]["m"] = 1
+        out = tmp_path / "o.json"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data.m: ") and "nu + m > n + 1" in err
+        assert calls == [] and not out.exists()
 
     def test_single_post_burn_draw_exit_2(self, demo_dir, tmp_path, capsys):
         # one post-burn draw has an infinite standard error; the config is

@@ -305,13 +305,13 @@ class TestChains:
         # per iteration: one Cholesky factor of the Inverse-Wishart scale,
         # one of mu's conditional precision, and no inverse; the covariance
         # step returns its draw's inverse, so spd_inverse runs only in set-up
-        # (Omega^-1). Three solves: two in the Bartlett step, one for mu
+        # (Omega^-1). Two solves: one in the Bartlett step, one for mu
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
                     count_engine_calls(monkeypatch, linalg, "spd_inverse"),
                     count_engine_calls(monkeypatch, np.linalg, "solve")]
         assert calls_per_iteration(self.chain(*small_dataset, variant),
-                                   counters) == [2, 0, 0, 3]
+                                   counters) == [2, 0, 0, 2]
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
@@ -405,7 +405,7 @@ class TestBatchedChains:
 
     def test_factors_each_stack_once(self, small_dataset, monkeypatch):
         # a lock-step iteration of three chains makes the two Cholesky
-        # calls and three solves of one chain, each on a stack of three
+        # calls and two solves of one chain, each on a stack of three
         returns, views = small_dataset
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
@@ -418,7 +418,7 @@ class TestBatchedChains:
             gibbs_nonsquare(returns, point_views, replace(self.cfg, iters=iters, burn=5),
                             stream_ids)
 
-        assert calls_per_iteration(run, counters) == [2, 0, 0, 3]
+        assert calls_per_iteration(run, counters) == [2, 0, 0, 2]
 
 
 class TestGibbsChain:
@@ -494,6 +494,60 @@ class TestGibbsChain:
         _, views = small_dataset
         with pytest.raises(InsufficientDataError):
             self.run(np.empty((0, 2)), views, self.stub([]), make_config(iters=20, burn=5))
+
+
+class TestRaoBlackwellisedSigma:
+    """``sigma_post`` of the Inverse-Wishart models is the post-burn mean of
+    ``E[Sigma | mu, data] = (Sigma0 + sum_i (r_i - mu)(r_i - mu)') / (nu + m -
+    n - 1)`` at the mu each covariance step saw: the previous iteration's
+    draw, and rbar at iteration 0."""
+
+    @staticmethod
+    def oracle(returns, cfg, mu_draws):
+        m, n = returns.shape
+        seen = np.vstack([returns.mean(axis=0), mu_draws[:-1]])[cfg.burn:]
+        resid = returns[None, :, :] - seen[:, None, :]
+        scatter = np.einsum("tki,tkj->tij", resid, resid)
+        return (cfg.sigma0 + scatter).mean(axis=0) / (cfg.nu + m - n - 1)
+
+    @pytest.mark.parametrize("burn", [0, 40])
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented", "batch"])
+    def test_sigma_post_is_mean_of_conditional_means(self, small_dataset, variant, burn):
+        returns, views = small_dataset
+        cfg = make_config(iters=200, burn=burn, seed=23)
+        months = np.random.default_rng(56).normal(size=(8, 2)) * 0.01
+        if variant == "nonsquare":
+            summaries = gibbs_nonsquare(returns, [views], cfg, [0])
+        elif variant == "augmented":
+            summaries = gibbs_augmented(returns, [views], months, cfg, [0])
+        else:
+            summaries = gibbs_nonsquare(returns, TestBatchedChains.points(views, 3)[0], cfg,
+                                        [4, 5, 6])
+            assert len(summaries) == 3
+        for s in summaries:
+            np.testing.assert_allclose(s.sigma_post, self.oracle(returns, cfg, s.mu_draws),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    def test_needs_nu_plus_m_above_n_plus_one(self, small_dataset, monkeypatch, variant):
+        # n = 2, nu = 2 is a valid Inverse-Wishart dof and the config takes
+        # it with an explicit Sigma0; one row of returns leaves the mean's
+        # denominator nu + m - n - 1 at 0, so no chain runs. Two rows run.
+        returns, views = small_dataset
+        months = np.random.default_rng(56).normal(size=(8, 2)) * 0.01
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        cfg = make_config(nu=2.0, iters=20, burn=5)
+
+        def run(rows):
+            if variant == "nonsquare":
+                return gibbs_nonsquare(rows, [views], cfg, [0])
+            return gibbs_augmented(rows, [views], months, cfg, [0])
+
+        with pytest.raises(InsufficientDataError, match=r"^data\.m: .*nu \+ m > n \+ 1 = 3"):
+            run(returns[:1])
+        assert chains == []
+        [s] = run(returns[:2])
+        assert len(chains) == 1 and np.isfinite(s.sigma_post).all()
 
 
 class TestFullChainOracle:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from blbayes import sampling
 from blbayes.errors import (
     DegreesOfFreedomError,
     DimensionError,
@@ -37,10 +38,10 @@ class TestDeterminism:
 
     def test_inverse_wishart_replays(self):
         psi = random_spd(np.random.default_rng(0), 3)
-        a, a_inv, _ = sample_inverse_wishart(7.5, psi, RngStream(9))
-        b, b_inv, _ = sample_inverse_wishart(7.5, psi, RngStream(9))
-        np.testing.assert_array_equal(a, b)
+        a_inv, a_log_det = sample_inverse_wishart(7.5, psi, RngStream(9))
+        b_inv, b_log_det = sample_inverse_wishart(7.5, psi, RngStream(9))
         np.testing.assert_array_equal(a_inv, b_inv)
+        assert a_log_det == b_log_det
 
     def test_inverse_gamma_replays(self):
         assert sample_inverse_gamma(3.0, 4.0, RngStream(5)) == sample_inverse_gamma(
@@ -179,7 +180,7 @@ class TestInverseWishart:
         # n=1, dof=5, scale=3: mean 3/(5-1-1) = 1, and the marginal is the
         # inverse gamma with shape dof/2, scale 3/2
         rng = RngStream(200)
-        draws = np.array([sample_inverse_wishart(5.0, [[3.0]], rng)[0][0, 0]
+        draws = np.array([np.linalg.inv(sample_inverse_wishart(5.0, [[3.0]], rng)[0])[0, 0]
                           for _ in range(100_000)])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = RngStream(200, 77)
@@ -193,7 +194,7 @@ class TestInverseWishart:
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for _ in range(n_draws):
-            acc += sample_inverse_wishart(dof, psi, rng)[0]
+            acc += np.linalg.inv(sample_inverse_wishart(dof, psi, rng)[0])
         mean = acc / n_draws
         expected = psi / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
@@ -201,17 +202,17 @@ class TestInverseWishart:
     def test_output_spd_and_symmetric(self):
         rng = RngStream(202)
         for _ in range(200):
-            x, _, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
-            assert np.array_equal(x, x.T)
-            assert np.linalg.eigvalsh(x)[0] > 0
+            x_inv, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
+            assert np.array_equal(x_inv, x_inv.T)
+            assert np.linalg.eigvalsh(x_inv)[0] > 0
 
     def test_dof_error(self):
         with pytest.raises(DegreesOfFreedomError):
             sample_inverse_wishart(1.5, np.eye(3), RngStream(1))
 
     def test_non_integer_dof_accepted(self):
-        x, _, _ = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
-        assert np.all(np.isfinite(x))
+        x_inv, log_det = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
+        assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
         # If X ~ IW(dof, psi) then X^-1 ~ Wishart(dof, psi^-1). Compare the
@@ -223,8 +224,8 @@ class TestInverseWishart:
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i in range(n_draws):
-            x, _, _ = sample_inverse_wishart(float(dof), psi, rng)
-            logdet_inv[i] = -np.linalg.slogdet(x)[1]
+            x_inv, _ = sample_inverse_wishart(float(dof), psi, rng)
+            logdet_inv[i] = np.linalg.slogdet(x_inv)[1]
 
         gen = np.random.default_rng(204)
         chol = np.linalg.cholesky(np.linalg.inv(psi))
@@ -237,10 +238,15 @@ class TestInverseWishart:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_inverse(self, n):
-        rng = RngStream(205, n)
+        # the draw is Sigma = M'M with M = A^-1 L', from the Bartlett factor A
+        # that a twin stream replays and the scale's Cholesky factor L
+        rng, twin = RngStream(205, n), RngStream(205, n)
         for k in range(50):
             scale = random_spd(np.random.default_rng(k), n)
-            sigma, sigma_inv, _ = sample_inverse_wishart(n + 4.5, scale, rng)
+            sigma_inv, _ = sample_inverse_wishart(n + 4.5, scale, rng)
+            m_factor = np.linalg.solve(_bartlett_factor(n + 4.5, n, twin),
+                                       np.linalg.cholesky(scale).T)
+            sigma = m_factor.T @ m_factor
             assert np.array_equal(sigma_inv, sigma_inv.T)
             np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-10)
 
@@ -249,8 +255,8 @@ class TestInverseWishart:
         rng = RngStream(207, n)
         for k in range(50):
             scale = random_spd(np.random.default_rng(k), n)
-            sigma, _, log_det = sample_inverse_wishart(n + 4.5, scale, rng)
-            sign, expected = np.linalg.slogdet(sigma)
+            sigma_inv, log_det = sample_inverse_wishart(n + 4.5, scale, rng)
+            sign, expected = np.linalg.slogdet(np.linalg.inv(sigma_inv))
             assert sign == 1.0
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -284,14 +290,31 @@ class TestSigmaDrawConditionWarning:
     def test_ill_conditioned_scale_warns(self, caplog, rotate):
         # axis-aligned, only the largest diagonal entries of Sigma and
         # Sigma^-1 (from different coordinates) reveal the spread
-        sigma, _, _ = self.draw([1.0, 1e-12], caplog, rotate)
-        assert np.linalg.cond(sigma) > 1e10
+        sigma_inv, _ = self.draw([1.0, 1e-12], caplog, rotate)
+        assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "Sigma draw: condition number" in caplog.records[0].message
 
     def test_well_conditioned_is_silent(self, caplog):
         self.draw([1.0, 0.2], caplog)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_estimate_is_a_lower_bound(self, n, monkeypatch):
+        # max diag(scale) * max diag(Sigma^-1) / ||A||_F^2 never exceeds the
+        # draw's condition number, on rotated scales whose spectra spread
+        # over up to eight decades
+        estimates = []
+        monkeypatch.setattr(sampling, "warn_condition",
+                            lambda name, cond: estimates.append(cond))
+        gen, rng = np.random.default_rng(400 + n), RngStream(401, n)
+        for _ in range(200):
+            q = np.linalg.qr(gen.normal(size=(n, n)))[0]
+            scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
+            sigma_inv, _ = sample_inverse_wishart(n + gen.uniform(0.5, 10.0),
+                                                  0.5 * (scale + scale.T), rng)
+            assert estimates[-1] <= np.linalg.cond(np.linalg.inv(sigma_inv))
+        assert len(estimates) == 200
 
 
 class TestBatch:
@@ -308,12 +331,12 @@ class TestBatch:
         gen = np.random.default_rng(310 + n)
         scale = np.array([random_spd(gen, n) for _ in range(g_count)])
         batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
-        sigma, sigma_inv, log_det = sample_inverse_wishart(n + 2.5, scale, batch)
-        assert sigma.shape == sigma_inv.shape == (g_count, n, n)
+        sigma_inv, log_det = sample_inverse_wishart(n + 2.5, scale, batch)
+        assert sigma_inv.shape == (g_count, n, n)
         assert len(log_det) == g_count
         for g in range(g_count):
-            s, s_inv, ld = sample_inverse_wishart(n + 2.5, scale[g], alone[g])
-            assert np.array_equal(sigma[g], s) and np.array_equal(sigma_inv[g], s_inv)
+            s_inv, ld = sample_inverse_wishart(n + 2.5, scale[g], alone[g])
+            assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
             assert batch[g].generator.random() == alone[g].generator.random()
