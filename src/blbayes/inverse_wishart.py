@@ -176,8 +176,9 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
         a[g] for a in (mu, mu_draws, log_dets, accepts, sigma_sum, prior_prec, prior_vec, rng))
     for t in range(iters):
         sigma, sigma_inv, logdets[..., t], flags[..., t] = sigma_step(mu, rng)
-        # the draw is checked before mu's conditional is factored from it
-        if not (np.isfinite(sigma_inv).all() and np.isfinite(sigma).all()):
+        # each draw is checked before the chain uses it; the Sigma terms,
+        # which only feed the average, are checked once in their sum
+        if not np.isfinite(sigma_inv).all():
             raise ChainError("non-finite draw in Gibbs chain", iteration=t)
         data_prec = m * sigma_inv
         mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
@@ -187,6 +188,8 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
         draws[..., t, :] = mu
         if t >= burn:
             sigma_acc += sigma
+    if not np.isfinite(sigma_sum).all():
+        raise ChainError("non-finite Sigma mean in Gibbs chain")
     return mu_draws, sigma_sum / (iters - burn), log_dets, accepts
 
 

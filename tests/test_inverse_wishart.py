@@ -11,6 +11,7 @@ from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
 from blbayes.errors import (
     BatchValidationError,
+    ChainError,
     DimensionError,
     InsufficientDataError,
     ValidationError,
@@ -462,6 +463,28 @@ class TestGibbsChain:
         with pytest.raises(RuntimeError, match="stub step failed"):
             self.run(returns, views, self.stub(seen, fail_at=3), make_config(iters=20, burn=5))
         assert len(seen) == 3
+
+    @pytest.mark.parametrize("bad_iteration", [2, 12])
+    def test_non_finite_sigma_term(self, small_dataset, bad_iteration):
+        # a Sigma term only feeds the post-burn average, so an infinite one
+        # fails the chain when it enters that average and is ignored in the
+        # burn-in, like the rest of the burn-in's Sigma terms
+        returns, views = small_dataset
+        seen = []
+        fixed = self.stub(seen)
+
+        def step(mu, rng):
+            sigma, *rest = fixed(mu, rng)
+            return (sigma * np.inf if len(seen) == bad_iteration + 1 else sigma), *rest
+
+        cfg = make_config(iters=20, burn=5)
+        if bad_iteration < cfg.burn:
+            _, sigma_mean, _, _ = self.run(returns, views, step, cfg)
+            np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
+        else:
+            with pytest.raises(ChainError, match="^non-finite Sigma mean in Gibbs chain$"):
+                self.run(returns, views, step, cfg)
+        assert len(seen) == 20
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, count):
