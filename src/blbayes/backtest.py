@@ -20,13 +20,7 @@ import numpy as np
 
 from .data import ReturnPanel, monthly_means
 from .diagnostics import PosteriorSummary
-from .errors import (
-    BatchValidationError,
-    BlBayesError,
-    DimensionError,
-    InsufficientDataError,
-    ValidationError,
-)
+from .errors import BlBayesError, DimensionError, InsufficientDataError, ValidationError
 from .inverse_wishart import IwConfig, gibbs_augmented, gibbs_nonsquare
 from .log_sigma import LogSigmaConfig, gibbs_log_sigma
 from .original_bl import EquilibriumInputs, bl_posterior, equilibrium_returns, optimal_weights
@@ -242,19 +236,12 @@ def _failed_record(point, exc, seed: int) -> SweepRecord:
 
 def _sweep_batch(task) -> list[SweepRecord]:
     """The records of a contiguous run of grid points, whose chains run as
-    one batch. Points that fail validation get their error records and the
-    others run again as one batch; if the batch fails otherwise, its points
-    run again one at a time. Either way every record, ``ok`` or error, is
-    what an unbatched sweep gives."""
+    one batch. If the batch fails, its points run again one at a time, so
+    every record, ``ok`` or error, is what an unbatched sweep gives."""
     points, panel, views, settings, model, seed = task
     try:
         results = run_model(model, panel, [views.with_omega([w1, w2]) for _, w1, w2 in points],
                             settings, seed=seed, stream_id=[index for index, _, _ in points])
-    except BatchValidationError as exc:
-        valid = tuple(pt for g, pt in enumerate(points) if g not in exc.errors)
-        ran = iter(_sweep_batch((valid, panel, views, settings, model, seed)) if valid else ())
-        return [_failed_record(pt, exc.errors[g], seed) if g in exc.errors else next(ran)
-                for g, pt in enumerate(points)]
     except (BlBayesError, np.linalg.LinAlgError) as exc:
         if len(points) > 1:
             return [rec for point in points

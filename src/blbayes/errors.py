@@ -67,19 +67,6 @@ class ChainError(BlBayesError):
         super().__init__(message)
 
 
-class BatchValidationError(BlBayesError):
-    """Points of a batch of chains failed validation, before any chain ran.
-
-    ``errors`` maps the index of each failed point in the batch to the
-    exception it raises when run alone.
-    """
-
-    def __init__(self, errors: dict[int, Exception]):
-        self.errors = errors
-        detail = "; ".join(f"point {g}: {exc}" for g, exc in errors.items())
-        super().__init__(f"{len(errors)} point(s) of the batch failed validation: {detail}")
-
-
 class BasisError(BlBayesError):
     """An eigenvector basis is not orthonormal to tolerance."""
 

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import summarize_mu_sigma
-from .errors import (
-    BatchValidationError,
-    BlBayesError,
-    ChainError,
-    DimensionError,
-    InsufficientDataError,
-    ValidationError,
-)
+from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
 from .linalg import centred_scatter, require_spd, scatter_about
 from .sampling import RngStream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
@@ -221,26 +214,16 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     """The asset-space chains both Inverse-Wishart samplers run, one per view
     set, as one lock-step batch (:func:`gibbs_chain`); returns their
     summaries in order. ``prior(v)`` validates one view set and returns the
-    views ``(p, q, omega)`` of its chain. Every point is validated before any
-    chain runs: a batch of one raises its point's error, a larger batch
-    :class:`~blbayes.errors.BatchValidationError` naming each failed point
-    with the exception it raises alone.
+    views ``(p, q, omega)`` of its chain. The points are validated in order
+    before any chain runs, and the first that fails raises its own error.
     """
     returns_current = np.asarray(returns_current, dtype=float)
-    chain_views, failures = [], {}
-    for g, v in enumerate(views):
-        try:
-            p, q, omega = prior(v)
-            if returns_current.shape[1] != p.shape[1]:
-                raise DimensionError("returns and views disagree on the number of assets")
-        except (BlBayesError, np.linalg.LinAlgError) as exc:
-            if len(views) == 1:
-                raise
-            failures[g] = exc
-        else:
-            chain_views.append((p, q, omega))
-    if failures:
-        raise BatchValidationError(failures)
+    chain_views = []
+    for v in views:
+        p, q, omega = prior(v)
+        if returns_current.shape[1] != p.shape[1]:
+            raise DimensionError("returns and views disagree on the number of assets")
+        chain_views.append((p, q, omega))
     chains = gibbs_chain(returns_current, chain_views, cfg, stream_ids,
                          _iw_step(returns_current, cfg.nu, cfg.sigma0))
     return [summarize_mu_sigma(*chain, cfg.burn) for chain in zip(*chains)]

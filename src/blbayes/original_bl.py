@@ -58,16 +58,12 @@ def equilibrium_returns(inputs: EquilibriumInputs) -> np.ndarray:
     return inputs.risk_aversion * inputs.sigma @ inputs.w_eq
 
 
-def bl_posterior(pi, tau: float, sigma, views: ViewSet | None) -> BlPosterior:
-    """Combine the equilibrium prior N(pi, tau*Sigma) with the views.
-
-    With views (P, q, Omega)::
+def bl_posterior(pi, tau: float, sigma, views: ViewSet) -> BlPosterior:
+    """Combine the equilibrium prior N(pi, tau*Sigma) with the views
+    (P, q, Omega)::
 
         M      = (tau Sigma)^-1 + P' Omega^-1 P
         mu_bar = M^-1 ((tau Sigma)^-1 pi + P' Omega^-1 q)
-
-    ``views=None`` short-circuits to the prior-only limit
-    (mu_bar = pi, sigma_bar = (1+tau) Sigma).
     """
     pi = np.asarray(pi, dtype=float)
     sigma = require_spd(sigma, "Sigma")
@@ -77,13 +73,9 @@ def bl_posterior(pi, tau: float, sigma, views: ViewSet | None) -> BlPosterior:
     if pi.shape != (n,):
         raise DimensionError("pi length does not match Sigma")
 
-    prior_prec = spd_inverse(tau * sigma, "tau*Sigma")
-    if views is None:
-        m_inv = tau * sigma
-        return BlPosterior(mu_bar=pi.copy(), m_inv=m_inv, sigma_bar=m_inv + sigma)
-
     if views.n != n:
         raise DimensionError("views are on a different number of assets")
+    prior_prec = spd_inverse(tau * sigma, "tau*Sigma")
     view_prec, view_vec = view_precision(views.omega, views.q, views.p)
     m = symmetrize(prior_prec + view_prec)
     m_inv = spd_inverse(m, "BL posterior precision")

@@ -137,11 +137,13 @@ def sample_inverse_wishart(dof: float, scale, rng):
     ``N = L^-T A``, one solve; neither ``scale^-1`` nor an inverse of the
     draw is formed, and ``log det Sigma = 2 sum log(diag L / diag A)``. Logs
     the condition warning of :func:`~blbayes.linalg.warn_condition` for the
-    draw, estimated as ``max diag scale * max diag Sigma^-1 / ||A||_F^2``.
-    That is a lower bound on its 2-norm condition number: as
-    ``Sigma = M'M`` with ``M = A^-1 L'``,
-    ``Sigma_ii = ||A^-1 L' e_i||^2 >= scale_ii / ||A||_F^2``, and
-    ``max diag Sigma * max diag Sigma^-1 <= cond(Sigma)``.
+    draw, estimated from Rayleigh quotients of ``Sigma^-1``, which all lie
+    between its extreme eigenvalues. At ``x = e_i`` the quotient is
+    ``(Sigma^-1)_ii``; at ``x = L e_i`` it is
+    ``r_i = ||A_i,:||^2 / ||L_:,i||^2``, as ``N' L e_i = A' e_i``. So
+    ``cond(Sigma) = cond(Sigma^-1) >= max(max diag Sigma^-1, max r) / min r``,
+    the estimate, from the squared row norms of ``A`` and column norms of
+    ``L``.
 
     A batch of G chains with a common ``dof`` passes ``scale`` as
     ``(G, n, n)`` and ``rng`` as G streams, and gets a ``(G, n, n)`` stack and
@@ -172,12 +174,12 @@ def sample_inverse_wishart(dof: float, scale, rng):
     sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
     # Python floats: numpy's reductions, log and sum of an n-vector cost
     # more than the n scalar operations at the sizes the chains use
-    diagonals = (scale.diagonal(0, -2, -1).tolist(), sigma_inv.diagonal(0, -2, -1).tolist(),
-                 (a * a).sum((-2, -1)).tolist(),
+    diagonals = (sigma_inv.diagonal(0, -2, -1).tolist(),
+                 ((a * a).sum(-1) / (chol * chol).sum(-2)).tolist(),
                  (chol.diagonal(0, -2, -1) / a.diagonal(0, -2, -1)).tolist())
     log_det = []
-    for d, d_inv, a_frob_sq, ratio in zip(*diagonals) if batch else [diagonals]:
-        warn_condition("Sigma draw", max(d) * max(d_inv) / a_frob_sq)
+    for d_inv, rayleigh, ratio in zip(*diagonals) if batch else [diagonals]:
+        warn_condition("Sigma draw", max(max(d_inv), max(rayleigh)) / min(rayleigh))
         log_det.append(2.0 * sum(map(math.log, ratio)))
     return sigma_inv, log_det if batch else log_det[0]
 

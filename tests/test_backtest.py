@@ -252,9 +252,9 @@ class TestSweep:
 
     def test_invalid_points_leave_the_batch(self, sweep_inputs, monkeypatch, tmp_path, caplog):
         # omega1 = 1e-10 is below the Inverse-Wishart floor, so the three
-        # points of that row fail validation before any chain runs; they get
-        # the records of an unbatched run and the six valid points run as one
-        # batch, with no point run alone
+        # points of that row fail validation before any chain runs; the batch
+        # fails and its nine points run again one at a time, so every record
+        # is that of an unbatched run
         panel, views, settings = sweep_inputs
         original = backtest.gibbs_nonsquare
         batch_sizes = []
@@ -268,7 +268,7 @@ class TestSweep:
         with caplog.at_level(logging.WARNING, logger="blbayes.backtest"):
             batched = run_sweep(grid, panel, views, settings, workers=1)
         batched_warnings = [r.getMessage() for r in caplog.records]
-        assert batch_sizes == [9, 6]
+        assert batch_sizes == [9] + [1] * 9
         assert [r.status for r in batched] == ["error:ValidationError"] * 3 + ["ok"] * 6
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="blbayes.backtest"):

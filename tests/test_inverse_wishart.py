@@ -10,7 +10,6 @@ from blbayes import demo, inverse_wishart, linalg
 from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
 from blbayes.errors import (
-    BatchValidationError,
     ChainError,
     DimensionError,
     InsufficientDataError,
@@ -377,21 +376,23 @@ class TestBatchedChains:
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_invalid_points_are_named_before_any_chain(self, small_dataset, monkeypatch,
                                                        variant):
-        # every point is validated first, and each failure is the error of
-        # its point run alone
+        # the points are validated in order before any chain runs, and the
+        # first that fails raises the error of its point run alone
         returns, views = small_dataset
         run = self.sampler(variant)
-        point_views, stream_ids = self.points(views, 3)
-        point_views[0] = point_views[2] = views.with_omega([1e-10])
         chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
-        with pytest.raises(BatchValidationError) as exc:
-            run(returns, point_views, self.cfg, stream_ids)
-        assert chains == [] and sorted(exc.value.errors) == [0, 2]
-        for g in (0, 2):
+        for invalid in ([0, 2], [2]):
+            point_views, stream_ids = self.points(views, 3)
+            for g in invalid:
+                point_views[g] = views.with_omega([10.0 ** -(10 + g)])
+            with pytest.raises(ValidationError) as exc:
+                run(returns, point_views, self.cfg, stream_ids)
+            first = invalid[0]
             with pytest.raises(ValidationError) as alone:
-                run(returns, point_views[g:g + 1], self.cfg, stream_ids[g:g + 1])
-            assert type(exc.value.errors[g]) is ValidationError
-            assert str(exc.value.errors[g]) == str(alone.value)
+                run(returns, point_views[first:first + 1], self.cfg, stream_ids[first:first + 1])
+            assert type(exc.value) is ValidationError
+            assert str(exc.value) == str(alone.value)
+        assert chains == []
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_one_invalid_point_raises_its_own_error(self, small_dataset, monkeypatch,

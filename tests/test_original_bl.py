@@ -57,14 +57,8 @@ class TestEquilibrium:
 class TestBlPosterior:
     def test_nan_tau_rejected(self):
         with pytest.raises(ValidationError, match="tau"):
-            bl_posterior(np.zeros(2), float("nan"), np.eye(2), None)
-
-    def test_no_views_prior_only(self):
-        sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
-        pi = np.array([0.03, 0.05])
-        post = bl_posterior(pi, 0.3, sigma, None)
-        np.testing.assert_array_equal(post.mu_bar, pi)
-        np.testing.assert_allclose(post.sigma_bar, 1.3 * sigma, rtol=1e-14)
+            bl_posterior(np.zeros(2), float("nan"), np.eye(2),
+                         ViewSet(np.array([[1.0, -1.0]]), [0.02], [0.005]))
 
     def test_sigma_bar_consistency(self):
         rng = np.random.default_rng(41)
