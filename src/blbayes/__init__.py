@@ -37,5 +37,5 @@ from .original_bl import (  # noqa: F401
     optimal_weights,
     weight_decomposition,
 )
-from .sampling import RngStream  # noqa: F401
-from .views import AugmentedViews, ViewSet, augment_to_invertible, build_transformed_hyperparams  # noqa: F401
+from .sampling import rng_stream  # noqa: F401
+from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams  # noqa: F401

@@ -18,8 +18,9 @@ import numpy as np
 
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, ingest_prices
-from .errors import ModelSizeError, ValidationError
+from .errors import DimensionError, ModelSizeError, NotPositiveDefiniteError, ValidationError
 from .inverse_wishart import check_chain_length
+from .linalg import require_spd
 from .log_sigma import check_asset_count
 from .sampling import fits_seed
 from .views import ViewSet
@@ -155,6 +156,10 @@ class RunConfig:
             sigma0 = np.array([_number_list(r, f"sigma0[{i}]") for i, r in enumerate(sigma0)])
             if sigma0.shape != (n, n):
                 raise ValidationError("sigma0", f"expected an {n}x{n} matrix")
+            try:
+                sigma0 = require_spd(sigma0)
+            except (DimensionError, NotPositiveDefiniteError) as exc:
+                raise ValidationError("sigma0", str(exc)) from exc
 
         iters = _get(doc, "iters", int, "iters", required=False, default=10_000)
         burn = _get(doc, "burn", int, "burn", required=False, default=1_000)

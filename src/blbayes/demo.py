@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PricePanel, ReturnPanel, compute_returns
-from .sampling import RngStream
+from .sampling import rng_stream
 from .views import ViewSet
 
 DEMO_SEED = 20140102
@@ -56,7 +56,7 @@ def demo_dates() -> list[date]:
 def demo_price_panel() -> PricePanel:
     """Deterministically regenerated price panel."""
     dates = demo_dates()
-    gen = RngStream(DEMO_SEED).generator
+    gen = rng_stream(DEMO_SEED)
     chol = np.linalg.cholesky(DEMO_DAILY_COV)
     prices = np.empty((len(dates), len(DEMO_TICKERS)))
     prices[0] = DEMO_START_PRICES

@@ -99,8 +99,9 @@ class PosteriorSummary:
     accepted: np.ndarray
     extra: dict | None = None
 
-    def geweke_pass(self, z_max: float = 4.0) -> bool:
-        return bool(np.all(self.geweke_z < z_max))
+    def geweke_pass(self) -> bool:
+        """Whether every mu coordinate's Geweke |z| is below 4."""
+        return bool(np.all(self.geweke_z < 4.0))
 
 
 def summarize_mu_sigma(mu_draws, sigma_mean, log_dets, accepts, burn: int,

@@ -35,7 +35,7 @@ import numpy as np
 from .diagnostics import summarize_mu_sigma
 from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
 from .linalg import centred_scatter, require_spd, scatter_about
-from .sampling import RngStream, sample_inverse_wishart, sample_mvn
+from .sampling import rng_stream, sample_inverse_wishart, sample_mvn
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
 log = logging.getLogger(__name__)
@@ -123,9 +123,9 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     Chain g has the views ``views[g] = (p, q, omega)`` on its mean and the
     stream ``(cfg.seed, stream_ids[g])``; ``cfg`` supplies ``iters`` and
     ``burn``. Every array below has a leading axis of length G and ``rng`` is
-    the list of streams, except that a batch of one runs on plain arrays and
-    one stream, which spares numpy's overhead on stacks of one. Each chain
-    draws from its own stream in the order it draws alone.
+    the list of their Generators, except that a batch of one runs on plain
+    arrays and one Generator, which spares numpy's overhead on stacks of one.
+    Each chain draws from its own stream in the order it draws alone.
 
     Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
     ``(sigma, sigma_inv, log_det, accepted)``: the Sigma term the loop
@@ -157,7 +157,7 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     priors = [view_precision(omega, q, p) for p, q, omega in views]
     prior_prec = np.array([prec for prec, _ in priors])
     prior_vec = np.array([vec for _, vec in priors])
-    rng = [RngStream(cfg.seed, s) for s in stream_ids]
+    rng = [rng_stream(cfg.seed, s) for s in stream_ids]
     mu = np.broadcast_to(rbar, (count, n)).copy()
     mu_draws = np.empty((count, iters, n))
     log_dets = np.empty((count, iters))
@@ -242,9 +242,8 @@ def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_id
     """
     def prior(v):
         check_omega_floor(v, OMEGA_FLOOR_IW, cfg.allow_small_omega, "augmented")
-        aug = augment_to_invertible(v.p)
-        return (aug.p_star,
-                *build_transformed_hyperparams(aug, v.q, v.omega, monthly_mean_vectors))
+        p_star = augment_to_invertible(v.p)
+        return p_star, *build_transformed_hyperparams(p_star, v.q, v.omega, monthly_mean_vectors)
 
     return _iw_chain(returns_current, views, cfg, stream_ids, prior)
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NumericalError
 
 
-def _emit(value, indent: int, pad: str, path: str) -> str:
+def _emit(value, pad: str, path: str) -> str:
     if isinstance(value, np.ndarray):
         value = value.tolist()
     elif isinstance(value, np.generic):
@@ -21,17 +21,17 @@ def _emit(value, indent: int, pad: str, path: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = pad + " " * indent
+        inner = pad + "  "
         items = []
         for k, v in value.items():
             field = f"{path}.{k}" if path else str(k)
-            items.append(f"{inner}{json.dumps(str(k))}: {_emit(v, indent, inner, field)}")
+            items.append(f"{inner}{json.dumps(str(k))}: {_emit(v, inner, field)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = pad + " " * indent
-        items = [f"{inner}{_emit(v, indent, inner, f'{path}[{i}]')}" for i, v in enumerate(value)]
+        inner = pad + "  "
+        items = [f"{inner}{_emit(v, inner, f'{path}[{i}]')}" for i, v in enumerate(value)]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -48,6 +48,6 @@ def _emit(value, indent: int, pad: str, path: str) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize with stable bytes: same input, same output, always."""
-    return _emit(obj, indent, "", "") + "\n"
+def dumps(obj) -> str:
+    """Serialize with stable bytes and a two-space indent: same input, same output."""
+    return _emit(obj, "", "") + "\n"

@@ -44,12 +44,12 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def require_symmetric(a, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
-    """Validate symmetry (relative to the largest entry) and return an
-    exactly symmetric copy."""
+def require_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """Validate symmetry to 1e-12 relative to the largest entry and return
+    an exactly symmetric copy."""
     a = as_matrix(a, name)
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > tol * scale:
+    if np.abs(a - a.T).max() > 1e-12 * scale:
         raise DimensionError(f"{name} is not symmetric")
     return symmetrize(a)
 
@@ -202,32 +202,23 @@ def vec_star_inverse(v) -> np.ndarray:
     return a
 
 
-@functools.cache
-def _bilinear_gather(n: int) -> np.ndarray:
-    """Flat row-major positions in an ``n x n`` matrix of the stacking
-    order's entries ``(rows[p], cols[p])``, followed by their transposes
-    ``(cols[p], rows[p])``."""
-    rows, cols = vec_star_indices(n)
-    return np.concatenate([rows * n + cols, cols * n + rows])
+def vec_star_bilinear(a, b) -> np.ndarray:
+    """Stack the bilinear forms of the row pairs of ``a`` and ``b``, both
+    ``(P, n)``, so that for every symmetric ``A`` and every row ``p``::
 
+        vec_star(A) @ vec_star_bilinear(a, b)[p] == a[p] @ A @ b[p]
 
-def vec_star_bilinear(m) -> np.ndarray:
-    """Stack an arbitrary square matrix so that for every symmetric ``A``::
-
-        vec_star(A) @ vec_star_bilinear(M) == sum(A * M)
-
-    Diagonal slots take ``M[k, k]``; the slot for ``(k, l)`` with ``k < l``
-    takes ``M[k, l] + M[l, k]`` (the two occurrences of ``A[k, l]``). A stack
-    ``(..., n, n)`` is stacked over its last two axes.
+    Diagonal slots take ``a[p, k] b[p, k]``; the slot for ``(k, l)`` with
+    ``k < l`` takes ``a[p, k] b[p, l] + a[p, l] b[p, k]`` (the two
+    occurrences of ``A[k, l]``). Returns shape ``(P, n(n+1)/2)``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"matrix must be square in its last two axes, got shape {m.shape}")
-    n = m.shape[-1]
-    d = vec_star_dim(n)
-    both = m.reshape(m.shape[:-2] + (n * n,))[..., _bilinear_gather(n)]
-    out = both[..., :d] + both[..., d:]
-    out[..., :n] *= 0.5
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionError(f"row stacks must be 2-D of one shape, got {a.shape} and {b.shape}")
+    n = a.shape[1]
+    rows, cols = vec_star_indices(n)
+    out = a[:, rows] * b[:, cols]
+    out[:, n:] += a[:, cols[n:]] * b[:, rows[n:]]
     return out
 
 

@@ -115,8 +115,8 @@ def build_f_vectors(eigvecs) -> np.ndarray:
     The slot of a diagonal entry ``A[k, k]`` carries ``e_i[k] e_j[k]``; the
     slot of ``A[k, l]`` (k < l) carries ``e_i[k] e_j[l] + e_i[l] e_j[k]``.
     Returns shape ``(d, d)``: row ``p`` is ``f_ij`` for the pair
-    ``(i, j)`` of :func:`_pair_indices`, the :func:`vec_star_bilinear` stack
-    of the outer product ``e_i e_j'``.
+    ``(i, j)`` of :func:`_pair_indices`, the :func:`vec_star_bilinear` row
+    of the eigenvector pair ``(e_i, e_j)``.
     """
     e = np.asarray(eigvecs, dtype=float)
     n = e.shape[0]
@@ -124,8 +124,7 @@ def build_f_vectors(eigvecs) -> np.ndarray:
     if gram_dev > 1e-8:
         raise BasisError(f"eigenvector basis not orthonormal (Gram deviation {gram_dev:.3e})")
     pi, pj = _pair_indices(n)
-    e_t = e.T
-    return vec_star_bilinear(e_t[pi][:, :, None] * e_t[pj][:, None, :])
+    return vec_star_bilinear(e.T[pi], e.T[pj])
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         loglik = _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m)
         log_rho = mh_log_ratio(candidate, alpha, loglik,
                                _log_likelihood(log_det, sigma_inv, s_mat, m), quad)
-        accepted = bool(np.log(rng.generator.random()) < log_rho)
+        accepted = bool(np.log(rng.random()) < log_rho)
         if accepted:
             alpha = candidate
             sigma, sigma_inv, log_det = _sigma_pair(w, v, exp_neg_a)

@@ -3,6 +3,8 @@
 Streams are keyed by ``(seed, stream_id)``: the same pair always replays the
 same sequence, and distinct stream ids give statistically independent
 sequences, so parallel tasks each own one stream (stream_id = task index).
+:func:`rng_stream` returns a stream as a plain ``numpy.random.Generator``,
+and every sampler here takes one Generator, or a list of G for a batch.
 
 The Inverse Wishart is parameterized by the density exponent
 ``det(X)^-(nu+n+1)/2 * exp(-tr(scale @ X^-1)/2)`` — i.e. ``nu`` is the
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,25 +42,14 @@ def fits_seed(value: int) -> bool:
     return 0 <= value < 2**64
 
 
-@dataclass
-class RngStream:
-    """A named, replayable random stream."""
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not fits_seed(int(self.seed)):
-            raise ParameterError("seed must fit in 64 unsigned bits")
-        if not fits_seed(int(self.stream_id)):
-            raise ParameterError("stream_id must fit in 64 unsigned bits")
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The replayable generator of the stream ``(seed, stream_id)``: PCG64
+    seeded with ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``."""
+    for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if not fits_seed(int(value)):
+            raise ParameterError(f"{name} must fit in 64 unsigned bits")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
@@ -91,11 +81,11 @@ def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
         )
     n = shift.shape[-1]
     if shift.ndim == 1:
-        z = rng.generator.standard_normal(n)
+        z = rng.standard_normal(n)
     elif len(rng) != len(shift):
         raise DimensionError(f"sample_mvn: {len(rng)} streams for {len(shift)} chains")
     else:
-        z = np.array([r.generator.standard_normal(n) for r in rng])
+        z = np.array([r.standard_normal(n) for r in rng])
     order = slice(None, None, -1) if cov_cholesky else slice(None)
     noise_factor = spd_cholesky(precision[..., order, order], name)[..., order, order]
     # each right-hand side a column, so a stack of them is not read as one matrix
@@ -108,7 +98,7 @@ def _strict_lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, k=-1)
 
 
-def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
+def _bartlett_factor(dof: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-triangular Bartlett factor: chi on the diagonal, normals below.
 
     Draw order is fixed (the n chi-squares with dof, dof-1, ... first, then
@@ -117,12 +107,11 @@ def _bartlett_factor(dof: float, n: int, rng: RngStream) -> np.ndarray:
     draws the same stream but validates its parameter array at about twice
     the cost of the loop at n = 4.
     """
-    gen = rng.generator
     a = np.zeros((n, n))
     for i in range(n):
-        a[i, i] = math.sqrt(gen.chisquare(dof - i))
+        a[i, i] = math.sqrt(rng.chisquare(dof - i))
     rows, cols = _strict_lower_indices(n)
-    a[rows, cols] = gen.standard_normal(rows.size)
+    a[rows, cols] = rng.standard_normal(rows.size)
     return a
 
 
@@ -166,10 +155,8 @@ def sample_inverse_wishart(dof: float, scale, rng):
         chol = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("sample_inverse_wishart: scale is not SPD") from exc
-    if batch:
-        a = np.array([_bartlett_factor(dof, n, r) for r in rng])
-    else:
-        a = _bartlett_factor(dof, n, rng)
+    a = (np.array([_bartlett_factor(dof, n, r) for r in rng]) if batch
+         else _bartlett_factor(dof, n, rng))
     n_factor = np.linalg.solve(chol.swapaxes(-1, -2), a)
     sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
     # Python floats: numpy's reductions, log and sum of an n-vector cost
@@ -184,7 +171,7 @@ def sample_inverse_wishart(dof: float, scale, rng):
     return sigma_inv, log_det if batch else log_det[0]
 
 
-def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> float:
+def sample_inverse_gamma(shape: float, scale_param: float, rng: np.random.Generator) -> float:
     """One draw with density proportional to ``x^-(shape+1) * exp(-scale/x)``.
 
     Mean is ``scale / (shape - 1)`` for ``shape > 1``.
@@ -193,5 +180,5 @@ def sample_inverse_gamma(shape: float, scale_param: float, rng: RngStream) -> fl
         raise ParameterError(
             f"inverse gamma needs positive parameters, got ({shape}, {scale_param})"
         )
-    g = rng.generator.gamma(shape, 1.0)
+    g = rng.gamma(shape, 1.0)
     return float(scale_param / g)

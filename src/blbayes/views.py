@@ -5,7 +5,7 @@ the investor's (q, Omega) in the view block, of the prior on P* mu."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import (
     RankError,
     ValidationError,
 )
-from .linalg import spd_cholesky, spd_inverse, symmetrize
+from .linalg import as_matrix, spd_cholesky, spd_inverse, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -87,29 +87,14 @@ def view_precision(omega, q, p):
     return p.T @ omega_inv @ p, p.T @ (omega_inv @ q)
 
 
-@dataclass(frozen=True)
-class AugmentedViews:
-    """Square invertible extension of a view matrix.
-
-    The first k rows of ``p_star`` are the original views bit-exactly;
-    ``added_rows`` holds the (n-k) rows appended below them.
-    """
-
-    p_star: np.ndarray
-    added_rows: np.ndarray
-    k: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.p_star.shape[0] - self.added_rows.shape[0])
-
-
 def _rank(m: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(m, tol=_RANK_TOL))
 
 
-def augment_to_invertible(p) -> AugmentedViews:
+def augment_to_invertible(p) -> np.ndarray:
     """Append rows to a full-row-rank k-by-n view matrix until it is square
-    and invertible.
+    and invertible, and return that n-by-n P*: its first k rows are P bit for
+    bit, and the n - k rows below them are unit rows.
 
     Unit rows are tried in this order: one for every all-zero column of P
     (rule 1), then one for every nonzero non-pivot entry of each row that has
@@ -153,12 +138,14 @@ def augment_to_invertible(p) -> AugmentedViews:
 
     if stack.shape != (n, n):
         raise AugmentationError("the augmentation rules could not complete P")
-    return AugmentedViews(p_star=np.vstack([p, stack[k:]]), added_rows=stack[k:])
+    return np.vstack([p, stack[k:]])
 
 
-def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
+def build_transformed_hyperparams(p_star, q, omega, monthly_means):
     """Build (q*, Omega*), the prior ``P* mu ~ N(q*, Omega*)`` of the
-    augmented-views model.
+    augmented-views model, for the n-by-n ``p_star`` of
+    :func:`augment_to_invertible` whose first k rows are the views, k the
+    length of ``q``.
 
     The augmented mean/covariance come from per-month mean-return vectors
     (asset space): ``q* = P* mean(monthly)`` and
@@ -172,11 +159,14 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
     scaled by ``sqrt((1 - 1e-6) / rho)`` (logged), which keeps Omega and C22
     exactly; otherwise Omega* is the overwrite bit for bit.
     """
+    p_star = as_matrix(p_star, "P*")
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    p_star = aug.p_star
     n = p_star.shape[0]
-    k = aug.k
+    k = q.size
+    if q.ndim != 1 or not 1 <= k <= n or omega.shape != (k, k):
+        raise DimensionError(f"q {q.shape} and Omega {omega.shape} are not (k,) and (k, k) "
+                             f"with 1 <= k <= {n}")
     means = np.asarray(monthly_means, dtype=float)
     if means.ndim != 2 or means.shape[1] != n:
         raise DimensionError(
@@ -187,8 +177,6 @@ def build_transformed_hyperparams(aug: AugmentedViews, q, omega, monthly_means):
         raise InsufficientDataError(
             f"need at least {need} monthly mean vectors, got {means.shape[0]}"
         )
-    if q.shape != (k,) or omega.shape != (k, k):
-        raise DimensionError("q/Omega shape does not match the view count")
 
     mu_hat = means.mean(axis=0)
     var_mu = np.cov(means, rowvar=False, ddof=1).reshape(n, n)

@@ -5,11 +5,11 @@ calls: the mean-return conditional as a (shift, precision) and as a (mean,
 covariance) pair, the canonical-form normal draw through two solves with a
 Cholesky factor, completing the square, the Volterra log density and the
 symmetric matrix exponential. The second are longhand forms of engine code:
-the f-vectors of all n^2 eigenvector pairs, xi with both branches always
-evaluated, the prior precision G through its 2x2 core solve from the block
-design of the alpha prior, view augmentation as two loops, over the rule
-candidates and then over the fill, and the augmented-views sampler run in
-view space.
+the f-vectors of all n^2 eigenvector pairs slot by slot, xi with both
+branches always evaluated, the prior precision G through its 2x2 core solve
+from the block design of the alpha prior, view augmentation as two loops,
+over the rule candidates and then over the fill, and the augmented-views
+sampler run in view space.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,10 @@ from blbayes.linalg import (
     spd_inverse,
     spd_solve,
     symmetrize,
-    vec_star_bilinear,
     vec_star_dim,
 )
 from blbayes.log_sigma import VolterraQuadratic, build_Q
 from blbayes.views import (
-    AugmentedViews,
     _rank,
     augment_to_invertible,
     build_transformed_hyperparams,
@@ -129,14 +127,23 @@ def matrix_exp_sym(a) -> np.ndarray:
 
 
 def f_vectors_all_pairs(eigvecs) -> np.ndarray:
-    """``f_ij`` for all n^2 pairs, shape ``(n, n, d)``, one
-    :func:`vec_star_bilinear` of ``e_i e_j'`` per pair ``i <= j``."""
+    """``f_ij`` for all n^2 pairs, shape ``(n, n, d)``, spelled out from
+    ``vec_star(A) @ f_ij == e_i' A e_j`` with the eigenvectors ``e_i`` as
+    columns: the slot of ``A[k, k]`` holds ``e[k, i] e[k, j]``, that of
+    ``A[k, l]`` (k < l) holds ``e[k, i] e[l, j] + e[l, i] e[k, j]``, and the
+    slots run along the main diagonal, then each super-diagonal."""
     e = np.asarray(eigvecs, dtype=float)
     n = e.shape[0]
     out = np.empty((n, n, n * (n + 1) // 2))
     for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = vec_star_bilinear(np.outer(e[:, i], e[:, j]))
+        for j in range(n):
+            slot = 0
+            for offset in range(n):
+                for k in range(n - offset):
+                    l = k + offset
+                    out[i, j, slot] = (e[k, i] * e[k, j] if offset == 0
+                                       else e[k, i] * e[l, j] + e[l, i] * e[k, j])
+                    slot += 1
     return out
 
 
@@ -193,7 +200,7 @@ def g_core_solve(design) -> np.ndarray:
     return symmetrize(np.diag(delta_inv) - a @ np.linalg.solve(core, a.T))
 
 
-def augment_two_loops(p) -> AugmentedViews:
+def augment_two_loops(p) -> np.ndarray:
     """:func:`~blbayes.views.augment_to_invertible` with the unit rows of
     the two rules tried in one loop and, if the matrix is still short of
     square, the unit rows of every column in a second loop."""
@@ -225,7 +232,6 @@ def augment_two_loops(p) -> AugmentedViews:
                 candidates.append(int(j))
 
     stack = p
-    added: list[np.ndarray] = []
     rank = k
     for j in candidates:
         if rank == n:
@@ -233,7 +239,6 @@ def augment_two_loops(p) -> AugmentedViews:
         trial = np.vstack([stack, unit_row(j)])
         if _rank(trial) > rank:
             stack, rank = trial, rank + 1
-            added.append(unit_row(j))
     if rank < n:
         for j in range(n):
             if rank == n:
@@ -241,12 +246,11 @@ def augment_two_loops(p) -> AugmentedViews:
             trial = np.vstack([stack, unit_row(j)])
             if _rank(trial) > rank:
                 stack, rank = trial, rank + 1
-                added.append(unit_row(j))
 
     p_star = stack
     if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
         raise AugmentationError("augmentation rules produced a singular square matrix")
-    return AugmentedViews(p_star=p_star, added_rows=np.array(added).reshape(n - k, n))
+    return p_star
 
 
 def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg):
@@ -255,11 +259,10 @@ def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg
     ``(q*, Omega*)``, and map the mean draws and the Sigma mean back with
     ``P*^-1``."""
     returns_current = np.asarray(returns_current, dtype=float)
-    aug = augment_to_invertible(views.p)
-    p_star = aug.p_star
+    p_star = augment_to_invertible(views.p)
     p_star_inv = np.linalg.inv(p_star)
     q_star, omega_star = build_transformed_hyperparams(
-        aug, views.q, views.omega, monthly_mean_vectors
+        p_star, views.q, views.omega, monthly_mean_vectors
     )
     sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
     transformed = returns_current @ p_star.T

@@ -231,8 +231,8 @@ class TestSweep:
             sigma_inv, log_det = original(dof, scale, rng)
             # a batch of one draws on its one stream, a larger batch on a list
             if isinstance(rng, list):
-                sigma_inv[[stream.stream_id == 1 for stream in rng]] = np.nan
-            elif rng.stream_id == 1:
+                sigma_inv[[g.bit_generator.seed_seq.spawn_key == (1,) for g in rng]] = np.nan
+            elif rng.bit_generator.seed_seq.spawn_key == (1,):
                 sigma_inv[...] = np.nan
             return sigma_inv, log_det
 

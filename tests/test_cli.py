@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blbayes import cli, inverse_wishart
+from blbayes import cli, data, inverse_wishart
 from blbayes.backtest import backtest_profit, run_model
 from blbayes.cli import main
 from blbayes.config import RunConfig
@@ -38,6 +38,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def collinear_config(demo_dir, tmp_path):
+    """The demo config on a copy of the demo prices whose last column
+    repeats the first, so the historical covariance is singular."""
+    rows = [line.split(",") for line in (demo_dir / "prices.csv").read_text().splitlines()]
+    csv_path = tmp_path / "collinear.csv"
+    csv_path.write_text("".join(",".join(row[:4] + [row[1] if i else row[4]]) + "\n"
+                                for i, row in enumerate(rows)))
+    doc = small_config(demo_dir)
+    doc["data"]["prices_csv"] = str(csv_path)
+    return doc
 
 
 class TestIngest:
@@ -249,18 +261,14 @@ class TestRun:
         assert "data" in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, demo_dir, tmp_path, capsys):
-        doc = small_config(demo_dir)
-        doc["sigma0"] = [[1.0, 0.0, 0.0, 0.0],
-                        [0.0, -1.0, 0.0, 0.0],
-                        [0.0, 0.0, 1.0, 0.0],
-                        [0.0, 0.0, 0.0, 1.0]]
-        cfg = write_config(tmp_path, doc)
+        # the default Sigma0 scales the historical covariance, which is
+        # singular when two assets' prices coincide
+        cfg = write_config(tmp_path, collinear_config(demo_dir, tmp_path))
         assert main(["run", "--config", str(cfg)]) == 3
         assert "positive definite" in capsys.readouterr().err
 
     def test_failed_run_leaves_no_output(self, demo_dir, tmp_path):
-        doc = small_config(demo_dir, sigma0=np.diag([1.0, -1.0, 1.0, 1.0]).tolist())
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, collinear_config(demo_dir, tmp_path))
         out = tmp_path / "out.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
@@ -299,6 +307,25 @@ class TestRun:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: data.m: ") and "nu + m > n + 1" in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("sigma0, message", [
+        (np.diag([1.0, 1.0, 1.0, -1.0]), "is not positive definite"),
+        (np.eye(4) + np.triu(np.full((4, 4), 1e-3), 1), "is not symmetric"),
+    ], ids=["indefinite", "asymmetric"])
+    def test_bad_sigma0_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch, command,
+                               sigma0, message):
+        # the config is rejected naming sigma0 before the prices are read
+        calls = count_engine_calls(monkeypatch, data, "ingest_prices")
+        cfg = write_config(tmp_path, small_config(demo_dir, sigma0=sigma0.tolist()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
+        out = tmp_path / "out"
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma0: ") and message in err and err.count("\n") == 1
         assert calls == [] and not out.exists()
 
     def test_single_post_burn_draw_exit_2(self, demo_dir, tmp_path, capsys):

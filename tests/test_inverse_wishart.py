@@ -25,7 +25,7 @@ from blbayes.inverse_wishart import (
     sigma_conditional,
 )
 from blbayes.log_sigma import LogSigmaConfig
-from blbayes.sampling import RngStream, sample_mvn
+from blbayes.sampling import rng_stream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
 from conftest import calls_per_iteration, count_engine_calls, random_spd
 from oracles import gibbs_augmented_view_space, mu_conditional, mu_conditional_precision
@@ -242,9 +242,9 @@ class TestChains:
                                           size=25)
         views = ViewSet(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.02, 0.05]), [5e-3, 8e-3])
         months = rng.normal(size=(8, 2)) * 0.01
-        aug = augment_to_invertible(views.p)
-        q_star, omega_star = build_transformed_hyperparams(aug, views.q, views.omega, months)
-        assert np.array_equal(aug.p_star, views.p)
+        p_star = augment_to_invertible(views.p)
+        q_star, omega_star = build_transformed_hyperparams(p_star, views.q, views.omega, months)
+        assert np.array_equal(p_star, views.p)
         assert np.array_equal(q_star, views.q) and np.array_equal(omega_star, views.omega)
 
         cfg = make_config(iters=400, burn=80, seed=315)
@@ -507,11 +507,12 @@ class TestGibbsChain:
         assert log_dets.shape == (count, 4) and (log_dets == self.log_det_fix).all()
         assert accepts.shape == (count, 4) and accepts.all()
         if count == 1:
-            assert all(shape == (2,) and isinstance(rng, RngStream) for shape, rng in seen)
-            assert seen[0][1].stream_id == 7
+            assert all(shape == (2,) and isinstance(rng, np.random.Generator)
+                       for shape, rng in seen)
+            assert seen[0][1].bit_generator.seed_seq.spawn_key == (7,)
         else:
             assert all(shape == (count, 2) and len(rng) == count for shape, rng in seen)
-            assert [r.stream_id for r in seen[0][1]] == [7, 8, 9]
+            assert [r.bit_generator.seed_seq.spawn_key for r in seen[0][1]] == [(7,), (8,), (9,)]
         assert len(seen) == 4
 
     def test_empty_window_rejected(self, small_dataset):
@@ -607,7 +608,7 @@ class TestMuSamplerLongRun:
         rbar = rng.normal(size=n) * 0.01
         mean, cov = mu_conditional(rbar, sigma, views.q, views.omega, p, m)
         shift, precision = mu_conditional_precision(rbar, sigma, views.q, views.omega, p, m)
-        stream = RngStream(71)
+        stream = rng_stream(71)
         draws = np.array([sample_mvn(shift, precision=precision, rng=stream,
                                      cov_cholesky=True) for _ in range(10_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from blbayes.errors import DimensionError, NotPositiveDefiniteError, NumericalError
 from blbayes.linalg import (
-    _bilinear_gather,
     centred_scatter,
     matrix_log_spd,
     scatter_about,
@@ -71,27 +70,29 @@ class TestVecStar:
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = rng.integers(2, 6)
-            a = random_symmetric(rng, n)
-            m = rng.normal(size=(n, n))
-            lhs = vec_star(a) @ vec_star_bilinear(m)
-            assert abs(lhs - np.sum(a * m)) < 1e-12 * max(1.0, abs(lhs))
+            sym = random_symmetric(rng, n)
+            a, b = rng.normal(size=(2, 3, n))
+            rows = vec_star_bilinear(a, b)
+            for p in range(3):
+                lhs = vec_star(sym) @ rows[p]
+                assert abs(lhs - a[p] @ sym @ b[p]) < 1e-12 * max(1.0, abs(lhs))
 
     def test_bilinear_stack_equals_per_slice_calls(self):
-        m = np.random.default_rng(8).normal(size=(3, 2, 5, 5))
-        got = vec_star_bilinear(m)
-        assert got.shape == (3, 2, 15)
-        want = np.array([[vec_star_bilinear(m[a, b]) for b in range(2)] for a in range(3)])
+        a, b = np.random.default_rng(8).normal(size=(2, 6, 5))
+        got = vec_star_bilinear(a, b)
+        assert got.shape == (6, 15)
+        want = np.array([vec_star_bilinear(a[p:p + 1], b[p:p + 1])[0] for p in range(6)])
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
-    def test_bilinear_rejects_non_square_last_axes(self, shape):
+    @pytest.mark.parametrize("shapes", [((3,), (3,)), ((2, 3), (2, 4)), ((2, 3), (3, 3))])
+    def test_bilinear_rejects_mismatched_row_stacks(self, shapes):
         with pytest.raises(DimensionError):
-            vec_star_bilinear(np.zeros(shape))
+            vec_star_bilinear(*(np.zeros(shape) for shape in shapes))
 
 
 # The per-n index helpers of the package, each memoized on its argument.
-@pytest.mark.parametrize("helper", [vec_star_indices, _bilinear_gather, _pair_indices,
-                                    _centering_blocks, _strict_lower_indices])
+@pytest.mark.parametrize("helper", [vec_star_indices, _pair_indices, _centering_blocks,
+                                    _strict_lower_indices])
 def test_per_n_helper_returns_the_cached_object(helper):
     first = helper(5)
     assert helper(5) is first

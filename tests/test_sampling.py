@@ -14,8 +14,8 @@ from blbayes.errors import (
     ParameterError,
 )
 from blbayes.sampling import (
-    RngStream,
     _bartlett_factor,
+    rng_stream,
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
@@ -27,37 +27,39 @@ from oracles import mvn_two_solves
 class TestDeterminism:
     def test_same_stream_replays(self):
         precision = np.array([[2.0, 0.3], [0.3, 1.0]])
-        a = sample_mvn(np.zeros(2), precision=precision, rng=RngStream(42, 1))
-        b = sample_mvn(np.zeros(2), precision=precision, rng=RngStream(42, 1))
+        a = sample_mvn(np.zeros(2), precision=precision, rng=rng_stream(42, 1))
+        b = sample_mvn(np.zeros(2), precision=precision, rng=rng_stream(42, 1))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_mvn(np.zeros(2), precision=np.eye(2), rng=RngStream(42, 1))
-        b = sample_mvn(np.zeros(2), precision=np.eye(2), rng=RngStream(42, 2))
+        a = sample_mvn(np.zeros(2), precision=np.eye(2), rng=rng_stream(42, 1))
+        b = sample_mvn(np.zeros(2), precision=np.eye(2), rng=rng_stream(42, 2))
         assert not np.array_equal(a, b)
 
     def test_inverse_wishart_replays(self):
         psi = random_spd(np.random.default_rng(0), 3)
-        a_inv, a_log_det = sample_inverse_wishart(7.5, psi, RngStream(9))
-        b_inv, b_log_det = sample_inverse_wishart(7.5, psi, RngStream(9))
+        a_inv, a_log_det = sample_inverse_wishart(7.5, psi, rng_stream(9))
+        b_inv, b_log_det = sample_inverse_wishart(7.5, psi, rng_stream(9))
         np.testing.assert_array_equal(a_inv, b_inv)
         assert a_log_det == b_log_det
 
     def test_inverse_gamma_replays(self):
-        assert sample_inverse_gamma(3.0, 4.0, RngStream(5)) == sample_inverse_gamma(
-            3.0, 4.0, RngStream(5)
+        assert sample_inverse_gamma(3.0, 4.0, rng_stream(5)) == sample_inverse_gamma(
+            3.0, 4.0, rng_stream(5)
         )
 
     def test_seed_bounds(self):
         with pytest.raises(ParameterError):
-            RngStream(-1)
+            rng_stream(-1)
         with pytest.raises(ParameterError):
-            RngStream(2**64)
+            rng_stream(2**64)
+        with pytest.raises(ParameterError, match="stream_id"):
+            rng_stream(0, 2**64)
 
 
 class TestMvn:
     def test_moments_identity_covariance(self):
-        rng = RngStream(123)
+        rng = rng_stream(123)
         draws = np.array([sample_mvn(np.zeros(3), precision=np.eye(3), rng=rng)
                           for _ in range(100_000)])
         var = draws.var(axis=0)
@@ -70,7 +72,7 @@ class TestMvn:
         cov = np.array([[0.5, 0.2], [0.2, 0.8]])
         mean = np.array([1.0, -2.0])
         precision = np.linalg.inv(cov)
-        rng = RngStream(124)
+        rng = rng_stream(124)
         draws = np.array([sample_mvn(precision @ mean, precision=precision, rng=rng)
                           for _ in range(50_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
@@ -78,17 +80,17 @@ class TestMvn:
 
     def test_rejects_non_spd(self):
         with pytest.raises(NumericalError, match="not SPD probe: Cholesky failed"):
-            sample_mvn(np.zeros(2), precision=np.diag([1.0, -1.0]), rng=RngStream(1),
+            sample_mvn(np.zeros(2), precision=np.diag([1.0, -1.0]), rng=rng_stream(1),
                        name="not SPD probe")
 
     def test_rejects_zero_covariance(self):
         # the degenerate precision -> 0 limit (infinite covariance) is
         # disallowed, not silently sampled
         with pytest.raises(NumericalError):
-            sample_mvn(np.zeros(2), precision=np.zeros((2, 2)), rng=RngStream(1))
+            sample_mvn(np.zeros(2), precision=np.zeros((2, 2)), rng=rng_stream(1))
 
     def test_shape(self):
-        d = sample_mvn(np.zeros(5), precision=np.eye(5), rng=RngStream(2))
+        d = sample_mvn(np.zeros(5), precision=np.eye(5), rng=rng_stream(2))
         assert d.shape == (5,)
 
 
@@ -101,7 +103,7 @@ class TestMvnPrecision:
         shift = rng.normal(size=6)
         cov = np.linalg.inv(precision)
         mean = cov @ shift
-        stream = RngStream(126)
+        stream = rng_stream(126)
         n = 20_000
         draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
                           for _ in range(n)])
@@ -119,9 +121,9 @@ class TestMvnPrecision:
             precision = random_spd(rng, n)
             shift = rng.normal(size=n)
             cov = np.linalg.inv(precision)
-            z = RngStream(130).generator.standard_normal(n)
+            z = rng_stream(130).standard_normal(n)
             expected = cov @ shift + np.linalg.cholesky(0.5 * (cov + cov.T)) @ z
-            draw = sample_mvn(shift, precision=precision, rng=RngStream(130),
+            draw = sample_mvn(shift, precision=precision, rng=rng_stream(130),
                               cov_cholesky=True)
             np.testing.assert_allclose(draw, expected, rtol=1e-10, atol=1e-12)
 
@@ -136,7 +138,7 @@ class TestMvnPrecision:
         precision = np.array([random_spd(gen, n) for _ in range(count)])
         shift = gen.normal(size=(count, n))
         assert max(np.linalg.cond(precision)) <= 1e4
-        streams = [RngStream(331, g) for g in range(count)]
+        streams = [rng_stream(331, g) for g in range(count)]
         if g_count is None:
             draws = sample_mvn(shift[0], precision=precision[0], rng=streams[0],
                                cov_cholesky=cov_cholesky)[None]
@@ -144,21 +146,21 @@ class TestMvnPrecision:
             draws = sample_mvn(shift, precision=precision, rng=streams,
                                cov_cholesky=cov_cholesky)
         for g in range(count):
-            z = RngStream(331, g).generator.standard_normal(n)
+            z = rng_stream(331, g).standard_normal(n)
             expected = mvn_two_solves(shift[g], precision[g], z, cov_cholesky)
             assert np.linalg.norm(draws[g] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_draws_n_standard_normals(self):
         precision = random_spd(np.random.default_rng(127), 5)
-        a, b = RngStream(128), RngStream(128)
+        a, b = rng_stream(128), rng_stream(128)
         sample_mvn(np.ones(5), precision=precision, rng=a)
-        b.generator.standard_normal(5)
-        assert a.generator.random() == b.generator.random()
+        b.standard_normal(5)
+        assert a.random() == b.random()
 
     def test_precision_is_keyword_only(self):
         # a covariance passed by position must not be drawn as a precision
         with pytest.raises(TypeError):
-            sample_mvn(np.zeros(2), np.eye(2), RngStream(1))
+            sample_mvn(np.zeros(2), np.eye(2), rng_stream(1))
 
     def test_ill_conditioned_precision_warns(self, caplog):
         q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))
@@ -166,31 +168,31 @@ class TestMvnPrecision:
         precision = 0.5 * (precision + precision.T)
         assert 0.5e11 < np.linalg.cond(precision) < 2e11
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_mvn(np.ones(3), precision=precision, rng=RngStream(3), name="probe Q")
+            sample_mvn(np.ones(3), precision=precision, rng=rng_stream(3), name="probe Q")
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert caplog.records[0].message.startswith("probe Q: condition number")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            sample_mvn(np.zeros(3), precision=np.eye(2), rng=RngStream(1))
+            sample_mvn(np.zeros(3), precision=np.eye(2), rng=rng_stream(1))
 
 
 class TestInverseWishart:
     def test_scalar_mean_matches_inverse_gamma(self):
         # n=1, dof=5, scale=3: mean 3/(5-1-1) = 1, and the marginal is the
         # inverse gamma with shape dof/2, scale 3/2
-        rng = RngStream(200)
+        rng = rng_stream(200)
         draws = np.array([np.linalg.inv(sample_inverse_wishart(5.0, [[3.0]], rng)[0])[0, 0]
                           for _ in range(100_000)])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
-        ig_rng = RngStream(200, 77)
+        ig_rng = rng_stream(200, 77)
         ig = np.array([sample_inverse_gamma(2.5, 1.5, ig_rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(ig.mean(), rel=0.05)
 
     def test_matrix_mean(self):
         psi = np.array([[2.0, 0.4, 0.0], [0.4, 1.5, -0.2], [0.0, -0.2, 1.0]])
         dof = 9.0
-        rng = RngStream(201)
+        rng = rng_stream(201)
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for _ in range(n_draws):
@@ -200,7 +202,7 @@ class TestInverseWishart:
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
 
     def test_output_spd_and_symmetric(self):
-        rng = RngStream(202)
+        rng = rng_stream(202)
         for _ in range(200):
             x_inv, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
             assert np.array_equal(x_inv, x_inv.T)
@@ -208,10 +210,10 @@ class TestInverseWishart:
 
     def test_dof_error(self):
         with pytest.raises(DegreesOfFreedomError):
-            sample_inverse_wishart(1.5, np.eye(3), RngStream(1))
+            sample_inverse_wishart(1.5, np.eye(3), rng_stream(1))
 
     def test_non_integer_dof_accepted(self):
-        x_inv, log_det = sample_inverse_wishart(4.7, np.eye(2), RngStream(3))
+        x_inv, log_det = sample_inverse_wishart(4.7, np.eye(2), rng_stream(3))
         assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -220,7 +222,7 @@ class TestInverseWishart:
         # integer-dof sums of outer products (independent construction).
         psi = np.array([[1.5, 0.4], [0.4, 1.0]])
         dof = 7
-        rng = RngStream(203)
+        rng = rng_stream(203)
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i in range(n_draws):
@@ -240,7 +242,7 @@ class TestInverseWishart:
     def test_returned_inverse(self, n):
         # the draw is Sigma = M'M with M = A^-1 L', from the Bartlett factor A
         # that a twin stream replays and the scale's Cholesky factor L
-        rng, twin = RngStream(205, n), RngStream(205, n)
+        rng, twin = rng_stream(205, n), rng_stream(205, n)
         for k in range(50):
             scale = random_spd(np.random.default_rng(k), n)
             sigma_inv, _ = sample_inverse_wishart(n + 4.5, scale, rng)
@@ -252,7 +254,7 @@ class TestInverseWishart:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_log_det(self, n):
-        rng = RngStream(207, n)
+        rng = rng_stream(207, n)
         for k in range(50):
             scale = random_spd(np.random.default_rng(k), n)
             sigma_inv, log_det = sample_inverse_wishart(n + 4.5, scale, rng)
@@ -265,17 +267,17 @@ class TestInverseWishart:
         def oracle(dof, n, rng):
             a = np.zeros((n, n))
             for i in range(n):
-                a[i, i] = np.sqrt(rng.generator.chisquare(dof - i))
+                a[i, i] = np.sqrt(rng.chisquare(dof - i))
             if n > 1:
                 idx = np.tril_indices(n, k=-1)
-                a[idx] = rng.generator.standard_normal(len(idx[0]))
+                a[idx] = rng.standard_normal(len(idx[0]))
             return a
 
         for dof in (n + 0.3, n + 2.0, 61.7):
-            fast, slow = RngStream(206, n), RngStream(206, n)
+            fast, slow = rng_stream(206, n), rng_stream(206, n)
             for _ in range(5):
                 assert np.array_equal(_bartlett_factor(dof, n, fast), oracle(dof, n, slow))
-            assert fast.generator.random() == slow.generator.random()
+            assert fast.random() == slow.random()
 
 
 class TestSigmaDrawConditionWarning:
@@ -284,7 +286,7 @@ class TestSigmaDrawConditionWarning:
         q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0] if rotate else np.eye(2)
         scale = (q * eigvals) @ q.T
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            return sample_inverse_wishart(12.0, 0.5 * (scale + scale.T), RngStream(7))
+            return sample_inverse_wishart(12.0, 0.5 * (scale + scale.T), rng_stream(7))
 
     @pytest.mark.parametrize("rotate", [True, False])
     def test_ill_conditioned_scale_warns(self, caplog, rotate):
@@ -308,7 +310,7 @@ class TestSigmaDrawConditionWarning:
         estimates, shares = [], []
         monkeypatch.setattr(sampling, "warn_condition",
                             lambda name, cond: estimates.append(cond))
-        gen, rng = np.random.default_rng(400 + n), RngStream(401, n)
+        gen, rng = np.random.default_rng(400 + n), rng_stream(401, n)
         for _ in range(200):
             q = np.linalg.qr(gen.normal(size=(n, n)))[0]
             scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
@@ -327,7 +329,7 @@ class TestBatch:
 
     @staticmethod
     def streams(count, seed):
-        return [RngStream(seed, g) for g in range(count)]
+        return [rng_stream(seed, g) for g in range(count)]
 
     @pytest.mark.parametrize("g_count", [1, 3, 9])
     @pytest.mark.parametrize("n", [1, 4, 7])
@@ -343,7 +345,7 @@ class TestBatch:
             assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
-            assert batch[g].generator.random() == alone[g].generator.random()
+            assert batch[g].random() == alone[g].random()
 
     @pytest.mark.parametrize("cov_cholesky", [False, True])
     @pytest.mark.parametrize("g_count", [1, 3, 9])
@@ -359,7 +361,7 @@ class TestBatch:
             one = sample_mvn(shift[g], precision=precision[g], rng=alone[g],
                              cov_cholesky=cov_cholesky)
             assert np.array_equal(draws[g], one)
-            assert batch[g].generator.random() == alone[g].generator.random()
+            assert batch[g].random() == alone[g].random()
 
     def test_one_stream_per_chain(self):
         stack = np.tile(np.eye(2), (3, 1, 1))
@@ -382,24 +384,24 @@ class TestBatch:
 
 class TestInverseGamma:
     def test_mean(self):
-        rng = RngStream(300)
+        rng = rng_stream(300)
         draws = np.array([sample_inverse_gamma(3.0, 4.0, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(2.0, rel=0.05)
 
     def test_heavy_tail_shape_half(self):
         # shape 0.5 has no mean; draws must still be finite and positive
-        rng = RngStream(301)
+        rng = rng_stream(301)
         draws = np.array([sample_inverse_gamma(0.5, 1.0, rng) for _ in range(5_000)])
         assert np.all(draws > 0) and np.all(np.isfinite(draws))
 
     def test_density_match_scipy(self):
-        rng = RngStream(302)
+        rng = rng_stream(302)
         draws = np.array([sample_inverse_gamma(2.5, 1.5, rng) for _ in range(20_000)])
         p = stats.kstest(draws, stats.invgamma(a=2.5, scale=1.5).cdf).pvalue
         assert p > 0.001
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            sample_inverse_gamma(0.0, 1.0, RngStream(1))
+            sample_inverse_gamma(0.0, 1.0, rng_stream(1))
         with pytest.raises(ParameterError):
-            sample_inverse_gamma(1.0, -2.0, RngStream(1))
+            sample_inverse_gamma(1.0, -2.0, rng_stream(1))

@@ -72,7 +72,7 @@ class TestAugmentation:
         # one relative view and one absolute view on 4 assets: first the
         # all-zero column gets a unit row, then the non-pivot -1 entry
         p = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        aug = augment_to_invertible(p)
+        p_star = augment_to_invertible(p)
         expected = np.array(
             [
                 [1.0, -1.0, 0.0, 0.0],
@@ -81,25 +81,22 @@ class TestAugmentation:
                 [0.0, 1.0, 0.0, 0.0],
             ]
         )
-        np.testing.assert_array_equal(aug.p_star, expected)
-        np.testing.assert_array_equal(aug.added_rows, expected[2:])
+        np.testing.assert_array_equal(p_star, expected)
 
     def test_already_square(self):
-        aug = augment_to_invertible(np.eye(4))
-        np.testing.assert_array_equal(aug.p_star, np.eye(4))
-        assert aug.added_rows.shape == (0, 4)
+        p_star = augment_to_invertible(np.eye(4))
+        np.testing.assert_array_equal(p_star, np.eye(4))
 
     def test_single_row_two_entries(self):
-        aug = augment_to_invertible(np.array([[1.0, 1.0]]))
-        np.testing.assert_array_equal(aug.p_star, [[1.0, 1.0], [0.0, 1.0]])
-        assert np.linalg.det(aug.p_star) == pytest.approx(1.0)
+        p_star = augment_to_invertible(np.array([[1.0, 1.0]]))
+        np.testing.assert_array_equal(p_star, [[1.0, 1.0], [0.0, 1.0]])
+        assert np.linalg.det(p_star) == pytest.approx(1.0)
 
     def test_idempotent_on_output(self):
         p = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-        aug = augment_to_invertible(p)
-        again = augment_to_invertible(aug.p_star)
-        np.testing.assert_array_equal(again.p_star, aug.p_star)
-        assert again.added_rows.shape == (0, 4)
+        p_star = augment_to_invertible(p)
+        again = augment_to_invertible(p_star)
+        np.testing.assert_array_equal(again, p_star)
 
     def test_random_full_rank_matrices(self):
         rng = np.random.default_rng(77)
@@ -109,10 +106,10 @@ class TestAugmentation:
             p = rng.normal(size=(k, n))
             while np.linalg.matrix_rank(p) < k:  # pragma: no cover
                 p = rng.normal(size=(k, n))
-            aug = augment_to_invertible(p)
-            assert aug.p_star.shape == (n, n)
-            assert np.array_equal(aug.p_star[:k], p)
-            assert abs(np.linalg.det(aug.p_star)) >= 1e-12
+            p_star = augment_to_invertible(p)
+            assert p_star.shape == (n, n)
+            assert np.array_equal(p_star[:k], p)
+            assert abs(np.linalg.det(p_star)) >= 1e-12
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
@@ -123,34 +120,35 @@ class TestAugmentation:
         # column and offers nothing, but the second row's offers column 2,
         # so rule 2 completes P without the fill
         p = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        aug = augment_to_invertible(p)
-        assert abs(np.linalg.det(aug.p_star)) >= 1e-12
-        assert np.array_equal(aug.p_star[:2], p)
-        np.testing.assert_array_equal(aug.added_rows, [[0.0, 0.0, 1.0]])
+        p_star = augment_to_invertible(p)
+        assert abs(np.linalg.det(p_star)) >= 1e-12
+        assert np.array_equal(p_star[:2], p)
+        np.testing.assert_array_equal(p_star[2:], [[0.0, 0.0, 1.0]])
 
     @pytest.mark.parametrize("scale", [1e-11, 1e11])
     def test_scaled_views_add_the_same_rows(self, scale):
         # the rank tests do not depend on the scale of P
         for p in ([[1.0, -1.0, 0.0, 0.0]], [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]):
             p = np.array(p)
-            aug = augment_to_invertible(scale * p)
-            np.testing.assert_array_equal(aug.added_rows, augment_to_invertible(p).added_rows)
-            assert np.array_equal(aug.p_star[: p.shape[0]], scale * p)
+            k = p.shape[0]
+            p_star = augment_to_invertible(scale * p)
+            np.testing.assert_array_equal(p_star[k:], augment_to_invertible(p)[k:])
+            assert np.array_equal(p_star[:k], scale * p)
 
     def test_rejected_candidate_is_skipped(self):
         # rule 2 offers column 1, then column 2; the unit row of column 1 is
         # row 0 + row 1 up to sign, so it does not raise the rank
         p = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 1.0]])
-        aug = augment_to_invertible(p)
-        np.testing.assert_array_equal(aug.added_rows, [[0.0, 0.0, 1.0]])
+        p_star = augment_to_invertible(p)
+        np.testing.assert_array_equal(p_star[2:], [[0.0, 0.0, 1.0]])
 
     def test_fill_after_rejected_candidates(self):
         # the unit row of column 1 leaves a singular value below the rank
         # tolerance, so only the fill, with column 0, completes P
         p = np.array([[1e-11, 1.0]])
-        aug = augment_to_invertible(p)
-        np.testing.assert_array_equal(aug.added_rows, [[1.0, 0.0]])
-        np.testing.assert_array_equal(aug.added_rows, augment_two_loops(p).added_rows)
+        p_star = augment_to_invertible(p)
+        np.testing.assert_array_equal(p_star[1:], [[1.0, 0.0]])
+        np.testing.assert_array_equal(p_star, augment_two_loops(p))
 
     def test_equals_two_loop_oracle(self):
         # small integer entries give all-zero columns, multi-entry rows and
@@ -169,31 +167,30 @@ class TestAugmentation:
                     augment_to_invertible(p)
                 continue
             got = augment_to_invertible(p)
-            assert np.array_equal(got.p_star, want.p_star)
-            assert np.array_equal(got.added_rows, want.added_rows)
-            assert got.added_rows.shape == want.added_rows.shape
+            assert got.shape == want.shape == (n, n)
+            assert np.array_equal(got, want)
             compared += 1
 
 
 class TestTransformedHyperparams:
     def test_square_views_reduce_to_inputs(self):
         p = np.array([[0.0, 1.0], [1.0, 0.0]])
-        aug = augment_to_invertible(p)
-        assert aug.added_rows.shape == (0, 2)
+        p_star = augment_to_invertible(p)
+        np.testing.assert_array_equal(p_star, p)
         q = np.array([0.02, 0.05])
         omega = np.diag([1e-4, 2e-4])
         months = np.random.default_rng(5).normal(size=(6, 2)) * 0.01
-        q_star, omega_star = build_transformed_hyperparams(aug, q, omega, months)
+        q_star, omega_star = build_transformed_hyperparams(p_star, q, omega, months)
         np.testing.assert_array_equal(q_star, q)
         np.testing.assert_array_equal(omega_star, omega)
 
     def test_two_asset_one_view_by_hand(self):
         p = np.array([[1.0, 0.0]])
-        aug = augment_to_invertible(p)  # P* = I2
-        np.testing.assert_array_equal(aug.p_star, np.eye(2))
+        p_star = augment_to_invertible(p)  # P* = I2
+        np.testing.assert_array_equal(p_star, np.eye(2))
         months = np.array([[0.01, 0.02], [0.03, 0.00]])
         q, omega = np.array([0.05]), np.array([[0.001]])
-        q_star, omega_star = build_transformed_hyperparams(aug, q, omega, months)
+        q_star, omega_star = build_transformed_hyperparams(p_star, q, omega, months)
         # mean of months is (0.02, 0.01); sample covariance has 2e-4 on the
         # diagonal and -2e-4 off it; the view block overwrites the corner
         np.testing.assert_allclose(q_star, [0.05, 0.01], atol=1e-15)
@@ -206,14 +203,14 @@ class TestTransformedHyperparams:
         # so the estimated blocks survive the construction untouched
         rng = np.random.default_rng(6)
         p = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-        aug = augment_to_invertible(p)
+        p_star = augment_to_invertible(p)
         months = rng.normal(size=(10, 4)) * 0.001
         q, omega = np.array([0.02, 0.05]), np.diag([1e-4, 1e-4])
-        q_star, omega_star = build_transformed_hyperparams(aug, q, omega, months)
+        q_star, omega_star = build_transformed_hyperparams(p_star, q, omega, months)
         var_mu = np.cov(months, rowvar=False, ddof=1)
-        full = aug.p_star @ var_mu @ aug.p_star.T
+        full = p_star @ var_mu @ p_star.T
         np.testing.assert_array_equal(q_star[:2], q)
-        np.testing.assert_allclose(q_star[2:], (aug.p_star @ months.mean(axis=0))[2:])
+        np.testing.assert_allclose(q_star[2:], (p_star @ months.mean(axis=0))[2:])
         np.testing.assert_array_equal(omega_star[:2, :2], omega)
         np.testing.assert_allclose(omega_star[2:, :2], full[2:, :2], rtol=1e-12)
         np.testing.assert_allclose(omega_star[2:, 2:], full[2:, 2:], rtol=1e-12)
@@ -225,12 +222,12 @@ class TestTransformedHyperparams:
         # scaled, logged, and the view block stays Omega
         rng = np.random.default_rng(8)
         p = np.array([[1.0, 0.0]])
-        aug = augment_to_invertible(p)
+        p_star = augment_to_invertible(p)
         base = rng.normal(size=10) * 0.05
         months = np.stack([base, base * 0.99 + 1e-5 * rng.normal(size=10)], axis=1)
         with caplog.at_level(logging.WARNING, logger="blbayes.views"):
             _, omega_star = build_transformed_hyperparams(
-                aug, np.array([0.05]), np.array([[1e-10]]), months
+                p_star, np.array([0.05]), np.array([[1e-10]]), months
             )
         np.linalg.cholesky(omega_star)
         assert omega_star[0, 0] == 1e-10
@@ -243,12 +240,12 @@ class TestTransformedHyperparams:
         # (1e-4 on the demo data) Omega* is that overwrite bit for bit
         views = demo_views_factory()
         months = monthly_means(demo_panel.historical, demo_panel.m)
-        aug = augment_to_invertible(views.p)
-        k = aug.k
-        full = symmetrize(aug.p_star @ np.cov(months, rowvar=False, ddof=1) @ aug.p_star.T)
+        p_star = augment_to_invertible(views.p)
+        k = views.k
+        full = symmetrize(p_star @ np.cov(months, rowvar=False, ddof=1) @ p_star.T)
         for om in (1e-4, 1e-5, 1e-6, 1e-9):
             omega = np.diag([om, om])
-            _, omega_star = build_transformed_hyperparams(aug, views.q, omega, months)
+            _, omega_star = build_transformed_hyperparams(p_star, views.q, omega, months)
             assert np.array_equal(omega_star[:k, :k], omega), om
             assert np.array_equal(omega_star[k:, k:], full[k:, k:]), om
             np.linalg.cholesky(omega_star)
@@ -258,26 +255,27 @@ class TestTransformedHyperparams:
                 assert np.array_equal(omega_star, overwrite)
 
     def test_insufficient_months(self):
-        aug = augment_to_invertible(np.array([[1.0, 0.0]]))
+        p_star = augment_to_invertible(np.array([[1.0, 0.0]]))
         with pytest.raises(InsufficientDataError):
             build_transformed_hyperparams(
-                aug, np.array([0.05]), np.array([[1e-4]]), np.array([[0.01, 0.02]])
+                p_star, np.array([0.05]), np.array([[1e-4]]), np.array([[0.01, 0.02]])
             )
 
     def test_months_for_an_spd_estimated_block(self):
         # two views on four assets: the 2-by-2 estimated block of two monthly
         # means has rank 1, so three are needed
-        aug = augment_to_invertible(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]))
+        p_star = augment_to_invertible(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]))
         q, omega = np.array([0.02, 0.05]), np.diag([1e-4, 1e-4])
         months = np.random.default_rng(9).normal(size=(3, 4)) * 0.01
         with pytest.raises(InsufficientDataError, match="at least 3 monthly"):
-            build_transformed_hyperparams(aug, q, omega, months[:2])
-        _, omega_star = build_transformed_hyperparams(aug, q, omega, months)
+            build_transformed_hyperparams(p_star, q, omega, months[:2])
+        _, omega_star = build_transformed_hyperparams(p_star, q, omega, months)
         assert np.array_equal(omega_star[:2, :2], omega)
 
     def test_dimension_mismatch(self):
-        aug = augment_to_invertible(np.array([[1.0, 0.0]]))
-        with pytest.raises(DimensionError):
-            build_transformed_hyperparams(
-                aug, np.array([0.05, 0.01]), np.eye(2), np.zeros((3, 2))
-            )
+        # k is the length of q: Omega must be k-by-k, and k at most n
+        p_star = augment_to_invertible(np.array([[1.0, 0.0]]))
+        for q, omega in ((np.array([0.05, 0.01]), np.eye(1)),
+                         (np.array([0.05, 0.01, 0.0]), np.eye(3))):
+            with pytest.raises(DimensionError):
+                build_transformed_hyperparams(p_star, q, omega, np.zeros((3, 2)))
