@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,18 +253,27 @@ def _sweep_batch(task) -> list[SweepRecord]:
     ) for (_, w1, w2), res in zip(points, results)]
 
 
+def _process_pool(processes: int):
+    """A pool of ``processes`` worker processes. The import stays here, so a
+    run or a one-batch sweep never loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=processes)
+
+
 def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
               settings: ModelSettings, workers: int = 1) -> list[SweepRecord]:
     """Evaluate the model at every grid point.
 
     Point ``index`` runs on the stream ``(base_seed, index)``, so no two
     points of any sweeps share a stream. The grid is split into
-    ``min(workers, points)`` contiguous batches of near-equal size, each run
-    as one lock-step batch (:func:`run_model`); with more than one batch,
-    each is one task of a process pool. A point's record does not depend on
-    the batch it ran in, so the records, which come back in grid order, do
-    not depend on ``workers``. Individual failures are recorded in-row
-    rather than aborting the sweep.
+    ``W = min(workers, points)`` contiguous batches of near-equal size, the
+    larger first, each run as one lock-step batch (:func:`run_model`).
+    ``workers`` counts the calling process: it runs batch 0 itself, while a
+    pool of ``W - 1`` processes, started before it, runs one batch each;
+    a single batch starts no pool. A point's record does not depend on the
+    batch it ran in, so the records, which come back in grid order, do not
+    depend on ``workers``. Individual failures are recorded in-row rather
+    than aborting the sweep.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
@@ -275,12 +283,13 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     workers = min(workers, len(points))
     size, extra = divmod(len(points), workers)
     bounds = [b * size + min(b, extra) for b in range(workers + 1)]
-    tasks = [(tuple(points[lo:hi]), panel, views, settings, grid.model, grid.base_seed)
-             for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        return _sweep_batch(tasks[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [rec for batch in pool.map(_sweep_batch, tasks) for rec in batch]
+    first, *rest = [(tuple(points[lo:hi]), panel, views, settings, grid.model, grid.base_seed)
+                    for lo, hi in zip(bounds, bounds[1:])]
+    if not rest:
+        return _sweep_batch(first)
+    with _process_pool(len(rest)) as pool:
+        batches = pool.map(_sweep_batch, rest)  # submitted now, read after batch 0
+        return _sweep_batch(first) + [rec for batch in batches for rec in batch]
 
 
 SWEEP_CSV_COLUMNS = ("omega1", "omega2", "distance", "profit", "status",

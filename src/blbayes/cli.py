@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``ingest`` (CSV -> cached panel JSON), ``run`` (one model, JSON
-summary), ``sweep`` (omega grid, CSV), ``backtest`` (stored weights over the
-test window). Exit codes are stable: 0 success, 2 validation failure or an
-unreadable input or unwritable output file, 3 numerical/runtime failure
-(out of memory included).
+Subcommands: ``ingest`` (validate a price CSV, write the panel as JSON),
+``run`` (one model, JSON summary), ``sweep`` (omega grid, CSV), ``backtest``
+(stored weights over the test window). Exit codes are stable: 0 success, 2
+validation failure or an unreadable input or unwritable output file, 3
+numerical/runtime failure (out of memory included).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .backtest import backtest_profit, run_model, run_sweep, write_sweep_csv, write_trace_csv
 from .config import RunConfig, load_grid
-from .data import ingest_prices
+from .data import read_prices
 from .errors import (
     BlBayesError,
     DimensionError,
@@ -83,8 +83,7 @@ def _summary_payload(cfg: RunConfig, result) -> dict:
 
 
 def _cmd_ingest(args) -> int:
-    with open(args.prices, newline="") as fh:
-        panel = ingest_prices(fh)
+    panel = read_prices(args.prices)
     with open(args.out, "w") as fh:
         fh.write(panel.to_json() + "\n")
     return EXIT_OK
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a price CSV and cache it as JSON")
+    p = sub.add_parser("ingest", help="validate a price CSV and write the panel as JSON")
     p.add_argument("--prices", required=True, help="input CSV (date,T1,...,Tn)")
     p.add_argument("--out", required=True, help="output panel JSON")
     p.set_defaults(func=_cmd_ingest)
@@ -189,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run an (omega1, omega2) sensitivity sweep")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--grid", required=True, help="grid JSON (omega1/omega2 arrays)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes, this one included, each running one batch of the grid")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_sweep)
 

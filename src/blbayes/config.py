@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backtest import MODELS, ModelSettings, SweepGrid
-from .data import ReturnPanel, compute_returns, ingest_prices
+from .data import ReturnPanel, compute_returns, read_prices
 from .errors import DimensionError, ModelSizeError, NotPositiveDefiniteError, ValidationError
 from .inverse_wishart import check_chain_length
 from .linalg import require_spd
@@ -187,8 +187,7 @@ class RunConfig:
 
     def load_panel(self) -> ReturnPanel:
         try:
-            with open(self.prices_csv, newline="") as fh:
-                panel = ingest_prices(fh)
+            panel = read_prices(self.prices_csv)
         except OSError as exc:
             raise ValidationError("data.prices_csv", f"cannot read: {exc}")
         if self.tickers is not None and panel.tickers != self.tickers:

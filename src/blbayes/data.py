@@ -144,6 +144,13 @@ def ingest_prices(source) -> PricePanel:
     return PricePanel(tickers=tickers, dates=dates, prices=block)
 
 
+def read_prices(path) -> PricePanel:
+    """:func:`ingest_prices` of the CSV file at ``path``, read as UTF-8; a
+    leading byte-order mark, as Excel's "CSV UTF-8" writes, is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return ingest_prices(fh)
+
+
 def _raise_bad_cell(lineno: int, tickers, cells) -> None:
     """Raise the :class:`FormatError` of the first bad price cell of a row:
     blank, not a number, not finite, or not positive."""

@@ -3,13 +3,14 @@
 Two kinds live here. The first are closed forms that no code in the package
 calls: the mean-return conditional as a (shift, precision) and as a (mean,
 covariance) pair, the canonical-form normal draw through two solves with a
-Cholesky factor, completing the square, the Volterra log density and the
-symmetric matrix exponential. The second are longhand forms of engine code:
-the f-vectors of all n^2 eigenvector pairs slot by slot, xi with both
-branches always evaluated, the prior precision G through its 2x2 core solve
-from the block design of the alpha prior, view augmentation as two loops,
-over the rule candidates and then over the fill, and the augmented-views
-sampler run in view space.
+Cholesky factor, completing the square, the Volterra log density, the
+symmetric matrix exponential and the exact posterior moments of the
+Inverse-Wishart models by quadrature over one scalar. The second are
+longhand forms of engine code: the f-vectors of all n^2 eigenvector pairs
+slot by slot, xi with both branches always evaluated, the prior precision G
+through its 2x2 core solve from the block design of the alpha prior, view
+augmentation as two loops, over the rule candidates and then over the fill,
+and the augmented-views sampler run in view space.
 """
 
 from dataclasses import dataclass
@@ -63,6 +64,59 @@ def mu_conditional(rbar, sigma, q_eff, omega_eff, p_eff, m: int):
     shift, precision = mu_conditional_precision(rbar, sigma, q_eff, omega_eff, p_eff, m)
     cov = spd_inverse(precision, "mu conditional precision")
     return cov @ shift, cov
+
+
+def collapsed_iw_moments(returns, p, q, omega, nu, sigma0, nodes: int = 401):
+    """E[mu], Cov[mu] and E[Sigma] of the Inverse-Wishart model with the
+    views ``P mu ~ N(q, Omega)`` (``omega`` a k-by-k matrix, or its diagonal),
+    computed without a chain.
+
+    Integrating Sigma ~ IW(nu, Sigma0) out of the m returns leaves
+    ``p(mu | data) ~ (1 + m d' A^-1 d)^(-(nu+m)/2) N(P mu; q, Omega)`` with
+    ``d = mu - rbar`` and ``A = Sigma0 +`` the centred scatter (matrix
+    determinant lemma). The power is a gamma scale mixture: with
+    ``w ~ Gamma(a, 1)``, ``a = (nu+m)/2``, mu | w is normal with precision
+    ``2wm A^-1 + P' Omega^-1 P``. With ``A = L L'`` and ``U, beta`` the
+    eigenpairs of ``L' P' Omega^-1 P L``, the coordinates ``z = U' L^-1 d``
+    given w are independent normals, of precision ``2wm + beta`` and mean
+    ``c / (2wm + beta)`` with ``c = U' L' P' Omega^-1 (q - P rbar)``, and
+
+        log p(w | data) = (a-1) log w - w - 1/2 sum log(2wm + beta)
+                          + 1/2 sum c^2 / (2wm + beta) + const.
+
+    Every moment is then an integral over w, taken by the trapezoid rule in
+    ``t = log w`` on ``[log a - 12, log a + 4]`` with ``nodes`` nodes.
+    ``E[Sigma] = (A + m E[d d']) / (nu + m - n - 1)``.
+    """
+    returns = np.asarray(returns, dtype=float)
+    m, n = returns.shape
+    rbar = returns.mean(axis=0)
+    centred = returns - rbar
+    a_mat = np.asarray(sigma0, dtype=float) + centred.T @ centred
+    omega = np.asarray(omega, dtype=float)
+    omega_inv = np.linalg.inv(np.diag(omega) if omega.ndim == 1 else omega)
+    p = np.asarray(p, dtype=float)
+    lower = np.linalg.cholesky(a_mat)
+    pl = p @ lower
+    beta, u = np.linalg.eigh(pl.T @ omega_inv @ pl)
+    c = u.T @ (pl.T @ (omega_inv @ (np.asarray(q, dtype=float) - p @ rbar)))
+    a = (nu + m) / 2
+    t = np.linspace(np.log(a) - 12, np.log(a) + 4, nodes)
+    prec = 2 * m * np.exp(t)[:, None] + beta
+    # log p(w) plus the Jacobian t of w = e^t
+    log_weight = (a * t - np.exp(t) - 0.5 * np.log(prec).sum(axis=1)
+                  + 0.5 * (c ** 2 / prec).sum(axis=1))
+    weight = np.exp(log_weight - log_weight.max())
+    weight[[0, -1]] *= 0.5
+    weight /= weight.sum()
+    z_mean = c / prec
+    ez = weight @ z_mean
+    dev = z_mean - ez
+    cov_z = np.diag(weight @ (1 / prec)) + (weight[:, None] * dev).T @ dev
+    lu = lower @ u
+    cov = lu @ cov_z @ lu.T
+    e_dd = cov + np.outer(lu @ ez, lu @ ez)
+    return rbar + lu @ ez, symmetrize(cov), symmetrize((a_mat + m * e_dd) / (nu + m - n - 1))
 
 
 def mvn_two_solves(shift, precision, z, cov_cholesky: bool = False) -> np.ndarray:

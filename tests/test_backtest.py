@@ -151,13 +151,15 @@ class TestSweep:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_pool_capped_at_grid_points(self, sweep_inputs, monkeypatch):
-        # an in-process stand-in for the pool records its size; no process
-        # is started
+        # the caller is one of the W workers, so the pool has W - 1 processes,
+        # W capped at the grid points, and a single batch starts no pool; an
+        # in-process stand-in for the pool records its size, so no process is
+        # started
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, processes):
+                sizes.append(processes)
 
             def __enter__(self):
                 return self
@@ -168,22 +170,25 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(backtest, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(backtest, "_process_pool", InProcessPool)
         panel, views, settings = sweep_inputs
         grid = SweepGrid((1e-4, 2e-4, 3e-4), (1e-4, 2e-4, 3e-4), "original", base_seed=5)
         records = run_sweep(grid, panel, views, settings, workers=500)
-        assert sizes == [9]
+        assert sizes == [8]
         assert records == run_sweep(grid, panel, views, settings, workers=1)
+        assert sizes == [8]
         run_sweep(grid, panel, views, settings, workers=2)
-        assert sizes == [9, 2]
+        assert sizes == [8, 1]
 
     def test_contiguous_batches(self, sweep_inputs, monkeypatch):
         # W workers get W contiguous runs of grid points, sizes differing by
-        # at most one; one worker runs the whole grid in-process
-        batches = []
+        # at most one, the larger first; the pool receives batches 1..W-1
+        # before the caller runs batch 0, so the two overlap, and one worker
+        # runs the whole grid in-process
+        events = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, processes):
                 pass
 
             def __enter__(self):
@@ -194,18 +199,30 @@ class TestSweep:
 
             def map(self, fn, tasks):
                 tasks = list(tasks)
-                batches.append([[index for index, _, _ in task[0]] for task in tasks])
+                events.append(("map", [[index for index, _, _ in task[0]] for task in tasks]))
                 return map(fn, tasks)
 
-        monkeypatch.setattr(backtest, "ProcessPoolExecutor", InProcessPool)
+        sweep_batch = backtest._sweep_batch
+
+        def recording_batch(task):
+            events.append(("batch", [index for index, _, _ in task[0]]))
+            return sweep_batch(task)
+
+        monkeypatch.setattr(backtest, "_process_pool", InProcessPool)
+        monkeypatch.setattr(backtest, "_sweep_batch", recording_batch)
         panel, views, settings = sweep_inputs
         grid = SweepGrid((1e-4, 2e-4, 3e-4), (1e-4, 2e-4, 3e-4), "original", base_seed=5)
         records = run_sweep(grid, panel, views, settings, workers=1)
-        assert batches == []
-        for workers in (2, 4):
-            assert run_sweep(grid, panel, views, settings, workers=workers) == records
-        assert batches == [[[0, 1, 2, 3, 4], [5, 6, 7, 8]],
-                           [[0, 1, 2], [3, 4], [5, 6], [7, 8]]]
+        assert events == [("batch", list(range(9)))]
+        events.clear()
+        assert run_sweep(grid, panel, views, settings, workers=2) == records
+        assert events == [("map", [[5, 6, 7, 8]]),
+                          ("batch", [0, 1, 2, 3, 4]), ("batch", [5, 6, 7, 8])]
+        events.clear()
+        assert run_sweep(grid, panel, views, settings, workers=4) == records
+        assert events == [("map", [[3, 4], [5, 6], [7, 8]]),
+                          ("batch", [0, 1, 2]), ("batch", [3, 4]), ("batch", [5, 6]),
+                          ("batch", [7, 8])]
 
     @pytest.mark.parametrize("model", backtest.MODELS)
     def test_batch_of_points_equals_points_alone(self, sweep_inputs, model):

@@ -63,6 +63,23 @@ class TestIngest:
         assert doc["dates"] == [d.isoformat() for d in panel.dates]
         assert doc["rows"] == panel.prices.tolist()
 
+    def test_utf8_byte_order_mark_is_skipped(self, demo_dir, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark; ingest
+        # and a run's config read the prices the same with it as without
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (demo_dir / "prices.csv").read_bytes())
+        for tag, prices in (("plain", demo_dir / "prices.csv"), ("bom", bom)):
+            assert main(["ingest", "--prices", str(prices),
+                         "--out", str(tmp_path / f"{tag}_panel.json")]) == 0
+            doc = small_config(demo_dir, model="original")
+            doc["data"]["prices_csv"] = str(prices)
+            cfg = write_config(tmp_path, doc, name=f"{tag}_cfg.json")
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / f"{tag}_run.json")]) == 0
+        for kind in ("panel", "run"):
+            assert ((tmp_path / f"bom_{kind}.json").read_bytes()
+                    == (tmp_path / f"plain_{kind}.json").read_bytes())
+
     def test_bad_csv_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,AAA\n2020-01-01,\n2020-01-02,3\n")
@@ -113,9 +130,11 @@ class TestRun:
         assert '"acceptance_rate_burn": null' in text
         assert json.loads(text)["diagnostics"]["acceptance_rate_burn"] is None
 
-    def test_runs_and_sweep_import_no_scipy(self, tmp_path):
-        # scipy is a test-only dependency, and importing scipy.linalg costs a
-        # large share of a short run's set-up
+    @pytest.fixture(scope="class")
+    def fresh_interpreter_modules(self, tmp_path_factory):
+        """The modules a fresh interpreter has loaded after a run of every
+        golden config and a one-worker golden sweep."""
+        tmp_path = tmp_path_factory.mktemp("fresh")
         golden = Path(__file__).resolve().parent / "golden"
         calls = [["run", "--config", str(golden / f"config_{m}.json"),
                   "--out", str(tmp_path / f"run_{m}.json")]
@@ -124,11 +143,11 @@ class TestRun:
                       "--grid", str(golden / "grid_2x2.json"), "--workers", "1",
                       "--out", str(tmp_path / "sweep.csv")])
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "from blbayes.cli import main\n"
             f"for argv in {calls!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
         )
         root = golden.parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -136,8 +155,17 @@ class TestRun:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 5
+        return json.loads(done.stdout)
+
+    def test_runs_and_sweep_import_no_scipy(self, fresh_interpreter_modules):
+        # scipy is a test-only dependency, and importing scipy.linalg costs a
+        # large share of a short run's set-up
+        assert [m for m in fresh_interpreter_modules if m.split(".")[0] == "scipy"] == []
+
+    def test_runs_and_one_batch_sweep_import_no_multiprocessing(self, fresh_interpreter_modules):
+        # only a sweep of several batches starts a process pool
+        assert [m for m in fresh_interpreter_modules if m.split(".")[0] == "multiprocessing"] == []
 
     def test_trace_written(self, demo_dir, tmp_path):
         # one row per iteration, burn-in included, holding the chain's own

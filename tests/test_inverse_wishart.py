@@ -28,7 +28,12 @@ from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import rng_stream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
 from conftest import calls_per_iteration, count_engine_calls, random_spd
-from oracles import gibbs_augmented_view_space, mu_conditional, mu_conditional_precision
+from oracles import (
+    collapsed_iw_moments,
+    gibbs_augmented_view_space,
+    mu_conditional,
+    mu_conditional_precision,
+)
 
 
 def make_config(n=2, **kw):
@@ -528,12 +533,17 @@ class TestRaoBlackwellisedSigma:
     draw, and rbar at iteration 0."""
 
     @staticmethod
-    def oracle(returns, cfg, mu_draws):
+    def terms(returns, cfg, mu_draws):
+        """The post-burn Sigma terms ``E[Sigma | mu, data]``, one per step."""
         m, n = returns.shape
         seen = np.vstack([returns.mean(axis=0), mu_draws[:-1]])[cfg.burn:]
         resid = returns[None, :, :] - seen[:, None, :]
         scatter = np.einsum("tki,tkj->tij", resid, resid)
-        return (cfg.sigma0 + scatter).mean(axis=0) / (cfg.nu + m - n - 1)
+        return (cfg.sigma0 + scatter) / (cfg.nu + m - n - 1)
+
+    @classmethod
+    def oracle(cls, returns, cfg, mu_draws):
+        return cls.terms(returns, cfg, mu_draws).mean(axis=0)
 
     @pytest.mark.parametrize("burn", [0, 40])
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented", "batch"])
@@ -613,3 +623,89 @@ class TestMuSamplerLongRun:
                                      cov_cholesky=True) for _ in range(10_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
+
+
+def _synthetic_n10():
+    """Returns (m = 30), views, historical covariance and monthly means of
+    ten assets."""
+    rng = np.random.default_rng(10)
+    n, m = 10, 30
+    cov = random_spd(rng, n) * 2e-5
+    mu0 = rng.normal(size=n) * 0.002
+    returns = rng.multivariate_normal(mu0, cov, size=m)
+    hist = rng.multivariate_normal(mu0, cov, size=150)
+    p = np.zeros((3, n))
+    p[0, [0, 1]] = [1.0, -1.0]
+    p[1, 4] = 1.0
+    p[2, [6, 7, 8]] = [0.5, 0.5, -1.0]
+    views = ViewSet(p, np.array([0.01, 0.005, -0.01]), np.array([1e-4, 4e-4, 2e-4]))
+    months = rng.multivariate_normal(mu0, cov / 21, size=24)
+    return returns, views, np.cov(hist, rowvar=False), months
+
+
+def _demo_case():
+    panel = demo.demo_return_panel()
+    return (panel.current, demo.demo_views(), historical_covariance(panel),
+            monthly_means(panel.historical, panel.m))
+
+
+class TestCollapsedOracle:
+    """The Inverse-Wishart chains against ``collapsed_iw_moments``, which
+    integrates Sigma out and leaves a quadrature over one scalar."""
+
+    def test_matches_brute_force_integral_over_mu(self, small_dataset):
+        # n = 2: the collapsed density of mu, (1 + m d'A^-1 d)^-(nu+m)/2 times
+        # the views' normal, summed over a fine grid of mu
+        returns, views = small_dataset
+        m, n = returns.shape
+        nu, sigma0 = 4.0, np.array([[4e-4, 1e-4], [1e-4, 3e-4]])
+        mean, cov, e_sigma = collapsed_iw_moments(returns, views.p, views.q, views.omega,
+                                                  nu, sigma0)
+        rbar = returns.mean(axis=0)
+        a_mat = sigma0 + (returns - rbar).T @ (returns - rbar)
+        axis = np.linspace(-0.08, 0.08, 2001)
+        d = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        resid = (d + rbar) @ views.p[0] - views.q[0]
+        log_p = (-(nu + m) / 2 * np.log1p(m * np.einsum("ki,ij,kj->k", d, np.linalg.inv(a_mat), d))
+                 - 0.5 * resid ** 2 / views.omega[0, 0])
+        w = np.exp(log_p - log_p.max())
+        w /= w.sum()
+        grid_mean = rbar + w @ d
+        dev = d + rbar - grid_mean
+        grid_cov = (w[:, None] * dev).T @ dev
+        grid_sigma = (a_mat + m * (w[:, None] * d).T @ d) / (nu + m - n - 1)
+        for exact, grid in ((mean, grid_mean), (cov, grid_cov), (e_sigma, grid_sigma)):
+            assert np.abs(exact - grid).max() <= 1e-8 * np.abs(grid).max()
+
+    @pytest.mark.parametrize("case", [_demo_case, _synthetic_n10], ids=["demo", "n10"])
+    def test_quadrature_converged(self, case):
+        returns, views, hist, _ = case()
+        cfg = IwConfig.default_for(hist, iters=10, burn=0, seed=1)
+        args = (returns, views.p, views.q, views.omega, cfg.nu, cfg.sigma0)
+        for full, half in zip(collapsed_iw_moments(*args),
+                              collapsed_iw_moments(*args, nodes=201)):
+            assert np.abs(full - half).max() <= 1e-12 * np.abs(full).max()
+
+    @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
+    @pytest.mark.parametrize("case", [_demo_case, _synthetic_n10], ids=["demo", "n10"])
+    def test_chain_matches_exact_moments(self, case, variant):
+        # mu_post within 4 of its own standard errors of E[mu]; sigma_post,
+        # the mean of E[Sigma | mu, data] over the post-burn steps, within
+        # 4.5 batch-means standard errors of those terms of E[Sigma]: the
+        # batch-means error is itself estimated from 50 batches, and
+        # n(n+1)/2 entries are tested
+        returns, views, hist, months = case()
+        cfg = IwConfig.default_for(hist, iters=10_000, burn=1_000, seed=1)
+        if variant == "nonsquare":
+            [s] = gibbs_nonsquare(returns, [views], cfg, [0])
+            p, q, omega = views.p, views.q, views.omega
+        else:
+            [s] = gibbs_augmented(returns, [views], months, cfg, [0])
+            p = augment_to_invertible(views.p)
+            q, omega = build_transformed_hyperparams(p, views.q, views.omega, months)
+        mean, _, e_sigma = collapsed_iw_moments(returns, p, q, omega, cfg.nu, cfg.sigma0)
+        assert np.all(np.abs(s.mu_post - mean) <= 4 * s.mu_se)
+        terms = TestRaoBlackwellisedSigma.terms(returns, cfg, s.mu_draws)
+        batches = terms[: len(terms) // 50 * 50].reshape(50, -1, *e_sigma.shape).mean(axis=1)
+        se = batches.std(axis=0, ddof=1) / np.sqrt(50)
+        assert np.all(np.abs(s.sigma_post - e_sigma) <= 4.5 * se)
