@@ -3,15 +3,15 @@
 Subcommands: ``ingest`` (validate a price CSV, write the panel as JSON),
 ``run`` (one model, JSON summary), ``sweep`` (omega grid, CSV), ``backtest``
 (stored weights over the test window). Exit codes are stable: 0 success, 2
-validation failure or an unreadable input or unwritable output file, 3
-numerical/runtime failure (out of memory included).
+an :class:`~blbayes.errors.InputError` (an input file that cannot be read or
+fails validation) or an unwritable output file, 3 any other package error,
+a numerical or chain failure (out of memory included).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -19,32 +19,14 @@ import numpy as np
 
 from . import __version__
 from .backtest import backtest_profit, run_model, run_sweep, write_sweep_csv, write_trace_csv
-from .config import RunConfig, load_grid
-from .data import read_prices
-from .errors import (
-    BlBayesError,
-    DimensionError,
-    FormatError,
-    InsufficientDataError,
-    ModelSizeError,
-    RankError,
-    ValidationError,
-)
+from .config import RunConfig, load_grid, read_json
+from .data import ReturnPanel, read_prices
+from .errors import BlBayesError, InputError, ValidationError
 from . import jsonio
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_VALIDATION_ERRORS = (
-    ValidationError,
-    FormatError,
-    InsufficientDataError,
-    ModelSizeError,
-    RankError,
-    DimensionError,
-    OSError,  # an unreadable input or an unwritable output file
-)
 
 
 def _summary_payload(cfg: RunConfig, result) -> dict:
@@ -89,6 +71,16 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _load_panel(cfg: RunConfig, needs_test: bool) -> ReturnPanel:
+    """The config's return panel; a command that computes a profit needs its
+    test window non-empty, checked before any chain runs."""
+    panel = cfg.load_panel()
+    if needs_test and len(panel.test) == 0:
+        raise ValidationError("data.test_start",
+                              f"empty test window: no price from {cfg.test_start} on")
+    return panel
+
+
 @contextlib.contextmanager
 def _claimed_output(path):
     """Create ``path`` before the work that fills it, so an unwritable output
@@ -110,7 +102,7 @@ def _cmd_run(args) -> int:
     cfg = RunConfig.load(args.config)
     if args.trace and cfg.model == "original":
         raise ValidationError("trace", "the original model runs no chain to trace")
-    panel = cfg.load_panel()
+    panel = _load_panel(cfg, needs_test=cfg.backtest)
     with contextlib.ExitStack() as claims:
         for path in (args.out, args.trace):
             if path:
@@ -131,7 +123,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = RunConfig.load(args.config)
     grid = load_grid(args.grid, default_seed=cfg.seed, model=cfg.model)
-    panel = cfg.load_panel()
+    panel = _load_panel(cfg, needs_test=True)  # every grid point computes its profit
     with _claimed_output(args.out):
         records = run_sweep(grid, panel, cfg.views, cfg.settings, workers=args.workers)
         write_sweep_csv(records, args.out)
@@ -140,11 +132,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_backtest(args) -> int:
     cfg = RunConfig.load(args.config)
-    panel = cfg.load_panel()
-    try:
-        doc = json.loads(Path(args.weights).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(str(args.weights), f"cannot read weights: {exc}")
+    panel = _load_panel(cfg, needs_test=True)
+    doc = read_json(args.weights, "weights", (dict, list))
     if isinstance(doc, dict) and "weights" in doc:
         doc = doc["weights"]
     try:
@@ -205,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except (InputError, OSError) as exc:  # OSError: an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (BlBayesError, np.linalg.LinAlgError, MemoryError) as exc:

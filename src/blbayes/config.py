@@ -28,6 +28,22 @@ from .views import ViewSet
 SCHEMA_VERSION = "1"
 
 
+def read_json(path, what: str, kinds: tuple[type, ...]):
+    """The JSON document of the ``what`` file at ``path``, read as UTF-8 with
+    a leading byte-order mark skipped. One that cannot be read or parsed, or
+    is none of ``kinds`` (``dict``, ``list``), raises :class:`ValidationError`."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    # ValueError: not UTF-8, not JSON or an over-long integer; RecursionError: too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(str(path), f"cannot read {what}: {exc}") from None
+    if not isinstance(doc, kinds):
+        names = " or ".join({dict: "an object", list: "an array"}[kind] for kind in kinds)
+        raise ValidationError(str(path), f"{what} must be {names} in JSON")
+    return doc
+
+
 def _get(doc: dict, key: str, kind, path: str, required: bool = True, default=None):
     if key not in doc:
         if required:
@@ -80,20 +96,13 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(str(path), f"cannot read config: {exc}")
-        if not isinstance(doc, dict):
-            raise ValidationError("$", "config must be a JSON object")
+        doc = read_json(path, "config", (dict,))
         if _get(doc, "version", str, "version") != SCHEMA_VERSION:
             raise ValidationError("version", f"expected {SCHEMA_VERSION!r}")
 
         data = _get(doc, "data", dict, "data")
-        csv_rel = _get(data, "prices_csv", str, "data.prices_csv")
-        prices_csv = Path(csv_rel)
-        if not prices_csv.is_absolute():
-            prices_csv = path.parent / prices_csv
+        # relative to the config's directory; an absolute path replaces it
+        prices_csv = path.parent / _get(data, "prices_csv", str, "data.prices_csv")
         tickers = _get(data, "tickers", list, "data.tickers", required=False)
         if tickers is not None:
             if not all(isinstance(t, str) and t for t in tickers):
@@ -186,10 +195,7 @@ class RunConfig:
                    settings=settings, seed=seed, backtest=backtest)
 
     def load_panel(self) -> ReturnPanel:
-        try:
-            panel = read_prices(self.prices_csv)
-        except OSError as exc:
-            raise ValidationError("data.prices_csv", f"cannot read: {exc}")
+        panel = read_prices(self.prices_csv)
         if self.tickers is not None and panel.tickers != self.tickers:
             raise ValidationError(
                 "data.tickers",
@@ -206,13 +212,7 @@ class RunConfig:
 def load_grid(path, default_seed: int, model: str) -> SweepGrid:
     """Parse a sweep-grid JSON: omega1/omega2 value arrays plus an optional
     base_seed (falls back to the run config's seed)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(str(path), f"cannot read grid: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError("$", "grid must be a JSON object")
+    doc = read_json(path, "grid", (dict,))
     omega1 = _number_list(_get(doc, "omega1", list, "omega1"), "omega1")
     omega2 = _number_list(_get(doc, "omega2", list, "omega2"), "omega2")
     base_seed = doc.get("base_seed", default_seed)

@@ -146,9 +146,14 @@ def ingest_prices(source) -> PricePanel:
 
 def read_prices(path) -> PricePanel:
     """:func:`ingest_prices` of the CSV file at ``path``, read as UTF-8; a
-    leading byte-order mark, as Excel's "CSV UTF-8" writes, is skipped."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return ingest_prices(fh)
+    leading byte-order mark, as Excel's "CSV UTF-8" writes, is skipped. A
+    file that cannot be opened, decoded or split into cells (one over the
+    CSV reader's size limit) raises :class:`FormatError` naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return ingest_prices(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read prices: {exc}") from None
 
 
 def _raise_bad_cell(lineno: int, tickers, cells) -> None:

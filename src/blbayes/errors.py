@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every failure mode has a dedicated class so callers (and the CLI exit-code
-mapping) can tell configuration problems apart from numerical breakdowns.
+Every failure mode has a dedicated class. Those an input causes derive from
+:class:`InputError`, for which the CLI exits 2; it exits 3 for every other
+:class:`BlBayesError`, a numerical or chain breakdown.
 """
 
 
@@ -9,7 +10,11 @@ class BlBayesError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(BlBayesError):
+class InputError(BlBayesError):
+    """An input file that cannot be read, or an input that fails validation."""
+
+
+class ValidationError(InputError):
     """A config or input field failed validation.
 
     ``path`` names the offending field ("views.omega[1]", "data.m", ...).
@@ -20,7 +25,7 @@ class ValidationError(BlBayesError):
         super().__init__(f"{path}: {message}")
 
 
-class DimensionError(BlBayesError):
+class DimensionError(InputError):
     """Array shapes are inconsistent with the requested operation."""
 
 
@@ -36,7 +41,7 @@ class ParameterError(BlBayesError):
     """A scalar distribution parameter is out of range."""
 
 
-class RankError(BlBayesError):
+class RankError(InputError):
     """A view matrix is row-rank deficient."""
 
 
@@ -44,12 +49,12 @@ class AugmentationError(BlBayesError):
     """Augmenting a view matrix failed to produce an invertible square matrix."""
 
 
-class InsufficientDataError(BlBayesError):
+class InsufficientDataError(InputError):
     """Not enough rows/observations for the requested computation."""
 
 
-class FormatError(BlBayesError):
-    """Malformed input file (CSV/JSON)."""
+class FormatError(InputError):
+    """A price file that cannot be read or is malformed."""
 
 
 class NumericalError(BlBayesError):
@@ -71,5 +76,5 @@ class BasisError(BlBayesError):
     """An eigenvector basis is not orthonormal to tolerance."""
 
 
-class ModelSizeError(BlBayesError):
+class ModelSizeError(InputError):
     """The model dimension violates a structural constraint."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blbayes import cli, data, inverse_wishart
+from blbayes import cli, data, errors, inverse_wishart
 from blbayes.backtest import backtest_profit, run_model
 from blbayes.cli import main
 from blbayes.config import RunConfig
@@ -553,3 +553,163 @@ class TestBacktestCommand:
         assert main(["backtest", "--config", str(cfg), "--weights", str(path),
                      "--out", str(tmp_path / "bt.json")]) == 2
         assert "weights: expected a flat array of numbers" in capsys.readouterr().err
+
+
+def _late_window_config(demo_dir, model="iw_nonsquare", **overrides):
+    """The demo config with its test window after the last price."""
+    doc = small_config(demo_dir, model, **overrides)
+    doc["data"]["test_start"] = "2019-06-01"
+    return doc
+
+
+class TestInputFiles:
+    """Every input file is read as UTF-8 with a leading byte-order mark
+    skipped; one that cannot be read exits 2 naming the file."""
+
+    @pytest.fixture
+    def inputs(self, demo_dir):
+        """The UTF-8 bytes of a run config, a sweep grid and a weights file."""
+        docs = {"config": small_config(demo_dir, "original"),
+                "grid": {"omega1": [1e-4, 5e-4], "omega2": [1e-4], "base_seed": 3},
+                "weights": {"weights": [0.25, -0.5, 0.75, 0.5]}}
+        return {name: json.dumps(doc).encode() for name, doc in docs.items()}
+
+    @staticmethod
+    def _argv(tmp_path, command, inputs, tag=""):
+        """Write ``inputs`` to ``<tag><name>.json`` and return the argv of
+        ``command`` reading them, with its output at ``<tag><command>.out``."""
+        files = {}
+        for name, data in inputs.items():
+            files[name] = str(tmp_path / f"{tag}{name}.json")
+            Path(files[name]).write_bytes(data)
+        if command == "ingest":
+            prices = json.loads(inputs["config"])["data"]["prices_csv"]
+            argv = ["ingest", "--prices", prices]
+        else:
+            argv = [command, "--config", files["config"]]
+        argv += {"sweep": ["--grid", files["grid"]],
+                 "backtest": ["--weights", files["weights"]]}.get(command, [])
+        return argv + ["--out", str(tmp_path / f"{tag}{command}.out")]
+
+    @pytest.mark.parametrize("bad, command", [
+        ("config", "run"), ("grid", "sweep"), ("weights", "backtest"),
+    ])
+    def test_non_utf8_json_exit_2(self, tmp_path, capsys, inputs, bad, command):
+        # a Latin-1 byte in a field the reader would otherwise ignore
+        inputs[bad] = inputs[bad][:-1] + ', "note": "caf\u00e9"}'.encode("latin-1")
+        argv = self._argv(tmp_path, command, inputs)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / bad}.json: cannot read {bad}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not Path(argv[-1]).exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "backtest"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, inputs, command):
+        outputs = []
+        for tag, mark in (("plain_", b""), ("bom_", b"\xef\xbb\xbf")):
+            argv = self._argv(tmp_path, command,
+                              {name: mark + data for name, data in inputs.items()}, tag)
+            assert main(argv) == 0
+            outputs.append(Path(argv[-1]).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("grid", b"[0.0001, 0.0001]", "grid must be an object in JSON"),
+        ("weights", b'"0.25, 0.25"', "weights must be an object or an array in JSON"),
+    ])
+    def test_json_of_the_wrong_kind_exit_2(self, tmp_path, capsys, inputs, name, text, message):
+        inputs[name] = text
+        command = {"grid": "sweep", "weights": "backtest"}[name]
+        assert main(self._argv(tmp_path, command, inputs)) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / name}.json: {message}\n"
+
+    @pytest.mark.parametrize("case", ["long-integer", "deep-nesting"])
+    def test_json_python_cannot_parse_exit_2(self, tmp_path, capsys, inputs, case):
+        # Python's int conversion refuses more than 4,300 digits by default,
+        # and its JSON decoder recurses once per level of nesting
+        inputs["config"] = inputs["config"].replace(b'"iters": 300', b'"iters": ' + (
+            b"1" * 5000 if case == "long-integer" else b"[" * 100_000 + b"]" * 100_000))
+        assert main(self._argv(tmp_path, "run", inputs)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["latin1-header", "oversized-cell"])
+    @pytest.mark.parametrize("command", ["ingest", "run", "sweep", "backtest"])
+    def test_unreadable_prices_exit_2(self, demo_dir, tmp_path, capsys, inputs, case, command):
+        lines = (demo_dir / "prices.csv").read_bytes().split(b"\n")
+        if case == "latin1-header":
+            lines[0] = lines[0].replace(b"AAA", b"A\xe9A")
+        else:  # the csv module refuses a cell over 131,072 characters
+            cells = lines[5].split(b",")
+            lines[5] = b",".join([cells[0], b"1" * 140_000, *cells[2:]])
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(b"\n".join(lines))
+        doc = json.loads(inputs["config"])
+        doc["data"]["prices_csv"] = str(prices)
+        inputs["config"] = json.dumps(doc).encode()
+        argv = self._argv(tmp_path, command, inputs)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prices}: cannot read prices: ") and err.count("\n") == 1
+        assert not Path(argv[-1]).exists()
+
+
+class TestEmptyTestWindow:
+    """A command that computes a profit needs a test window: an empty one
+    exits 2 naming data.test_start before any chain runs."""
+
+    def test_sweep_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
+        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        cfg = write_config(tmp_path, _late_window_config(demo_dir))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid",
+                     str(demo_dir / "grid_small.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: data.test_start: empty test window: no price from 2019-06-01 on\n")
+        assert calls == [] and not out.exists()
+
+    def test_run_with_backtest_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
+        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        cfg = write_config(tmp_path, _late_window_config(demo_dir, backtest=True))
+        out = tmp_path / "o.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: data.test_start: empty test window")
+        assert calls == [] and not out.exists()
+
+    def test_run_without_backtest_needs_no_window(self, demo_dir, tmp_path):
+        cfg = write_config(tmp_path, _late_window_config(demo_dir, backtest=False))
+        out = tmp_path / "o.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "profit" not in json.loads(out.read_text())
+
+    def test_backtest_exit_2(self, demo_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, _late_window_config(demo_dir, "original"))
+        weights = tmp_path / "w.json"
+        weights.write_text("[0.25, 0.25, 0.25, 0.25]")
+        out = tmp_path / "bt.json"
+        assert main(["backtest", "--config", str(cfg), "--weights", str(weights),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: data.test_start: empty test window")
+        assert not out.exists()
+
+
+def _error_classes(cls=errors.BlBayesError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error_class", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error_class):
+    # the class hierarchy alone decides the exit code: an InputError exits 2,
+    # any other package error 3, each with one error line
+    def fail(args):
+        raise error_class("field", "message")
+
+    monkeypatch.setattr(cli, "_cmd_ingest", fail)
+    expected = 2 if issubclass(error_class, errors.InputError) else 3
+    assert main(["ingest", "--prices", "p.csv", "--out", str(tmp_path / "o.json")]) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
