@@ -117,6 +117,8 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream id)`` under the one chain config of ``settings``: the
     Inverse-Wishart models run the points as one lock-step batch, the others
     one at a time. Each result is bit for bit that of its point run alone.
+    Only ``original`` and the default Sigma0 of the Inverse-Wishart models
+    read the historical window.
     """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
@@ -128,12 +130,12 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     n = len(panel.tickers)
     if any(v.n != n for v in points):
         raise DimensionError("views and panel disagree on the number of assets")
-    hist_cov = historical_covariance(panel)
 
     summaries = [None] * len(points)
     if model == "original":
         if settings.w_eq is None:
             raise ValidationError("w_eq", "the original model needs equilibrium weights")
+        hist_cov = historical_covariance(panel)
         inputs = EquilibriumInputs(
             risk_aversion=settings.risk_aversion,
             w_eq=np.asarray(settings.w_eq, dtype=float),
@@ -149,7 +151,8 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
             summaries = [gibbs_log_sigma(panel.current, v, cfg, s)
                          for v, s in zip(points, stream_ids)]
         else:
-            cfg = IwConfig.default_for(hist_cov, iters=settings.iters, burn=settings.burn,
+            hist_cov = historical_covariance(panel) if settings.sigma0 is None else None
+            cfg = IwConfig.default_for(n, hist_cov, iters=settings.iters, burn=settings.burn,
                                        seed=seed, nu=settings.nu, sigma0=settings.sigma0,
                                        allow_small_omega=settings.allow_small_omega)
             if model == "iw_augmented":

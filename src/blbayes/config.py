@@ -2,8 +2,8 @@
 
 A run config is a single JSON document (schema version "1"). Every module
 precondition that can be checked from the document alone is checked here,
-before any data is read, and failures carry the field path of the offending
-entry.
+before any data is read, by the check function the engine calls, naming the
+offending field; an integer field takes no boolean.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, read_prices
 from .errors import DimensionError, ModelSizeError, NotPositiveDefiniteError, ValidationError
-from .inverse_wishart import check_chain_length
+from .inverse_wishart import check_chain_length, check_default_sigma0, check_sigma_mean
 from .linalg import require_spd
-from .log_sigma import check_asset_count
+from .log_sigma import check_asset_count, check_scatter_rows
 from .sampling import fits_seed
 from .views import ViewSet
 
@@ -44,6 +44,11 @@ def read_json(path, what: str, kinds: tuple[type, ...]):
     return doc
 
 
+def _is(value, kind) -> bool:
+    """``isinstance``, except that a boolean (a Python ``int``) is no number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _get(doc: dict, key: str, kind, path: str, required: bool = True, default=None):
     if key not in doc:
         if required:
@@ -52,7 +57,7 @@ def _get(doc: dict, key: str, kind, path: str, required: bool = True, default=No
     value = doc[key]
     if kind is float:
         return _number(value, path)
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not _is(value, kind):
         raise ValidationError(path, f"expected {getattr(kind, '__name__', kind)}")
     return value
 
@@ -61,7 +66,7 @@ def _number(value, path: str) -> float:
     """A finite JSON number as a float. ``json`` parses ``NaN`` and
     ``Infinity``; every number of a config or grid passes through here, so
     none reaches a model."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is(value, (int, float)):
         raise ValidationError(path, "expected a number")
     try:
         number = float(value)
@@ -109,7 +114,7 @@ class RunConfig:
                 raise ValidationError("data.tickers", "expected non-empty strings")
             tickers = tuple(tickers)
         m = _get(data, "m", int, "data.m")
-        if isinstance(m, bool) or m < 1:
+        if m < 1:
             raise ValidationError("data.m", "must be a positive integer")
         try:
             test_start = date.fromisoformat(_get(data, "test_start", str, "data.test_start"))
@@ -140,6 +145,7 @@ class RunConfig:
                 check_asset_count(n)
             except ModelSizeError as exc:
                 raise ValidationError("views.P", str(exc)) from exc
+            check_scatter_rows(n, m)
 
         risk_aversion = _get(doc, "risk_aversion", float, "risk_aversion",
                              required=False, default=2.5)
@@ -169,16 +175,18 @@ class RunConfig:
                 sigma0 = require_spd(sigma0)
             except (DimensionError, NotPositiveDefiniteError) as exc:
                 raise ValidationError("sigma0", str(exc)) from exc
+        if model in ("iw_augmented", "iw_nonsquare") and nu is not None:  # n + 2 passes both
+            if sigma0 is None:
+                check_default_sigma0(n, nu)
+            check_sigma_mean(n, m, nu)
 
         iters = _get(doc, "iters", int, "iters", required=False, default=10_000)
         burn = _get(doc, "burn", int, "burn", required=False, default=1_000)
-        if isinstance(iters, bool) or iters < 1:
+        if iters < 1:
             raise ValidationError("iters", "must be a positive integer")
-        if isinstance(burn, bool):
-            raise ValidationError("burn", "expected int")
         check_chain_length(iters, burn)
         seed = _get(doc, "seed", int, "seed", required=False, default=0)
-        if isinstance(seed, bool) or not fits_seed(seed):
+        if not fits_seed(seed):
             raise ValidationError("seed", "must fit in 64 unsigned bits")
         capital = _get(doc, "capital", float, "capital", required=False, default=100_000.0)
         allow_small = _get(doc, "allow_small_omega", bool, "allow_small_omega",
@@ -215,9 +223,7 @@ def load_grid(path, default_seed: int, model: str) -> SweepGrid:
     doc = read_json(path, "grid", (dict,))
     omega1 = _number_list(_get(doc, "omega1", list, "omega1"), "omega1")
     omega2 = _number_list(_get(doc, "omega2", list, "omega2"), "omega2")
-    base_seed = doc.get("base_seed", default_seed)
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int):
-        raise ValidationError("base_seed", "expected an integer")
+    base_seed = _get(doc, "base_seed", int, "base_seed", required=False, default=default_seed)
     if not fits_seed(base_seed):
         raise ValidationError("base_seed", "must fit in 64 unsigned bits")
     return SweepGrid(omega1_values=tuple(omega1), omega2_values=tuple(omega2),

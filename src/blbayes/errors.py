@@ -72,9 +72,5 @@ class ChainError(BlBayesError):
         super().__init__(message)
 
 
-class BasisError(BlBayesError):
-    """An eigenvector basis is not orthonormal to tolerance."""
-
-
 class ModelSizeError(InputError):
     """The model dimension violates a structural constraint."""

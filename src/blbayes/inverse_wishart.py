@@ -53,6 +53,22 @@ def check_chain_length(iters: int, burn: int) -> None:
         raise ValidationError("burn", "need 0 <= burn <= iters - 2 (two post-burn draws)")
 
 
+def check_default_sigma0(n: int, nu: float) -> None:
+    """The default Sigma0 = (nu - n - 1) * historical covariance is SPD only
+    if ``nu > n + 1``; a smaller nu needs an explicit sigma0."""
+    if nu <= n + 1:
+        raise ValidationError("nu", f"must exceed n+1 = {n + 1} unless sigma0 is given "
+                              "(the default sigma0 is (nu-n-1) * historical covariance)")
+
+
+def check_sigma_mean(n: int, m: int, nu: float) -> None:
+    """The Sigma term of an Inverse-Wishart step, the conditional mean
+    ``scale / (nu + m - n - 1)``, exists only if ``nu + m > n + 1``."""
+    if nu + m <= n + 1:
+        raise ValidationError("data.m", "the posterior mean of Sigma needs nu + m > n + 1 = "
+                              f"{n + 1}, got nu = {nu:g} and m = {m}")
+
+
 @dataclass(frozen=True)
 class IwConfig:
     """Hyperparameters and chain controls for the Inverse-Wishart models."""
@@ -72,21 +88,16 @@ class IwConfig:
         check_chain_length(self.iters, self.burn)
 
     @classmethod
-    def default_for(cls, hist_cov, iters: int, burn: int, seed: int,
+    def default_for(cls, n: int, hist_cov, iters: int, burn: int, seed: int,
                     nu: float | None = None, **kw) -> "IwConfig":
-        """Defaults: nu = n + 2 (smallest integer with a finite prior mean)
-        and, unless ``sigma0`` is passed, Sigma0 = (nu - n - 1) * hist_cov, so
-        the prior mean equals the historical sample covariance. That default
-        needs nu > n + 1; a smaller nu must come with an explicit sigma0."""
-        n = np.shape(hist_cov)[0]
+        """Defaults for n assets: nu = n + 2 (smallest integer with a finite
+        prior mean) and, unless ``sigma0`` is passed, Sigma0 = (nu - n - 1) *
+        hist_cov, the historical covariance, which is read only then (and may
+        be None otherwise). That default needs nu > n + 1."""
         if nu is None:
             nu = n + 2
         if kw.get("sigma0") is None:
-            if nu <= n + 1:
-                raise ValidationError(
-                    "nu", f"must exceed n+1 = {n + 1} unless sigma0 is given "
-                    "(the default sigma0 is (nu-n-1) * historical covariance)"
-                )
+            check_default_sigma0(n, nu)
             kw["sigma0"] = (nu - n - 1) * require_spd(hist_cov, "historical covariance")
         return cls(nu=nu, iters=iters, burn=burn, seed=seed, **kw)
 
@@ -190,17 +201,12 @@ def _iw_step(returns, nu: float, sigma0):
     """Covariance step of the Inverse-Wishart models, for one chain or a
     batch: an exact conditional draw, as its inverse and log det, so every
     step is accepted. Its Sigma term is the draw's conditional mean
-    ``scale / (nu + m - n - 1)``, which exists only when ``nu + m > n + 1``;
-    :class:`~blbayes.errors.InsufficientDataError` otherwise, before any chain
-    runs. The returns' centred scatter is computed once; each step adds the
-    rank-one term of its mu (:func:`~blbayes.linalg.scatter_about`)."""
+    ``scale / (nu + m - n - 1)``, which :func:`check_sigma_mean` checks
+    before any chain runs. The returns' centred scatter is computed once;
+    each step adds the rank-one term of its mu (:func:`~blbayes.linalg.scatter_about`)."""
     m, n = returns.shape
+    check_sigma_mean(n, m, nu)
     mean_dof = nu + m - n - 1
-    if mean_dof <= 0:
-        raise InsufficientDataError(
-            f"data.m: the posterior mean of Sigma needs nu + m > n + 1 = {n + 1}, "
-            f"got nu = {nu:g} and m = {m}"
-        )
     rbar, centred = centred_scatter(returns)
 
     def step(mu, rng):

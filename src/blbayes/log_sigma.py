@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
-from .errors import (
-    BasisError,
-    DimensionError,
-    InsufficientDataError,
-    ModelSizeError,
-    ValidationError,
-)
+from .errors import DimensionError, ModelSizeError, ValidationError
 from .inverse_wishart import OMEGA_FLOOR_HARD, check_chain_length, check_omega_floor, gibbs_chain
 from .linalg import (
     centred_scatter,
@@ -71,17 +65,24 @@ def check_asset_count(n: int) -> None:
         )
 
 
+def check_scatter_rows(n: int, m: int) -> None:
+    """The scatter of m return rows of n assets about their mean is SPD only
+    if ``m > n``; the chain takes the matrix log of that scatter."""
+    if m <= n:
+        raise ValidationError("data.m", f"the log-covariance model needs m > n = {n} return "
+                              f"rows for an SPD scatter matrix, got m = {m}")
+
+
 def xi_coefficient(d_i, d_j):
     """Eigenvalue-pair weight ``(d_i - d_j)^2 / (d_i d_j (log d_i - log d_j)^2)``,
     elementwise over arrays.
 
     Equals ``g(h)^2`` for ``h = log(d_i/d_j)`` and ``g(h) = 2 sinh(h/2)/h``,
-    which is the form used near ``d_i == d_j`` (limit value 1).
+    which is the form used near ``d_i == d_j`` (limit value 1). The
+    eigenvalues must be positive, as those :func:`build_Q` passes are.
     """
     d_i = np.asarray(d_i, dtype=float)
     d_j = np.asarray(d_j, dtype=float)
-    if (d_i <= 0).any() or (d_j <= 0).any():
-        raise ValidationError("xi", "eigenvalues must be positive")
     h = np.log(d_i) - np.log(d_j)
     diff = d_i - d_j
     near = np.abs(h) < _XI_SERIES_THRESHOLD
@@ -116,14 +117,11 @@ def build_f_vectors(eigvecs) -> np.ndarray:
     slot of ``A[k, l]`` (k < l) carries ``e_i[k] e_j[l] + e_i[l] e_j[k]``.
     Returns shape ``(d, d)``: row ``p`` is ``f_ij`` for the pair
     ``(i, j)`` of :func:`_pair_indices`, the :func:`vec_star_bilinear` row
-    of the eigenvector pair ``(e_i, e_j)``.
+    of the eigenvector pair ``(e_i, e_j)``. The columns of ``eigvecs``
+    must be orthonormal, as those of an ``eigh`` are.
     """
     e = np.asarray(eigvecs, dtype=float)
-    n = e.shape[0]
-    gram_dev = np.abs(e.T @ e - np.eye(n)).max()
-    if gram_dev > 1e-8:
-        raise BasisError(f"eigenvector basis not orthonormal (Gram deviation {gram_dev:.3e})")
-    pi, pj = _pair_indices(n)
+    pi, pj = _pair_indices(e.shape[0])
     return vec_star_bilinear(e.T[pi], e.T[pj])
 
 
@@ -150,12 +148,10 @@ def build_Q(s_matrix, m: int) -> VolterraQuadratic:
     from the eigen-decomposition of the scatter matrix, as one product
     ``F' W F`` of the d rows of :func:`build_f_vectors` with their weights.
     Near-degenerate eigenvalue pairs go through the series limit of xi,
-    never an error. ``s_matrix`` must be symmetric, as the chain's scatter is
-    by construction; only its spectrum is checked.
+    never an error. ``s_matrix`` must be symmetric and ``m >= 1``, as the
+    chain's are; only the spectrum, which moves with mu, is checked.
     """
     evals, evecs = spd_eigh(s_matrix, "scatter matrix")
-    if m < 1:
-        raise ValidationError("m", "must be >= 1")
     n = evals.size
     f = build_f_vectors(evecs)
     pi, pj = _pair_indices(n)
@@ -226,11 +222,8 @@ def build_G(n: int, sigma1_sq: float, sigma2_sq: float) -> np.ndarray:
     ``C_{d-n} / sigma2^2`` on the off-diagonal block, with the centering
     matrix ``C_k = I - 11'/k``. G annihilates the columns of J, i.e. adding
     a constant to either alpha block leaves the prior quadratic unchanged.
+    Needs n >= 2 and positive variances, as the chain's are.
     """
-    if n < 2:
-        raise ModelSizeError("the block prior needs n >= 2")
-    if sigma1_sq <= 0 or sigma2_sq <= 0:
-        raise ValidationError("sigma_sq", "block variances must be positive")
     d = vec_star_dim(n)
     c_diag, c_off = _centering_blocks(n)
     g = np.zeros((d, d))
@@ -245,13 +238,10 @@ def sigma_sq_conditionals(alpha, n: int):
     shapes ``(n-3)/2`` and ``(d-n-3)/2``, scales half the within-block sums
     of squared deviations from the block mean. Scales are floored at
     ``IG_SCALE_FLOOR`` so the degenerate equal-entries corner stays
-    sampleable. Shapes are positive only for n >= 4.
+    sampleable. Shapes are positive only for n >= 4, which the chain checks
+    at its entry; its alpha is a length-``d`` array by construction.
     """
-    check_asset_count(n)
-    alpha = np.asarray(alpha, dtype=float)
     d = vec_star_dim(n)
-    if alpha.shape != (d,):
-        raise DimensionError(f"alpha must have length {d} for n={n}")
     diag, off = alpha[:n], alpha[n:]
     dev1 = diag - diag.sum() / n
     dev2 = off - off.sum() / (d - n)
@@ -308,10 +298,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         raise DimensionError("returns must be a 2-D (m, n) array")
     m, n = returns_current.shape
     check_asset_count(n)
-    if m <= n:
-        raise InsufficientDataError(
-            f"need m > n for an SPD scatter matrix, got m={m}, n={n}"
-        )
+    check_scatter_rows(n, m)
     if views.n != n:
         raise DimensionError("returns and views disagree on the number of assets")
     check_omega_floor(views, OMEGA_FLOOR_HARD, False, "log_sigma")

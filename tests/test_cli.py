@@ -694,6 +694,79 @@ class TestEmptyTestWindow:
         assert not out.exists()
 
 
+class TestHistoryUse:
+    """Only the original model and the Inverse-Wishart models' default Sigma0
+    read the historical window. The demo data has 1,041 return rows before
+    its test window, so data.m 1041 leaves no history and 1040 one row."""
+
+    @pytest.mark.parametrize("model, m, sigma0", [
+        ("log_sigma", 1041, None),
+        ("log_sigma", 1040, None),
+        ("iw_nonsquare", 1040, 1e-4),
+    ], ids=["log_sigma-no-history", "log_sigma-one-row", "iw_nonsquare-sigma0-one-row"])
+    def test_model_without_history_runs(self, demo_dir, tmp_path, model, m, sigma0):
+        doc = small_config(demo_dir, model)
+        doc["data"]["m"] = m
+        if sigma0 is not None:
+            doc["sigma0"] = (sigma0 * np.eye(4)).tolist()
+        out = tmp_path / "o.json"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        assert np.isfinite(json.loads(out.read_text())["mu_post"]).all()
+
+    @pytest.mark.parametrize("model", ["original", "iw_nonsquare"])
+    def test_model_reading_history_needs_two_rows(self, demo_dir, tmp_path, capsys, model):
+        doc = small_config(demo_dir, model)
+        doc["data"]["m"] = 1040
+        assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 2 historical rows for a covariance\n")
+
+
+class TestConfigRules:
+    """Every rule the config document alone decides exits 2 naming its
+    field, before the prices are read."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("model, overrides, m, field", [
+        ("iw_nonsquare", {"nu": 4.5}, None, "nu: must exceed n+1 = 5 unless sigma0 is given"),
+        ("iw_augmented", {"nu": 4.0, "sigma0": (1e-4 * np.eye(4)).tolist()}, 1,
+         "data.m: the posterior mean of Sigma needs nu + m > n + 1 = 5"),
+        ("log_sigma", {}, 4, "data.m: the log-covariance model needs m > n = 4"),
+    ], ids=["iw-nu-without-sigma0", "iw-nu-plus-m", "log_sigma-m"])
+    def test_rule_exit_2_before_prices(self, demo_dir, tmp_path, capsys, monkeypatch,
+                                       command, model, overrides, m, field):
+        calls = count_engine_calls(monkeypatch, data, "ingest_prices")
+        doc = small_config(demo_dir, model, **overrides)
+        if m is not None:
+            doc["data"]["m"] = m
+        extra = ["--grid", str(demo_dir / "grid_small.json")] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), *extra,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("field", ["data.m", "iters", "burn", "seed", "base_seed"])
+    def test_boolean_integer_exit_2(self, demo_dir, tmp_path, capsys, field):
+        doc = small_config(demo_dir)
+        grid = {"omega1": [1e-4], "omega2": [1e-4]}
+        if field == "data.m":
+            doc["data"]["m"] = True
+        elif field == "base_seed":
+            grid["base_seed"] = True
+        else:
+            doc[field] = True
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                     "--grid", str(grid_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: expected int\n"
+        assert not out.exists()
+
+
 def _error_classes(cls=errors.BlBayesError):
     yield cls
     for sub in cls.__subclasses__():

@@ -63,6 +63,10 @@ class TestRunConfigValidation:
             (lambda d: d.update(nu=0.5), "nu"),
             (lambda d: d.update(sigma0=[[1.0]]), "sigma0"),
             (lambda d: d.update(seed=-3), "seed"),
+            # n = 2: the default Sigma0 needs nu > n + 1, the Sigma mean nu + m > n + 1
+            (lambda d: d.update(nu=2.5), "nu: must exceed n+1 = 3 unless sigma0"),
+            (lambda d: (d.update(nu=1.5, sigma0=[[1e-4, 0.0], [0.0, 1e-4]]),
+                        d["data"].update(m=1)), "data.m: the posterior mean of Sigma"),
         ],
     )
     def test_field_paths_in_errors(self, tmp_path, mutate, path_fragment):

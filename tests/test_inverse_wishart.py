@@ -150,18 +150,18 @@ class TestDefaultFor:
     hist = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
 
     def test_prior_mean_is_historical_covariance(self):
-        cfg = IwConfig.default_for(self.hist, iters=10, burn=1, seed=1)
+        cfg = IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1)
         assert cfg.nu == 4
         np.testing.assert_array_equal(cfg.sigma0, self.hist)
 
     def test_small_nu_without_sigma0_rejected(self):
         # nu = n + 0.5 would scale the default Sigma0 by a non-positive factor
         with pytest.raises(ValidationError, match="sigma0") as info:
-            IwConfig.default_for(self.hist, iters=10, burn=1, seed=1, nu=2.5)
+            IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1, nu=2.5)
         assert info.value.path == "nu"
 
     def test_small_nu_with_sigma0_accepted(self):
-        cfg = IwConfig.default_for(self.hist, iters=10, burn=1, seed=1,
+        cfg = IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1,
                                    nu=2.5, sigma0=0.02 * np.eye(2))
         assert cfg.nu == 2.5
         np.testing.assert_array_equal(cfg.sigma0, 0.02 * np.eye(2))
@@ -280,7 +280,7 @@ class TestChains:
         def seed_means(sampler, seeds):
             out = []
             for seed in seeds:
-                cfg = IwConfig.default_for(hist_cov, iters=1000, burn=200, seed=seed)
+                cfg = IwConfig.default_for(4, hist_cov, iters=1000, burn=200, seed=seed)
                 s = sampler(panel.current, views, months, cfg)
                 out.append(np.concatenate([s.mu_post, s.sigma_post.ravel()]))
             out = np.array(out)
@@ -578,7 +578,7 @@ class TestRaoBlackwellisedSigma:
                 return gibbs_nonsquare(rows, [views], cfg, [0])
             return gibbs_augmented(rows, [views], months, cfg, [0])
 
-        with pytest.raises(InsufficientDataError, match=r"^data\.m: .*nu \+ m > n \+ 1 = 3"):
+        with pytest.raises(ValidationError, match=r"^data\.m: .*nu \+ m > n \+ 1 = 3"):
             run(returns[:1])
         assert chains == []
         [s] = run(returns[:2])
@@ -680,7 +680,7 @@ class TestCollapsedOracle:
     @pytest.mark.parametrize("case", [_demo_case, _synthetic_n10], ids=["demo", "n10"])
     def test_quadrature_converged(self, case):
         returns, views, hist, _ = case()
-        cfg = IwConfig.default_for(hist, iters=10, burn=0, seed=1)
+        cfg = IwConfig.default_for(len(hist), hist, iters=10, burn=0, seed=1)
         args = (returns, views.p, views.q, views.omega, cfg.nu, cfg.sigma0)
         for full, half in zip(collapsed_iw_moments(*args),
                               collapsed_iw_moments(*args, nodes=201)):
@@ -695,7 +695,7 @@ class TestCollapsedOracle:
         # batch-means error is itself estimated from 50 batches, and
         # n(n+1)/2 entries are tested
         returns, views, hist, months = case()
-        cfg = IwConfig.default_for(hist, iters=10_000, burn=1_000, seed=1)
+        cfg = IwConfig.default_for(len(hist), hist, iters=10_000, burn=1_000, seed=1)
         if variant == "nonsquare":
             [s] = gibbs_nonsquare(returns, [views], cfg, [0])
             p, q, omega = views.p, views.q, views.omega

@@ -11,13 +11,7 @@ from scipy import integrate, stats
 
 from blbayes import linalg, log_sigma
 from blbayes.diagnostics import posterior_mean_se
-from blbayes.errors import (
-    BasisError,
-    DimensionError,
-    InsufficientDataError,
-    ModelSizeError,
-    ValidationError,
-)
+from blbayes.errors import ModelSizeError, ValidationError
 from blbayes.linalg import (
     matrix_log_spd,
     spd_inverse,
@@ -100,10 +94,6 @@ class TestXi:
                 want = (a - b) ** 2 / (a * b * h * h)
             assert x == pytest.approx(want, rel=1e-15)
 
-    def test_non_positive_eigenvalue_rejected(self):
-        with pytest.raises(ValidationError):
-            xi_coefficient(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-
     @pytest.mark.parametrize("near", [False, True])
     def test_equals_two_branch_form(self, near):
         # the raw-only path (no pair within the series threshold) and the
@@ -153,10 +143,6 @@ class TestFVectors:
                 else:
                     expected = e[k, i] * e[l, j] + e[l, i] * e[k, j]
                 assert f[p][pos] == pytest.approx(expected, abs=1e-15)
-
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(BasisError):
-            build_f_vectors(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("n", [2, 4, 7, 10, 20])
     def test_equals_double_loop_oracle(self, n):
@@ -290,14 +276,6 @@ def _exp_sym(a):
 
 
 class TestStructuralPrior:
-    @pytest.mark.parametrize("n, s1, s2, error", [
-        (1, 1.0, 1.0, ModelSizeError), (4, 0.0, 1.0, ValidationError),
-        (4, 1.0, -2.0, ValidationError),
-    ])
-    def test_rejects_small_n_and_nonpositive_variances(self, n, s1, s2, error):
-        with pytest.raises(error):
-            build_G(n, s1, s2)
-
     def test_g_annihilates_j(self):
         for n, s1, s2 in ((2, 1.0, 2.0), (4, 0.3, 5.0), (6, 2.2, 0.1)):
             design = StructuralDesign(n, s1, s2)
@@ -377,14 +355,6 @@ class TestSigmaSqConditionals:
         alpha = np.concatenate([np.ones(4), np.arange(6, dtype=float)])
         (_, sc1), _ = sigma_sq_conditionals(alpha, 4)
         assert sc1 == IG_SCALE_FLOOR
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ModelSizeError, match="n >= 4"):
-            sigma_sq_conditionals(np.zeros(6), 3)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError, match="length 10"):
-            sigma_sq_conditionals(np.zeros(9), 4)
 
 
 class TestMhRatio:
@@ -658,7 +628,7 @@ class TestGibbsLogSigma:
     def test_short_window_rejected(self, four_asset_data):
         _, views = four_asset_data
         returns = np.random.default_rng(2).normal(size=(4, 4)) * 0.01
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValidationError, match=r"^data\.m: .*m > n = 4"):
             gibbs_log_sigma(returns, views, LogSigmaConfig(iters=10, burn=1, seed=1))
 
     def test_omega_hard_floor(self, four_asset_data):
