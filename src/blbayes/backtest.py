@@ -23,7 +23,7 @@ from .errors import BlBayesError, DimensionError, InsufficientDataError, Validat
 from .inverse_wishart import IwConfig, gibbs_augmented, gibbs_nonsquare
 from .log_sigma import LogSigmaConfig, gibbs_log_sigma
 from .original_bl import EquilibriumInputs, bl_posterior, equilibrium_returns, optimal_weights
-from .views import ViewSet
+from .views import ViewSet, check_month_count
 
 log = logging.getLogger(__name__)
 
@@ -98,11 +98,27 @@ class ModelResult:
     daily_curve: list[float] | None = None
 
 
-def historical_covariance(panel: ReturnPanel) -> np.ndarray:
-    hist = panel.historical
-    if hist.shape[0] < 2:
+def check_history(model: str, panel: ReturnPanel, settings: ModelSettings, k: int) -> None:
+    """Raise :class:`~blbayes.errors.InsufficientDataError` if the historical
+    window is too short for ``model`` with k views: ``original`` and the
+    default Sigma0 of the Inverse-Wishart models need two rows for the
+    historical covariance, and ``iw_augmented`` needs the monthly means of
+    :func:`~blbayes.views.check_month_count`. These rules depend on the
+    prices, not on omega, so :func:`run_model` and :func:`run_sweep` each
+    check them once, before any chain runs."""
+    reads_covariance = model == "original" or (
+        model in ("iw_augmented", "iw_nonsquare") and settings.sigma0 is None)
+    if reads_covariance and len(panel.historical) < 2:
         raise InsufficientDataError("need at least 2 historical rows for a covariance")
-    return np.cov(hist, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
+    if model == "iw_augmented":
+        # monthly_means takes the window's whole m-row blocks
+        check_month_count(len(panel.historical) // panel.m, len(panel.tickers), k)
+
+
+def historical_covariance(panel: ReturnPanel) -> np.ndarray:
+    """The covariance of the historical window, of at least two rows
+    (:func:`check_history`)."""
+    return np.cov(panel.historical, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
 
 
 def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, seed: int,
@@ -117,8 +133,10 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     stream id)`` under the one chain config of ``settings``: the
     Inverse-Wishart models run the points as one lock-step batch, the others
     one at a time. Each result is bit for bit that of its point run alone.
-    Only ``original`` and the default Sigma0 of the Inverse-Wishart models
-    read the historical window.
+    Only ``original`` and the Inverse-Wishart models read the historical
+    window (``iw_nonsquare`` only for its default Sigma0), after
+    :func:`check_history`; for a sequence, with the fewest views of its
+    points, which need the most monthly means.
     """
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}; choose from {MODELS}")
@@ -130,6 +148,7 @@ def run_model(model: str, panel: ReturnPanel, views, settings: ModelSettings, se
     n = len(panel.tickers)
     if any(v.n != n for v in points):
         raise DimensionError("views and panel disagree on the number of assets")
+    check_history(model, panel, settings, min(v.k for v in points))
 
     summaries = [None] * len(points)
     if model == "original":
@@ -276,12 +295,15 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     a single batch starts no pool. A point's record does not depend on the
     batch it ran in, so the records, which come back in grid order, do not
     depend on ``workers``. Individual failures are recorded in-row rather
-    than aborting the sweep.
+    than aborting the sweep; a historical window too short for the model
+    (:func:`check_history`) fails every point alike, so it raises before
+    any chain runs.
     """
     if views.k != 2:
         raise ValidationError("views", "the omega sweep needs exactly 2 views")
     if workers < 1:
         raise ValidationError("workers", "must be >= 1")
+    check_history(grid.model, panel, settings, views.k)
     points = list(grid.points())
     workers = min(workers, len(points))
     size, extra = divmod(len(points), workers)

@@ -19,7 +19,12 @@ import numpy as np
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, read_prices
 from .errors import DimensionError, ModelSizeError, NotPositiveDefiniteError, ValidationError
-from .inverse_wishart import check_chain_length, check_default_sigma0, check_sigma_mean
+from .inverse_wishart import (
+    check_chain_length,
+    check_default_sigma0,
+    check_nu,
+    check_sigma_mean,
+)
 from .linalg import require_spd
 from .log_sigma import check_asset_count, check_scatter_rows
 from .sampling import fits_seed
@@ -162,8 +167,6 @@ class RunConfig:
         nu = doc.get("nu")
         if nu is not None:
             nu = _number(nu, "nu")
-            if nu <= n - 1:
-                raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
         sigma0 = doc.get("sigma0")
         if sigma0 is not None:
             if not isinstance(sigma0, list) or len(sigma0) != n:
@@ -175,7 +178,8 @@ class RunConfig:
                 sigma0 = require_spd(sigma0)
             except (DimensionError, NotPositiveDefiniteError) as exc:
                 raise ValidationError("sigma0", str(exc)) from exc
-        if model in ("iw_augmented", "iw_nonsquare") and nu is not None:  # n + 2 passes both
+        if model in ("iw_augmented", "iw_nonsquare") and nu is not None:  # n + 2 passes all
+            check_nu(n, nu)
             if sigma0 is None:
                 check_default_sigma0(n, nu)
             check_sigma_mean(n, m, nu)

@@ -4,20 +4,24 @@ Streams are keyed by ``(seed, stream_id)``: the same pair always replays the
 same sequence, and distinct stream ids give statistically independent
 sequences, so parallel tasks each own one stream (stream_id = task index).
 :func:`rng_stream` returns a stream as a plain ``numpy.random.Generator``,
-and every sampler here takes one Generator, or a list of G for a batch.
+and every sampler here draws from one Generator, or from a list of G for a
+batch; the Inverse-Wishart draw takes a Bartlett factor instead.
 
 The Inverse Wishart is parameterized by the density exponent
 ``det(X)^-(nu+n+1)/2 * exp(-tr(scale @ X^-1)/2)`` — i.e. ``nu`` is the
 degrees of freedom that appears in the conjugate covariance posterior, and
 ``E[X] = scale / (nu - n - 1)`` when ``nu > n + 1``. Conventions for this
-family vary between texts; this one is pinned here on purpose. A draw is
-returned as its inverse and log det, from the one Bartlett factor and one
-solve: the chains need only those, so the draw itself is never formed. The
-multivariate normal is given by its precision, the form in which every
-sampler's normal conditional arises, and is drawn with that precision's one
-Cholesky factor and one solve. Both samplers also draw for a batch of chains
-stacked along a leading axis, each from its own stream, and a chain's draw
-does not depend on the batch it is drawn in. Every kernel here is numpy-only.
+family vary between texts; this one is pinned here on purpose. The Bartlett
+factors depend on nothing but ``dof`` and ``n``, so a chain draws them ahead
+of time, a block of many with two vectorised calls
+(:func:`bartlett_factors`). A draw is returned as its inverse and log det,
+from one such factor and one solve: the chains need only those, so the draw
+itself is never formed. The multivariate normal is given by its precision,
+the form in which every sampler's normal conditional arises, and is drawn
+with that precision's one Cholesky factor and one solve. Both draws also
+serve a batch of chains stacked along a leading axis, each chain's
+variates from its own stream, and a chain's draw does not depend on the
+batch it is drawn in. Every kernel here is numpy-only.
 """
 
 from __future__ import annotations
@@ -98,72 +102,71 @@ def _strict_lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, k=-1)
 
 
-def _bartlett_factor(dof: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular Bartlett factor: chi on the diagonal, normals below.
+def bartlett_factors(dof: float, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` lower-triangular Bartlett factors of Wishart(dof) draws, as a
+    ``(count, n, n)`` stack: chi on the diagonal, with ``dof - i`` degrees of
+    freedom in row i, and standard normals below it (Smith & Hocking 1972).
 
-    Draw order is fixed (the n chi-squares with dof, dof-1, ... first, then
-    the strictly-lower block row-major) so a stream replays identically.
-    The chi-squares are scalar calls: one ``chisquare(dof - arange(n))``
-    draws the same stream but validates its parameter array at about twice
-    the cost of the loop at n = 4.
+    Two calls draw the whole block: first the ``count * n`` chi-squares,
+    factor by factor, then the ``count * n(n-1)/2`` normals, each factor's
+    strict lower triangle row-major, so a stream replays identically. Needs
+    ``dof > n - 1``.
     """
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, i] = math.sqrt(rng.chisquare(dof - i))
+    if dof <= n - 1:
+        raise DegreesOfFreedomError(
+            f"Inverse Wishart needs dof > n-1 = {n - 1}, got {dof}"
+        )
+    factors = np.zeros((count, n, n))
+    factors.reshape(count, n * n)[:, ::n + 1] = np.sqrt(
+        rng.chisquare(dof - np.arange(n), size=(count, n)))
     rows, cols = _strict_lower_indices(n)
-    a[rows, cols] = rng.standard_normal(rows.size)
-    return a
+    factors[:, rows, cols] = rng.standard_normal((count, rows.size))
+    return factors
 
 
-def sample_inverse_wishart(dof: float, scale, rng):
+def sample_inverse_wishart(scale, factor):
     """One draw ``Sigma`` from the Inverse Wishart with the density pinned
-    above, returned as its inverse and log det: ``(Sigma^-1, log det Sigma)``.
-    ``Sigma`` itself is never formed; a caller that needs it takes
-    ``inv(Sigma^-1)``.
+    above, given a Bartlett factor ``A`` of :func:`bartlett_factors` (whose
+    ``dof`` it takes), returned as its inverse and log det:
+    ``(Sigma^-1, log det Sigma)``. ``Sigma`` itself is never formed; a caller
+    that needs it takes ``inv(Sigma^-1)``.
 
-    ``Sigma^-1`` is a Wishart(dof, scale^-1) Bartlett draw. With
-    ``scale = L L'`` and Bartlett factor ``A``, ``Sigma^-1 = N N'`` for
-    ``N = L^-T A``, one solve; neither ``scale^-1`` nor an inverse of the
-    draw is formed, and ``log det Sigma = 2 sum log(diag L / diag A)``. Logs
-    the condition warning of :func:`~blbayes.linalg.warn_condition` for the
-    draw, estimated from Rayleigh quotients of ``Sigma^-1``, which all lie
-    between its extreme eigenvalues. At ``x = e_i`` the quotient is
-    ``(Sigma^-1)_ii``; at ``x = L e_i`` it is
-    ``r_i = ||A_i,:||^2 / ||L_:,i||^2``, as ``N' L e_i = A' e_i``. So
+    ``Sigma^-1`` is the Wishart(dof, scale^-1) Bartlett draw. With
+    ``scale = L L'``, ``Sigma^-1 = N N'`` for ``N = L^-T A``, one solve;
+    neither ``scale^-1`` nor an inverse of the draw is formed, and
+    ``log det Sigma = 2 sum log(diag L / diag A)``. Logs the condition
+    warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
+    from Rayleigh quotients of ``Sigma^-1``, which all lie between its
+    extreme eigenvalues. At ``x = e_i`` the quotient is ``(Sigma^-1)_ii``; at
+    ``x = L e_i`` it is ``r_i = ||A_i,:||^2 / ||L_:,i||^2``, as
+    ``N' L e_i = A' e_i``. So
     ``cond(Sigma) = cond(Sigma^-1) >= max(max diag Sigma^-1, max r) / min r``,
     the estimate, from the squared row norms of ``A`` and column norms of
     ``L``.
 
-    A batch of G chains with a common ``dof`` passes ``scale`` as
-    ``(G, n, n)`` and ``rng`` as G streams, and gets a ``(G, n, n)`` stack and
-    a list of G log dets back; each chain draws its Bartlett factor from its
-    own stream, and its draw is bit for bit the draw of its slice alone. The
-    condition warning is per chain.
+    A batch of G chains passes ``scale`` and ``factor`` as ``(G, n, n)``
+    stacks, each chain's factor drawn from its own stream, and gets a
+    ``(G, n, n)`` stack and a list of G log dets back; each chain's draw is
+    bit for bit the draw of its slices alone. The condition warning is per
+    chain.
     """
     scale = np.asarray(scale, dtype=float)
     batch = scale.ndim == 3
-    if scale.ndim not in (2, 3) or (batch and len(rng) != len(scale)):
+    if scale.ndim not in (2, 3) or factor.shape != scale.shape:
         raise DimensionError(
-            f"sample_inverse_wishart: {len(rng) if batch else 1} streams for scale {scale.shape}"
-        )
-    n = scale.shape[-1]
-    if dof <= n - 1:
-        raise DegreesOfFreedomError(
-            f"Inverse Wishart needs dof > n-1 = {n - 1}, got {dof}"
+            f"sample_inverse_wishart: factor {factor.shape} does not match scale {scale.shape}"
         )
     try:
         chol = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("sample_inverse_wishart: scale is not SPD") from exc
-    a = (np.array([_bartlett_factor(dof, n, r) for r in rng]) if batch
-         else _bartlett_factor(dof, n, rng))
-    n_factor = np.linalg.solve(chol.swapaxes(-1, -2), a)
+    n_factor = np.linalg.solve(chol.swapaxes(-1, -2), factor)
     sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
     # Python floats: numpy's reductions, log and sum of an n-vector cost
     # more than the n scalar operations at the sizes the chains use
     diagonals = (sigma_inv.diagonal(0, -2, -1).tolist(),
-                 ((a * a).sum(-1) / (chol * chol).sum(-2)).tolist(),
-                 (chol.diagonal(0, -2, -1) / a.diagonal(0, -2, -1)).tolist())
+                 ((factor * factor).sum(-1) / (chol * chol).sum(-2)).tolist(),
+                 (chol.diagonal(0, -2, -1) / factor.diagonal(0, -2, -1)).tolist())
     log_det = []
     for d_inv, rayleigh, ratio in zip(*diagonals) if batch else [diagonals]:
         warn_condition("Sigma draw", max(max(d_inv), max(rayleigh)) / min(rayleigh))

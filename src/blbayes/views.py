@@ -141,6 +141,15 @@ def augment_to_invertible(p) -> np.ndarray:
     return np.vstack([p, stack[k:]])
 
 
+def check_month_count(months: int, n: int, k: int) -> None:
+    """The estimated block of ``Omega*`` (:func:`build_transformed_hyperparams`)
+    is SPD only from ``max(2, n - k + 1)`` monthly means, for n assets and k
+    views."""
+    need = max(2, n - k + 1)
+    if months < need:
+        raise InsufficientDataError(f"need at least {need} monthly mean vectors, got {months}")
+
+
 def build_transformed_hyperparams(p_star, q, omega, monthly_means):
     """Build (q*, Omega*), the prior ``P* mu ~ N(q*, Omega*)`` of the
     augmented-views model, for the n-by-n ``p_star`` of
@@ -153,7 +162,7 @@ def build_transformed_hyperparams(p_star, q, omega, monthly_means):
     are overwritten with q and the top-left k-by-k block of Omega* with the
     investor's Omega. With ``C12`` the cross block and ``C22`` the estimated
     block, that is SPD exactly when C22 is, which takes at least
-    ``max(2, n - k + 1)`` monthly means, and
+    ``max(2, n - k + 1)`` monthly means (:func:`check_month_count`), and
     ``rho = |L_Omega^-1 C12 L22^-T|_2^2 < 1`` (Schur complement; the ``L``
     are Cholesky factors). When ``rho >= 1 - 1e-6``, both cross blocks are
     scaled by ``sqrt((1 - 1e-6) / rho)`` (logged), which keeps Omega and C22
@@ -172,11 +181,7 @@ def build_transformed_hyperparams(p_star, q, omega, monthly_means):
         raise DimensionError(
             f"monthly means must be (num_months, {n}), got {means.shape}"
         )
-    need = max(2, n - k + 1)  # an SPD estimated block needs n - k + 1 months
-    if means.shape[0] < need:
-        raise InsufficientDataError(
-            f"need at least {need} monthly mean vectors, got {means.shape[0]}"
-        )
+    check_month_count(means.shape[0], n, k)
 
     mu_hat = means.mean(axis=0)
     var_mu = np.cov(means, rowvar=False, ddof=1).reshape(n, n)

@@ -322,7 +322,7 @@ def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg
     transformed = returns_current @ p_star.T
     [mu_star_draws], [sigma_star_mean], [log_dets], [accepts] = gibbs_chain(
         transformed, [(np.eye(p_star.shape[0]), q_star, omega_star)], cfg, [0],
-        _iw_step(transformed, cfg.nu, sigma0_star),
+        _iw_step(transformed, cfg.nu, sigma0_star, cfg.iters),
     )
     mu_draws = mu_star_draws @ p_star_inv.T
     sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)

@@ -238,22 +238,20 @@ class TestSweep:
 
     def test_failed_chain_reruns_its_batch_point_by_point(self, sweep_inputs, monkeypatch,
                                                          tmp_path):
-        # the chain on stream 1 draws a NaN covariance: its batch fails, and
-        # its points run again one at a time, so that point records the
-        # error of an unbatched run and the other points stay ok
+        # the chain on stream 1 draws NaN Bartlett factors, so a NaN
+        # covariance: its batch fails, and its points run again one at a
+        # time, so that point records the error of an unbatched run and the
+        # other points stay ok
         panel, views, settings = sweep_inputs
-        original = inverse_wishart.sample_inverse_wishart
+        original = inverse_wishart.bartlett_factors
 
-        def poisoned(dof, scale, rng):
-            sigma_inv, log_det = original(dof, scale, rng)
-            # a batch of one draws on its one stream, a larger batch on a list
-            if isinstance(rng, list):
-                sigma_inv[[g.bit_generator.seed_seq.spawn_key == (1,) for g in rng]] = np.nan
-            elif rng.bit_generator.seed_seq.spawn_key == (1,):
-                sigma_inv[...] = np.nan
-            return sigma_inv, log_det
+        def poisoned(dof, n, count, rng):
+            factors = original(dof, n, count, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                factors[...] = np.nan
+            return factors
 
-        monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", poisoned)
+        monkeypatch.setattr(inverse_wishart, "bartlett_factors", poisoned)
         chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_nonsquare")
         grid = SweepGrid((1e-5, 1e-4), (1e-5, 1e-4), "iw_nonsquare", base_seed=6)
         batched = run_sweep(grid, panel, views, settings, workers=1)

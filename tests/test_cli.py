@@ -225,9 +225,9 @@ class TestRun:
         draw = inverse_wishart.sample_inverse_wishart
         calls = []
 
-        def failing(*args, **kwargs):
+        def failing(scale, factor):
             calls.append(1)
-            sigma_inv, log_det = draw(*args, **kwargs)
+            sigma_inv, log_det = draw(scale, factor)
             return (sigma_inv * np.nan if len(calls) == 6 else sigma_inv), log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", failing)
@@ -465,6 +465,23 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--grid", str(grid),
                      "--workers", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_workers_do_not_change_bytes_across_factor_blocks(self, demo_dir, tmp_path):
+        # chains that refill their Bartlett factors twice, in batches of
+        # three points, two and one (one worker), and one point each
+        block = inverse_wishart.BLOCK
+        cfg = write_config(tmp_path, small_config(demo_dir, iters=2 * block + 3, burn=block))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4, 5e-4, 1e-3], "omega2": [1e-4],
+                                    "base_seed": 4}))
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["sweep", "--config", str(cfg), "--grid", str(grid),
+                         "--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0].count(b",ok,") == 3
+        assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
     def test_out_of_range_base_seed_exit_2(self, demo_dir, tmp_path, capsys, base_seed):
@@ -722,6 +739,26 @@ class TestHistoryUse:
         assert capsys.readouterr().err == (
             "error: need at least 2 historical rows for a covariance\n")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("model, m, message", [
+        ("iw_augmented", 400, "need at least 3 monthly mean vectors, got 1"),
+        ("original", 1040, "need at least 2 historical rows for a covariance"),
+        ("iw_nonsquare", 1040, "need at least 2 historical rows for a covariance"),
+    ], ids=["iw_augmented-one-month", "original-one-row", "iw_nonsquare-one-row"])
+    def test_short_history_exit_2_before_any_chain(self, demo_dir, tmp_path, capsys,
+                                                   monkeypatch, command, model, m, message):
+        # a rule of the prices, not of omega: a sweep fails as a whole, as
+        # the run does, with one error line and no CSV, and runs no chain
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        doc = small_config(demo_dir, model)
+        doc["data"]["m"] = m
+        extra = ["--grid", str(demo_dir / "grid_small.json")] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), *extra,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert chains == [] and not out.exists()
+
 
 class TestConfigRules:
     """Every rule the config document alone decides exits 2 naming its
@@ -733,7 +770,9 @@ class TestConfigRules:
         ("iw_augmented", {"nu": 4.0, "sigma0": (1e-4 * np.eye(4)).tolist()}, 1,
          "data.m: the posterior mean of Sigma needs nu + m > n + 1 = 5"),
         ("log_sigma", {}, 4, "data.m: the log-covariance model needs m > n = 4"),
-    ], ids=["iw-nu-without-sigma0", "iw-nu-plus-m", "log_sigma-m"])
+        ("iw_augmented", {"nu": 0.5, "sigma0": (1e-4 * np.eye(4)).tolist()}, None,
+         "nu: must exceed n-1 = 3"),
+    ], ids=["iw-nu-without-sigma0", "iw-nu-plus-m", "log_sigma-m", "iw-nu-below-n-1"])
     def test_rule_exit_2_before_prices(self, demo_dir, tmp_path, capsys, monkeypatch,
                                        command, model, overrides, m, field):
         calls = count_engine_calls(monkeypatch, data, "ingest_prices")
@@ -747,6 +786,20 @@ class TestConfigRules:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("model", ["log_sigma", "original"])
+    def test_unused_nu_is_not_checked(self, demo_dir, tmp_path, command, model):
+        # nu belongs to the Inverse-Wishart prior; the other models ignore it
+        doc = small_config(demo_dir, model, nu=0.5)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), *extra,
+                     "--out", str(out)]) == 0
+        if command == "sweep":
+            assert out.read_text().count(",ok,") == 1
 
     @pytest.mark.parametrize("field", ["data.m", "iters", "burn", "seed", "base_seed"])
     def test_boolean_integer_exit_2(self, demo_dir, tmp_path, capsys, field):

@@ -14,7 +14,7 @@ from blbayes.errors import (
     ParameterError,
 )
 from blbayes.sampling import (
-    _bartlett_factor,
+    bartlett_factors,
     rng_stream,
     sample_inverse_gamma,
     sample_inverse_wishart,
@@ -22,6 +22,16 @@ from blbayes.sampling import (
 )
 from conftest import random_spd
 from oracles import mvn_two_solves
+
+
+def one_factor(dof, n, rng):
+    """The Bartlett factor of one draw: a block of one."""
+    return bartlett_factors(dof, n, 1, rng)[0]
+
+
+def factor_stack(dof, n, streams):
+    """One Bartlett factor from each stream, stacked: the factors of a batch."""
+    return np.array([one_factor(dof, n, r) for r in streams])
 
 
 class TestDeterminism:
@@ -38,8 +48,8 @@ class TestDeterminism:
 
     def test_inverse_wishart_replays(self):
         psi = random_spd(np.random.default_rng(0), 3)
-        a_inv, a_log_det = sample_inverse_wishart(7.5, psi, rng_stream(9))
-        b_inv, b_log_det = sample_inverse_wishart(7.5, psi, rng_stream(9))
+        a_inv, a_log_det = sample_inverse_wishart(psi, one_factor(7.5, 3, rng_stream(9)))
+        b_inv, b_log_det = sample_inverse_wishart(psi, one_factor(7.5, 3, rng_stream(9)))
         np.testing.assert_array_equal(a_inv, b_inv)
         assert a_log_det == b_log_det
 
@@ -181,9 +191,9 @@ class TestInverseWishart:
     def test_scalar_mean_matches_inverse_gamma(self):
         # n=1, dof=5, scale=3: mean 3/(5-1-1) = 1, and the marginal is the
         # inverse gamma with shape dof/2, scale 3/2
-        rng = rng_stream(200)
-        draws = np.array([np.linalg.inv(sample_inverse_wishart(5.0, [[3.0]], rng)[0])[0, 0]
-                          for _ in range(100_000)])
+        factors = bartlett_factors(5.0, 1, 100_000, rng_stream(200))
+        draws = np.array([np.linalg.inv(sample_inverse_wishart([[3.0]], a)[0])[0, 0]
+                          for a in factors])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = rng_stream(200, 77)
         ig = np.array([sample_inverse_gamma(2.5, 1.5, ig_rng) for _ in range(100_000)])
@@ -192,28 +202,26 @@ class TestInverseWishart:
     def test_matrix_mean(self):
         psi = np.array([[2.0, 0.4, 0.0], [0.4, 1.5, -0.2], [0.0, -0.2, 1.0]])
         dof = 9.0
-        rng = rng_stream(201)
         acc = np.zeros((3, 3))
         n_draws = 20_000
-        for _ in range(n_draws):
-            acc += np.linalg.inv(sample_inverse_wishart(dof, psi, rng)[0])
+        for a in bartlett_factors(dof, 3, n_draws, rng_stream(201)):
+            acc += np.linalg.inv(sample_inverse_wishart(psi, a)[0])
         mean = acc / n_draws
         expected = psi / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
 
     def test_output_spd_and_symmetric(self):
-        rng = rng_stream(202)
-        for _ in range(200):
-            x_inv, _ = sample_inverse_wishart(6.0, random_spd(np.random.default_rng(3), 4), rng)
+        for a in bartlett_factors(6.0, 4, 200, rng_stream(202)):
+            x_inv, _ = sample_inverse_wishart(random_spd(np.random.default_rng(3), 4), a)
             assert np.array_equal(x_inv, x_inv.T)
             assert np.linalg.eigvalsh(x_inv)[0] > 0
 
     def test_dof_error(self):
         with pytest.raises(DegreesOfFreedomError):
-            sample_inverse_wishart(1.5, np.eye(3), rng_stream(1))
+            bartlett_factors(1.5, 3, 1, rng_stream(1))
 
     def test_non_integer_dof_accepted(self):
-        x_inv, log_det = sample_inverse_wishart(4.7, np.eye(2), rng_stream(3))
+        x_inv, log_det = sample_inverse_wishart(np.eye(2), one_factor(4.7, 2, rng_stream(3)))
         assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -222,11 +230,10 @@ class TestInverseWishart:
         # integer-dof sums of outer products (independent construction).
         psi = np.array([[1.5, 0.4], [0.4, 1.0]])
         dof = 7
-        rng = rng_stream(203)
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
-        for i in range(n_draws):
-            x_inv, _ = sample_inverse_wishart(float(dof), psi, rng)
+        for i, a in enumerate(bartlett_factors(float(dof), 2, n_draws, rng_stream(203))):
+            x_inv, _ = sample_inverse_wishart(psi, a)
             logdet_inv[i] = np.linalg.slogdet(x_inv)[1]
 
         gen = np.random.default_rng(204)
@@ -241,43 +248,60 @@ class TestInverseWishart:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_inverse(self, n):
         # the draw is Sigma = M'M with M = A^-1 L', from the Bartlett factor A
-        # that a twin stream replays and the scale's Cholesky factor L
-        rng, twin = rng_stream(205, n), rng_stream(205, n)
-        for k in range(50):
+        # and the scale's Cholesky factor L
+        for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(205, n))):
             scale = random_spd(np.random.default_rng(k), n)
-            sigma_inv, _ = sample_inverse_wishart(n + 4.5, scale, rng)
-            m_factor = np.linalg.solve(_bartlett_factor(n + 4.5, n, twin),
-                                       np.linalg.cholesky(scale).T)
+            sigma_inv, _ = sample_inverse_wishart(scale, a)
+            m_factor = np.linalg.solve(a, np.linalg.cholesky(scale).T)
             sigma = m_factor.T @ m_factor
             assert np.array_equal(sigma_inv, sigma_inv.T)
             np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_log_det(self, n):
-        rng = rng_stream(207, n)
-        for k in range(50):
+        for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(207, n))):
             scale = random_spd(np.random.default_rng(k), n)
-            sigma_inv, log_det = sample_inverse_wishart(n + 4.5, scale, rng)
+            sigma_inv, log_det = sample_inverse_wishart(scale, a)
             sign, expected = np.linalg.slogdet(np.linalg.inv(sigma_inv))
             assert sign == 1.0
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_bartlett_factor_equals_loop_oracle(self, n):
-        def oracle(dof, n, rng):
-            a = np.zeros((n, n))
-            for i in range(n):
-                a[i, i] = np.sqrt(rng.chisquare(dof - i))
-            if n > 1:
-                idx = np.tril_indices(n, k=-1)
-                a[idx] = rng.standard_normal(len(idx[0]))
+        # the block is drawn as by scalar calls: every factor's chi-squares
+        # in order, then every factor's normals, row by row below the diagonal
+        def oracle(dof, n, count, rng):
+            a = np.zeros((count, n, n))
+            for k in range(count):
+                for i in range(n):
+                    a[k, i, i] = np.sqrt(rng.chisquare(dof - i))
+            for k in range(count):
+                for i in range(n):
+                    for j in range(i):
+                        a[k, i, j] = rng.standard_normal()
             return a
 
         for dof in (n + 0.3, n + 2.0, 61.7):
             fast, slow = rng_stream(206, n), rng_stream(206, n)
-            for _ in range(5):
-                assert np.array_equal(_bartlett_factor(dof, n, fast), oracle(dof, n, slow))
+            for count in (1, 5, 2):
+                assert np.array_equal(bartlett_factors(dof, n, count, fast),
+                                      oracle(dof, n, count, slow))
             assert fast.random() == slow.random()
+
+    def test_bartlett_factors_law(self):
+        # diagonal^2 ~ chi-square(dof - i), strict lower triangle N(0, 1),
+        # upper triangle exactly 0
+        dof, n, count = 6.5, 4, 20_000
+        a = bartlett_factors(dof, n, count, rng_stream(208))
+        assert a.shape == (count, n, n)
+        for i in range(n):
+            p = stats.kstest(a[:, i, i] ** 2, stats.chi2(dof - i).cdf).pvalue
+            assert p > 0.001, i
+        rows, cols = np.tril_indices(n, k=-1)
+        lower = a[:, rows, cols]
+        for j in range(lower.shape[1]):
+            assert stats.kstest(lower[:, j], stats.norm.cdf).pvalue > 0.001, j
+        assert (a[:, cols, rows] == 0.0).all()
 
 
 class TestSigmaDrawConditionWarning:
@@ -286,7 +310,8 @@ class TestSigmaDrawConditionWarning:
         q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0] if rotate else np.eye(2)
         scale = (q * eigvals) @ q.T
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            return sample_inverse_wishart(12.0, 0.5 * (scale + scale.T), rng_stream(7))
+            return sample_inverse_wishart(0.5 * (scale + scale.T),
+                                          one_factor(12.0, 2, rng_stream(7)))
 
     @pytest.mark.parametrize("rotate", [True, False])
     def test_ill_conditioned_scale_warns(self, caplog, rotate):
@@ -314,8 +339,8 @@ class TestSigmaDrawConditionWarning:
         for _ in range(200):
             q = np.linalg.qr(gen.normal(size=(n, n)))[0]
             scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
-            sigma_inv, _ = sample_inverse_wishart(n + gen.uniform(0.5, 10.0),
-                                                  0.5 * (scale + scale.T), rng)
+            sigma_inv, _ = sample_inverse_wishart(0.5 * (scale + scale.T),
+                                                  one_factor(n + gen.uniform(0.5, 10.0), n, rng))
             cond = np.linalg.cond(np.linalg.inv(sigma_inv))
             assert estimates[-1] <= cond
             shares.append(estimates[-1] / cond)
@@ -337,11 +362,11 @@ class TestBatch:
         gen = np.random.default_rng(310 + n)
         scale = np.array([random_spd(gen, n) for _ in range(g_count)])
         batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
-        sigma_inv, log_det = sample_inverse_wishart(n + 2.5, scale, batch)
+        sigma_inv, log_det = sample_inverse_wishart(scale, factor_stack(n + 2.5, n, batch))
         assert sigma_inv.shape == (g_count, n, n)
         assert len(log_det) == g_count
         for g in range(g_count):
-            s_inv, ld = sample_inverse_wishart(n + 2.5, scale[g], alone[g])
+            s_inv, ld = sample_inverse_wishart(scale[g], one_factor(n + 2.5, n, alone[g]))
             assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
@@ -367,8 +392,8 @@ class TestBatch:
         stack = np.tile(np.eye(2), (3, 1, 1))
         with pytest.raises(DimensionError, match="2 streams for 3 chains"):
             sample_mvn(np.zeros((3, 2)), precision=stack, rng=self.streams(2, 1))
-        with pytest.raises(DimensionError, match="2 streams"):
-            sample_inverse_wishart(5.0, stack, self.streams(2, 1))
+        with pytest.raises(DimensionError, match=r"factor \(2, 2, 2\) does not match"):
+            sample_inverse_wishart(stack, factor_stack(5.0, 2, self.streams(2, 1)))
 
     def test_condition_warnings_are_per_chain(self, caplog):
         # of three chains only the middle one is ill-conditioned, and only
@@ -377,7 +402,7 @@ class TestBatch:
         ill = (q * [1.0, 1e-12]) @ q.T
         stack = np.array([np.eye(2), 0.5 * (ill + ill.T), 2.0 * np.eye(2)])
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_inverse_wishart(12.0, stack, self.streams(3, 7))
+            sample_inverse_wishart(stack, factor_stack(12.0, 2, self.streams(3, 7)))
             sample_mvn(np.ones((3, 2)), precision=stack, rng=self.streams(3, 8), name="probe")
         assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
 
