@@ -267,7 +267,7 @@ class TestInverseWishart:
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_bartlett_factor_equals_loop_oracle(self, n):
+    def test_bartlett_block_equals_loop_oracle(self, n):
         # the block is drawn as by scalar calls: every factor's chi-squares
         # in order, then every factor's normals, row by row below the diagonal
         def oracle(dof, n, count, rng):
@@ -288,7 +288,7 @@ class TestInverseWishart:
                                       oracle(dof, n, count, slow))
             assert fast.random() == slow.random()
 
-    def test_bartlett_factors_law(self):
+    def test_bartlett_block_law(self):
         # diagonal^2 ~ chi-square(dof - i), strict lower triangle N(0, 1),
         # upper triangle exactly 0
         dof, n, count = 6.5, 4, 20_000
