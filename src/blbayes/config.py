@@ -18,14 +18,14 @@ import numpy as np
 
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, read_prices
-from .errors import DimensionError, ModelSizeError, NotPositiveDefiniteError, ValidationError
+from .errors import ModelSizeError, ValidationError
 from .inverse_wishart import (
     check_chain_length,
     check_default_sigma0,
     check_nu,
+    check_sigma0,
     check_sigma_mean,
 )
-from .linalg import require_spd
 from .log_sigma import check_asset_count, check_scatter_rows
 from .sampling import fits_seed
 from .views import ViewSet
@@ -174,15 +174,14 @@ class RunConfig:
             sigma0 = np.array([_number_list(r, f"sigma0[{i}]") for i, r in enumerate(sigma0)])
             if sigma0.shape != (n, n):
                 raise ValidationError("sigma0", f"expected an {n}x{n} matrix")
-            try:
-                sigma0 = require_spd(sigma0)
-            except (DimensionError, NotPositiveDefiniteError) as exc:
-                raise ValidationError("sigma0", str(exc)) from exc
-        if model in ("iw_augmented", "iw_nonsquare") and nu is not None:  # n + 2 passes all
-            check_nu(n, nu)
-            if sigma0 is None:
-                check_default_sigma0(n, nu)
-            check_sigma_mean(n, m, nu)
+        if model in ("iw_augmented", "iw_nonsquare"):  # the models nu and sigma0 belong to
+            if sigma0 is not None:
+                sigma0 = check_sigma0(sigma0)
+            if nu is not None:  # n + 2 passes all
+                check_nu(n, nu)
+                if sigma0 is None:
+                    check_default_sigma0(n, nu)
+                check_sigma_mean(n, m, nu)
 
         iters = _get(doc, "iters", int, "iters", required=False, default=10_000)
         burn = _get(doc, "burn", int, "burn", required=False, default=1_000)

@@ -1,41 +1,59 @@
 """Gibbs samplers for the Inverse-Wishart covariance prior.
 
-Two variants run the same asset-space chain and differ only in the views
-on the mean:
+Two variants run the same chain and differ only in the views on the mean:
 
 * ``gibbs_augmented`` augments P to an invertible square P* and puts the
   prior ``(q*, Omega*)`` on ``P* mu``;
 * ``gibbs_nonsquare`` keeps the investor's ``(P, q, Omega)`` untouched.
 
 A chain alternates one covariance draw (Inverse Wishart) with one mean draw
-(multivariate normal). The point estimate of mu is the post-burn mean of its
-draws; that of Sigma is the post-burn mean of its conditional mean
+(multivariate normal). It runs in whitened coordinates: ``A = Sigma0 +`` the
+returns' centred scatter is fixed for the whole chain, so its Cholesky factor
+``L`` is taken once, and with ``y = L^-1 (mu - rbar)`` each covariance draw
+has the scale ``I + m y y'``, whose inverse square root has a closed form.
+So an iteration factors one matrix, mu's conditional precision, and solves
+one system; the mu draws and the Sigma estimate are mapped back to asset
+space once, after the chain. The point estimate of mu is the post-burn mean
+of its draws; that of Sigma is the post-burn mean of its conditional mean
 ``E[Sigma | mu, data]`` given each mu draw, a Rao-Blackwellised estimate with
 the same expectation as the draws' mean and less variance (Gelfand & Smith
 1990; Casella & Robert 1996). The loop itself, :func:`gibbs_chain`, is
 shared with the log-covariance sampler, which supplies its own covariance
 step. Every covariance step returns the inverse of its draw and its log det,
-computed from the factor the step already holds, so the loop neither
-inverts nor factors a drawn covariance, and the Inverse-Wishart step never
-forms the draw at all. The mean draw takes its conditional in precision
-form and factors that precision once, so no matrix is inverted in the loop.
-Both samplers run G view sets under one :class:`IwConfig` with G stream ids
-as one batch of chains in lock step, and each summary is bit for bit that
-of its chain run alone. The loop keeps each chain's every mu draw, log det
-and accept flag, and the summary carries them; no sampler writes a file.
+so the loop neither inverts nor factors a drawn covariance, and the
+Inverse-Wishart step never forms the draw at all. The mean draw takes its
+conditional in precision form and factors that precision once, so no matrix
+is inverted in the loop. Both samplers run G view sets under one
+:class:`IwConfig` with G stream ids as one batch of chains in lock step,
+and each summary is bit for bit that of its chain run alone. The loop keeps
+each chain's every mu draw, log det and accept flag, and the summary
+carries them; no sampler writes a file.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import summarize_mu_sigma
-from .errors import ChainError, DimensionError, InsufficientDataError, ValidationError
-from .linalg import centred_scatter, require_spd, scatter_about
-from .sampling import bartlett_factors, rng_stream, sample_inverse_wishart, sample_mvn
+from .errors import (
+    ChainError,
+    DimensionError,
+    InsufficientDataError,
+    NotPositiveDefiniteError,
+    ValidationError,
+)
+from .linalg import centred_scatter, require_spd, spd_cholesky, symmetrize
+from .sampling import (
+    bartlett_factors,
+    rng_stream,
+    sample_inverse_wishart,
+    sample_mvn,
+    whitening,
+)
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
 log = logging.getLogger(__name__)
@@ -63,6 +81,16 @@ def check_nu(n: int, nu: float) -> None:
         raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
 
 
+def check_sigma0(sigma0) -> np.ndarray:
+    """The Inverse-Wishart prior scale Sigma0 must be symmetric positive
+    definite (:func:`~blbayes.linalg.require_spd`); returns it exactly
+    symmetric."""
+    try:
+        return require_spd(sigma0)
+    except (DimensionError, NotPositiveDefiniteError) as exc:
+        raise ValidationError("sigma0", str(exc)) from exc
+
+
 def check_default_sigma0(n: int, nu: float) -> None:
     """The default Sigma0 = (nu - n - 1) * historical covariance is SPD only
     if ``nu > n + 1``; a smaller nu needs an explicit sigma0."""
@@ -72,8 +100,9 @@ def check_default_sigma0(n: int, nu: float) -> None:
 
 
 def check_sigma_mean(n: int, m: int, nu: float) -> None:
-    """The Sigma term of an Inverse-Wishart step, the conditional mean
-    ``scale / (nu + m - n - 1)``, exists only if ``nu + m > n + 1``."""
+    """The Sigma estimate of the Inverse-Wishart models, the mean of the
+    conditional means ``scale / (nu + m - n - 1)``, exists only if
+    ``nu + m > n + 1``."""
     if nu + m <= n + 1:
         raise ValidationError("data.m", "the posterior mean of Sigma needs nu + m > n + 1 = "
                               f"{n + 1}, got nu = {nu:g} and m = {m}")
@@ -91,7 +120,7 @@ class IwConfig:
     allow_small_omega: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma0", require_spd(self.sigma0, "Sigma0"))
+        object.__setattr__(self, "sigma0", check_sigma0(self.sigma0))
         check_nu(self.sigma0.shape[0], self.nu)
         check_chain_length(self.iters, self.burn)
 
@@ -129,18 +158,12 @@ def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: 
         )
 
 
-def sigma_conditional(residual_scatter, nu: float, sigma0, m: int):
-    """Inverse-Wishart parameters of the covariance conditional:
-    ``(nu + m, Sigma0 + sum_i (r_i - mu)(r_i - mu)')``, given that symmetric
-    scatter (of one chain, or a stack of them)."""
-    return nu + m, np.asarray(sigma0, dtype=float) + residual_scatter
-
-
-def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
+def gibbs_chain(m: int, rbar, views, cfg, stream_ids, sigma_step):
     """The Gibbs loop every sampler shares: G chains advanced in lock step.
 
-    Chain g has the views ``views[g] = (p, q, omega)`` on its mean and the
-    stream ``(cfg.seed, stream_ids[g])``; ``cfg`` supplies ``iters`` and
+    ``m`` rows of returns with mean ``rbar`` are all the loop reads of the
+    data. Chain g has the views ``views[g] = (p, q, omega)`` on its mean and
+    the stream ``(cfg.seed, stream_ids[g])``; ``cfg`` supplies ``iters`` and
     ``burn``. Every array below has a leading axis of length G and ``rng`` is
     the list of their Generators, except that a batch of one runs on plain
     arrays and one Generator, which spares numpy's overhead on stacks of one.
@@ -150,29 +173,26 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     ``(sigma, sigma_inv, log_det, accepted)``: the Sigma term the loop
     averages, the inverse of the covariance draw, its log det and an accept
     flag. The loop averages whatever the step returns as ``sigma``: the
-    Inverse-Wishart step returns the conditional mean ``E[Sigma | mu, data]``
-    of its draw, the log-covariance step (an MH step, with no closed-form
-    mean) the draw itself. The step logs the "Sigma draw" condition warning.
-    The loop then draws mu from its normal conditional given that covariance
-    and the views: with precision
-    ``m Sigma^-1 + P' Omega^-1 P`` and shift ``m Sigma^-1 rbar + P' Omega^-1 q``,
-    built from ``sigma_inv`` and drawn from the precision's one Cholesky
-    factor with the covariance's Cholesky noise (:func:`sample_mvn` with
-    ``cov_cholesky``).
+    Inverse-Wishart step returns the rank-one term of its scale, from which
+    its caller builds the conditional mean ``E[Sigma | mu, data]``, the
+    log-covariance step (an MH step, with no closed-form mean) the draw
+    itself. The step logs the "Sigma draw" condition warning. The loop then
+    draws mu from its normal conditional given that covariance and the
+    views: with precision ``m Sigma^-1 + P' Omega^-1 P`` and shift
+    ``m Sigma^-1 rbar + P' Omega^-1 q``, built from ``sigma_inv`` and drawn
+    from the precision's one Cholesky factor with the covariance's Cholesky
+    noise (:func:`sample_mvn` with ``cov_cholesky``).
 
     Returns, each with a leading axis of length G: mu draws, the post-burn
     means of the steps' Sigma terms, the steps' log dets as given and their
     accept flags, all but the Sigma means over every iteration.
     """
-    returns = np.asarray(returns, dtype=float)
-    m, n = returns.shape
-    if m < 1:
-        raise InsufficientDataError("the chain needs at least one row of returns")
+    rbar = np.asarray(rbar, dtype=float)
+    n = rbar.size
     count = len(views)
     if count == 0 or len(stream_ids) != count:
         raise DimensionError(f"{count} view sets for {len(stream_ids)} stream ids")
     iters, burn = cfg.iters, cfg.burn
-    rbar = returns.mean(axis=0)
     priors = [view_precision(omega, q, p) for p, q, omega in views]
     prior_prec = np.array([prec for prec, _ in priors])
     prior_vec = np.array([vec for _, vec in priors])
@@ -205,14 +225,16 @@ def gibbs_chain(returns, views, cfg, stream_ids, sigma_step):
     return mu_draws, sigma_sum / (iters - burn), log_dets, accepts
 
 
-def _iw_step(returns, nu: float, sigma0, iters: int):
-    """Covariance step of the Inverse-Wishart models, for one chain or a
-    batch, over a chain of ``iters`` iterations: an exact conditional draw,
-    as its inverse and log det, so every step is accepted. Its Sigma term is
-    the draw's conditional mean ``scale / (nu + m - n - 1)``, which
-    :func:`check_sigma_mean` checks before any chain runs. The returns'
-    centred scatter is computed once; each step adds the rank-one term of its
-    mu (:func:`~blbayes.linalg.scatter_about`).
+def _iw_step(m: int, dof: float, iters: int, white):
+    """Covariance step of the Inverse-Wishart models in whitened
+    coordinates, for one chain or a batch, over a chain of ``iters``
+    iterations. Given ``y = L^-1 (mu - rbar)``, with ``L`` the factor of
+    ``white`` (:func:`~blbayes.sampling.whitening`), the scale
+    ``L^-1 (Sigma0 + sum_i (r_i - mu)(r_i - mu)') L^-T`` is ``I + u u'`` for
+    ``u = sqrt(m) y``. The step makes an exact conditional draw, as its
+    whitened inverse and the log det of Sigma
+    (:func:`~blbayes.sampling.sample_inverse_wishart`), so every step is
+    accepted. Its Sigma term is ``u u'``.
 
     The draw's Bartlett factor depends on nothing in the chain state, so
     each chain draws its factors from its own stream ahead of time, in
@@ -222,13 +244,11 @@ def _iw_step(returns, nu: float, sigma0, iters: int):
     the next block, whether it runs alone or in a batch. The step serves
     one chain run: the streams of its first call supply every block.
     """
-    m, n = returns.shape
-    check_sigma_mean(n, m, nu)
-    mean_dof = nu + m - n - 1
-    rbar, centred = centred_scatter(returns)
+    n = len(white[0])
+    root_m = math.sqrt(m)
     factors = None
 
-    def blocks(dof, rng):
+    def blocks(rng):
         for start in range(0, iters, BLOCK):
             count = min(BLOCK, iters - start)
             if isinstance(rng, list):  # a batch: one block per chain, stacked per iteration
@@ -236,22 +256,33 @@ def _iw_step(returns, nu: float, sigma0, iters: int):
             else:
                 yield from bartlett_factors(dof, n, count, rng)
 
-    def step(mu, rng):
+    def step(y, rng):
         nonlocal factors
-        dof, scale = sigma_conditional(scatter_about(centred, rbar, mu, m), nu, sigma0, m)
         if factors is None:
-            factors = blocks(dof, rng)
-        return scale / mean_dof, *sample_inverse_wishart(scale, next(factors)), True
+            factors = blocks(rng)
+        u = root_m * y
+        return (u[..., :, None] * u[..., None, :],
+                *sample_inverse_wishart(u, next(factors), white), True)
 
     return step
 
 
 def _iw_chain(returns_current, views, cfg, stream_ids, prior):
-    """The asset-space chains both Inverse-Wishart samplers run, one per view
-    set, as one lock-step batch (:func:`gibbs_chain`); returns their
-    summaries in order. ``prior(v)`` validates one view set and returns the
-    views ``(p, q, omega)`` of its chain. The points are validated in order
-    before any chain runs, and the first that fails raises its own error.
+    """The chains both Inverse-Wishart samplers run, one per view set, as
+    one lock-step batch (:func:`gibbs_chain`); returns their summaries in
+    order. ``prior(v)`` validates one view set and returns the views
+    ``(p, q, omega)`` of its chain. The points are validated in order before
+    any chain runs, and the first that fails raises its own error.
+
+    The chains run in the coordinates ``y = L^-1 (mu - rbar)``, whitened by
+    the factor ``L L' = A`` of ``A = Sigma0 +`` the returns' centred scatter,
+    which every chain of the batch shares and which is factored once. There
+    the views are ``(P L, q - P rbar, Omega)`` and the data mean is 0, and
+    each covariance draw is a rank-one update of the identity
+    (:func:`_iw_step`). The mu draws map back as ``rbar + L y``, and the
+    Sigma estimate is ``L (I + mean u u') L' / (nu + m - n - 1)``: the
+    post-burn mean of ``E[Sigma | mu, data] = (A + m (mu - rbar)(mu - rbar)') /
+    (nu + m - n - 1)``, which :func:`check_sigma_mean` checks exists.
     """
     returns_current = np.asarray(returns_current, dtype=float)
     chain_views = []
@@ -260,18 +291,29 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
         if returns_current.shape[1] != p.shape[1]:
             raise DimensionError("returns and views disagree on the number of assets")
         chain_views.append((p, q, omega))
-    chains = gibbs_chain(returns_current, chain_views, cfg, stream_ids,
-                         _iw_step(returns_current, cfg.nu, cfg.sigma0, cfg.iters))
-    return [summarize_mu_sigma(*chain, cfg.burn) for chain in zip(*chains)]
+    m, n = returns_current.shape
+    if m < 1:
+        raise InsufficientDataError("the chain needs at least one row of returns")
+    check_sigma_mean(n, m, cfg.nu)
+    rbar, centred = centred_scatter(returns_current)
+    lower = spd_cholesky(cfg.sigma0 + centred, "Sigma0 + centred scatter")
+    white = whitening(lower)
+    whitened = [(p @ lower, q - p @ rbar, omega) for p, q, omega in chain_views]
+    y_draws, uu_means, log_dets, accepts = gibbs_chain(
+        m, np.zeros(n), whitened, cfg, stream_ids, _iw_step(m, cfg.nu + m, cfg.iters, white))
+    mu_draws = rbar + y_draws @ lower.T
+    sigma_posts = symmetrize(lower @ (np.eye(n) + uu_means) @ lower.T) / (cfg.nu + m - n - 1)
+    return [summarize_mu_sigma(*chain, cfg.burn)
+            for chain in zip(mu_draws, sigma_posts, log_dets, accepts)]
 
 
 def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_ids):
     """Sampler with the augmented views: extend P to an invertible P*, put
     the prior ``(q*, Omega*)`` of
     :func:`~blbayes.views.build_transformed_hyperparams` on ``P* mu``, and
-    run the asset-space chain with the views ``(P*, q*, Omega*)``.
+    run the chain of :func:`gibbs_nonsquare` with the views ``(P*, q*, Omega*)``.
 
-    The chain, ``cfg.sigma0`` and the recorded draws are all in asset space. The
+    ``cfg.sigma0`` and the recorded draws are in asset space. The
     Inverse-Wishart family is closed under congruence, so this is, in law,
     the chain in view space ``P* mu`` mapped back to asset space. A batch
     runs as in :func:`gibbs_nonsquare`.
@@ -285,7 +327,8 @@ def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_id
 
 
 def gibbs_nonsquare(returns_current, views, cfg, stream_ids):
-    """Asset-space sampler with the investor's P unmodified.
+    """Sampler with the investor's P unmodified; its draws are recorded in
+    asset space.
 
     Runs G view sets under one :class:`IwConfig`, point g on the stream
     ``(cfg.seed, stream_ids[g])``, as one lock-step batch, and returns their

@@ -340,6 +340,6 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
         return sigma, sigma_inv, log_det, accepted
 
-    [chain] = zip(*gibbs_chain(returns_current, [(views.p, views.q, views.omega)], cfg,
+    [chain] = zip(*gibbs_chain(m, rbar, [(views.p, views.q, views.omega)], cfg,
                                [stream_id], step))
     return summarize_mu_sigma(*chain, cfg.burn, extra={"ig_scale_floor_hits": floor_hits})

@@ -14,27 +14,30 @@ degrees of freedom that appears in the conjugate covariance posterior, and
 family vary between texts; this one is pinned here on purpose. The Bartlett
 factors depend on nothing but ``dof`` and ``n``, so a chain draws them ahead
 of time, a block of many with two vectorised calls
-(:func:`bartlett_factors`). A draw is returned as its inverse and log det,
-from one such factor and one solve: the chains need only those, so the draw
-itself is never formed. The multivariate normal is given by its precision,
-the form in which every sampler's normal conditional arises, and is drawn
-with that precision's one Cholesky factor and one solve. Both draws also
-serve a batch of chains stacked along a leading axis, each chain's
-variates from its own stream, and a chain's draw does not depend on the
-batch it is drawn in. Every kernel here is numpy-only.
+(:func:`bartlett_factors`). The draw takes its scale in whitened form,
+``L (I + u u') L'`` with ``L`` fixed for the chain (:func:`whitening`), so
+the inverse square root of the scale has a closed form: a draw is one such
+factor updated by a rank-one term, with no factorization and no solve. It is
+returned as its whitened inverse and its log det: the chains need only
+those, so the draw itself is never formed. The multivariate normal is given
+by its precision, the form in which every sampler's normal conditional
+arises, and is drawn with that precision's one Cholesky factor and one
+solve. Both draws also serve a batch of chains stacked along a leading
+axis, each chain's variates from its own stream, and a chain's draw does
+not depend on the batch it is drawn in. Every kernel here is numpy-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
 from .errors import (
     DegreesOfFreedomError,
     DimensionError,
-    NotPositiveDefiniteError,
     ParameterError,
 )
 from .linalg import spd_cholesky, symmetrize, warn_condition
@@ -124,53 +127,71 @@ def bartlett_factors(dof: float, n: int, count: int, rng: np.random.Generator) -
     return factors
 
 
-def sample_inverse_wishart(scale, factor):
-    """One draw ``Sigma`` from the Inverse Wishart with the density pinned
-    above, given a Bartlett factor ``A`` of :func:`bartlett_factors` (whose
-    ``dof`` it takes), returned as its inverse and log det:
-    ``(Sigma^-1, log det Sigma)``. ``Sigma`` itself is never formed; a caller
-    that needs it takes ``inv(Sigma^-1)``.
+def whitening(lower) -> tuple[np.ndarray, np.ndarray, list[float], float]:
+    """What :func:`sample_inverse_wishart` needs of its whitening factor, a
+    lower Cholesky factor ``L``, made once per batch of chains: ``(L, L^-1, the
+    squared column norms of L, 2 log det L)``."""
+    lower = np.asarray(lower, dtype=float)
+    return (lower, np.linalg.inv(lower), (lower * lower).sum(0).tolist(),
+            2.0 * sum(map(math.log, lower.diagonal().tolist())))
 
-    ``Sigma^-1`` is the Wishart(dof, scale^-1) Bartlett draw. With
-    ``scale = L L'``, ``Sigma^-1 = N N'`` for ``N = L^-T A``, one solve;
-    neither ``scale^-1`` nor an inverse of the draw is formed, and
-    ``log det Sigma = 2 sum log(diag L / diag A)``. Logs the condition
-    warning of :func:`~blbayes.linalg.warn_condition` for the draw, estimated
-    from Rayleigh quotients of ``Sigma^-1``, which all lie between its
-    extreme eigenvalues. At ``x = e_i`` the quotient is ``(Sigma^-1)_ii``; at
-    ``x = L e_i`` it is ``r_i = ||A_i,:||^2 / ||L_:,i||^2``, as
-    ``N' L e_i = A' e_i``. So
-    ``cond(Sigma) = cond(Sigma^-1) >= max(max diag Sigma^-1, max r) / min r``,
-    the estimate, from the squared row norms of ``A`` and column norms of
-    ``L``.
 
-    A batch of G chains passes ``scale`` and ``factor`` as ``(G, n, n)``
-    stacks, each chain's factor drawn from its own stream, and gets a
-    ``(G, n, n)`` stack and a list of G log dets back; each chain's draw is
-    bit for bit the draw of its slices alone. The condition warning is per
-    chain.
+def sample_inverse_wishart(u, factor, white):
+    """One draw ``S`` from the Inverse Wishart with the density pinned above
+    and the scale ``I + u u'``, given a Bartlett factor ``A`` of
+    :func:`bartlett_factors` (whose ``dof`` it takes): the whitened draw of
+    ``Sigma = L S L'``, for the factor ``L`` of ``white`` (:func:`whitening`).
+    Returns ``(S^-1, log det Sigma)``; neither ``S`` nor ``Sigma`` is formed.
+
+    With ``s = u'u``, ``r = sqrt(1 + s)`` and ``c = 1 / (r (r + 1))``,
+    ``(I - c u u')^2 = (I + u u')^-1``, and this form of ``c`` does not
+    cancel at small ``s``. So ``S^-1 = N N'`` for ``N = A - c u (u'A)``, the
+    Wishart(dof, (I + u u')^-1) Bartlett draw, with no factorization and no
+    solve, and ``log det Sigma = 2 log det L + log(1 + s) - 2 sum log diag A``.
+
+    Logs the condition warning of :func:`~blbayes.linalg.warn_condition` for
+    ``Sigma``, estimated from Rayleigh quotients of
+    ``Sigma^-1 = L^-T N N' L^-1``, which all lie between its extreme
+    eigenvalues: at ``x = L e_i`` the quotient is ``||N_i,:||^2 / ||L e_i||^2``,
+    at ``x = e_i`` it is ``(Sigma^-1)_ii = ||(L^-T N)_i,:||^2``, and at
+    ``x = L u`` (for ``u != 0``), as ``N'u = A'u / r``, it is
+    ``||A'u||^2 / ((1 + s) ||L u||^2)``. So ``cond(Sigma) >=`` their largest
+    over their smallest, the estimate.
+
+    A batch of G chains passes ``u`` as ``(G, n)`` and ``factor`` as a
+    ``(G, n, n)`` stack, each chain's factor drawn from its own stream, and
+    gets a ``(G, n, n)`` stack and a list of G log dets back; each chain's
+    draw is bit for bit the draw of its slices alone. The condition warning
+    is per chain.
     """
-    scale = np.asarray(scale, dtype=float)
-    batch = scale.ndim == 3
-    if scale.ndim not in (2, 3) or factor.shape != scale.shape:
+    u = np.asarray(u, dtype=float)
+    batch = u.ndim == 2
+    if u.ndim not in (1, 2) or factor.shape != u.shape + u.shape[-1:]:
         raise DimensionError(
-            f"sample_inverse_wishart: factor {factor.shape} does not match scale {scale.shape}"
+            f"sample_inverse_wishart: factor {factor.shape} does not match u {u.shape}"
         )
-    try:
-        chol = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("sample_inverse_wishart: scale is not SPD") from exc
-    n_factor = np.linalg.solve(chol.swapaxes(-1, -2), factor)
-    sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
+    lower, lower_inv, lower_sq, log_det_lower = white
     # Python floats: numpy's reductions, log and sum of an n-vector cost
     # more than the n scalar operations at the sizes the chains use
-    diagonals = (sigma_inv.diagonal(0, -2, -1).tolist(),
-                 ((factor * factor).sum(-1) / (chol * chol).sum(-2)).tolist(),
-                 (chol.diagonal(0, -2, -1) / factor.diagonal(0, -2, -1)).tolist())
+    rows = u.tolist() if batch else [u.tolist()]
+    s = [sum(map(operator.mul, row, row)) for row in rows]
+    c = [1.0 / (r * (r + 1.0)) for r in (math.sqrt(1.0 + s_g) for s_g in s)]
+    u_factor = u[..., None, :] @ factor
+    c_u = np.array(c)[:, None] * u if batch else c[0] * u
+    n_factor = factor - c_u[..., :, None] * u_factor
+    sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
+    lower_inv_n = lower_inv.T @ n_factor
+    floats = (sigma_inv.diagonal(0, -2, -1).tolist(), (lower_inv_n * lower_inv_n).sum(-1).tolist(),
+              u_factor[..., 0, :].tolist(), (u @ lower.T).tolist(),
+              factor.diagonal(0, -2, -1).tolist())
     log_det = []
-    for d_inv, rayleigh, ratio in zip(*diagonals) if batch else [diagonals]:
-        warn_condition("Sigma draw", max(max(d_inv), max(rayleigh)) / min(rayleigh))
-        log_det.append(2.0 * sum(map(math.log, ratio)))
+    for s_g, (n_rows, at_e, ua, lu, diagonal) in zip(s, zip(*floats) if batch else [floats]):
+        quotients = list(map(operator.truediv, n_rows, lower_sq)) + at_e
+        at_u = (1.0 + s_g) * sum(map(operator.mul, lu, lu))
+        if at_u > 0.0:  # u = 0 at the chain's start, mu = rbar
+            quotients.append(sum(map(operator.mul, ua, ua)) / at_u)
+        warn_condition("Sigma draw", max(quotients) / min(quotients))
+        log_det.append(log_det_lower + math.log1p(s_g) - 2.0 * sum(map(math.log, diagonal)))
     return sigma_inv, log_det if batch else log_det[0]
 
 

@@ -10,7 +10,9 @@ longhand forms of engine code: the f-vectors of all n^2 eigenvector pairs
 slot by slot, xi with both branches always evaluated, the prior precision G
 through its 2x2 core solve from the block design of the alpha prior, view
 augmentation as two loops, over the rule candidates and then over the fill,
-and the augmented-views sampler run in view space.
+the Inverse-Wishart covariance step in asset space, with a factorization
+and a solve per draw, and the augmented-views sampler run in view space on
+that step.
 """
 
 from dataclasses import dataclass
@@ -19,16 +21,19 @@ import numpy as np
 
 from blbayes.diagnostics import summarize_mu_sigma
 from blbayes.errors import AugmentationError, DimensionError, RankError
-from blbayes.inverse_wishart import _iw_step, gibbs_chain
+from blbayes.inverse_wishart import BLOCK, gibbs_chain
 from blbayes.linalg import (
+    centred_scatter,
     require_spd,
     require_symmetric,
     spd_inverse,
+    scatter_about,
     spd_solve,
     symmetrize,
     vec_star_dim,
 )
 from blbayes.log_sigma import VolterraQuadratic, build_Q
+from blbayes.sampling import bartlett_factors
 from blbayes.views import (
     _rank,
     augment_to_invertible,
@@ -307,11 +312,43 @@ def augment_two_loops(p) -> np.ndarray:
     return p_star
 
 
+def iw_step_asset_space(returns, nu: float, sigma0, iters: int):
+    """The Inverse-Wishart covariance step of one chain in asset space, with
+    a general scale: at each mu it forms the scale
+    ``Sigma0 + sum_i (r_i - mu)(r_i - mu)'``, factors it, ``scale = L L'``,
+    and makes the Bartlett draw ``Sigma^-1 = N N'`` with ``N = L^-T A``, one
+    solve, and ``log det Sigma = 2 sum log(diag L / diag A)``. Its Sigma term
+    is the draw's conditional mean ``scale / (nu + m - n - 1)``. The factors
+    ``A`` come in blocks of ``BLOCK`` from the chain's stream, so the stream
+    order is the engine's."""
+    m, n = returns.shape
+    rbar, centred = centred_scatter(returns)
+    mean_dof = nu + m - n - 1
+    factors = None
+
+    def blocks(rng):
+        for start in range(0, iters, BLOCK):
+            yield from bartlett_factors(nu + m, n, min(BLOCK, iters - start), rng)
+
+    def step(mu, rng):
+        nonlocal factors
+        if factors is None:
+            factors = blocks(rng)
+        factor = next(factors)
+        scale = np.asarray(sigma0, dtype=float) + scatter_about(centred, rbar, mu, m)
+        chol = np.linalg.cholesky(scale)
+        n_factor = np.linalg.solve(chol.T, factor)
+        log_det = 2.0 * float(np.log(np.diag(chol) / np.diag(factor)).sum())
+        return scale / mean_dof, symmetrize(n_factor @ n_factor.T), log_det, True
+
+    return step
+
+
 def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg):
     """The augmented-views sampler run in view space: transform the returns
     and Sigma0 by P*, sample with an identity pick matrix and the prior
-    ``(q*, Omega*)``, and map the mean draws and the Sigma mean back with
-    ``P*^-1``."""
+    ``(q*, Omega*)`` and the asset-space step :func:`iw_step_asset_space`,
+    and map the mean draws and the Sigma mean back with ``P*^-1``."""
     returns_current = np.asarray(returns_current, dtype=float)
     p_star = augment_to_invertible(views.p)
     p_star_inv = np.linalg.inv(p_star)
@@ -321,8 +358,9 @@ def gibbs_augmented_view_space(returns_current, views, monthly_mean_vectors, cfg
     sigma0_star = symmetrize(p_star @ cfg.sigma0 @ p_star.T)
     transformed = returns_current @ p_star.T
     [mu_star_draws], [sigma_star_mean], [log_dets], [accepts] = gibbs_chain(
-        transformed, [(np.eye(p_star.shape[0]), q_star, omega_star)], cfg, [0],
-        _iw_step(transformed, cfg.nu, sigma0_star, cfg.iters),
+        len(transformed), transformed.mean(axis=0),
+        [(np.eye(p_star.shape[0]), q_star, omega_star)], cfg, [0],
+        iw_step_asset_space(transformed, cfg.nu, sigma0_star, cfg.iters),
     )
     mu_draws = mu_star_draws @ p_star_inv.T
     sigma_post = symmetrize(p_star_inv @ sigma_star_mean @ p_star_inv.T)

@@ -225,9 +225,9 @@ class TestRun:
         draw = inverse_wishart.sample_inverse_wishart
         calls = []
 
-        def failing(scale, factor):
+        def failing(u, factor, white):
             calls.append(1)
-            sigma_inv, log_det = draw(scale, factor)
+            sigma_inv, log_det = draw(u, factor, white)
             return (sigma_inv * np.nan if len(calls) == 6 else sigma_inv), log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", failing)
@@ -786,6 +786,20 @@ class TestConfigRules:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("model", ["log_sigma", "original"])
+    def test_unused_sigma0_is_not_checked(self, demo_dir, tmp_path, command, model):
+        # sigma0 belongs to the Inverse-Wishart prior; the other models
+        # ignore it, so an indefinite one passes (test_bad_sigma0_exit_2
+        # has the Inverse-Wishart model exit 2 with it)
+        doc = small_config(demo_dir, model, sigma0=np.diag([1.0, 1.0, 1.0, -1.0]).tolist())
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-4]}))
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), *extra,
+                     "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("model", ["log_sigma", "original"])

@@ -22,7 +22,6 @@ from blbayes.inverse_wishart import (
     gibbs_augmented,
     gibbs_chain,
     gibbs_nonsquare,
-    sigma_conditional,
 )
 from blbayes.log_sigma import LogSigmaConfig
 from blbayes.sampling import rng_stream, sample_mvn
@@ -94,32 +93,6 @@ class TestMuConditional:
         np.testing.assert_allclose(mean_id, mean_o, atol=1e-12)
 
 
-class TestSigmaConditional:
-    def test_zero_residuals(self):
-        dof, scale = sigma_conditional(np.zeros((2, 2)), nu=4.0, sigma0=0.1 * np.eye(2), m=6)
-        assert dof == 10.0
-        np.testing.assert_array_equal(scale, 0.1 * np.eye(2))
-
-    def test_scalar_hand_values(self):
-        dof, scale = sigma_conditional(np.array([[2.0]]), nu=3.0, sigma0=np.array([[1.0]]), m=2)
-        assert dof == 5.0
-        assert scale[0, 0] == 3.0
-
-    def test_posterior_mean_consistency(self):
-        # scatter from many draws of a known normal: the implied posterior
-        # mean scale/(dof-n-1) approaches the true covariance
-        rng = np.random.default_rng(4)
-        n, m = 3, 10_000
-        sigma_true = random_spd(rng, n, jitter=0.2)
-        mu_true = rng.normal(size=n)
-        draws = rng.multivariate_normal(mu_true, sigma_true, size=m)
-        resid = draws - mu_true
-        dof, scale = sigma_conditional(resid.T @ resid, nu=n + 2.0, sigma0=0.01 * np.eye(n), m=m)
-        post_mean = scale / (dof - n - 1)
-        rel = np.linalg.norm(post_mean - sigma_true) / np.linalg.norm(sigma_true)
-        assert rel < 0.10
-
-
 class TestOmegaFloors:
     def views(self, om):
         return ViewSet(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([0.02, 0.05]), om)
@@ -159,6 +132,14 @@ class TestDefaultFor:
         with pytest.raises(ValidationError, match="sigma0") as info:
             IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1, nu=2.5)
         assert info.value.path == "nu"
+
+    @pytest.mark.parametrize("sigma0", [np.diag([1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_bad_sigma0_rejected(self, sigma0):
+        # the config reader applies the same check, to the IW models only
+        with pytest.raises(ValidationError) as info:
+            IwConfig(nu=4.0, sigma0=np.array(sigma0), iters=10, burn=1, seed=1)
+        assert info.value.path == "sigma0"
 
     def test_small_nu_with_sigma0_accepted(self):
         cfg = IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1,
@@ -309,16 +290,17 @@ class TestChains:
 
     @pytest.mark.parametrize("variant", ["nonsquare", "augmented"])
     def test_factors_each_matrix_once(self, small_dataset, monkeypatch, variant):
-        # per iteration: one Cholesky factor of the Inverse-Wishart scale,
-        # one of mu's conditional precision, and no inverse; the covariance
-        # step returns its draw's inverse, so spd_inverse runs only in set-up
-        # (Omega^-1). Two solves: one in the Bartlett step, one for mu
+        # per iteration: one Cholesky factor, of mu's conditional precision,
+        # and one solve, for mu, and no inverse. The whitened covariance
+        # step needs neither a factor nor a solve, and returns its draw's
+        # inverse; the scale's fixed part is factored, and Omega inverted
+        # (spd_inverse), once per chain in set-up
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
                     count_engine_calls(monkeypatch, linalg, "spd_inverse"),
                     count_engine_calls(monkeypatch, np.linalg, "solve")]
         assert calls_per_iteration(self.chain(*small_dataset, variant),
-                                   counters) == [2, 0, 0, 2]
+                                   counters) == [1, 0, 0, 1]
 
     def test_stationarity_split_check(self, small_dataset):
         returns, views = small_dataset
@@ -440,8 +422,8 @@ class TestBatchedChains:
         assert chains == []
 
     def test_factors_each_stack_once(self, small_dataset, monkeypatch):
-        # a lock-step iteration of three chains makes the two Cholesky
-        # calls and two solves of one chain, each on a stack of three
+        # a lock-step iteration of three chains makes the one Cholesky call
+        # and one solve of one chain, each on a stack of three
         returns, views = small_dataset
         counters = [count_engine_calls(monkeypatch, np.linalg, "cholesky"),
                     count_engine_calls(monkeypatch, np.linalg, "inv"),
@@ -454,7 +436,7 @@ class TestBatchedChains:
             gibbs_nonsquare(returns, point_views, replace(self.cfg, iters=iters, burn=5),
                             stream_ids)
 
-        assert calls_per_iteration(run, counters) == [2, 0, 0, 2]
+        assert calls_per_iteration(run, counters) == [1, 0, 0, 1]
 
 
 class TestGibbsChain:
@@ -475,7 +457,8 @@ class TestGibbsChain:
         return step
 
     def run(self, returns, views, step, cfg):
-        chain = gibbs_chain(returns, [(views.p, views.q, views.omega)], cfg, [0], step)
+        chain = gibbs_chain(len(returns), returns.mean(axis=0), [(views.p, views.q, views.omega)],
+                            cfg, [0], step)
         assert len(chain) == 4 and all(len(a) == 1 for a in chain)
         return [a[0] for a in chain]
 
@@ -535,8 +518,8 @@ class TestGibbsChain:
             return sigma, np.linalg.inv(sigma), np.full(lead, self.log_det_fix), True
 
         mu_draws, sigma_means, log_dets, accepts = gibbs_chain(
-            returns, [(views.p, views.q, views.omega)] * count, make_config(iters=4, burn=1),
-            list(range(7, 7 + count)), step)
+            len(returns), returns.mean(axis=0), [(views.p, views.q, views.omega)] * count,
+            make_config(iters=4, burn=1), list(range(7, 7 + count)), step)
         assert mu_draws.shape == (count, 4, 2) and sigma_means.shape == (count, 2, 2)
         assert log_dets.shape == (count, 4) and (log_dets == self.log_det_fix).all()
         assert accepts.shape == (count, 4) and accepts.all()
@@ -549,10 +532,19 @@ class TestGibbsChain:
             assert [r.bit_generator.seed_seq.spawn_key for r in seen[0][1]] == [(7,), (8,), (9,)]
         assert len(seen) == 4
 
-    def test_empty_window_rejected(self, small_dataset):
+    def test_empty_window_rejected(self, small_dataset, monkeypatch):
+        # the loop reads only m and rbar; the Inverse-Wishart samplers, its
+        # callers that take any number of rows, reject none before their
+        # set-up and before any chain runs
         _, views = small_dataset
-        with pytest.raises(InsufficientDataError):
-            self.run(np.empty((0, 2)), views, self.stub([]), make_config(iters=20, burn=5))
+        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        months = np.random.default_rng(57).normal(size=(8, 2)) * 0.01
+        cfg = make_config(iters=20, burn=5)
+        with pytest.raises(InsufficientDataError, match="at least one row"):
+            gibbs_nonsquare(np.empty((0, 2)), [views], cfg, [0])
+        with pytest.raises(InsufficientDataError, match="at least one row"):
+            gibbs_augmented(np.empty((0, 2)), [views], months, cfg, [0])
+        assert chains == []
 
 
 class TestRaoBlackwellisedSigma:

@@ -19,6 +19,7 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
+    whitening,
 )
 from conftest import random_spd
 from oracles import mvn_two_solves
@@ -34,6 +35,19 @@ def factor_stack(dof, n, streams):
     return np.array([one_factor(dof, n, r) for r in streams])
 
 
+def asset_inverse(sigma_inv, lower):
+    """``Sigma^-1 = L^-T S^-1 L^-1`` of the whitened inverse ``S^-1`` that
+    :func:`sample_inverse_wishart` returns, for the whitening factor ``L``."""
+    lower_inv = np.linalg.inv(lower)
+    return lower_inv.T @ sigma_inv @ lower_inv
+
+
+def inverse_root(u):
+    """The symmetric inverse square root of ``I + u u'``, by eigendecomposition."""
+    w, v = np.linalg.eigh(np.eye(u.size) + np.outer(u, u))
+    return (v / np.sqrt(w)) @ v.T
+
+
 class TestDeterminism:
     def test_same_stream_replays(self):
         precision = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -47,9 +61,10 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
     def test_inverse_wishart_replays(self):
-        psi = random_spd(np.random.default_rng(0), 3)
-        a_inv, a_log_det = sample_inverse_wishart(psi, one_factor(7.5, 3, rng_stream(9)))
-        b_inv, b_log_det = sample_inverse_wishart(psi, one_factor(7.5, 3, rng_stream(9)))
+        white = whitening(np.linalg.cholesky(random_spd(np.random.default_rng(0), 3)))
+        u = np.array([0.3, -1.2, 0.5])
+        a_inv, a_log_det = sample_inverse_wishart(u, one_factor(7.5, 3, rng_stream(9)), white)
+        b_inv, b_log_det = sample_inverse_wishart(u, one_factor(7.5, 3, rng_stream(9)), white)
         np.testing.assert_array_equal(a_inv, b_inv)
         assert a_log_det == b_log_det
 
@@ -188,11 +203,15 @@ class TestMvnPrecision:
 
 
 class TestInverseWishart:
+    """Draws with the scale ``L (I + u u') L'``: the whitened draw ``S`` has
+    the scale ``I + u u'`` and ``Sigma = L S L'``."""
+
     def test_scalar_mean_matches_inverse_gamma(self):
-        # n=1, dof=5, scale=3: mean 3/(5-1-1) = 1, and the marginal is the
-        # inverse gamma with shape dof/2, scale 3/2
+        # n=1, dof=5, scale L^2 (1 + u^2) = 1.5 * 2 = 3: mean 3/(5-1-1) = 1,
+        # and the marginal is the inverse gamma with shape dof/2, scale 3/2
         factors = bartlett_factors(5.0, 1, 100_000, rng_stream(200))
-        draws = np.array([np.linalg.inv(sample_inverse_wishart([[3.0]], a)[0])[0, 0]
+        white = whitening([[np.sqrt(1.5)]])
+        draws = np.array([1.5 / sample_inverse_wishart([1.0], a, white)[0][0, 0]
                           for a in factors])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = rng_stream(200, 77)
@@ -200,19 +219,39 @@ class TestInverseWishart:
         assert draws.mean() == pytest.approx(ig.mean(), rel=0.05)
 
     def test_matrix_mean(self):
-        psi = np.array([[2.0, 0.4, 0.0], [0.4, 1.5, -0.2], [0.0, -0.2, 1.0]])
+        lower = np.linalg.cholesky([[2.0, 0.4, 0.0], [0.4, 1.5, -0.2], [0.0, -0.2, 1.0]])
+        u = np.array([0.5, -0.3, 0.8])
+        white = whitening(lower)
         dof = 9.0
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for a in bartlett_factors(dof, 3, n_draws, rng_stream(201)):
-            acc += np.linalg.inv(sample_inverse_wishart(psi, a)[0])
+            acc += np.linalg.inv(asset_inverse(sample_inverse_wishart(u, a, white)[0], lower))
         mean = acc / n_draws
-        expected = psi / (dof - 3 - 1)
+        expected = lower @ (np.eye(3) + np.outer(u, u)) @ lower.T / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_whitened_moments(self, n):
+        # S ~ IW(dof, I + u u'): E[S] = (I + u u') / (dof - n - 1), and
+        # S^-1 ~ Wishart(dof, (I + u u')^-1): E[S^-1] = dof (I + u u')^-1
+        u = np.linspace(-1.5, 2.0, n)
+        scale = np.eye(n) + np.outer(u, u)
+        dof, n_draws = n + 6.5, 20_000
+        white = whitening(np.eye(n))
+        draws_inv = np.array([sample_inverse_wishart(u, a, white)[0]
+                              for a in bartlett_factors(dof, n, n_draws, rng_stream(209, n))])
+        mean_inv = draws_inv.mean(axis=0)
+        mean = np.linalg.inv(draws_inv).mean(axis=0)
+        for got, expected in ((mean, scale / (dof - n - 1)),
+                              (mean_inv, dof * np.linalg.inv(scale))):
+            assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 0.05
+
     def test_output_spd_and_symmetric(self):
+        gen = np.random.default_rng(3)
+        white = whitening(np.linalg.cholesky(random_spd(gen, 4)))
         for a in bartlett_factors(6.0, 4, 200, rng_stream(202)):
-            x_inv, _ = sample_inverse_wishart(random_spd(np.random.default_rng(3), 4), a)
+            x_inv, _ = sample_inverse_wishart(gen.normal(size=4), a, white)
             assert np.array_equal(x_inv, x_inv.T)
             assert np.linalg.eigvalsh(x_inv)[0] > 0
 
@@ -221,20 +260,24 @@ class TestInverseWishart:
             bartlett_factors(1.5, 3, 1, rng_stream(1))
 
     def test_non_integer_dof_accepted(self):
-        x_inv, log_det = sample_inverse_wishart(np.eye(2), one_factor(4.7, 2, rng_stream(3)))
+        x_inv, log_det = sample_inverse_wishart([0.4, -0.1], one_factor(4.7, 2, rng_stream(3)),
+                                                whitening(np.eye(2)))
         assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
         # If X ~ IW(dof, psi) then X^-1 ~ Wishart(dof, psi^-1). Compare the
         # log-det of X^-1 draws with a definition-based Wishart built from
         # integer-dof sums of outer products (independent construction).
-        psi = np.array([[1.5, 0.4], [0.4, 1.0]])
+        lower = np.linalg.cholesky([[1.5, 0.4], [0.4, 1.0]])
+        u = np.array([0.6, -0.2])
+        psi = lower @ (np.eye(2) + np.outer(u, u)) @ lower.T
+        white = whitening(lower)
         dof = 7
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i, a in enumerate(bartlett_factors(float(dof), 2, n_draws, rng_stream(203))):
-            x_inv, _ = sample_inverse_wishart(psi, a)
-            logdet_inv[i] = np.linalg.slogdet(x_inv)[1]
+            x_inv, _ = sample_inverse_wishart(u, a, white)
+            logdet_inv[i] = np.linalg.slogdet(asset_inverse(x_inv, lower))[1]
 
         gen = np.random.default_rng(204)
         chol = np.linalg.cholesky(np.linalg.inv(psi))
@@ -247,24 +290,35 @@ class TestInverseWishart:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_inverse(self, n):
-        # the draw is Sigma = M'M with M = A^-1 L', from the Bartlett factor A
-        # and the scale's Cholesky factor L
+        # S^-1 = K A A' K with K the symmetric inverse square root of
+        # I + u u', here from an eigendecomposition, over rank-one terms
+        # from none to s = u'u far above 1 and far below rounding
+        gen = np.random.default_rng(205 + n)
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(205, n))):
-            scale = random_spd(np.random.default_rng(k), n)
-            sigma_inv, _ = sample_inverse_wishart(scale, a)
-            m_factor = np.linalg.solve(a, np.linalg.cholesky(scale).T)
-            sigma = m_factor.T @ m_factor
+            u = gen.normal(size=n) * (0.0, 1e-10, 1e-3, 1.0, 30.0)[k % 5]
+            sigma_inv, _ = sample_inverse_wishart(u, a, whitening(np.eye(n)))
+            n_factor = inverse_root(u) @ a
+            expected = n_factor @ n_factor.T
             assert np.array_equal(sigma_inv, sigma_inv.T)
-            np.testing.assert_allclose(sigma @ sigma_inv, np.eye(n), rtol=0, atol=1e-10)
+            # the eigendecomposition's own error grows with 1 + s
+            np.testing.assert_allclose(sigma_inv, expected, rtol=0,
+                                       atol=1e-13 * (1.0 + u @ u) * np.abs(expected).max())
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_returned_log_det(self, n):
+        # log det Sigma for Sigma = L S L', against the slogdet of the
+        # inverse of the returned S^-1 mapped to asset coordinates
+        gen = np.random.default_rng(207 + n)
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(207, n))):
-            scale = random_spd(np.random.default_rng(k), n)
-            sigma_inv, log_det = sample_inverse_wishart(scale, a)
-            sign, expected = np.linalg.slogdet(np.linalg.inv(sigma_inv))
+            lower = np.linalg.cholesky(random_spd(np.random.default_rng(k), n))
+            u = gen.normal(size=n) * (0.0, 0.1, 1.0, 3.0)[k % 4]
+            sigma_inv, log_det = sample_inverse_wishart(u, a, whitening(lower))
+            sign, expected = np.linalg.slogdet(np.linalg.inv(asset_inverse(sigma_inv, lower)))
             assert sign == 1.0
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            # whitened: log det S = log(1 + s) - 2 sum log diag A = -log det S^-1
+            assert log_det - 2.0 * np.log(np.diag(lower)).sum() == pytest.approx(
+                -np.linalg.slogdet(sigma_inv)[1], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_bartlett_block_equals_loop_oracle(self, n):
@@ -309,15 +363,17 @@ class TestSigmaDrawConditionWarning:
     def draw(eigvals, caplog, rotate=True):
         q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0] if rotate else np.eye(2)
         scale = (q * eigvals) @ q.T
+        lower = np.linalg.cholesky(0.5 * (scale + scale.T))
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            return sample_inverse_wishart(0.5 * (scale + scale.T),
-                                          one_factor(12.0, 2, rng_stream(7)))
+            sigma_inv, _ = sample_inverse_wishart([0.3, -0.2], one_factor(12.0, 2, rng_stream(7)),
+                                                  whitening(lower))
+        return asset_inverse(sigma_inv, lower)
 
     @pytest.mark.parametrize("rotate", [True, False])
     def test_ill_conditioned_scale_warns(self, caplog, rotate):
-        # axis-aligned, only the largest diagonal entries of Sigma and
-        # Sigma^-1 (from different coordinates) reveal the spread
-        sigma_inv, _ = self.draw([1.0, 1e-12], caplog, rotate)
+        # axis-aligned, only the quotients of different coordinates reveal
+        # the spread
+        sigma_inv = self.draw([1.0, 1e-12], caplog, rotate)
         assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "Sigma draw: condition number" in caplog.records[0].message
@@ -326,12 +382,25 @@ class TestSigmaDrawConditionWarning:
         self.draw([1.0, 0.2], caplog)
         assert caplog.records == []
 
+    def test_rank_one_term_warns(self, caplog):
+        # a well-conditioned L and a rank-one term of s = 1e12 along a
+        # rotated u: only the quotient at x = L u reveals the spread
+        u = 1e6 * np.array([0.6, 0.8])
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            sigma_inv, _ = sample_inverse_wishart(u, one_factor(12.0, 2, rng_stream(8)),
+                                                  whitening(np.eye(2)))
+        assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_estimate_is_a_lower_bound(self, n, monkeypatch):
         # the Rayleigh-quotient estimate never exceeds the draw's condition
-        # number, on rotated scales whose spectra spread over up to eight
-        # decades, and it is not loose: its median share of the condition
-        # number stays above a floor
+        # number, on rotated whitening factors whose squares spread over up
+        # to eight decades and rank-one terms u u' with u'u from 0 to about
+        # 25 n, and it is not loose: its median share of the condition
+        # number stays above a floor. At n = 1 every quotient is Sigma^-1
+        # and the condition number 1, so the quotients, made along
+        # different paths, may exceed it by rounding
         estimates, shares = [], []
         monkeypatch.setattr(sampling, "warn_condition",
                             lambda name, cond: estimates.append(cond))
@@ -339,10 +408,12 @@ class TestSigmaDrawConditionWarning:
         for _ in range(200):
             q = np.linalg.qr(gen.normal(size=(n, n)))[0]
             scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
-            sigma_inv, _ = sample_inverse_wishart(0.5 * (scale + scale.T),
-                                                  one_factor(n + gen.uniform(0.5, 10.0), n, rng))
-            cond = np.linalg.cond(np.linalg.inv(sigma_inv))
-            assert estimates[-1] <= cond
+            lower = np.linalg.cholesky(0.5 * (scale + scale.T))
+            u = gen.normal(size=n) * gen.uniform(0, 5)
+            sigma_inv, _ = sample_inverse_wishart(
+                u, one_factor(n + gen.uniform(0.5, 10.0), n, rng), whitening(lower))
+            cond = np.linalg.cond(asset_inverse(sigma_inv, lower))
+            assert estimates[-1] <= cond * (1.0 + 1e-12)
             shares.append(estimates[-1] / cond)
         assert len(estimates) == 200
         assert np.median(shares) >= {4: 0.2, 7: 0.1}.get(n, 0.0)
@@ -359,14 +430,16 @@ class TestBatch:
     @pytest.mark.parametrize("g_count", [1, 3, 9])
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_inverse_wishart_equals_its_slices(self, n, g_count):
+        # the chains of a batch share the whitening factor
         gen = np.random.default_rng(310 + n)
-        scale = np.array([random_spd(gen, n) for _ in range(g_count)])
+        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
+        u = gen.normal(size=(g_count, n))
         batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
-        sigma_inv, log_det = sample_inverse_wishart(scale, factor_stack(n + 2.5, n, batch))
+        sigma_inv, log_det = sample_inverse_wishart(u, factor_stack(n + 2.5, n, batch), white)
         assert sigma_inv.shape == (g_count, n, n)
         assert len(log_det) == g_count
         for g in range(g_count):
-            s_inv, ld = sample_inverse_wishart(scale[g], one_factor(n + 2.5, n, alone[g]))
+            s_inv, ld = sample_inverse_wishart(u[g], one_factor(n + 2.5, n, alone[g]), white)
             assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
@@ -393,16 +466,20 @@ class TestBatch:
         with pytest.raises(DimensionError, match="2 streams for 3 chains"):
             sample_mvn(np.zeros((3, 2)), precision=stack, rng=self.streams(2, 1))
         with pytest.raises(DimensionError, match=r"factor \(2, 2, 2\) does not match"):
-            sample_inverse_wishart(stack, factor_stack(5.0, 2, self.streams(2, 1)))
+            sample_inverse_wishart(np.zeros((3, 2)), factor_stack(5.0, 2, self.streams(2, 1)),
+                                   whitening(np.eye(2)))
 
     def test_condition_warnings_are_per_chain(self, caplog):
         # of three chains only the middle one is ill-conditioned, and only
-        # it logs, once per sampler
+        # it logs, once per sampler: its covariance draw through a rank-one
+        # term of s = 1e12, its precision through a spread spectrum
         q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0]
         ill = (q * [1.0, 1e-12]) @ q.T
         stack = np.array([np.eye(2), 0.5 * (ill + ill.T), 2.0 * np.eye(2)])
+        u = np.array([[0.0, 0.0], [6e5, 8e5], [0.5, 0.0]])
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_inverse_wishart(stack, factor_stack(12.0, 2, self.streams(3, 7)))
+            sample_inverse_wishart(u, factor_stack(12.0, 2, self.streams(3, 7)),
+                                   whitening(np.eye(2)))
             sample_mvn(np.ones((3, 2)), precision=stack, rng=self.streams(3, 8), name="probe")
         assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
 
