@@ -26,8 +26,8 @@ from blbayes.linalg import (
     centred_scatter,
     require_spd,
     require_symmetric,
-    spd_inverse,
     scatter_about,
+    spd_inverse,
     spd_solve,
     symmetrize,
     vec_star_dim,

@@ -250,8 +250,9 @@ class TestChains:
                                    rtol=1e-12, atol=0.0)
 
     def test_augmented_matches_view_space_oracle(self):
-        # The asset-space chain with the views (P*, q*, Omega*) and the chain
-        # run in view space P* mu and mapped back have the same law. Compare
+        # The whitened chain with the views (P*, q*, Omega*) and the oracle's
+        # chain, run in view space P* mu with a factorization and a solve per
+        # covariance draw and mapped back, have the same law. Compare
         # their posterior means of mu and Sigma over 32 independent seeds
         # each: with 8, the t-tail of the seed-to-seed standard error alone
         # can carry |z| near the bound.
