@@ -18,7 +18,7 @@ import numpy as np
 
 from .backtest import MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, read_prices
-from .errors import ModelSizeError, ValidationError
+from .errors import ModelSizeError, RankError, ValidationError
 from .inverse_wishart import (
     check_chain_length,
     check_default_sigma0,
@@ -28,7 +28,7 @@ from .inverse_wishart import (
 )
 from .log_sigma import check_asset_count, check_scatter_rows
 from .sampling import fits_seed
-from .views import ViewSet
+from .views import ViewSet, check_row_rank
 
 SCHEMA_VERSION = "1"
 
@@ -151,6 +151,11 @@ class RunConfig:
             except ModelSizeError as exc:
                 raise ValidationError("views.P", str(exc)) from exc
             check_scatter_rows(n, m)
+        if model == "iw_augmented":  # the one model that augments P
+            try:
+                check_row_rank(p)
+            except RankError as exc:
+                raise ValidationError("views.P", str(exc)) from exc
 
         risk_aversion = _get(doc, "risk_aversion", float, "risk_aversion",
                              required=False, default=2.5)

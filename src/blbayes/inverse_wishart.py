@@ -17,17 +17,14 @@ space once, after the chain. The point estimate of mu is the post-burn mean
 of its draws; that of Sigma is the post-burn mean of its conditional mean
 ``E[Sigma | mu, data]`` given each mu draw, a Rao-Blackwellised estimate with
 the same expectation as the draws' mean and less variance (Gelfand & Smith
-1990; Casella & Robert 1996). The loop itself, :func:`gibbs_chain`, is
-shared with the log-covariance sampler, which supplies its own covariance
-step. Every covariance step returns the inverse of its draw and its log det,
-so the loop neither inverts nor factors a drawn covariance, and the
-Inverse-Wishart step never forms the draw at all. The mean draw takes its
-conditional in precision form and factors that precision once, so no matrix
-is inverted in the loop. Both samplers run G view sets under one
-:class:`IwConfig` with G stream ids as one batch of chains in lock step,
-and each summary is bit for bit that of its chain run alone. The loop keeps
-each chain's every mu draw, log det and accept flag, and the summary
-carries them; no sampler writes a file.
+1990; Casella & Robert 1996). The covariance draw returns its whitened
+inverse and the log det of Sigma, so the chain never forms, inverts or
+factors a drawn covariance. The mean draw takes its conditional in
+precision form and factors that precision once, so no matrix is inverted
+in the loop. Both samplers run G view sets under one :class:`IwConfig`
+with G stream ids as one batch of chains in lock step, and each summary is
+bit for bit that of its chain run alone. The summary carries each chain's
+every mu draw and log det; no sampler writes a file.
 """
 
 from __future__ import annotations
@@ -158,131 +155,31 @@ def check_omega_floor(views: ViewSet, floor: float, allow_small: bool, variant: 
         )
 
 
-def gibbs_chain(m: int, rbar, views, cfg, stream_ids, sigma_step):
-    """The Gibbs loop every sampler shares: G chains advanced in lock step.
-
-    ``m`` rows of returns with mean ``rbar`` are all the loop reads of the
-    data. Chain g has the views ``views[g] = (p, q, omega)`` on its mean and
-    the stream ``(cfg.seed, stream_ids[g])``; ``cfg`` supplies ``iters`` and
-    ``burn``. Every array below has a leading axis of length G and ``rng`` is
-    the list of their Generators, except that a batch of one runs on plain
-    arrays and one Generator, which spares numpy's overhead on stacks of one.
-    Each chain draws from its own stream in the order it draws alone.
-
-    Starting from mu = rbar, each iteration calls ``sigma_step(mu, rng)`` for
-    ``(sigma, sigma_inv, log_det, accepted)``: the Sigma term the loop
-    averages, the inverse of the covariance draw, its log det and an accept
-    flag. The loop averages whatever the step returns as ``sigma``: the
-    Inverse-Wishart step returns the rank-one term of its scale, from which
-    its caller builds the conditional mean ``E[Sigma | mu, data]``, the
-    log-covariance step (an MH step, with no closed-form mean) the draw
-    itself. The step logs the "Sigma draw" condition warning. The loop then
-    draws mu from its normal conditional given that covariance and the
-    views: with precision ``m Sigma^-1 + P' Omega^-1 P`` and shift
-    ``m Sigma^-1 rbar + P' Omega^-1 q``, built from ``sigma_inv`` and drawn
-    from the precision's one Cholesky factor with the covariance's Cholesky
-    noise (:func:`sample_mvn` with ``cov_cholesky``).
-
-    Returns, each with a leading axis of length G: mu draws, the post-burn
-    means of the steps' Sigma terms, the steps' log dets as given and their
-    accept flags, all but the Sigma means over every iteration.
-    """
-    rbar = np.asarray(rbar, dtype=float)
-    n = rbar.size
-    count = len(views)
-    if count == 0 or len(stream_ids) != count:
-        raise DimensionError(f"{count} view sets for {len(stream_ids)} stream ids")
-    iters, burn = cfg.iters, cfg.burn
-    priors = [view_precision(omega, q, p) for p, q, omega in views]
-    prior_prec = np.array([prec for prec, _ in priors])
-    prior_vec = np.array([vec for _, vec in priors])
-    rng = [rng_stream(cfg.seed, s) for s in stream_ids]
-    mu = np.broadcast_to(rbar, (count, n)).copy()
-    mu_draws = np.empty((count, iters, n))
-    log_dets = np.empty((count, iters))
-    accepts = np.empty((count, iters), dtype=bool)
-    sigma_sum = np.zeros((count, n, n))
-    # the loop runs on all chains, or on chain 0's slices: plain arrays, one stream
-    g = slice(None) if count > 1 else 0
-    mu, draws, logdets, flags, sigma_acc, prior_prec, prior_vec, rng = (
-        a[g] for a in (mu, mu_draws, log_dets, accepts, sigma_sum, prior_prec, prior_vec, rng))
-    for t in range(iters):
-        sigma, sigma_inv, logdets[..., t], flags[..., t] = sigma_step(mu, rng)
-        # each draw is checked before the chain uses it; the Sigma terms,
-        # which only feed the average, are checked once in their sum
-        if not np.isfinite(sigma_inv).all():
-            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-        data_prec = m * sigma_inv
-        mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
-                        rng=rng, name="mu conditional precision", cov_cholesky=True)
-        if not np.isfinite(mu).all():
-            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-        draws[..., t, :] = mu
-        if t >= burn:
-            sigma_acc += sigma
-    if not np.isfinite(sigma_sum).all():
-        raise ChainError("non-finite Sigma mean in Gibbs chain")
-    return mu_draws, sigma_sum / (iters - burn), log_dets, accepts
-
-
-def _iw_step(m: int, dof: float, iters: int, white):
-    """Covariance step of the Inverse-Wishart models in whitened
-    coordinates, for one chain or a batch, over a chain of ``iters``
-    iterations. Given ``y = L^-1 (mu - rbar)``, with ``L`` the factor of
-    ``white`` (:func:`~blbayes.sampling.whitening`), the scale
-    ``L^-1 (Sigma0 + sum_i (r_i - mu)(r_i - mu)') L^-T`` is ``I + u u'`` for
-    ``u = sqrt(m) y``. The step makes an exact conditional draw, as its
-    whitened inverse and the log det of Sigma
-    (:func:`~blbayes.sampling.sample_inverse_wishart`), so every step is
-    accepted. Its Sigma term is ``u u'``.
-
-    The draw's Bartlett factor depends on nothing in the chain state, so
-    each chain draws its factors from its own stream ahead of time, in
-    blocks of :data:`BLOCK` iterations (:func:`~blbayes.sampling.bartlett_factors`),
-    the last block only as many as the chain has left. A chain's stream
-    holds a block of factors, then the mu normals of those iterations, then
-    the next block, whether it runs alone or in a batch. The step serves
-    one chain run: the streams of its first call supply every block.
-    """
-    n = len(white[0])
-    root_m = math.sqrt(m)
-    factors = None
-
-    def blocks(rng):
-        for start in range(0, iters, BLOCK):
-            count = min(BLOCK, iters - start)
-            if isinstance(rng, list):  # a batch: one block per chain, stacked per iteration
-                yield from np.stack([bartlett_factors(dof, n, count, r) for r in rng], axis=1)
-            else:
-                yield from bartlett_factors(dof, n, count, rng)
-
-    def step(y, rng):
-        nonlocal factors
-        if factors is None:
-            factors = blocks(rng)
-        u = root_m * y
-        return (u[..., :, None] * u[..., None, :],
-                *sample_inverse_wishart(u, next(factors), white), True)
-
-    return step
-
-
 def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     """The chains both Inverse-Wishart samplers run, one per view set, as
-    one lock-step batch (:func:`gibbs_chain`); returns their summaries in
-    order. ``prior(v)`` validates one view set and returns the views
-    ``(p, q, omega)`` of its chain. The points are validated in order before
-    any chain runs, and the first that fails raises its own error.
+    one lock-step batch; returns their summaries in order. ``prior(v)``
+    validates one view set and returns the views ``(p, q, omega)`` of its
+    chain. The points are validated in order before any chain runs, and the
+    first that fails raises its own error.
 
-    The chains run in the coordinates ``y = L^-1 (mu - rbar)``, whitened by
-    the factor ``L L' = A`` of ``A = Sigma0 +`` the returns' centred scatter,
-    which every chain of the batch shares and which is factored once. There
-    the views are ``(P L, q - P rbar, Omega)`` and the data mean is 0, and
-    each covariance draw is a rank-one update of the identity
-    (:func:`_iw_step`). The mu draws map back as ``rbar + L y``, and the
-    Sigma estimate is ``L (I + mean u u') L' / (nu + m - n - 1)``: the
-    post-burn mean of ``E[Sigma | mu, data] = (A + m (mu - rbar)(mu - rbar)') /
-    (nu + m - n - 1)``, which :func:`check_sigma_mean` checks exists.
+    The chains run on ``y = L^-1 (mu - rbar)``, with the views
+    ``(P L, q - P rbar, Omega)`` and the view precision ``(B, b)`` of those.
+    From y = 0, each iteration draws the covariance, whose whitened scale is
+    ``I + u u'`` for ``u = sqrt(m) y``, as its whitened inverse ``S^-1`` and
+    the log det of Sigma (:func:`~blbayes.sampling.sample_inverse_wishart`),
+    then y from its normal conditional, with precision ``m S^-1 + B`` and
+    shift ``b``. Every step is accepted. The Bartlett factors depend on
+    nothing in the chain state, so each chain draws them from its own stream
+    in blocks of :data:`BLOCK` iterations, the last block only as many as it
+    has left: a stream holds a block of factors, then the y normals of those
+    iterations, then the next block, alone or in a batch. A batch stacks its
+    arrays along a leading axis of length G and draws from a list of G
+    Generators; a batch of one runs on plain arrays and one Generator, which
+    spares numpy's overhead on stacks of one.
+
+    The mu draws map back as ``rbar + L y``, and the Sigma estimate is
+    ``L (I + mean u u') L' / (nu + m - n - 1)``, the post-burn mean of
+    ``E[Sigma | mu, data]``, which :func:`check_sigma_mean` checks exists.
     """
     returns_current = np.asarray(returns_current, dtype=float)
     chain_views = []
@@ -291,20 +188,57 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
         if returns_current.shape[1] != p.shape[1]:
             raise DimensionError("returns and views disagree on the number of assets")
         chain_views.append((p, q, omega))
+    count = len(chain_views)
+    if count == 0 or len(stream_ids) != count:
+        raise DimensionError(f"{count} view sets for {len(stream_ids)} stream ids")
     m, n = returns_current.shape
     if m < 1:
         raise InsufficientDataError("the chain needs at least one row of returns")
     check_sigma_mean(n, m, cfg.nu)
+    iters, burn, dof = cfg.iters, cfg.burn, cfg.nu + m
     rbar, centred = centred_scatter(returns_current)
     lower = spd_cholesky(cfg.sigma0 + centred, "Sigma0 + centred scatter")
     white = whitening(lower)
-    whitened = [(p @ lower, q - p @ rbar, omega) for p, q, omega in chain_views]
-    y_draws, uu_means, log_dets, accepts = gibbs_chain(
-        m, np.zeros(n), whitened, cfg, stream_ids, _iw_step(m, cfg.nu + m, cfg.iters, white))
+    priors = [view_precision(omega, q - p @ rbar, p @ lower) for p, q, omega in chain_views]
+    prior_prec = np.array([prec for prec, _ in priors])
+    prior_vec = np.array([vec for _, vec in priors])
+    rng = [rng_stream(cfg.seed, s) for s in stream_ids]
+    y_draws = np.empty((count, iters, n))
+    log_dets = np.empty((count, iters))
+    uu_sum = np.zeros((count, n, n))
+    # the loop runs on all chains, or on chain 0's slices: plain arrays, one stream
+    g = slice(None) if count > 1 else 0
+    draws, logdets, uu_acc, prior_prec, prior_vec, rng = (
+        a[g] for a in (y_draws, log_dets, uu_sum, prior_prec, prior_vec, rng))
+    root_m = math.sqrt(m)
+    y = np.zeros(prior_vec.shape)
+    for start in range(0, iters, BLOCK):
+        size = min(BLOCK, iters - start)
+        if count > 1:  # one block per chain, stacked per iteration
+            factors = np.stack([bartlett_factors(dof, n, size, r) for r in rng], axis=1)
+        else:
+            factors = bartlett_factors(dof, n, size, rng)
+        for t, factor in enumerate(factors, start):
+            u = root_m * y
+            sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, white)
+            # each draw is checked before the chain uses it; the u u' terms,
+            # which only feed the average, are checked once in their sum
+            if not np.isfinite(sigma_inv).all():
+                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+            y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, rng=rng,
+                           name="mu conditional precision", cov_cholesky=True)
+            if not np.isfinite(y).all():
+                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+            draws[..., t, :] = y
+            if t >= burn:
+                uu_acc += u[..., :, None] * u[..., None, :]
+    if not np.isfinite(uu_sum).all():
+        raise ChainError("non-finite Sigma mean in Gibbs chain")
     mu_draws = rbar + y_draws @ lower.T
-    sigma_posts = symmetrize(lower @ (np.eye(n) + uu_means) @ lower.T) / (cfg.nu + m - n - 1)
-    return [summarize_mu_sigma(*chain, cfg.burn)
-            for chain in zip(mu_draws, sigma_posts, log_dets, accepts)]
+    sigma_posts = (symmetrize(lower @ (np.eye(n) + uu_sum / (iters - burn)) @ lower.T)
+                   / (cfg.nu + m - n - 1))
+    return [summarize_mu_sigma(mu, sigma, log_det, np.ones(iters, dtype=bool), burn)
+            for mu, sigma, log_det in zip(mu_draws, sigma_posts, log_dets)]
 
 
 def gibbs_augmented(returns_current, views, monthly_mean_vectors, cfg, stream_ids):

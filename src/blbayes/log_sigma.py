@@ -11,7 +11,7 @@ off-diagonal block; integrating the two location parameters out under a flat
 prior leaves the centering precision ``G``.
 
 Sampling alternates a Metropolis-Hastings update of ``alpha``, inverse-gamma
-updates of the two prior variances, and the shared normal mean update. The
+updates of the two prior variances, and a normal update of the mean. The
 Gaussian approximation times the prior proposes; the prior cancels from the
 acceptance ratio, which is the exact likelihood over its approximation. Each
 candidate is eigendecomposed once, and that one decomposition gives its
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import PosteriorSummary, summarize_mu_sigma
-from .errors import DimensionError, ModelSizeError, ValidationError
-from .inverse_wishart import OMEGA_FLOOR_HARD, check_chain_length, check_omega_floor, gibbs_chain
+from .errors import ChainError, DimensionError, ModelSizeError, ValidationError
+from .inverse_wishart import OMEGA_FLOOR_HARD, check_chain_length, check_omega_floor
 from .linalg import (
     centred_scatter,
     matrix_log_spd,
@@ -42,8 +42,8 @@ from .linalg import (
     vec_star_inverse,
     warn_condition,
 )
-from .sampling import sample_inverse_gamma, sample_mvn
-from .views import ViewSet
+from .sampling import rng_stream, sample_inverse_gamma, sample_mvn
+from .views import ViewSet, view_precision
 
 log = logging.getLogger(__name__)
 
@@ -275,19 +275,22 @@ def _sigma_pair(w, v, exp_neg_a) -> tuple[np.ndarray, np.ndarray, float]:
 
 def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
                     stream_id: int = 0) -> PosteriorSummary:
-    """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model.
+    """Metropolis-Hastings-within-Gibbs sampler for the log-covariance model,
+    one chain on the stream ``(cfg.seed, stream_id)``.
 
-    The covariance step, given the current mu: (1) build the scatter, its
-    eigen-quantities, Q, and G from the current block variances, (2) propose
-    alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn through one Cholesky
-    factor of Q+G and one solve with it, and accept with
-    :func:`mh_log_ratio`. One eigh of the candidate gives its likelihood
-    and, if accepted, Sigma, Sigma^-1 and log det Sigma; the current alpha's
-    likelihood comes from those cached values and this iteration's S.
-    (3) Draw the two block variances. The
-    shared loop (:func:`~blbayes.inverse_wishart.gibbs_chain`) then draws mu
-    with the investor's P. The chain is a batch of one, on the stream
-    ``(cfg.seed, stream_id)``.
+    Starting from mu = rbar, each iteration (1) builds the scatter about the
+    current mu, its eigen-quantities, Q, and G from the current block
+    variances, (2) proposes alpha from N((Q+G)^-1 Q lambda, (Q+G)^-1), drawn
+    through one Cholesky factor of Q+G and one solve with it, and accepts
+    with :func:`mh_log_ratio`. One eigh of the candidate gives its
+    likelihood and, if accepted, Sigma, Sigma^-1 and log det Sigma; the
+    current alpha's likelihood comes from those cached values and this
+    iteration's S. (3) It draws the two block variances, and (4) mu from its
+    normal conditional given Sigma and the investor's views: precision
+    ``m Sigma^-1 + P' Omega^-1 P`` and shift ``m Sigma^-1 rbar + P' Omega^-1
+    q``, drawn from the precision's one Cholesky factor with the
+    covariance's Cholesky noise (:func:`sample_mvn` with ``cov_cholesky``).
+    The Sigma estimate is the post-burn mean of the chain's Sigma.
 
     Needs n >= 4 (prior shape positivity) and m > n (SPD scatter). Reports
     burn and post-burn acceptance rates separately; occurrences of the
@@ -304,11 +307,11 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     check_omega_floor(views, OMEGA_FLOOR_HARD, False, "log_sigma")
 
     # Data-centred start: alpha at the log of the scatter of the sample mean
-    # (where the loop starts mu), so Sigma is that scatter up to rounding;
-    # block variances at the empirical variances of the matching alpha
-    # blocks. Each step's scatter is this one plus the rank-one term of its
-    # mu. matrix_log_spd validates the start scatter, and build_Q the
-    # spectrum of each scatter after it (symmetric by construction).
+    # (where mu starts), so Sigma is that scatter up to rounding; block
+    # variances at the empirical variances of the matching alpha blocks.
+    # Each iteration's scatter is this one plus the rank-one term of its mu.
+    # matrix_log_spd validates the start scatter, and build_Q the spectrum
+    # of each scatter after it (symmetric by construction).
     rbar, s_centred = centred_scatter(returns_current)
     s_centred /= m
     alpha = vec_star(matrix_log_spd(s_centred))
@@ -316,9 +319,14 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     sigma1_sq = max(float(np.var(alpha[:n])), 1e-12)
     sigma2_sq = max(float(np.var(alpha[n:])), 1e-12)
     floor_hits = 0
-
-    def step(mu, rng):
-        nonlocal alpha, sigma, sigma_inv, log_det, sigma1_sq, sigma2_sq, floor_hits
+    prior_prec, prior_vec = view_precision(views.omega, views.q, views.p)
+    rng = rng_stream(cfg.seed, stream_id)
+    mu_draws = np.empty((cfg.iters, n))
+    log_dets = np.empty(cfg.iters)
+    accepts = np.empty(cfg.iters, dtype=bool)
+    sigma_sum = np.zeros((n, n))
+    mu = rbar
+    for t in range(cfg.iters):
         s_mat = scatter_about(s_centred, rbar, mu, 1.0)
         quad = build_Q(s_mat, m)
         g_mat = build_G(n, sigma1_sq, sigma2_sq)
@@ -329,17 +337,30 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         loglik = _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m)
         log_rho = mh_log_ratio(candidate, alpha, loglik,
                                _log_likelihood(log_det, sigma_inv, s_mat, m), quad)
-        accepted = bool(np.log(rng.random()) < log_rho)
+        accepts[t] = accepted = bool(np.log(rng.random()) < log_rho)
         if accepted:
             alpha = candidate
             sigma, sigma_inv, log_det = _sigma_pair(w, v, exp_neg_a)
+        log_dets[t] = log_det
 
         (sh1, sc1), (sh2, sc2) = sigma_sq_conditionals(alpha, n)
         floor_hits += int(sc1 <= IG_SCALE_FLOOR) + int(sc2 <= IG_SCALE_FLOOR)
         sigma1_sq = sample_inverse_gamma(sh1, sc1, rng)
         sigma2_sq = sample_inverse_gamma(sh2, sc2, rng)
-        return sigma, sigma_inv, log_det, accepted
 
-    [chain] = zip(*gibbs_chain(m, rbar, [(views.p, views.q, views.omega)], cfg,
-                               [stream_id], step))
-    return summarize_mu_sigma(*chain, cfg.burn, extra={"ig_scale_floor_hits": floor_hits})
+        # each draw is checked before the chain uses it; Sigma, which only
+        # feeds the average, is checked once in its sum
+        if not np.isfinite(sigma_inv).all():
+            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+        data_prec = m * sigma_inv
+        mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
+                        rng=rng, name="mu conditional precision", cov_cholesky=True)
+        if not np.isfinite(mu).all():
+            raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+        mu_draws[t] = mu
+        if t >= cfg.burn:
+            sigma_sum += sigma
+    if not np.isfinite(sigma_sum).all():
+        raise ChainError("non-finite Sigma mean in Gibbs chain")
+    return summarize_mu_sigma(mu_draws, sigma_sum / (cfg.iters - cfg.burn), log_dets, accepts,
+                              cfg.burn, extra={"ig_scale_floor_hits": floor_hits})

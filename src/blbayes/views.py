@@ -91,6 +91,26 @@ def _rank(m: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(m, tol=_RANK_TOL))
 
 
+def check_row_rank(p) -> np.ndarray:
+    """Raise :class:`~blbayes.errors.RankError` unless the rows of the
+    k-by-n view matrix ``p`` are linearly independent, as augmentation to an
+    invertible P* needs. The rank is tested on P divided by its largest
+    singular value, so the test does not depend on the scale of P; returns
+    that scaled P."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2:
+        raise DimensionError(f"P must be 2-D, got shape {p.shape}")
+    k, n = p.shape
+    if k > n:
+        raise RankError(f"more views ({k}) than assets ({n})")
+    scale = np.linalg.norm(p, 2)
+    stack = p / scale if scale > 0 else p
+    rank = _rank(stack)
+    if rank < k:
+        raise RankError(f"P has row rank {rank} < k = {k}")
+    return stack
+
+
 def augment_to_invertible(p) -> np.ndarray:
     """Append rows to a full-row-rank k-by-n view matrix until it is square
     and invertible, and return that n-by-n P*: its first k rows are P bit for
@@ -102,18 +122,12 @@ def augment_to_invertible(p) -> np.ndarray:
     nonzero column), then one for every column in ascending order (the fill).
     A row that does not raise the rank is skipped, and the loop stops once
     the matrix is square. The rank tests run on P divided by its largest
-    singular value, so the rows added do not depend on the scale of P.
+    singular value (:func:`check_row_rank`), so the rows added do not depend
+    on the scale of P.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise DimensionError(f"P must be 2-D, got shape {p.shape}")
+    stack = check_row_rank(p)
     k, n = p.shape
-    if k > n:
-        raise RankError(f"more views ({k}) than assets ({n})")
-    scale = np.linalg.norm(p, 2)
-    stack = p / scale if scale > 0 else p
-    if _rank(stack) < k:
-        raise RankError(f"P has row rank {_rank(stack)} < k = {k}")
 
     pivot_cols = {int(np.flatnonzero(p[i])[0]) for i in range(k)}
     candidates: list[int] = []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blbayes import cli, data, errors, inverse_wishart
+from blbayes import cli, data, errors, inverse_wishart, sampling
 from blbayes.backtest import backtest_profit, run_model
 from blbayes.cli import main
 from blbayes.config import RunConfig
@@ -189,7 +189,7 @@ class TestRun:
         assert {r[6] for r in rows} == {"1"}
 
     def test_unwritable_trace_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
-        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        calls = count_engine_calls(monkeypatch, sampling, "rng_stream")
         cfg = write_config(tmp_path, small_config(demo_dir))
         out, trace = tmp_path / "o.json", tmp_path / "no" / "such" / "t.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out),
@@ -205,7 +205,7 @@ class TestRun:
                                    trace_name, existing):
         # one file cannot hold both the run JSON and the trace: exit 2
         # before any chain runs, and a file already there is left as it was
-        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        calls = count_engine_calls(monkeypatch, sampling, "rng_stream")
         cfg = write_config(tmp_path, small_config(demo_dir))
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
@@ -327,7 +327,7 @@ class TestRun:
         # n = 4, nu = 4 with an explicit Sigma0 and one row of returns: the
         # conditional mean of Sigma has nu + m - n - 1 = 0 in its
         # denominator, so the run fails naming data.m before any chain runs
-        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        calls = count_engine_calls(monkeypatch, sampling, "rng_stream")
         doc = small_config(demo_dir, nu=4.0, sigma0=(1e-3 * np.eye(4)).tolist())
         doc["data"]["m"] = 1
         out = tmp_path / "o.json"
@@ -482,6 +482,32 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0].count(b",ok,") == 3
         assert outs[0] == outs[1] == outs[2]
+
+    def test_log_sigma_sweep(self, demo_dir, tmp_path):
+        # the log-covariance points run one chain each on the stream
+        # (base_seed, row): the bytes do not depend on the workers, and each
+        # row is run_model of its point on that stream
+        cfg = write_config(tmp_path, small_config(demo_dir, "log_sigma", iters=60, burn=10))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4, 5e-4], "omega2": [1e-3], "base_seed": 6}))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["sweep", "--config", str(cfg), "--grid", str(grid),
+                         "--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        run_cfg = RunConfig.load(cfg)
+        panel = run_cfg.load_panel()
+        with open(tmp_path / "w1.csv", newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        for row_id, (row, omega1) in enumerate(zip(rows, [1e-4, 5e-4])):
+            res = run_model("log_sigma", panel, run_cfg.views.with_omega([omega1, 1e-3]),
+                            run_cfg.settings, seed=6, stream_id=row_id)
+            assert row == [format(omega1, ".17g"), format(1e-3, ".17g"),
+                           format(res.distance, ".17g"), format(res.profit, ".17g"), "ok",
+                           format(res.summary.acceptance_rate, ".17g"), "6"]
 
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
     def test_out_of_range_base_seed_exit_2(self, demo_dir, tmp_path, capsys, base_seed):
@@ -677,7 +703,7 @@ class TestEmptyTestWindow:
     exits 2 naming data.test_start before any chain runs."""
 
     def test_sweep_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
-        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        calls = count_engine_calls(monkeypatch, sampling, "rng_stream")
         cfg = write_config(tmp_path, _late_window_config(demo_dir))
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(cfg), "--grid",
@@ -687,7 +713,7 @@ class TestEmptyTestWindow:
         assert calls == [] and not out.exists()
 
     def test_run_with_backtest_exit_2(self, demo_dir, tmp_path, capsys, monkeypatch):
-        calls = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        calls = count_engine_calls(monkeypatch, sampling, "rng_stream")
         cfg = write_config(tmp_path, _late_window_config(demo_dir, backtest=True))
         out = tmp_path / "o.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -749,7 +775,7 @@ class TestHistoryUse:
                                                    monkeypatch, command, model, m, message):
         # a rule of the prices, not of omega: a sweep fails as a whole, as
         # the run does, with one error line and no CSV, and runs no chain
-        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         doc = small_config(demo_dir, model)
         doc["data"]["m"] = m
         extra = ["--grid", str(demo_dir / "grid_small.json")] if command == "sweep" else []
@@ -758,6 +784,11 @@ class TestHistoryUse:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert chains == [] and not out.exists()
+
+
+# two parallel relative views on the demo's four assets: P has row rank 1
+RANK_ONE_VIEWS = {"P": [[1, -1, 0, 0], [2, -2, 0, 0]], "q": [0.001, 0.002],
+                  "omega": [1e-4, 1e-4]}
 
 
 class TestConfigRules:
@@ -772,10 +803,14 @@ class TestConfigRules:
         ("log_sigma", {}, 4, "data.m: the log-covariance model needs m > n = 4"),
         ("iw_augmented", {"nu": 0.5, "sigma0": (1e-4 * np.eye(4)).tolist()}, None,
          "nu: must exceed n-1 = 3"),
-    ], ids=["iw-nu-without-sigma0", "iw-nu-plus-m", "log_sigma-m", "iw-nu-below-n-1"])
+        ("iw_augmented", {"views": RANK_ONE_VIEWS}, None,
+         "views.P: P has row rank 1 < k = 2\n"),
+    ], ids=["iw-nu-without-sigma0", "iw-nu-plus-m", "log_sigma-m", "iw-nu-below-n-1",
+            "iw_augmented-rank"])
     def test_rule_exit_2_before_prices(self, demo_dir, tmp_path, capsys, monkeypatch,
                                        command, model, overrides, m, field):
         calls = count_engine_calls(monkeypatch, data, "ingest_prices")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         doc = small_config(demo_dir, model, **overrides)
         if m is not None:
             doc["data"]["m"] = m
@@ -785,7 +820,22 @@ class TestConfigRules:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
-        assert calls == [] and not out.exists()
+        assert calls == chains == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("model", ["iw_nonsquare", "original", "log_sigma"])
+    def test_rank_deficient_p_runs_unaugmented(self, demo_dir, tmp_path, command, model):
+        # only iw_augmented extends P to an invertible P*; the other models
+        # take two parallel views as they are
+        doc = small_config(demo_dir, model, views=RANK_ONE_VIEWS, iters=60, burn=10)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"omega1": [1e-4], "omega2": [1e-3]}))
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), *extra,
+                     "--out", str(out)]) == 0
+        if command == "sweep":
+            assert out.read_text().count(",ok,") == 1
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("model", ["log_sigma", "original"])

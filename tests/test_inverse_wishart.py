@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blbayes import demo, inverse_wishart, linalg
+from blbayes import demo, inverse_wishart, linalg, log_sigma, sampling
 from blbayes.backtest import ModelSettings, historical_covariance, run_model
 from blbayes.data import monthly_means
 from blbayes.errors import (
@@ -20,10 +20,9 @@ from blbayes.inverse_wishart import (
     check_chain_length,
     check_omega_floor,
     gibbs_augmented,
-    gibbs_chain,
     gibbs_nonsquare,
 )
-from blbayes.log_sigma import LogSigmaConfig
+from blbayes.log_sigma import LogSigmaConfig, gibbs_log_sigma
 from blbayes.sampling import rng_stream, sample_mvn
 from blbayes.views import ViewSet, augment_to_invertible, build_transformed_hyperparams
 from conftest import calls_per_iteration, count_engine_calls, random_spd
@@ -397,7 +396,7 @@ class TestBatchedChains:
         # first that fails raises the error of its point run alone
         returns, views = small_dataset
         run = self.sampler(variant)
-        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         for invalid in ([0, 2], [2]):
             point_views, stream_ids = self.points(views, 3)
             for g in invalid:
@@ -416,7 +415,7 @@ class TestBatchedChains:
                                                     variant):
         # a batch of one is a run of its point: its error is not wrapped
         returns, views = small_dataset
-        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         with pytest.raises(ValidationError, match="floor 1e-09") as exc:
             self.sampler(variant)(returns, [views.with_omega([1e-10])], self.cfg, [0])
         assert type(exc.value) is ValidationError and exc.value.path == "views.omega"
@@ -441,104 +440,141 @@ class TestBatchedChains:
 
 
 class TestGibbsChain:
-    """The shared loop, driven by a stub covariance step that returns a
-    fixed Sigma and accepts every other iteration."""
+    """The chain loops of both samplers, watched through the engine
+    functions each calls: the log-covariance chain on the demo data, whose
+    MH step rejects some proposals, and the Inverse-Wishart chains, whose
+    every step is accepted (:class:`TestRaoBlackwellisedSigma` checks the mu
+    each of their covariance draws sees)."""
 
-    sigma_fix = np.array([[4e-4, 1e-4], [1e-4, 6e-4]])
-    # not log det sigma_fix: the loop must record the step's value as given
-    log_det_fix = -1.25
+    @staticmethod
+    def log_sigma_chain(demo_panel, iters=20, burn=5):
+        return gibbs_log_sigma(demo_panel.current, demo.demo_views(),
+                               LogSigmaConfig(iters=iters, burn=burn, seed=3))
 
-    def stub(self, seen, fail_at=None):
-        def step(mu, rng):
-            if len(seen) == fail_at:
-                raise RuntimeError("stub step failed")
-            seen.append(mu.copy())
-            return (self.sigma_fix, np.linalg.inv(self.sigma_fix), self.log_det_fix,
-                    len(seen) % 2 == 1)
-        return step
+    @staticmethod
+    def spy(monkeypatch, module, attr, record):
+        """Wrap ``module.<attr>``: ``record(args, result)`` sees each call."""
+        original = getattr(module, attr)
 
-    def run(self, returns, views, step, cfg):
-        chain = gibbs_chain(len(returns), returns.mean(axis=0), [(views.p, views.q, views.omega)],
-                            cfg, [0], step)
-        assert len(chain) == 4 and all(len(a) == 1 for a in chain)
-        return [a[0] for a in chain]
+        def wrapped(*args):
+            result = original(*args)
+            record(args, result)
+            return result
 
-    def test_flags_trace_and_sigma_mean(self, small_dataset):
+        monkeypatch.setattr(module, attr, wrapped)
+
+    def test_flags_trace_and_sigma_mean(self, demo_panel, monkeypatch):
+        # the first covariance step sees rbar and each later one the previous
+        # mu draw; the chain's Sigma is the start's pair until an accepted
+        # proposal replaces it, so a rejected step repeats the log det, and
+        # sigma_post is the post-burn mean of the chain's Sigma
+        seen, pairs = [], []
+        self.spy(monkeypatch, log_sigma, "scatter_about",
+                 lambda args, _: seen.append(args[2].copy()))
+        self.spy(monkeypatch, log_sigma, "_sigma_pair", lambda _, pair: pairs.append(pair))
+        iters, burn = 40, 10
+        s = self.log_sigma_chain(demo_panel, iters, burn)
+        accepted = s.accepted.tolist()
+        assert 0 < sum(accepted) < iters and len(pairs) == 1 + sum(accepted)
+        rbar, _ = linalg.centred_scatter(demo_panel.current)
+        np.testing.assert_array_equal(seen[0], rbar)
+        np.testing.assert_array_equal(seen[1:], s.mu_draws[:-1])
+        pair, later = pairs[0], iter(pairs[1:])
+        sigma_sum = np.zeros((4, 4))
+        for t in range(iters):
+            if accepted[t]:
+                pair = next(later)
+            elif t > 0:
+                assert s.log_det_sigma[t] == s.log_det_sigma[t - 1]
+            assert s.log_det_sigma[t] == pair[2]
+            if t >= burn:
+                sigma_sum += pair[0]
+        np.testing.assert_array_equal(s.sigma_post, sigma_sum / (iters - burn))
+
+    def test_step_error_propagates(self, small_dataset, demo_panel, monkeypatch):
+        # an error in the fourth covariance step of either chain ends it there
         returns, views = small_dataset
-        seen = []
-        mu_draws, sigma_mean, log_dets, accepts = self.run(
-            returns, views, self.stub(seen), make_config(iters=20, burn=5)
-        )
-        flags = [t % 2 == 0 for t in range(20)]
-        assert accepts.tolist() == flags
-        assert log_dets.tolist() == [self.log_det_fix] * 20
-        np.testing.assert_array_equal(seen[0], returns.mean(axis=0))
-        np.testing.assert_array_equal(seen[1:], mu_draws[:-1])
-        np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
+        for module, attr, run in (
+                (log_sigma, "build_Q", lambda: self.log_sigma_chain(demo_panel)),
+                (inverse_wishart, "sample_inverse_wishart",
+                 lambda: gibbs_nonsquare(returns, [views], make_config(iters=20, burn=5), [0]))):
+            original, calls = getattr(module, attr), []
 
-    def test_step_error_propagates(self, small_dataset):
-        returns, views = small_dataset
-        seen = []
-        with pytest.raises(RuntimeError, match="stub step failed"):
-            self.run(returns, views, self.stub(seen, fail_at=3), make_config(iters=20, burn=5))
-        assert len(seen) == 3
+            def failing(*args):
+                calls.append(1)
+                if len(calls) == 4:
+                    raise RuntimeError("stub step failed")
+                return original(*args)
+
+            monkeypatch.setattr(module, attr, failing)
+            with pytest.raises(RuntimeError, match="stub step failed"):
+                run()
+            assert len(calls) == 4
 
     @pytest.mark.parametrize("bad_iteration", [2, 12])
-    def test_non_finite_sigma_term(self, small_dataset, bad_iteration):
+    def test_non_finite_sigma_term(self, demo_panel, monkeypatch, bad_iteration):
         # a Sigma term only feeds the post-burn average, so an infinite one
         # fails the chain when it enters that average and is ignored in the
-        # burn-in, like the rest of the burn-in's Sigma terms
-        returns, views = small_dataset
-        seen = []
-        fixed = self.stub(seen)
+        # burn-in, like the rest of the burn-in's Sigma terms. Every proposal
+        # is accepted, so iteration t holds the pair of call t + 1 (call 0
+        # is the start's).
+        pair, calls = log_sigma._sigma_pair, []
 
-        def step(mu, rng):
-            sigma, *rest = fixed(mu, rng)
-            return (sigma * np.inf if len(seen) == bad_iteration + 1 else sigma), *rest
+        def sigma_pair(*args):
+            sigma, *rest = pair(*args)
+            calls.append(sigma)
+            return (sigma * np.inf if len(calls) == bad_iteration + 2 else sigma), *rest
 
-        cfg = make_config(iters=20, burn=5)
-        if bad_iteration < cfg.burn:
-            _, sigma_mean, _, _ = self.run(returns, views, step, cfg)
-            np.testing.assert_allclose(sigma_mean, self.sigma_fix, rtol=1e-14)
+        monkeypatch.setattr(log_sigma, "_sigma_pair", sigma_pair)
+        monkeypatch.setattr(log_sigma, "mh_log_ratio", lambda *args: np.inf)
+        if bad_iteration < 5:
+            s = self.log_sigma_chain(demo_panel, iters=20, burn=5)
+            np.testing.assert_allclose(s.sigma_post, np.mean(calls[6:], axis=0), rtol=1e-14)
         else:
             with pytest.raises(ChainError, match="^non-finite Sigma mean in Gibbs chain$"):
-                self.run(returns, views, step, cfg)
-        assert len(seen) == 20
+                self.log_sigma_chain(demo_panel, iters=20, burn=5)
+        assert len(calls) == 21
 
     @pytest.mark.parametrize("count", [1, 3])
-    def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, count):
-        # a batch of one runs on a plain mu of shape (n,) and one stream; a
-        # larger batch on a (G, n) stack and a list of G streams
+    def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, demo_panel, monkeypatch,
+                                                  count):
+        # one Inverse-Wishart chain hands the covariance draw u of shape (n,)
+        # and draws its factors from one Generator; a batch hands it a
+        # (G, n) stack and draws from its G streams in order. The
+        # log-covariance chain draws from one Generator throughout.
         returns, views = small_dataset
-        seen = []
-
-        def step(mu, rng):
-            seen.append((mu.shape, rng))
-            lead = (count,) if count > 1 else ()
-            sigma = np.broadcast_to(self.sigma_fix, lead + (2, 2)).copy()
-            return sigma, np.linalg.inv(sigma), np.full(lead, self.log_det_fix), True
-
-        mu_draws, sigma_means, log_dets, accepts = gibbs_chain(
-            len(returns), returns.mean(axis=0), [(views.p, views.q, views.omega)] * count,
-            make_config(iters=4, burn=1), list(range(7, 7 + count)), step)
-        assert mu_draws.shape == (count, 4, 2) and sigma_means.shape == (count, 2, 2)
-        assert log_dets.shape == (count, 4) and (log_dets == self.log_det_fix).all()
-        assert accepts.shape == (count, 4) and accepts.all()
+        shapes, streams = [], []
+        self.spy(monkeypatch, inverse_wishart, "sample_inverse_wishart",
+                 lambda args, _: shapes.append((args[0].shape, args[1].shape)))
+        self.spy(monkeypatch, inverse_wishart, "bartlett_factors",
+                 lambda args, _: streams.append(args[3]))
+        point_views = [views.with_omega([10.0 ** -(2 + g)]) for g in range(count)]
+        summaries = gibbs_nonsquare(returns, point_views, make_config(iters=4, burn=1),
+                                    list(range(7, 7 + count)))
+        assert len(summaries) == count and len(shapes) == 4
+        assert all(s.mu_draws.shape == (4, 2) and s.accepted.all() for s in summaries)
+        lead = (count,) if count > 1 else ()
+        assert set(shapes) == {(lead + (2,), lead + (2, 2))}
+        assert all(isinstance(rng, np.random.Generator) for rng in streams)
+        assert [r.bit_generator.seed_seq.spawn_key for r in streams] == [
+            (s,) for s in range(7, 7 + count)]
         if count == 1:
-            assert all(shape == (2,) and isinstance(rng, np.random.Generator)
-                       for shape, rng in seen)
-            assert seen[0][1].bit_generator.seed_seq.spawn_key == (7,)
-        else:
-            assert all(shape == (count, 2) and len(rng) == count for shape, rng in seen)
-            assert [r.bit_generator.seed_seq.spawn_key for r in seen[0][1]] == [(7,), (8,), (9,)]
-        assert len(seen) == 4
+            original, generators = log_sigma.sample_mvn, []
+
+            def sample_mvn(shift, **kw):
+                generators.append(kw["rng"])
+                return original(shift, **kw)
+
+            monkeypatch.setattr(log_sigma, "sample_mvn", sample_mvn)
+            self.log_sigma_chain(demo_panel, iters=4, burn=1)
+            assert len(generators) == 8 and len(set(map(id, generators))) == 1
+            assert isinstance(generators[0], np.random.Generator)
 
     def test_empty_window_rejected(self, small_dataset, monkeypatch):
-        # the loop reads only m and rbar; the Inverse-Wishart samplers, its
-        # callers that take any number of rows, reject none before their
-        # set-up and before any chain runs
+        # the Inverse-Wishart samplers take any number of rows; they reject
+        # none before their set-up and before any chain starts
         _, views = small_dataset
-        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         months = np.random.default_rng(57).normal(size=(8, 2)) * 0.01
         cfg = make_config(iters=20, burn=5)
         with pytest.raises(InsufficientDataError, match="at least one row"):
@@ -592,7 +628,7 @@ class TestRaoBlackwellisedSigma:
         # denominator nu + m - n - 1 at 0, so no chain runs. Two rows run.
         returns, views = small_dataset
         months = np.random.default_rng(56).normal(size=(8, 2)) * 0.01
-        chains = count_engine_calls(monkeypatch, inverse_wishart, "gibbs_chain")
+        chains = count_engine_calls(monkeypatch, sampling, "rng_stream")
         cfg = make_config(nu=2.0, iters=20, burn=5)
 
         def run(rows):
