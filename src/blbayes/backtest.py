@@ -28,6 +28,8 @@ from .views import ViewSet, check_month_count
 log = logging.getLogger(__name__)
 
 MODELS = ("original", "iw_augmented", "iw_nonsquare", "log_sigma")
+# the Inverse-Wishart models, whose points run as one lock-step batch of chains
+IW_MODELS = ("iw_augmented", "iw_nonsquare")
 
 
 def view_distance(p, mu_post, q) -> float:
@@ -107,7 +109,7 @@ def check_history(model: str, panel: ReturnPanel, settings: ModelSettings, k: in
     prices, not on omega, so :func:`run_model` and :func:`run_sweep` each
     check them once, before any chain runs."""
     reads_covariance = model == "original" or (
-        model in ("iw_augmented", "iw_nonsquare") and settings.sigma0 is None)
+        model in IW_MODELS and settings.sigma0 is None)
     if reads_covariance and len(panel.historical) < 2:
         raise InsufficientDataError("need at least 2 historical rows for a covariance")
     if model == "iw_augmented":
@@ -256,23 +258,34 @@ def _failed_record(point, exc, seed: int) -> SweepRecord:
 
 
 def _sweep_batch(task) -> list[SweepRecord]:
-    """The records of a contiguous run of grid points, whose chains run as
-    one batch. If the batch fails, its points run again one at a time, so
-    every record, ``ok`` or error, is what an unbatched sweep gives."""
+    """The records of a contiguous run of grid points. The Inverse-Wishart
+    models run their chains as one lock-step batch, and if the batch fails,
+    its points run again one at a time; the other models run each point in
+    its own ``try``, so no finished chain runs twice. Either way every
+    record, ``ok`` or error, is what an unbatched sweep gives."""
     points, panel, views, settings, model, seed = task
-    try:
-        results = run_model(model, panel, [views.with_omega([w1, w2]) for _, w1, w2 in points],
-                            settings, seed=seed, stream_id=[index for index, _, _ in points])
-    except (BlBayesError, np.linalg.LinAlgError) as exc:
-        if len(points) > 1:
-            return [rec for point in points
-                    for rec in _sweep_batch(((point,), panel, views, settings, model, seed))]
-        return [_failed_record(points[0], exc, seed)]
-    return [SweepRecord(
-        omega1=w1, omega2=w2, distance=res.distance, profit=res.profit, status="ok",
-        acceptance_rate=res.summary.acceptance_rate if res.summary is not None else 1.0,
-        seed=seed,
-    ) for (_, w1, w2), res in zip(points, results)]
+
+    def run(run_points):
+        results = run_model(model, panel, [views.with_omega([w1, w2]) for _, w1, w2 in run_points],
+                            settings, seed=seed, stream_id=[index for index, _, _ in run_points])
+        return [SweepRecord(
+            omega1=w1, omega2=w2, distance=res.distance, profit=res.profit, status="ok",
+            acceptance_rate=res.summary.acceptance_rate if res.summary is not None else 1.0,
+            seed=seed,
+        ) for (_, w1, w2), res in zip(run_points, results)]
+
+    if len(points) > 1 and model in IW_MODELS:
+        try:
+            return run(points)
+        except (BlBayesError, np.linalg.LinAlgError):
+            pass  # the batch's points run again one at a time
+    records = []
+    for point in points:
+        try:
+            records += run((point,))
+        except (BlBayesError, np.linalg.LinAlgError) as exc:
+            records.append(_failed_record(point, exc, seed))
+    return records
 
 
 def _process_pool(processes: int):
@@ -289,7 +302,7 @@ def run_sweep(grid: SweepGrid, panel: ReturnPanel, views: ViewSet,
     Point ``index`` runs on the stream ``(base_seed, index)``, so no two
     points of any sweeps share a stream. The grid is split into
     ``W = min(workers, points)`` contiguous batches of near-equal size, the
-    larger first, each run as one lock-step batch (:func:`run_model`).
+    larger first, each run by :func:`_sweep_batch`.
     ``workers`` counts the calling process: it runs batch 0 itself, while a
     pool of ``W - 1`` processes, started before it, runs one batch each;
     a single batch starts no pool. A point's record does not depend on the

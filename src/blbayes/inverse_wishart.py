@@ -49,6 +49,7 @@ from .sampling import (
     rng_stream,
     sample_inverse_wishart,
     sample_mvn,
+    sigma_draw_conditions,
     whitening,
 )
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
@@ -172,7 +173,12 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     nothing in the chain state, so each chain draws them from its own stream
     in blocks of :data:`BLOCK` iterations, the last block only as many as it
     has left: a stream holds a block of factors, then the y normals of those
-    iterations, then the next block, alone or in a batch. A batch stacks its
+    iterations, then the next block, alone or in a batch. The block keeps
+    each iteration's u, and the condition of its covariance draws is
+    estimated and logged for all of them at once
+    (:func:`~blbayes.sampling.sigma_draw_conditions`), when the block ends
+    or, if an error ends it, for the draws made so far before the error
+    propagates. A batch stacks its
     arrays along a leading axis of length G and draws from a list of G
     Generators; a batch of one runs on plain arrays and one Generator, which
     spares numpy's overhead on stacks of one.
@@ -212,26 +218,33 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
         a[g] for a in (y_draws, log_dets, uu_sum, prior_prec, prior_vec, rng))
     root_m = math.sqrt(m)
     y = np.zeros(prior_vec.shape)
+    us = np.empty((BLOCK,) + y.shape)
     for start in range(0, iters, BLOCK):
         size = min(BLOCK, iters - start)
         if count > 1:  # one block per chain, stacked per iteration
             factors = np.stack([bartlett_factors(dof, n, size, r) for r in rng], axis=1)
         else:
             factors = bartlett_factors(dof, n, size, rng)
-        for t, factor in enumerate(factors, start):
-            u = root_m * y
-            sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, white)
-            # each draw is checked before the chain uses it; the u u' terms,
-            # which only feed the average, are checked once in their sum
-            if not np.isfinite(sigma_inv).all():
-                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-            y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, rng=rng,
-                           name="mu conditional precision", cov_cholesky=True)
-            if not np.isfinite(y).all():
-                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-            draws[..., t, :] = y
-            if t >= burn:
-                uu_acc += u[..., :, None] * u[..., None, :]
+        made = 0  # the block's covariance draws so far
+        try:
+            for t, factor in enumerate(factors, start):
+                u = us[made] = root_m * y
+                sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, white)
+                made += 1
+                # each draw is checked before the chain uses it; the u u'
+                # terms, which only feed the average, are checked once in
+                # their sum
+                if not np.isfinite(sigma_inv).all():
+                    raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+                y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, rng=rng,
+                               name="mu conditional precision", cov_cholesky=True)
+                if not np.isfinite(y).all():
+                    raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+                draws[..., t, :] = y
+                if t >= burn:
+                    uu_acc += u[..., :, None] * u[..., None, :]
+        finally:  # an error that ends the block comes after its draws' warnings
+            sigma_draw_conditions(us[:made], factors[:made], white)
     if not np.isfinite(uu_sum).all():
         raise ChainError("non-finite Sigma mean in Gibbs chain")
     mu_draws = rbar + y_draws @ lower.T

@@ -19,7 +19,9 @@ of time, a block of many with two vectorised calls
 the inverse square root of the scale has a closed form: a draw is one such
 factor updated by a rank-one term, with no factorization and no solve. It is
 returned as its whitened inverse and its log det: the chains need only
-those, so the draw itself is never formed. The multivariate normal is given
+those, so the draw itself is never formed. Its condition estimate is made
+apart from it, for a block of draws at once, stacked over iterations and
+chains (:func:`sigma_draw_conditions`). The multivariate normal is given
 by its precision, the form in which every sampler's normal conditional
 arises, and is drawn with that precision's one Cholesky factor and one
 solve. Both draws also serve a batch of chains stacked along a leading
@@ -40,7 +42,7 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .linalg import spd_cholesky, symmetrize, warn_condition
+from .linalg import COND_WARN, spd_cholesky, symmetrize, warn_condition
 
 
 def fits_seed(value: int) -> bool:
@@ -127,12 +129,13 @@ def bartlett_factors(dof: float, n: int, count: int, rng: np.random.Generator) -
     return factors
 
 
-def whitening(lower) -> tuple[np.ndarray, np.ndarray, list[float], float]:
-    """What :func:`sample_inverse_wishart` needs of its whitening factor, a
-    lower Cholesky factor ``L``, made once per batch of chains: ``(L, L^-1, the
-    squared column norms of L, 2 log det L)``."""
+def whitening(lower) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """What :func:`sample_inverse_wishart` and :func:`sigma_draw_conditions`
+    need of their whitening factor, a lower Cholesky factor ``L``, made once
+    per batch of chains: ``(L, L^-1, the squared column norms of L, 2 log det
+    L)``."""
     lower = np.asarray(lower, dtype=float)
-    return (lower, np.linalg.inv(lower), (lower * lower).sum(0).tolist(),
+    return (lower, np.linalg.inv(lower), (lower * lower).sum(0),
             2.0 * sum(map(math.log, lower.diagonal().tolist())))
 
 
@@ -149,20 +152,12 @@ def sample_inverse_wishart(u, factor, white):
     Wishart(dof, (I + u u')^-1) Bartlett draw, with no factorization and no
     solve, and ``log det Sigma = 2 log det L + log(1 + s) - 2 sum log diag A``.
 
-    Logs the condition warning of :func:`~blbayes.linalg.warn_condition` for
-    ``Sigma``, estimated from Rayleigh quotients of
-    ``Sigma^-1 = L^-T N N' L^-1``, which all lie between its extreme
-    eigenvalues: at ``x = L e_i`` the quotient is ``||N_i,:||^2 / ||L e_i||^2``,
-    at ``x = e_i`` it is ``(Sigma^-1)_ii = ||(L^-T N)_i,:||^2``, and at
-    ``x = L u`` (for ``u != 0``), as ``N'u = A'u / r``, it is
-    ``||A'u||^2 / ((1 + s) ||L u||^2)``. So ``cond(Sigma) >=`` their largest
-    over their smallest, the estimate.
-
     A batch of G chains passes ``u`` as ``(G, n)`` and ``factor`` as a
     ``(G, n, n)`` stack, each chain's factor drawn from its own stream, and
     gets a ``(G, n, n)`` stack and a list of G log dets back; each chain's
-    draw is bit for bit the draw of its slices alone. The condition warning
-    is per chain.
+    draw is bit for bit the draw of its slices alone. The draw's condition
+    is checked apart from it, for a block of draws at once
+    (:func:`sigma_draw_conditions`).
     """
     u = np.asarray(u, dtype=float)
     batch = u.ndim == 2
@@ -170,7 +165,7 @@ def sample_inverse_wishart(u, factor, white):
         raise DimensionError(
             f"sample_inverse_wishart: factor {factor.shape} does not match u {u.shape}"
         )
-    lower, lower_inv, lower_sq, log_det_lower = white
+    log_det_lower = white[3]
     # Python floats: numpy's reductions, log and sum of an n-vector cost
     # more than the n scalar operations at the sizes the chains use
     rows = u.tolist() if batch else [u.tolist()]
@@ -180,19 +175,49 @@ def sample_inverse_wishart(u, factor, white):
     c_u = np.array(c)[:, None] * u if batch else c[0] * u
     n_factor = factor - c_u[..., :, None] * u_factor
     sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
-    lower_inv_n = lower_inv.T @ n_factor
-    floats = (sigma_inv.diagonal(0, -2, -1).tolist(), (lower_inv_n * lower_inv_n).sum(-1).tolist(),
-              u_factor[..., 0, :].tolist(), (u @ lower.T).tolist(),
-              factor.diagonal(0, -2, -1).tolist())
-    log_det = []
-    for s_g, (n_rows, at_e, ua, lu, diagonal) in zip(s, zip(*floats) if batch else [floats]):
-        quotients = list(map(operator.truediv, n_rows, lower_sq)) + at_e
-        at_u = (1.0 + s_g) * sum(map(operator.mul, lu, lu))
-        if at_u > 0.0:  # u = 0 at the chain's start, mu = rbar
-            quotients.append(sum(map(operator.mul, ua, ua)) / at_u)
-        warn_condition("Sigma draw", max(quotients) / min(quotients))
-        log_det.append(log_det_lower + math.log1p(s_g) - 2.0 * sum(map(math.log, diagonal)))
+    diagonals = factor.diagonal(0, -2, -1).tolist()
+    log_det = [log_det_lower + math.log1p(s_g) - 2.0 * sum(map(math.log, diagonal))
+               for s_g, diagonal in zip(s, diagonals if batch else [diagonals])]
     return sigma_inv, log_det if batch else log_det[0]
+
+
+def sigma_draw_conditions(u, factors, white) -> np.ndarray:
+    """The condition estimates of the draws ``Sigma = L S L'`` that
+    :func:`sample_inverse_wishart` makes from each ``u`` and Bartlett factor
+    ``A``, for a block of T iterations at once: ``u`` is ``(T, n)``, or
+    ``(T, G, n)`` for a batch, and ``factors`` the matching ``(T, n, n)`` or
+    ``(T, G, n, n)`` stack. Returns the ``(T,)`` or ``(T, G)`` estimates and
+    logs the condition warning of :func:`~blbayes.linalg.warn_condition` for
+    each, iteration by iteration, chain by chain within one.
+
+    With ``N = A - c u (u'A)`` rebuilt as the draw makes it, the estimate
+    comes from Rayleigh quotients of ``Sigma^-1 = L^-T N N' L^-1``, which
+    all lie between its extreme eigenvalues: at ``x = L e_i`` the quotient
+    is ``||N_i,:||^2 / ||L e_i||^2``, at ``x = e_i`` it is
+    ``(Sigma^-1)_ii = ||(L^-T N)_i,:||^2``, and at ``x = L u`` (for
+    ``u != 0``), as ``N'u = A'u / r``, it is ``||A'u||^2 / ((1 + s) ||L u||^2)``.
+    So ``cond(Sigma) >=`` their largest over their smallest, the estimate.
+    """
+    u = np.asarray(u, dtype=float)
+    lower, lower_inv, lower_sq, _ = white
+    s = (u * u).sum(-1)
+    r = np.sqrt(1.0 + s)
+    c = 1.0 / (r * (r + 1.0))
+    u_factor = (u[..., None, :] @ factors)[..., 0, :]
+    n_factor = factors - (c[..., None] * u)[..., :, None] * u_factor[..., None, :]
+    lower_inv_n = lower_inv.T @ n_factor
+    quotients = np.concatenate(((n_factor * n_factor).sum(-1) / lower_sq,
+                                (lower_inv_n * lower_inv_n).sum(-1)), axis=-1)
+    hi, lo = quotients.max(-1), quotients.min(-1)
+    lu = u @ lower.T
+    at_u = (1.0 + s) * (lu * lu).sum(-1)
+    moved = at_u > 0.0  # u = 0 at the chain's start, mu = rbar
+    at_lu = (u_factor * u_factor).sum(-1) / np.where(moved, at_u, 1.0)
+    estimates = (np.where(moved, np.maximum(hi, at_lu), hi)
+                 / np.where(moved, np.minimum(lo, at_lu), lo))
+    for cond in estimates[estimates > COND_WARN].tolist():
+        warn_condition("Sigma draw", cond)
+    return estimates
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: np.random.Generator) -> float:

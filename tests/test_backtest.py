@@ -1,6 +1,7 @@
 """Weights, profits, distances, and the deterministic parallel sweep."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,6 +297,40 @@ class TestSweep:
         write_sweep_csv(batched, pa)
         write_sweep_csv(alone, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_failed_point_reruns_no_finished_chain(self, sweep_inputs, monkeypatch, tmp_path):
+        # only the Inverse-Wishart models run a batch in lock step; the
+        # log-covariance model runs each point of it in its own try, so the
+        # point at omega2 = 1e-13 fails alone and the batch of points 5-8
+        # runs three chains for its three ok rows, on any number of workers
+        panel, views, settings = sweep_inputs
+        settings = replace(settings, iters=60, burn=15)
+        grid = SweepGrid((1e-5, 1e-4, 1e-3), (1e-13, 1e-4, 1e-3), "log_sigma", base_seed=3)
+        original, chains = backtest.gibbs_log_sigma, []
+
+        def finishing(*args):
+            summary = original(*args)
+            chains.append(args[3])  # the stream id of a chain that finished
+            return summary
+
+        monkeypatch.setattr(backtest, "gibbs_log_sigma", finishing)
+        points = list(grid.points())
+        batch = backtest._sweep_batch((tuple(points[5:]), panel, views, settings, grid.model,
+                                       grid.base_seed))
+        assert chains == [5, 7, 8]
+        assert [r.status for r in batch] == ["ok", "error:ValidationError", "ok", "ok"]
+        alone = [rec for point in points
+                 for rec in backtest._sweep_batch(((point,), panel, views, settings,
+                                                   grid.model, grid.base_seed))]
+        expected, batched = tmp_path / "alone.csv", tmp_path / "batch.csv"
+        write_sweep_csv(alone[5:], expected)
+        write_sweep_csv(batch, batched)
+        assert batched.read_bytes() == expected.read_bytes()
+        write_sweep_csv(alone, expected)
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            write_sweep_csv(run_sweep(grid, panel, views, settings, workers=workers), path)
+            assert path.read_bytes() == expected.read_bytes(), workers
 
     def test_neighbouring_base_seeds_share_no_stream(self, sweep_inputs):
         # one (omega1, omega2) pair repeated: equal distances would mean that

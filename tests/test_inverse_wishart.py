@@ -1,6 +1,7 @@
 """Conditionals and full chains of the Inverse-Wishart models."""
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     gibbs_augmented_view_space,
     mu_conditional,
     mu_conditional_precision,
+    sigma_draw_condition,
 )
 
 
@@ -582,6 +584,112 @@ class TestGibbsChain:
         with pytest.raises(InsufficientDataError, match="at least one row"):
             gibbs_augmented(np.empty((0, 2)), [views], months, cfg, [0])
         assert chains == []
+
+
+class TestSigmaDrawGuard:
+    """A chain estimates the condition of its covariance draws once per
+    block of :data:`~blbayes.inverse_wishart.BLOCK` iterations, over all its
+    iterations and chains, and gets the estimates and warnings of the draws
+    checked one at a time (:func:`oracles.sigma_draw_condition`)."""
+
+    iters = 150  # two full blocks and 22 iterations
+
+    @staticmethod
+    def far_views():
+        # views far from the data pull mu far from rbar, so every draw but
+        # the first (u = 0) of each chain is ill-conditioned
+        v = demo.demo_views()
+        return ViewSet(v.p, np.array([3e5, -1e5]), np.array([1e-9, 1e-9]))
+
+    def run(self, demo_panel, count):
+        cfg = IwConfig.default_for(4, historical_covariance(demo_panel), iters=self.iters,
+                                   burn=10, seed=5)
+        return gibbs_nonsquare(demo_panel.current, [self.far_views()] * count, cfg,
+                               list(range(count)))
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap the chain's guard: each call's ``(u, factors, white,
+        estimates)``."""
+        original, calls = inverse_wishart.sigma_draw_conditions, []
+
+        def recording(u, factors, white):
+            estimates = original(u, factors, white)
+            calls.append((u.copy(), factors.copy(), white, estimates))
+            return estimates
+
+        monkeypatch.setattr(inverse_wishart, "sigma_draw_conditions", recording)
+        return calls
+
+    @staticmethod
+    def sigma_warnings(caplog):
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("Sigma draw")]
+
+    @staticmethod
+    def oracle(calls, count):
+        """The per-draw estimates of the recorded blocks, ``(T, count)``."""
+        return np.array([sigma_draw_condition(u_i, a_i, white)
+                         for u, factors, white, _ in calls
+                         for u_i, a_i in zip(u.reshape(-1, 4), factors.reshape(-1, 4, 4))]
+                        ).reshape(-1, count)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_matches_per_draw_oracle(self, demo_panel, monkeypatch, caplog, count):
+        calls = self.record(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+            summaries = self.run(demo_panel, count)
+        block = inverse_wishart.BLOCK
+        assert [len(u) for u, *_ in calls] == [block, block, self.iters - 2 * block]
+        expected = self.oracle(calls, count)
+        estimates = np.concatenate([e for *_, e in calls]).reshape(self.iters, count)
+        np.testing.assert_allclose(estimates, expected, rtol=1e-12, atol=0)
+        # the guard saw the chain's own draws: u = 0 at the start, then
+        # sqrt(m) y for the previous mu draw rbar + L y
+        u = np.concatenate([u for u, *_ in calls]).reshape(self.iters, count, 4)
+        lower, m = calls[0][2][0], len(demo_panel.current)
+        rbar = demo_panel.current.mean(axis=0)
+        assert not u[0].any()
+        for g, s in enumerate(summaries):
+            np.testing.assert_allclose(rbar + u[1:, g] @ lower.T / math.sqrt(m),
+                                       s.mu_draws[:-1], rtol=1e-12)
+        warned = [cond for cond in expected.ravel().tolist() if cond > linalg.COND_WARN]
+        assert len(warned) == (self.iters - 1) * count
+        assert self.sigma_warnings(caplog) == [
+            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10" for cond in warned]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("failing", ["y", "sigma"])
+    def test_error_logs_the_draws_made_first(self, demo_panel, monkeypatch, caplog, count,
+                                             failing):
+        # an error at iteration 70 ends the chain in its second block, and
+        # the warnings of the draws made are logged before the error reaches
+        # the caller: a NaN y draw fails after that iteration's covariance
+        # draw, so iterations 64-70 are checked; an error in the covariance
+        # draw itself leaves iterations 64-69
+        calls = self.record(monkeypatch)
+        attr = {"y": "sample_mvn", "sigma": "sample_inverse_wishart"}[failing]
+        original, seen = getattr(inverse_wishart, attr), []
+
+        def poisoned(*args, **kw):
+            seen.append(1)
+            if len(seen) == 71 and failing == "sigma":
+                raise RuntimeError("stub draw failed")
+            result = original(*args, **kw)
+            return result * np.nan if len(seen) == 71 else result
+
+        monkeypatch.setattr(inverse_wishart, attr, poisoned)
+        error = (ChainError, r"\(iteration 70\)$") if failing == "y" else (RuntimeError, "stub")
+        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+            with pytest.raises(error[0], match=error[1]):
+                self.run(demo_panel, count)
+        block = inverse_wishart.BLOCK
+        assert [len(u) for u, *_ in calls] == [block, (71 if failing == "y" else 70) - block]
+        expected = self.oracle(calls, count)
+        assert not (expected[0] > linalg.COND_WARN).any()
+        assert (expected[1:] > linalg.COND_WARN).all()
+        assert self.sigma_warnings(caplog) == [
+            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10"
+            for cond in expected[1:].ravel().tolist()]
 
 
 class TestRaoBlackwellisedSigma:

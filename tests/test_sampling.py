@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blbayes import sampling
 from blbayes.errors import (
     DegreesOfFreedomError,
     DimensionError,
@@ -19,10 +18,11 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
+    sigma_draw_conditions,
     whitening,
 )
 from conftest import random_spd
-from oracles import mvn_two_solves
+from oracles import mvn_two_solves, sigma_draw_condition
 
 
 def one_factor(dof, n, rng):
@@ -358,6 +358,14 @@ class TestInverseWishart:
         assert (a[:, cols, rows] == 0.0).all()
 
 
+def check_draw(u, factor, white):
+    """The draw of ``sample_inverse_wishart(u, factor, white)`` and the
+    estimate of :func:`sigma_draw_conditions` for it, a block of one."""
+    sigma_inv, _ = sample_inverse_wishart(u, factor, white)
+    [estimate] = sigma_draw_conditions(np.asarray(u, dtype=float)[None], factor[None], white)
+    return sigma_inv, estimate
+
+
 class TestSigmaDrawConditionWarning:
     @staticmethod
     def draw(eigvals, caplog, rotate=True):
@@ -365,8 +373,8 @@ class TestSigmaDrawConditionWarning:
         scale = (q * eigvals) @ q.T
         lower = np.linalg.cholesky(0.5 * (scale + scale.T))
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            sigma_inv, _ = sample_inverse_wishart([0.3, -0.2], one_factor(12.0, 2, rng_stream(7)),
-                                                  whitening(lower))
+            sigma_inv, _ = check_draw([0.3, -0.2], one_factor(12.0, 2, rng_stream(7)),
+                                      whitening(lower))
         return asset_inverse(sigma_inv, lower)
 
     @pytest.mark.parametrize("rotate", [True, False])
@@ -387,13 +395,12 @@ class TestSigmaDrawConditionWarning:
         # rotated u: only the quotient at x = L u reveals the spread
         u = 1e6 * np.array([0.6, 0.8])
         with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            sigma_inv, _ = sample_inverse_wishart(u, one_factor(12.0, 2, rng_stream(8)),
-                                                  whitening(np.eye(2)))
+            sigma_inv, _ = check_draw(u, one_factor(12.0, 2, rng_stream(8)), whitening(np.eye(2)))
         assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
-    def test_estimate_is_a_lower_bound(self, n, monkeypatch):
+    def test_estimate_is_a_lower_bound(self, n):
         # the Rayleigh-quotient estimate never exceeds the draw's condition
         # number, on rotated whitening factors whose squares spread over up
         # to eight decades and rank-one terms u u' with u'u from 0 to about
@@ -402,21 +409,70 @@ class TestSigmaDrawConditionWarning:
         # and the condition number 1, so the quotients, made along
         # different paths, may exceed it by rounding
         estimates, shares = [], []
-        monkeypatch.setattr(sampling, "warn_condition",
-                            lambda name, cond: estimates.append(cond))
         gen, rng = np.random.default_rng(400 + n), rng_stream(401, n)
         for _ in range(200):
             q = np.linalg.qr(gen.normal(size=(n, n)))[0]
             scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
             lower = np.linalg.cholesky(0.5 * (scale + scale.T))
             u = gen.normal(size=n) * gen.uniform(0, 5)
-            sigma_inv, _ = sample_inverse_wishart(
+            sigma_inv, estimate = check_draw(
                 u, one_factor(n + gen.uniform(0.5, 10.0), n, rng), whitening(lower))
+            estimates.append(estimate)
             cond = np.linalg.cond(asset_inverse(sigma_inv, lower))
             assert estimates[-1] <= cond * (1.0 + 1e-12)
             shares.append(estimates[-1] / cond)
         assert len(estimates) == 200
         assert np.median(shares) >= {4: 0.2, 7: 0.1}.get(n, 0.0)
+
+
+class TestSigmaDrawConditions:
+    """The condition estimates of a block of draws, made at once over its
+    iterations and chains, are those of the draws one at a time."""
+
+    @staticmethod
+    def block(gen, n, lead):
+        # u normal times a scale per draw, zero in the first iteration (the
+        # chain's start), and one Bartlett factor per draw
+        u = gen.normal(size=lead + (n,)) * gen.uniform(0, 5, size=lead + (1,))
+        u[0] = 0.0
+        rng = rng_stream(330, n)
+        factors = np.array([one_factor(n + 2.5, n, rng) for _ in range(np.prod(lead))])
+        return u, factors.reshape(lead + (n, n))
+
+    @pytest.mark.parametrize("lead", [(20,), (20, 3)])
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_equals_per_draw_oracle(self, n, lead):
+        gen = np.random.default_rng(331 + n)
+        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
+        u, factors = self.block(gen, n, lead)
+        estimates = sigma_draw_conditions(u, factors, white)
+        assert estimates.shape == lead
+        for index in np.ndindex(lead):
+            expected = sigma_draw_condition(u[index], factors[index], white)
+            assert estimates[index] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_warnings_iteration_first_then_chain(self, caplog):
+        # rank-one terms of s up to about 1e14 make some draws ill-conditioned;
+        # their warnings come in C order of (iteration, chain), each with the
+        # per-draw estimate
+        gen = np.random.default_rng(335)
+        white = whitening(np.linalg.cholesky(random_spd(gen, 4)))
+        u, factors = self.block(gen, 4, (12, 3))
+        u *= 10.0 ** gen.integers(0, 8, size=(12, 3, 1))
+        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
+            sigma_draw_conditions(u, factors, white)
+        expected = [cond for cond in (sigma_draw_condition(u[t, g], factors[t, g], white)
+                                      for t in range(12) for g in range(3)) if cond > 1e10]
+        assert 0 < len(expected) < 36
+        assert [r.getMessage() for r in caplog.records] == [
+            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10" for cond in expected]
+
+    def test_empty_block(self, caplog):
+        # a block that ends before its first draw checks nothing
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            estimates = sigma_draw_conditions(np.empty((0, 3, 2)), np.empty((0, 3, 2, 2)),
+                                              whitening(np.eye(2)))
+        assert estimates.shape == (0, 3) and caplog.records == []
 
 
 class TestBatch:
@@ -478,8 +534,8 @@ class TestBatch:
         stack = np.array([np.eye(2), 0.5 * (ill + ill.T), 2.0 * np.eye(2)])
         u = np.array([[0.0, 0.0], [6e5, 8e5], [0.5, 0.0]])
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_inverse_wishart(u, factor_stack(12.0, 2, self.streams(3, 7)),
-                                   whitening(np.eye(2)))
+            sigma_draw_conditions(u[None], factor_stack(12.0, 2, self.streams(3, 7))[None],
+                                  whitening(np.eye(2)))
             sample_mvn(np.ones((3, 2)), precision=stack, rng=self.streams(3, 8), name="probe")
         assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
 
