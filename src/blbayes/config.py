@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backtest import MODELS, ModelSettings, SweepGrid
+from .backtest import IW_MODELS, MODELS, ModelSettings, SweepGrid
 from .data import ReturnPanel, compute_returns, read_prices
 from .errors import ModelSizeError, RankError, ValidationError
 from .inverse_wishart import (
@@ -179,7 +179,7 @@ class RunConfig:
             sigma0 = np.array([_number_list(r, f"sigma0[{i}]") for i, r in enumerate(sigma0)])
             if sigma0.shape != (n, n):
                 raise ValidationError("sigma0", f"expected an {n}x{n} matrix")
-        if model in ("iw_augmented", "iw_nonsquare"):  # the models nu and sigma0 belong to
+        if model in IW_MODELS:  # the models nu and sigma0 belong to
             if sigma0 is not None:
                 sigma0 = check_sigma0(sigma0)
             if nu is not None:  # n + 2 passes all

@@ -46,6 +46,7 @@ from .errors import (
 from .linalg import centred_scatter, require_spd, spd_cholesky, symmetrize
 from .sampling import (
     bartlett_factors,
+    bartlett_log_dets,
     rng_stream,
     sample_inverse_wishart,
     sample_mvn,
@@ -169,19 +170,23 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     ``I + u u'`` for ``u = sqrt(m) y``, as its whitened inverse ``S^-1`` and
     the log det of Sigma (:func:`~blbayes.sampling.sample_inverse_wishart`),
     then y from its normal conditional, with precision ``m S^-1 + B`` and
-    shift ``b``. Every step is accepted. The Bartlett factors depend on
-    nothing in the chain state, so each chain draws them from its own stream
-    in blocks of :data:`BLOCK` iterations, the last block only as many as it
-    has left: a stream holds a block of factors, then the y normals of those
-    iterations, then the next block, alone or in a batch. The block keeps
-    each iteration's u, and the condition of its covariance draws is
-    estimated and logged for all of them at once
-    (:func:`~blbayes.sampling.sigma_draw_conditions`), when the block ends
-    or, if an error ends it, for the draws made so far before the error
-    propagates. A batch stacks its
-    arrays along a leading axis of length G and draws from a list of G
-    Generators; a batch of one runs on plain arrays and one Generator, which
-    spares numpy's overhead on stacks of one.
+    shift ``b``. Every step is accepted. The Bartlett factors and the
+    standard normals of the y draws depend on nothing in the chain state, so
+    each chain draws them from its own stream in blocks of :data:`BLOCK`
+    iterations, the last block only as many as it has left: a stream holds
+    a block of factors (:func:`~blbayes.sampling.bartlett_factors`), then
+    the ``(size, n)`` y normals of those iterations in one call, then the
+    next block, alone or in a batch. The factors' half of the log dets,
+    ``log det A A'``, is taken once per block too
+    (:func:`~blbayes.sampling.bartlett_log_dets`), so an iteration does only
+    the work that depends on the state. The block keeps each iteration's u,
+    and the condition of its covariance draws is estimated and logged for
+    all of them at once (:func:`~blbayes.sampling.sigma_draw_conditions`),
+    when the block ends or, if an error ends it, for the draws made so far
+    before the error propagates. A batch stacks its arrays along a leading
+    axis of length G, each chain's block drawn from its own stream; a batch
+    of one runs on plain arrays and one Generator, which spares numpy's
+    overhead on stacks of one.
 
     The mu draws map back as ``rbar + L y``, and the Sigma estimate is
     ``L (I + mean u u') L' / (nu + m - n - 1)``, the post-burn mean of
@@ -222,21 +227,26 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     for start in range(0, iters, BLOCK):
         size = min(BLOCK, iters - start)
         if count > 1:  # one block per chain, stacked per iteration
-            factors = np.stack([bartlett_factors(dof, n, size, r) for r in rng], axis=1)
+            blocks = [(bartlett_factors(dof, n, size, r), r.standard_normal((size, n)))
+                      for r in rng]
+            factors, normals = (np.stack(b, axis=1) for b in zip(*blocks))
         else:
             factors = bartlett_factors(dof, n, size, rng)
+            normals = rng.standard_normal((size, n))
         made = 0  # the block's covariance draws so far
         try:
-            for t, factor in enumerate(factors, start):
+            for t, factor, bartlett_log_det, z in zip(
+                    range(start, start + size), factors, bartlett_log_dets(factors), normals):
                 u = us[made] = root_m * y
-                sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, white)
+                sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, bartlett_log_det,
+                                                                    white)
                 made += 1
                 # each draw is checked before the chain uses it; the u u'
                 # terms, which only feed the average, are checked once in
                 # their sum
                 if not np.isfinite(sigma_inv).all():
                     raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-                y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, rng=rng,
+                y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, z=z,
                                name="mu conditional precision", cov_cholesky=True)
                 if not np.isfinite(y).all():
                     raise ChainError("non-finite draw in Gibbs chain", iteration=t)

@@ -100,11 +100,16 @@ def spd_cholesky(a, name: str = "matrix") -> np.ndarray:
         raise NumericalError(
             f"{name}: Cholesky failed; eigenvalue range [{w.min():.3e}, {w.max():.3e}]"
         ) from exc
-    # Python floats: numpy reductions of an n-vector cost about as much as
-    # the factorization itself at the sizes the chains use
-    diagonals = c.diagonal(0, -2, -1).tolist()
-    for d in diagonals if c.ndim == 3 else [diagonals]:
+    diagonals = c.diagonal(0, -2, -1)
+    if c.ndim == 2:
+        # Python floats: numpy reductions of an n-vector cost about as much
+        # as the factorization itself at the sizes the chains use
+        d = diagonals.tolist()
         warn_condition(name, (max(d) / min(d)) ** 2)
+    else:  # a stack: one expression over it, a call only per warning
+        conds = (diagonals.max(-1) / diagonals.min(-1)) ** 2
+        for cond in conds[conds > COND_WARN].tolist():
+            warn_condition(name, cond)
     return c
 
 

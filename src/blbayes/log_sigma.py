@@ -321,6 +321,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
     floor_hits = 0
     prior_prec, prior_vec = view_precision(views.omega, views.q, views.p)
     rng = rng_stream(cfg.seed, stream_id)
+    d = vec_star_dim(n)
     mu_draws = np.empty((cfg.iters, n))
     log_dets = np.empty(cfg.iters)
     accepts = np.empty(cfg.iters, dtype=bool)
@@ -331,7 +332,7 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
         quad = build_Q(s_mat, m)
         g_mat = build_G(n, sigma1_sq, sigma2_sq)
         candidate = sample_mvn(quad.q_matrix @ quad.lambda_vec,
-                               precision=quad.q_matrix + g_mat, rng=rng,
+                               precision=quad.q_matrix + g_mat, z=rng.standard_normal(d),
                                name="log_sigma proposal precision Q+G")
         w, v, exp_neg_a = _decompose(candidate)
         loglik = _log_likelihood(float(w.sum()), exp_neg_a, s_mat, m)
@@ -354,7 +355,8 @@ def gibbs_log_sigma(returns_current, views: ViewSet, cfg: LogSigmaConfig,
             raise ChainError("non-finite draw in Gibbs chain", iteration=t)
         data_prec = m * sigma_inv
         mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
-                        rng=rng, name="mu conditional precision", cov_cholesky=True)
+                        z=rng.standard_normal(n), name="mu conditional precision",
+                        cov_cholesky=True)
         if not np.isfinite(mu).all():
             raise ChainError("non-finite draw in Gibbs chain", iteration=t)
         mu_draws[t] = mu

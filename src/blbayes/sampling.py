@@ -3,9 +3,11 @@
 Streams are keyed by ``(seed, stream_id)``: the same pair always replays the
 same sequence, and distinct stream ids give statistically independent
 sequences, so parallel tasks each own one stream (stream_id = task index).
-:func:`rng_stream` returns a stream as a plain ``numpy.random.Generator``,
-and every sampler here draws from one Generator, or from a list of G for a
-batch; the Inverse-Wishart draw takes a Bartlett factor instead.
+:func:`rng_stream` returns a stream as a plain ``numpy.random.Generator``.
+Only :func:`bartlett_factors`, :func:`sample_inverse_gamma` and the chains
+touch a Generator: the multivariate normal takes its standard normals and
+the Inverse-Wishart draw its Bartlett factor, so a chain can draw the
+variates of many iterations with one call.
 
 The Inverse Wishart is parameterized by the density exponent
 ``det(X)^-(nu+n+1)/2 * exp(-tr(scale @ X^-1)/2)`` — i.e. ``nu`` is the
@@ -14,12 +16,14 @@ degrees of freedom that appears in the conjugate covariance posterior, and
 family vary between texts; this one is pinned here on purpose. The Bartlett
 factors depend on nothing but ``dof`` and ``n``, so a chain draws them ahead
 of time, a block of many with two vectorised calls
-(:func:`bartlett_factors`). The draw takes its scale in whitened form,
-``L (I + u u') L'`` with ``L`` fixed for the chain (:func:`whitening`), so
-the inverse square root of the scale has a closed form: a draw is one such
-factor updated by a rank-one term, with no factorization and no solve. It is
-returned as its whitened inverse and its log det: the chains need only
-those, so the draw itself is never formed. Its condition estimate is made
+(:func:`bartlett_factors`), and takes the half of each draw's log det that
+a factor fixes once per block too (:func:`bartlett_log_dets`). The draw
+takes its scale in whitened form, ``L (I + u u') L'`` with ``L`` fixed for
+the chain (:func:`whitening`), so the inverse square root of the scale has
+a closed form: a draw is one such factor updated by a rank-one term, with
+no factorization and no solve. It is returned as its whitened inverse,
+symmetric by construction, and its log det: the chains need only those, so
+the draw itself is never formed. Its condition estimate is made
 apart from it, for a block of draws at once, stacked over iterations and
 chains (:func:`sigma_draw_conditions`). The multivariate normal is given
 by its precision, the form in which every sampler's normal conditional
@@ -42,7 +46,7 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .linalg import COND_WARN, spd_cholesky, symmetrize, warn_condition
+from .linalg import COND_WARN, spd_cholesky, warn_condition
 
 
 def fits_seed(value: int) -> bool:
@@ -61,12 +65,12 @@ def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
+def sample_mvn(shift, *, precision, z, name: str = "sample_mvn precision",
                cov_cholesky: bool = False) -> np.ndarray:
-    """One draw from N(P^-1 shift, P^-1) for SPD precision ``P``, from one
-    Cholesky factor ``P = L L'`` and one solve with ``P``:
-    ``x = P^-1 (shift + L z)``, which is the canonical-form draw
-    ``L'^-1 (L^-1 shift + z)`` as ``P^-1 L = L'^-1``.
+    """The draw from N(P^-1 shift, P^-1) for SPD precision ``P`` that the
+    standard normals ``z`` give, from one Cholesky factor ``P = L L'`` and
+    one solve with ``P``: ``x = P^-1 (shift + L z)``, which is the
+    canonical-form draw ``L'^-1 (L^-1 shift + z)`` as ``P^-1 L = L'^-1``.
 
     With ``cov_cholesky``, ``P`` is factored in reversed coordinate order,
     ``J P J = L L'`` with ``J`` the exchange matrix, and
@@ -74,27 +78,22 @@ def sample_mvn(shift, *, precision, rng, name: str = "sample_mvn precision",
     this is the covariance-form draw ``P^-1 shift + chol(P^-1) z`` from the
     same normals, made without forming ``P^-1``.
 
-    A batch of G chains passes ``shift`` as ``(G, n)``, ``precision`` as
-    ``(G, n, n)`` and ``rng`` as G streams, and gets ``(G, n)`` back; chain
-    g's draw is bit for bit the draw of its slices alone. ``precision`` is
+    A batch of G chains passes ``shift`` and ``z`` as ``(G, n)`` and
+    ``precision`` as ``(G, n, n)``, and gets ``(G, n)`` back; chain g's draw
+    is bit for bit the draw of its slices alone. ``precision`` is
     keyword-only, so a covariance passed by position is a ``TypeError``, not
-    a draw from the wrong law. Takes n standard normals from each stream.
-    The factor logs the condition warning of
+    a draw from the wrong law. The factor logs the condition warning of
     :func:`~blbayes.linalg.spd_cholesky` under ``name``, per chain.
     """
     shift = np.asarray(shift, dtype=float)
     precision = np.asarray(precision, dtype=float)
+    z = np.asarray(z, dtype=float)
     if shift.ndim not in (1, 2) or precision.shape != shift.shape + shift.shape[-1:]:
         raise DimensionError(
             f"sample_mvn: shift {shift.shape} does not match precision {precision.shape}"
         )
-    n = shift.shape[-1]
-    if shift.ndim == 1:
-        z = rng.standard_normal(n)
-    elif len(rng) != len(shift):
-        raise DimensionError(f"sample_mvn: {len(rng)} streams for {len(shift)} chains")
-    else:
-        z = np.array([r.standard_normal(n) for r in rng])
+    if z.shape != shift.shape:
+        raise DimensionError(f"sample_mvn: normals {z.shape} do not match shift {shift.shape}")
     order = slice(None, None, -1) if cov_cholesky else slice(None)
     noise_factor = spd_cholesky(precision[..., order, order], name)[..., order, order]
     # each right-hand side a column, so a stack of them is not read as one matrix
@@ -129,6 +128,17 @@ def bartlett_factors(dof: float, n: int, count: int, rng: np.random.Generator) -
     return factors
 
 
+def bartlett_log_dets(factors):
+    """``log det A A' = 2 sum log diag A`` of each Bartlett factor ``A`` of
+    a stack ``(..., n, n)``, in Python floats, nested as the stack's leading
+    axes (a float for one factor): the half of a draw's log det that
+    depends on nothing but its factor, so a chain takes it once per block."""
+    diagonals = np.asarray(factors).diagonal(0, -2, -1)
+    log_dets = [2.0 * sum(map(math.log, d))
+                for d in diagonals.reshape(-1, diagonals.shape[-1]).tolist()]
+    return np.reshape(log_dets, diagonals.shape[:-1]).tolist()
+
+
 def whitening(lower) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """What :func:`sample_inverse_wishart` and :func:`sigma_draw_conditions`
     need of their whitening factor, a lower Cholesky factor ``L``, made once
@@ -139,10 +149,11 @@ def whitening(lower) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
             2.0 * sum(map(math.log, lower.diagonal().tolist())))
 
 
-def sample_inverse_wishart(u, factor, white):
+def sample_inverse_wishart(u, factor, bartlett_log_det, white):
     """One draw ``S`` from the Inverse Wishart with the density pinned above
     and the scale ``I + u u'``, given a Bartlett factor ``A`` of
-    :func:`bartlett_factors` (whose ``dof`` it takes): the whitened draw of
+    :func:`bartlett_factors` (whose ``dof`` it takes) and its
+    ``log det A A'`` (:func:`bartlett_log_dets`): the whitened draw of
     ``Sigma = L S L'``, for the factor ``L`` of ``white`` (:func:`whitening`).
     Returns ``(S^-1, log det Sigma)``; neither ``S`` nor ``Sigma`` is formed.
 
@@ -150,14 +161,16 @@ def sample_inverse_wishart(u, factor, white):
     ``(I - c u u')^2 = (I + u u')^-1``, and this form of ``c`` does not
     cancel at small ``s``. So ``S^-1 = N N'`` for ``N = A - c u (u'A)``, the
     Wishart(dof, (I + u u')^-1) Bartlett draw, with no factorization and no
-    solve, and ``log det Sigma = 2 log det L + log(1 + s) - 2 sum log diag A``.
+    solve, and ``log det Sigma = 2 log det L + log(1 + s) - log det A A'``.
+    numpy makes ``N N'`` as one symmetric rank-k product, so ``S^-1`` is
+    exactly symmetric as it stands.
 
-    A batch of G chains passes ``u`` as ``(G, n)`` and ``factor`` as a
+    A batch of G chains passes ``u`` as ``(G, n)``, ``factor`` as a
     ``(G, n, n)`` stack, each chain's factor drawn from its own stream, and
-    gets a ``(G, n, n)`` stack and a list of G log dets back; each chain's
-    draw is bit for bit the draw of its slices alone. The draw's condition
-    is checked apart from it, for a block of draws at once
-    (:func:`sigma_draw_conditions`).
+    their G log dets as a list, and gets a ``(G, n, n)`` stack and a list of
+    G log dets back; each chain's draw is bit for bit the draw of its slices
+    alone. The draw's condition is checked apart from it, for a block of
+    draws at once (:func:`sigma_draw_conditions`).
     """
     u = np.asarray(u, dtype=float)
     batch = u.ndim == 2
@@ -166,18 +179,18 @@ def sample_inverse_wishart(u, factor, white):
             f"sample_inverse_wishart: factor {factor.shape} does not match u {u.shape}"
         )
     log_det_lower = white[3]
-    # Python floats: numpy's reductions, log and sum of an n-vector cost
-    # more than the n scalar operations at the sizes the chains use
+    # Python floats: numpy's reductions and log1p of an n-vector cost more
+    # than the n scalar operations at the sizes the chains use
     rows = u.tolist() if batch else [u.tolist()]
     s = [sum(map(operator.mul, row, row)) for row in rows]
     c = [1.0 / (r * (r + 1.0)) for r in (math.sqrt(1.0 + s_g) for s_g in s)]
     u_factor = u[..., None, :] @ factor
     c_u = np.array(c)[:, None] * u if batch else c[0] * u
     n_factor = factor - c_u[..., :, None] * u_factor
-    sigma_inv = symmetrize(n_factor @ n_factor.swapaxes(-1, -2))
-    diagonals = factor.diagonal(0, -2, -1).tolist()
-    log_det = [log_det_lower + math.log1p(s_g) - 2.0 * sum(map(math.log, diagonal))
-               for s_g, diagonal in zip(s, diagonals if batch else [diagonals])]
+    sigma_inv = n_factor @ n_factor.swapaxes(-1, -2)
+    log_det = [log_det_lower + math.log1p(s_g) - bartlett_g
+               for s_g, bartlett_g in zip(s, bartlett_log_det if batch else [bartlett_log_det],
+                                          strict=True)]
     return sigma_inv, log_det if batch else log_det[0]
 
 

@@ -317,8 +317,8 @@ def augment_two_loops(p) -> np.ndarray:
 
 def sigma_draw_condition(u, factor, white) -> float:
     """The condition estimate of the one draw ``Sigma = L S L'`` that
-    ``sample_inverse_wishart(u, factor, white)`` makes, quotient by quotient
-    in Python floats: the largest over the smallest of the Rayleigh
+    ``sample_inverse_wishart`` makes from ``u`` and ``factor``, quotient by
+    quotient in Python floats: the largest over the smallest of the Rayleigh
     quotients of ``Sigma^-1 = L^-T N N' L^-1`` at ``x = L e_i``, at
     ``x = e_i`` and, for ``u != 0``, at ``x = L u``, with
     ``N = A - c u (u'A)`` and ``S^-1 = N N'`` made as the draw makes them."""
@@ -350,8 +350,8 @@ def iw_chain_asset_space(returns, views, cfg, stream_id: int = 0):
     solve, and ``log det Sigma = 2 sum log(diag L / diag A)``; then it draws
     mu from its normal conditional. The factors ``A`` come in blocks of
     ``BLOCK`` from the chain's stream, each followed by the mu normals of its
-    iterations: the engine's stream order. Returns the mu draws, the
-    post-burn mean of the draws' conditional means
+    iterations in one call: the engine's stream order. Returns the mu draws,
+    the post-burn mean of the draws' conditional means
     ``scale / (nu + m - n - 1)`` and the log dets."""
     m, n = returns.shape
     rbar, centred = centred_scatter(returns)
@@ -363,15 +363,17 @@ def iw_chain_asset_space(returns, views, cfg, stream_id: int = 0):
     log_dets = np.empty(cfg.iters)
     scale_sum = np.zeros((n, n))
     for start in range(0, cfg.iters, BLOCK):
-        factors = bartlett_factors(cfg.nu + m, n, min(BLOCK, cfg.iters - start), rng)
-        for t, factor in enumerate(factors, start):
+        size = min(BLOCK, cfg.iters - start)
+        factors = bartlett_factors(cfg.nu + m, n, size, rng)
+        normals = rng.standard_normal((size, n))
+        for t, factor, z in zip(range(start, start + size), factors, normals):
             scale = np.asarray(cfg.sigma0, dtype=float) + scatter_about(centred, rbar, mu, m)
             chol = np.linalg.cholesky(scale)
             n_factor = np.linalg.solve(chol.T, factor)
             log_dets[t] = 2.0 * float(np.log(np.diag(chol) / np.diag(factor)).sum())
             data_prec = m * symmetrize(n_factor @ n_factor.T)
             mu = sample_mvn(data_prec @ rbar + prior_vec, precision=data_prec + prior_prec,
-                            rng=rng, cov_cholesky=True)
+                            z=z, cov_cholesky=True)
             mu_draws[t] = mu
             if t >= cfg.burn:
                 scale_sum += scale

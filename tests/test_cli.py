@@ -225,9 +225,9 @@ class TestRun:
         draw = inverse_wishart.sample_inverse_wishart
         calls = []
 
-        def failing(u, factor, white):
+        def failing(*args):
             calls.append(1)
-            sigma_inv, log_det = draw(u, factor, white)
+            sigma_inv, log_det = draw(*args)
             return (sigma_inv * np.nan if len(calls) == 6 else sigma_inv), log_det
 
         monkeypatch.setattr(inverse_wishart, "sample_inverse_wishart", failing)

@@ -541,15 +541,17 @@ class TestGibbsChain:
     def test_step_sees_plain_arrays_for_one_chain(self, small_dataset, demo_panel, monkeypatch,
                                                   count):
         # one Inverse-Wishart chain hands the covariance draw u of shape (n,)
-        # and draws its factors from one Generator; a batch hands it a
-        # (G, n) stack and draws from its G streams in order. The
-        # log-covariance chain draws from one Generator throughout.
+        # and the mu draw normals of shape (n,), and draws its factors from
+        # one Generator; a batch hands them (G, n) stacks and draws from its
+        # G streams in order. The log-covariance chain draws from one
+        # Generator throughout and hands each normal draw its own normals.
         returns, views = small_dataset
         shapes, streams = [], []
         self.spy(monkeypatch, inverse_wishart, "sample_inverse_wishart",
                  lambda args, _: shapes.append((args[0].shape, args[1].shape)))
         self.spy(monkeypatch, inverse_wishart, "bartlett_factors",
                  lambda args, _: streams.append(args[3]))
+        normals = self.spy_normals(monkeypatch, inverse_wishart)
         point_views = [views.with_omega([10.0 ** -(2 + g)]) for g in range(count)]
         summaries = gibbs_nonsquare(returns, point_views, make_config(iters=4, burn=1),
                                     list(range(7, 7 + count)))
@@ -557,20 +559,28 @@ class TestGibbsChain:
         assert all(s.mu_draws.shape == (4, 2) and s.accepted.all() for s in summaries)
         lead = (count,) if count > 1 else ()
         assert set(shapes) == {(lead + (2,), lead + (2, 2))}
+        assert [z.shape for z in normals] == [lead + (2,)] * 4
         assert all(isinstance(rng, np.random.Generator) for rng in streams)
         assert [r.bit_generator.seed_seq.spawn_key for r in streams] == [
             (s,) for s in range(7, 7 + count)]
         if count == 1:
-            original, generators = log_sigma.sample_mvn, []
-
-            def sample_mvn(shift, **kw):
-                generators.append(kw["rng"])
-                return original(shift, **kw)
-
-            monkeypatch.setattr(log_sigma, "sample_mvn", sample_mvn)
+            generators = count_engine_calls(monkeypatch, sampling, "rng_stream")
+            normals = self.spy_normals(monkeypatch, log_sigma)
             self.log_sigma_chain(demo_panel, iters=4, burn=1)
-            assert len(generators) == 8 and len(set(map(id, generators))) == 1
-            assert isinstance(generators[0], np.random.Generator)
+            assert len(normals) == 8 and len(generators) == 1
+            assert [z.shape for z in normals] == [(10,), (4,)] * 4
+
+    @staticmethod
+    def spy_normals(monkeypatch, module):
+        """Record the normals ``z`` of each ``sample_mvn`` call from ``module``."""
+        original, normals = module.sample_mvn, []
+
+        def spying(shift, **kw):
+            normals.append(kw["z"])
+            return original(shift, **kw)
+
+        monkeypatch.setattr(module, "sample_mvn", spying)
+        return normals
 
     def test_empty_window_rejected(self, small_dataset, monkeypatch):
         # the Inverse-Wishart samplers take any number of rows; they reject
@@ -692,6 +702,65 @@ class TestSigmaDrawGuard:
             for cond in expected[1:].ravel().tolist()]
 
 
+class TestStreamLayout:
+    """Each chain's stream holds, per block of
+    :data:`~blbayes.inverse_wishart.BLOCK` iterations (the last block only
+    as many as are left), the block's chi-squares, then its Bartlett
+    factors' normals below the diagonal, then its mu normals, one call
+    each, alone or in a batch."""
+
+    iters = 150  # two full blocks and 22 iterations
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_chain_replays_by_hand(self, demo_panel, monkeypatch, count):
+        draw, mvn, bartlett = (getattr(inverse_wishart, attr) for attr in (
+            "sample_inverse_wishart", "sample_mvn", "bartlett_factors"))
+        factors, log_dets, normals, streams = [], [], [], []
+
+        def spy_draw(u, factor, bartlett_log_det, white):
+            factors.append(factor.copy())
+            log_dets.append(bartlett_log_det)
+            return draw(u, factor, bartlett_log_det, white)
+
+        def spy_mvn(shift, **kw):
+            normals.append(kw["z"].copy())
+            return mvn(shift, **kw)
+
+        def spy_bartlett(dof, n, size, rng):
+            streams.append(rng)
+            return bartlett(dof, n, size, rng)
+
+        for attr, spy in (("sample_inverse_wishart", spy_draw), ("sample_mvn", spy_mvn),
+                          ("bartlett_factors", spy_bartlett)):
+            monkeypatch.setattr(inverse_wishart, attr, spy)
+        cfg = IwConfig.default_for(4, historical_covariance(demo_panel), iters=self.iters,
+                                   burn=10, seed=5)
+        views = [demo.demo_views(omega=(10.0 ** -(3 + g), 1e-4)) for g in range(count)]
+        gibbs_nonsquare(demo_panel.current, views, cfg, list(range(count)))
+        m, n = demo_panel.current.shape
+        dof, block = cfg.nu + m, inverse_wishart.BLOCK
+        rows, cols = np.tril_indices(n, k=-1)
+        got_factors = np.array(factors).reshape(self.iters, count, n, n)
+        got_log_dets = np.array(log_dets).reshape(self.iters, count)
+        got_normals = np.array(normals).reshape(self.iters, count, n)
+        for g in range(count):
+            rng = rng_stream(5, g)
+            for start in range(0, self.iters, block):
+                size = min(block, self.iters - start)
+                chi = rng.chisquare(dof - np.arange(n), size=(size, n))
+                below = rng.standard_normal((size, rows.size))
+                z = rng.standard_normal((size, n))
+                a = got_factors[start:start + size, g]
+                assert np.array_equal(a.diagonal(0, -2, -1), np.sqrt(chi))
+                assert np.array_equal(a[:, rows, cols], below)
+                assert not a[:, cols, rows].any()
+                assert got_log_dets[start:start + size, g].tolist() == [
+                    2.0 * sum(map(math.log, d)) for d in np.sqrt(chi).tolist()]
+                assert np.array_equal(got_normals[start:start + size, g], z)
+            # the chain drew nothing else from its stream
+            assert streams[g].random() == rng.random()
+
+
 class TestRaoBlackwellisedSigma:
     """``sigma_post`` of the Inverse-Wishart models is the post-burn mean of
     ``E[Sigma | mu, data] = (Sigma0 + sum_i (r_i - mu)(r_i - mu)') / (nu + m -
@@ -785,7 +854,7 @@ class TestMuSamplerLongRun:
         mean, cov = mu_conditional(rbar, sigma, views.q, views.omega, p, m)
         shift, precision = mu_conditional_precision(rbar, sigma, views.q, views.omega, p, m)
         stream = rng_stream(71)
-        draws = np.array([sample_mvn(shift, precision=precision, rng=stream,
+        draws = np.array([sample_mvn(shift, precision=precision, z=stream.standard_normal(n),
                                      cov_cholesky=True) for _ in range(10_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)

@@ -13,6 +13,7 @@ from blbayes.linalg import (
     centred_scatter,
     matrix_log_spd,
     scatter_about,
+    spd_cholesky,
     spd_inverse,
     spd_solve,
     vec_star,
@@ -175,6 +176,28 @@ class TestConditionWarning:
             spd_solve(a, np.ones(3))
             spd_inverse(a)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_stack_warns_as_its_matrices_one_by_one(self, caplog, n):
+        # a stack's factor and warnings, checked at once over the stack, are
+        # those of its matrices factored one at a time: the same messages,
+        # in stack order, with the same numbers
+        gen = np.random.default_rng(160 + n)
+        stack = []
+        for _ in range(12):
+            q = np.linalg.qr(gen.normal(size=(n, n)))[0]
+            a = (q * np.logspace(0, -gen.uniform(6, 16), n)) @ q.T
+            stack.append(0.5 * (a + a.T))
+        stack = np.array(stack)
+        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
+            factors = spd_cholesky(stack, "probe")
+            stacked = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            for a, factor in zip(stack, factors):
+                assert np.array_equal(spd_cholesky(a, "probe"), factor)
+            one_by_one = [r.getMessage() for r in caplog.records]
+        assert 0 < len(one_by_one) < len(stack)
+        assert stacked == one_by_one
 
 
 class TestCompleteSquare:

@@ -428,7 +428,7 @@ class TestMhRatio:
         n_iter, burn = 40_000, 2_000
         draws = np.empty((n_iter, 3))
         for t in range(n_iter):
-            cand = sample_mvn(prop_shift, precision=prop_prec, rng=stream)
+            cand = sample_mvn(prop_shift, precision=prop_prec, z=stream.standard_normal(3))
             lr = self.ratio(cand, alpha, s, m, quad)
             if np.log(stream.random()) < lr:
                 alpha = cand

@@ -14,6 +14,7 @@ from blbayes.errors import (
 )
 from blbayes.sampling import (
     bartlett_factors,
+    bartlett_log_dets,
     rng_stream,
     sample_inverse_gamma,
     sample_inverse_wishart,
@@ -35,6 +36,17 @@ def factor_stack(dof, n, streams):
     return np.array([one_factor(dof, n, r) for r in streams])
 
 
+def iw_draw(u, factor, white):
+    """:func:`sample_inverse_wishart` of a factor (or a batch's stack of
+    them) and its own ``log det A A'``."""
+    return sample_inverse_wishart(u, factor, bartlett_log_dets(factor), white)
+
+
+def normals(streams, n):
+    """The next n standard normals of each stream, stacked: a batch's."""
+    return np.array([r.standard_normal(n) for r in streams])
+
+
 def asset_inverse(sigma_inv, lower):
     """``Sigma^-1 = L^-T S^-1 L^-1`` of the whitened inverse ``S^-1`` that
     :func:`sample_inverse_wishart` returns, for the whitening factor ``L``."""
@@ -51,20 +63,20 @@ def inverse_root(u):
 class TestDeterminism:
     def test_same_stream_replays(self):
         precision = np.array([[2.0, 0.3], [0.3, 1.0]])
-        a = sample_mvn(np.zeros(2), precision=precision, rng=rng_stream(42, 1))
-        b = sample_mvn(np.zeros(2), precision=precision, rng=rng_stream(42, 1))
+        a = sample_mvn(np.zeros(2), precision=precision, z=rng_stream(42, 1).standard_normal(2))
+        b = sample_mvn(np.zeros(2), precision=precision, z=rng_stream(42, 1).standard_normal(2))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_mvn(np.zeros(2), precision=np.eye(2), rng=rng_stream(42, 1))
-        b = sample_mvn(np.zeros(2), precision=np.eye(2), rng=rng_stream(42, 2))
+        a = sample_mvn(np.zeros(2), precision=np.eye(2), z=rng_stream(42, 1).standard_normal(2))
+        b = sample_mvn(np.zeros(2), precision=np.eye(2), z=rng_stream(42, 2).standard_normal(2))
         assert not np.array_equal(a, b)
 
     def test_inverse_wishart_replays(self):
         white = whitening(np.linalg.cholesky(random_spd(np.random.default_rng(0), 3)))
         u = np.array([0.3, -1.2, 0.5])
-        a_inv, a_log_det = sample_inverse_wishart(u, one_factor(7.5, 3, rng_stream(9)), white)
-        b_inv, b_log_det = sample_inverse_wishart(u, one_factor(7.5, 3, rng_stream(9)), white)
+        a_inv, a_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), white)
+        b_inv, b_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), white)
         np.testing.assert_array_equal(a_inv, b_inv)
         assert a_log_det == b_log_det
 
@@ -85,7 +97,7 @@ class TestDeterminism:
 class TestMvn:
     def test_moments_identity_covariance(self):
         rng = rng_stream(123)
-        draws = np.array([sample_mvn(np.zeros(3), precision=np.eye(3), rng=rng)
+        draws = np.array([sample_mvn(np.zeros(3), precision=np.eye(3), z=rng.standard_normal(3))
                           for _ in range(100_000)])
         var = draws.var(axis=0)
         assert np.all(var > 0.97) and np.all(var < 1.03)
@@ -98,24 +110,25 @@ class TestMvn:
         mean = np.array([1.0, -2.0])
         precision = np.linalg.inv(cov)
         rng = rng_stream(124)
-        draws = np.array([sample_mvn(precision @ mean, precision=precision, rng=rng)
+        draws = np.array([sample_mvn(precision @ mean, precision=precision,
+                                     z=rng.standard_normal(2))
                           for _ in range(50_000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
     def test_rejects_non_spd(self):
         with pytest.raises(NumericalError, match="not SPD probe: Cholesky failed"):
-            sample_mvn(np.zeros(2), precision=np.diag([1.0, -1.0]), rng=rng_stream(1),
+            sample_mvn(np.zeros(2), precision=np.diag([1.0, -1.0]), z=np.ones(2),
                        name="not SPD probe")
 
     def test_rejects_zero_covariance(self):
         # the degenerate precision -> 0 limit (infinite covariance) is
         # disallowed, not silently sampled
         with pytest.raises(NumericalError):
-            sample_mvn(np.zeros(2), precision=np.zeros((2, 2)), rng=rng_stream(1))
+            sample_mvn(np.zeros(2), precision=np.zeros((2, 2)), z=np.ones(2))
 
     def test_shape(self):
-        d = sample_mvn(np.zeros(5), precision=np.eye(5), rng=rng_stream(2))
+        d = sample_mvn(np.zeros(5), precision=np.eye(5), z=rng_stream(2).standard_normal(5))
         assert d.shape == (5,)
 
 
@@ -130,7 +143,7 @@ class TestMvnPrecision:
         mean = cov @ shift
         stream = rng_stream(126)
         n = 20_000
-        draws = np.array([sample_mvn(shift, precision=precision, rng=stream)
+        draws = np.array([sample_mvn(shift, precision=precision, z=stream.standard_normal(6))
                           for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
@@ -148,8 +161,7 @@ class TestMvnPrecision:
             cov = np.linalg.inv(precision)
             z = rng_stream(130).standard_normal(n)
             expected = cov @ shift + np.linalg.cholesky(0.5 * (cov + cov.T)) @ z
-            draw = sample_mvn(shift, precision=precision, rng=rng_stream(130),
-                              cov_cholesky=True)
+            draw = sample_mvn(shift, precision=precision, z=z, cov_cholesky=True)
             np.testing.assert_allclose(draw, expected, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("cov_cholesky", [False, True])
@@ -165,10 +177,10 @@ class TestMvnPrecision:
         assert max(np.linalg.cond(precision)) <= 1e4
         streams = [rng_stream(331, g) for g in range(count)]
         if g_count is None:
-            draws = sample_mvn(shift[0], precision=precision[0], rng=streams[0],
-                               cov_cholesky=cov_cholesky)[None]
+            draws = sample_mvn(shift[0], precision=precision[0],
+                               z=streams[0].standard_normal(n), cov_cholesky=cov_cholesky)[None]
         else:
-            draws = sample_mvn(shift, precision=precision, rng=streams,
+            draws = sample_mvn(shift, precision=precision, z=normals(streams, n),
                                cov_cholesky=cov_cholesky)
         for g in range(count):
             z = rng_stream(331, g).standard_normal(n)
@@ -176,16 +188,20 @@ class TestMvnPrecision:
             assert np.linalg.norm(draws[g] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_draws_n_standard_normals(self):
+        # a draw takes n standard normals, here a stream's next n, and is
+        # the same draw whenever it is given the same normals
         precision = random_spd(np.random.default_rng(127), 5)
         a, b = rng_stream(128), rng_stream(128)
-        sample_mvn(np.ones(5), precision=precision, rng=a)
+        z = a.standard_normal(5)
+        draw = sample_mvn(np.ones(5), precision=precision, z=z)
         b.standard_normal(5)
         assert a.random() == b.random()
+        assert np.array_equal(draw, sample_mvn(np.ones(5), precision=precision, z=z.copy()))
 
     def test_precision_is_keyword_only(self):
         # a covariance passed by position must not be drawn as a precision
         with pytest.raises(TypeError):
-            sample_mvn(np.zeros(2), np.eye(2), rng_stream(1))
+            sample_mvn(np.zeros(2), np.eye(2), z=np.zeros(2))
 
     def test_ill_conditioned_precision_warns(self, caplog):
         q, _ = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))
@@ -193,13 +209,16 @@ class TestMvnPrecision:
         precision = 0.5 * (precision + precision.T)
         assert 0.5e11 < np.linalg.cond(precision) < 2e11
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sample_mvn(np.ones(3), precision=precision, rng=rng_stream(3), name="probe Q")
+            sample_mvn(np.ones(3), precision=precision, z=rng_stream(3).standard_normal(3),
+                       name="probe Q")
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert caplog.records[0].message.startswith("probe Q: condition number")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            sample_mvn(np.zeros(3), precision=np.eye(2), rng=rng_stream(1))
+            sample_mvn(np.zeros(3), precision=np.eye(2), z=np.zeros(3))
+        with pytest.raises(DimensionError, match=r"normals \(2,\) do not match shift \(3,\)"):
+            sample_mvn(np.zeros(3), precision=np.eye(3), z=np.zeros(2))
 
 
 class TestInverseWishart:
@@ -211,7 +230,7 @@ class TestInverseWishart:
         # and the marginal is the inverse gamma with shape dof/2, scale 3/2
         factors = bartlett_factors(5.0, 1, 100_000, rng_stream(200))
         white = whitening([[np.sqrt(1.5)]])
-        draws = np.array([1.5 / sample_inverse_wishart([1.0], a, white)[0][0, 0]
+        draws = np.array([1.5 / iw_draw([1.0], a, white)[0][0, 0]
                           for a in factors])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = rng_stream(200, 77)
@@ -226,7 +245,7 @@ class TestInverseWishart:
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for a in bartlett_factors(dof, 3, n_draws, rng_stream(201)):
-            acc += np.linalg.inv(asset_inverse(sample_inverse_wishart(u, a, white)[0], lower))
+            acc += np.linalg.inv(asset_inverse(iw_draw(u, a, white)[0], lower))
         mean = acc / n_draws
         expected = lower @ (np.eye(3) + np.outer(u, u)) @ lower.T / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
@@ -239,7 +258,7 @@ class TestInverseWishart:
         scale = np.eye(n) + np.outer(u, u)
         dof, n_draws = n + 6.5, 20_000
         white = whitening(np.eye(n))
-        draws_inv = np.array([sample_inverse_wishart(u, a, white)[0]
+        draws_inv = np.array([iw_draw(u, a, white)[0]
                               for a in bartlett_factors(dof, n, n_draws, rng_stream(209, n))])
         mean_inv = draws_inv.mean(axis=0)
         mean = np.linalg.inv(draws_inv).mean(axis=0)
@@ -251,17 +270,34 @@ class TestInverseWishart:
         gen = np.random.default_rng(3)
         white = whitening(np.linalg.cholesky(random_spd(gen, 4)))
         for a in bartlett_factors(6.0, 4, 200, rng_stream(202)):
-            x_inv, _ = sample_inverse_wishart(gen.normal(size=4), a, white)
+            x_inv, _ = iw_draw(gen.normal(size=4), a, white)
             assert np.array_equal(x_inv, x_inv.T)
             assert np.linalg.eigvalsh(x_inv)[0] > 0
+
+    @pytest.mark.parametrize("g_count", [None, 3])
+    @pytest.mark.parametrize("n", [1, 4, 7, 10])
+    def test_inverse_is_exactly_symmetric(self, n, g_count):
+        # S^-1 = N N' is made as one symmetric rank-k product, exactly
+        # symmetric with no re-symmetrisation, alone and in a batch, over
+        # rank-one terms from none to s = u'u far above 1
+        gen = np.random.default_rng(240 + n)
+        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
+        rng = rng_stream(241, n)
+        lead = () if g_count is None else (g_count,)
+        for k in range(60):
+            u = gen.normal(size=lead + (n,)) * (0.0, 1e-3, 1.0, 30.0)[k % 4]
+            factor = bartlett_factors(n + 2.5, n, g_count or 1, rng)
+            sigma_inv, _ = iw_draw(u, factor if g_count else factor[0], white)
+            assert sigma_inv.shape == lead + (n, n)
+            assert np.array_equal(sigma_inv, sigma_inv.swapaxes(-1, -2))
 
     def test_dof_error(self):
         with pytest.raises(DegreesOfFreedomError):
             bartlett_factors(1.5, 3, 1, rng_stream(1))
 
     def test_non_integer_dof_accepted(self):
-        x_inv, log_det = sample_inverse_wishart([0.4, -0.1], one_factor(4.7, 2, rng_stream(3)),
-                                                whitening(np.eye(2)))
+        x_inv, log_det = iw_draw([0.4, -0.1], one_factor(4.7, 2, rng_stream(3)),
+                                 whitening(np.eye(2)))
         assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -276,7 +312,7 @@ class TestInverseWishart:
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i, a in enumerate(bartlett_factors(float(dof), 2, n_draws, rng_stream(203))):
-            x_inv, _ = sample_inverse_wishart(u, a, white)
+            x_inv, _ = iw_draw(u, a, white)
             logdet_inv[i] = np.linalg.slogdet(asset_inverse(x_inv, lower))[1]
 
         gen = np.random.default_rng(204)
@@ -296,7 +332,7 @@ class TestInverseWishart:
         gen = np.random.default_rng(205 + n)
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(205, n))):
             u = gen.normal(size=n) * (0.0, 1e-10, 1e-3, 1.0, 30.0)[k % 5]
-            sigma_inv, _ = sample_inverse_wishart(u, a, whitening(np.eye(n)))
+            sigma_inv, _ = iw_draw(u, a, whitening(np.eye(n)))
             n_factor = inverse_root(u) @ a
             expected = n_factor @ n_factor.T
             assert np.array_equal(sigma_inv, sigma_inv.T)
@@ -312,7 +348,7 @@ class TestInverseWishart:
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(207, n))):
             lower = np.linalg.cholesky(random_spd(np.random.default_rng(k), n))
             u = gen.normal(size=n) * (0.0, 0.1, 1.0, 3.0)[k % 4]
-            sigma_inv, log_det = sample_inverse_wishart(u, a, whitening(lower))
+            sigma_inv, log_det = iw_draw(u, a, whitening(lower))
             sign, expected = np.linalg.slogdet(np.linalg.inv(asset_inverse(sigma_inv, lower)))
             assert sign == 1.0
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -359,9 +395,9 @@ class TestInverseWishart:
 
 
 def check_draw(u, factor, white):
-    """The draw of ``sample_inverse_wishart(u, factor, white)`` and the
-    estimate of :func:`sigma_draw_conditions` for it, a block of one."""
-    sigma_inv, _ = sample_inverse_wishart(u, factor, white)
+    """The draw of :func:`sample_inverse_wishart` from ``u`` and ``factor``
+    and the estimate of :func:`sigma_draw_conditions` for it, a block of one."""
+    sigma_inv, _ = iw_draw(u, factor, white)
     [estimate] = sigma_draw_conditions(np.asarray(u, dtype=float)[None], factor[None], white)
     return sigma_inv, estimate
 
@@ -491,11 +527,11 @@ class TestBatch:
         white = whitening(np.linalg.cholesky(random_spd(gen, n)))
         u = gen.normal(size=(g_count, n))
         batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
-        sigma_inv, log_det = sample_inverse_wishart(u, factor_stack(n + 2.5, n, batch), white)
+        sigma_inv, log_det = iw_draw(u, factor_stack(n + 2.5, n, batch), white)
         assert sigma_inv.shape == (g_count, n, n)
         assert len(log_det) == g_count
         for g in range(g_count):
-            s_inv, ld = sample_inverse_wishart(u[g], one_factor(n + 2.5, n, alone[g]), white)
+            s_inv, ld = iw_draw(u[g], one_factor(n + 2.5, n, alone[g]), white)
             assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
@@ -509,21 +545,22 @@ class TestBatch:
         precision = np.array([random_spd(gen, n) for _ in range(g_count)])
         shift = gen.normal(size=(g_count, n))
         batch, alone = self.streams(g_count, 321), self.streams(g_count, 321)
-        draws = sample_mvn(shift, precision=precision, rng=batch, cov_cholesky=cov_cholesky)
+        draws = sample_mvn(shift, precision=precision, z=normals(batch, n),
+                           cov_cholesky=cov_cholesky)
         assert draws.shape == (g_count, n)
         for g in range(g_count):
-            one = sample_mvn(shift[g], precision=precision[g], rng=alone[g],
+            one = sample_mvn(shift[g], precision=precision[g], z=alone[g].standard_normal(n),
                              cov_cholesky=cov_cholesky)
             assert np.array_equal(draws[g], one)
             assert batch[g].random() == alone[g].random()
 
     def test_one_stream_per_chain(self):
         stack = np.tile(np.eye(2), (3, 1, 1))
-        with pytest.raises(DimensionError, match="2 streams for 3 chains"):
-            sample_mvn(np.zeros((3, 2)), precision=stack, rng=self.streams(2, 1))
+        with pytest.raises(DimensionError, match=r"normals \(2, 2\) do not match shift \(3, 2\)"):
+            sample_mvn(np.zeros((3, 2)), precision=stack, z=normals(self.streams(2, 1), 2))
         with pytest.raises(DimensionError, match=r"factor \(2, 2, 2\) does not match"):
-            sample_inverse_wishart(np.zeros((3, 2)), factor_stack(5.0, 2, self.streams(2, 1)),
-                                   whitening(np.eye(2)))
+            iw_draw(np.zeros((3, 2)), factor_stack(5.0, 2, self.streams(2, 1)),
+                    whitening(np.eye(2)))
 
     def test_condition_warnings_are_per_chain(self, caplog):
         # of three chains only the middle one is ill-conditioned, and only
@@ -536,7 +573,8 @@ class TestBatch:
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
             sigma_draw_conditions(u[None], factor_stack(12.0, 2, self.streams(3, 7))[None],
                                   whitening(np.eye(2)))
-            sample_mvn(np.ones((3, 2)), precision=stack, rng=self.streams(3, 8), name="probe")
+            sample_mvn(np.ones((3, 2)), precision=stack, z=normals(self.streams(3, 8), 2),
+                       name="probe")
         assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
 
 
