@@ -19,9 +19,9 @@ of its draws; that of Sigma is the post-burn mean of its conditional mean
 the same expectation as the draws' mean and less variance (Gelfand & Smith
 1990; Casella & Robert 1996). The covariance draw returns its whitened
 inverse and the log det of Sigma, so the chain never forms, inverts or
-factors a drawn covariance. The mean draw takes its conditional in
-precision form and factors that precision once, so no matrix is inverted
-in the loop. Both samplers run G view sets under one :class:`IwConfig`
+factors a drawn covariance, nor estimates its condition. The mean draw
+takes its conditional in precision form and factors that precision once,
+so no matrix is inverted in the loop. Both samplers run G view sets under one :class:`IwConfig`
 with G stream ids as one batch of chains in lock step, and each summary is
 bit for bit that of its chain run alone. The summary carries each chain's
 every mu draw and log det; no sampler writes a file.
@@ -50,8 +50,6 @@ from .sampling import (
     rng_stream,
     sample_inverse_wishart,
     sample_mvn,
-    sigma_draw_conditions,
-    whitening,
 )
 from .views import ViewSet, augment_to_invertible, build_transformed_hyperparams, view_precision
 
@@ -75,8 +73,9 @@ def check_chain_length(iters: int, burn: int) -> None:
 
 
 def check_nu(n: int, nu: float) -> None:
-    """The Inverse Wishart with n x n draws needs ``nu > n - 1``."""
-    if nu <= n - 1:
+    """The Inverse Wishart with n x n draws needs a finite ``nu > n - 1``
+    (written so that NaN fails too)."""
+    if not n - 1 < nu < math.inf:
         raise ValidationError("nu", f"must exceed n-1 = {n - 1}")
 
 
@@ -132,6 +131,7 @@ class IwConfig:
         be None otherwise). That default needs nu > n + 1."""
         if nu is None:
             nu = n + 2
+        check_nu(n, nu)
         if kw.get("sigma0") is None:
             check_default_sigma0(n, nu)
             kw["sigma0"] = (nu - n - 1) * require_spd(hist_cov, "historical covariance")
@@ -168,25 +168,30 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     ``(P L, q - P rbar, Omega)`` and the view precision ``(B, b)`` of those.
     From y = 0, each iteration draws the covariance, whose whitened scale is
     ``I + u u'`` for ``u = sqrt(m) y``, as its whitened inverse ``S^-1`` and
-    the log det of Sigma (:func:`~blbayes.sampling.sample_inverse_wishart`),
-    then y from its normal conditional, with precision ``m S^-1 + B`` and
-    shift ``b``. Every step is accepted. The Bartlett factors and the
-    standard normals of the y draws depend on nothing in the chain state, so
-    each chain draws them from its own stream in blocks of :data:`BLOCK`
-    iterations, the last block only as many as it has left: a stream holds
-    a block of factors (:func:`~blbayes.sampling.bartlett_factors`), then
-    the ``(size, n)`` y normals of those iterations in one call, then the
-    next block, alone or in a batch. The factors' half of the log dets,
+    the log det of Sigma (:func:`~blbayes.sampling.sample_inverse_wishart`,
+    given ``2 log det L``, a float taken once per batch), then y from its
+    normal conditional, with precision ``m S^-1 + B`` and shift ``b``. Every
+    step is accepted. The Bartlett factors and the standard normals of the y
+    draws depend on nothing in the chain state, so each chain draws them
+    from its own stream in blocks of :data:`BLOCK` iterations, the last
+    block only as many as it has left: a stream holds a block of factors
+    (:func:`~blbayes.sampling.bartlett_factors`), then the ``(size, n)`` y
+    normals of those iterations in one call, then the next block, alone or
+    in a batch. The factors' half of the log dets,
     ``log det A A'``, is taken once per block too
     (:func:`~blbayes.sampling.bartlett_log_dets`), so an iteration does only
-    the work that depends on the state. The block keeps each iteration's u,
-    and the condition of its covariance draws is estimated and logged for
-    all of them at once (:func:`~blbayes.sampling.sigma_draw_conditions`),
-    when the block ends or, if an error ends it, for the draws made so far
-    before the error propagates. A batch stacks its arrays along a leading
-    axis of length G, each chain's block drawn from its own stream; a batch
-    of one runs on plain arrays and one Generator, which spares numpy's
-    overhead on stacks of one.
+    the work that depends on the state. A batch stacks its arrays along a
+    leading axis of length G, each chain's block drawn from its own stream;
+    a batch of one runs on plain arrays and one Generator, which spares
+    numpy's overhead on stacks of one.
+
+    No drawn covariance is formed, factored or inverted, so none has its
+    condition estimated. The condition warnings of an IW run come from the
+    factor of ``A``, once per batch (``Sigma0 + centred scatter``), from
+    the y draw's precision, every iteration (``mu conditional
+    precision``), and from the weights of each point's Sigma estimate,
+    once per point (``optimal weights``, in
+    :func:`~blbayes.backtest.run_model`).
 
     The mu draws map back as ``rbar + L y``, and the Sigma estimate is
     ``L (I + mean u u') L' / (nu + m - n - 1)``, the post-burn mean of
@@ -209,7 +214,7 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
     iters, burn, dof = cfg.iters, cfg.burn, cfg.nu + m
     rbar, centred = centred_scatter(returns_current)
     lower = spd_cholesky(cfg.sigma0 + centred, "Sigma0 + centred scatter")
-    white = whitening(lower)
+    log_det_lower = 2.0 * sum(map(math.log, lower.diagonal().tolist()))
     priors = [view_precision(omega, q - p @ rbar, p @ lower) for p, q, omega in chain_views]
     prior_prec = np.array([prec for prec, _ in priors])
     prior_vec = np.array([vec for _, vec in priors])
@@ -223,7 +228,6 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
         a[g] for a in (y_draws, log_dets, uu_sum, prior_prec, prior_vec, rng))
     root_m = math.sqrt(m)
     y = np.zeros(prior_vec.shape)
-    us = np.empty((BLOCK,) + y.shape)
     for start in range(0, iters, BLOCK):
         size = min(BLOCK, iters - start)
         if count > 1:  # one block per chain, stacked per iteration
@@ -233,28 +237,23 @@ def _iw_chain(returns_current, views, cfg, stream_ids, prior):
         else:
             factors = bartlett_factors(dof, n, size, rng)
             normals = rng.standard_normal((size, n))
-        made = 0  # the block's covariance draws so far
-        try:
-            for t, factor, bartlett_log_det, z in zip(
-                    range(start, start + size), factors, bartlett_log_dets(factors), normals):
-                u = us[made] = root_m * y
-                sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, bartlett_log_det,
-                                                                    white)
-                made += 1
-                # each draw is checked before the chain uses it; the u u'
-                # terms, which only feed the average, are checked once in
-                # their sum
-                if not np.isfinite(sigma_inv).all():
-                    raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-                y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, z=z,
-                               name="mu conditional precision", cov_cholesky=True)
-                if not np.isfinite(y).all():
-                    raise ChainError("non-finite draw in Gibbs chain", iteration=t)
-                draws[..., t, :] = y
-                if t >= burn:
-                    uu_acc += u[..., :, None] * u[..., None, :]
-        finally:  # an error that ends the block comes after its draws' warnings
-            sigma_draw_conditions(us[:made], factors[:made], white)
+        for t, factor, bartlett_log_det, z in zip(
+                range(start, start + size), factors, bartlett_log_dets(factors), normals):
+            u = root_m * y
+            sigma_inv, logdets[..., t] = sample_inverse_wishart(u, factor, bartlett_log_det,
+                                                                log_det_lower)
+            # each draw is checked before the chain uses it; the u u'
+            # terms, which only feed the average, are checked once in
+            # their sum
+            if not np.isfinite(sigma_inv).all():
+                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+            y = sample_mvn(prior_vec, precision=m * sigma_inv + prior_prec, z=z,
+                           name="mu conditional precision", cov_cholesky=True)
+            if not np.isfinite(y).all():
+                raise ChainError("non-finite draw in Gibbs chain", iteration=t)
+            draws[..., t, :] = y
+            if t >= burn:
+                uu_acc += u[..., :, None] * u[..., None, :]
     if not np.isfinite(uu_sum).all():
         raise ChainError("non-finite Sigma mean in Gibbs chain")
     mu_draws = rbar + y_draws @ lower.T

@@ -65,10 +65,14 @@ def _require_positive_spectrum(w, name: str) -> None:
 def require_spd(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is symmetric positive definite.
 
-    Rejects matrices whose smallest eigenvalue is at or below
+    Rejects matrices with a non-finite entry, before the symmetry test reads
+    them, and matrices whose smallest eigenvalue is at or below
     ``SPD_EIG_FLOOR`` times the largest, so near-singular inputs fail loudly
     instead of silently poisoning a factorization downstream.
     """
+    a = as_matrix(a, name)
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError(f"{name} has a non-finite entry")
     a = require_symmetric(a, name)
     _require_positive_spectrum(np.linalg.eigvalsh(a), name)
     return a

@@ -19,16 +19,14 @@ of time, a block of many with two vectorised calls
 (:func:`bartlett_factors`), and takes the half of each draw's log det that
 a factor fixes once per block too (:func:`bartlett_log_dets`). The draw
 takes its scale in whitened form, ``L (I + u u') L'`` with ``L`` fixed for
-the chain (:func:`whitening`), so the inverse square root of the scale has
-a closed form: a draw is one such factor updated by a rank-one term, with
-no factorization and no solve. It is returned as its whitened inverse,
-symmetric by construction, and its log det: the chains need only those, so
-the draw itself is never formed. Its condition estimate is made
-apart from it, for a block of draws at once, stacked over iterations and
-chains (:func:`sigma_draw_conditions`). The multivariate normal is given
-by its precision, the form in which every sampler's normal conditional
-arises, and is drawn with that precision's one Cholesky factor and one
-solve. Both draws also serve a batch of chains stacked along a leading
+the chain, so the inverse square root of the scale has a closed form: a
+draw is one such factor updated by a rank-one term, with no factorization
+and no solve. It is returned as its whitened inverse, symmetric by
+construction, and its log det: the chains need only those, so the draw
+itself is never formed, and no condition of it is estimated. The
+multivariate normal is given by its precision, the form in which every
+sampler's normal conditional arises, and is drawn with that precision's one
+Cholesky factor and one solve. Both draws also serve a batch of chains stacked along a leading
 axis, each chain's variates from its own stream, and a chain's draw does
 not depend on the batch it is drawn in. Every kernel here is numpy-only.
 """
@@ -46,7 +44,7 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .linalg import COND_WARN, spd_cholesky, warn_condition
+from .linalg import spd_cholesky
 
 
 def fits_seed(value: int) -> bool:
@@ -139,23 +137,14 @@ def bartlett_log_dets(factors):
     return np.reshape(log_dets, diagonals.shape[:-1]).tolist()
 
 
-def whitening(lower) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """What :func:`sample_inverse_wishart` and :func:`sigma_draw_conditions`
-    need of their whitening factor, a lower Cholesky factor ``L``, made once
-    per batch of chains: ``(L, L^-1, the squared column norms of L, 2 log det
-    L)``."""
-    lower = np.asarray(lower, dtype=float)
-    return (lower, np.linalg.inv(lower), (lower * lower).sum(0),
-            2.0 * sum(map(math.log, lower.diagonal().tolist())))
-
-
-def sample_inverse_wishart(u, factor, bartlett_log_det, white):
+def sample_inverse_wishart(u, factor, bartlett_log_det, log_det_lower):
     """One draw ``S`` from the Inverse Wishart with the density pinned above
     and the scale ``I + u u'``, given a Bartlett factor ``A`` of
     :func:`bartlett_factors` (whose ``dof`` it takes) and its
     ``log det A A'`` (:func:`bartlett_log_dets`): the whitened draw of
-    ``Sigma = L S L'``, for the factor ``L`` of ``white`` (:func:`whitening`).
-    Returns ``(S^-1, log det Sigma)``; neither ``S`` nor ``Sigma`` is formed.
+    ``Sigma = L S L'`` for a lower factor ``L`` whose ``2 log det L`` is the
+    float ``log_det_lower``. Returns ``(S^-1, log det Sigma)``; neither ``S``
+    nor ``Sigma`` is formed.
 
     With ``s = u'u``, ``r = sqrt(1 + s)`` and ``c = 1 / (r (r + 1))``,
     ``(I - c u u')^2 = (I + u u')^-1``, and this form of ``c`` does not
@@ -169,8 +158,7 @@ def sample_inverse_wishart(u, factor, bartlett_log_det, white):
     ``(G, n, n)`` stack, each chain's factor drawn from its own stream, and
     their G log dets as a list, and gets a ``(G, n, n)`` stack and a list of
     G log dets back; each chain's draw is bit for bit the draw of its slices
-    alone. The draw's condition is checked apart from it, for a block of
-    draws at once (:func:`sigma_draw_conditions`).
+    alone.
     """
     u = np.asarray(u, dtype=float)
     batch = u.ndim == 2
@@ -178,7 +166,6 @@ def sample_inverse_wishart(u, factor, bartlett_log_det, white):
         raise DimensionError(
             f"sample_inverse_wishart: factor {factor.shape} does not match u {u.shape}"
         )
-    log_det_lower = white[3]
     # Python floats: numpy's reductions and log1p of an n-vector cost more
     # than the n scalar operations at the sizes the chains use
     rows = u.tolist() if batch else [u.tolist()]
@@ -192,45 +179,6 @@ def sample_inverse_wishart(u, factor, bartlett_log_det, white):
                for s_g, bartlett_g in zip(s, bartlett_log_det if batch else [bartlett_log_det],
                                           strict=True)]
     return sigma_inv, log_det if batch else log_det[0]
-
-
-def sigma_draw_conditions(u, factors, white) -> np.ndarray:
-    """The condition estimates of the draws ``Sigma = L S L'`` that
-    :func:`sample_inverse_wishart` makes from each ``u`` and Bartlett factor
-    ``A``, for a block of T iterations at once: ``u`` is ``(T, n)``, or
-    ``(T, G, n)`` for a batch, and ``factors`` the matching ``(T, n, n)`` or
-    ``(T, G, n, n)`` stack. Returns the ``(T,)`` or ``(T, G)`` estimates and
-    logs the condition warning of :func:`~blbayes.linalg.warn_condition` for
-    each, iteration by iteration, chain by chain within one.
-
-    With ``N = A - c u (u'A)`` rebuilt as the draw makes it, the estimate
-    comes from Rayleigh quotients of ``Sigma^-1 = L^-T N N' L^-1``, which
-    all lie between its extreme eigenvalues: at ``x = L e_i`` the quotient
-    is ``||N_i,:||^2 / ||L e_i||^2``, at ``x = e_i`` it is
-    ``(Sigma^-1)_ii = ||(L^-T N)_i,:||^2``, and at ``x = L u`` (for
-    ``u != 0``), as ``N'u = A'u / r``, it is ``||A'u||^2 / ((1 + s) ||L u||^2)``.
-    So ``cond(Sigma) >=`` their largest over their smallest, the estimate.
-    """
-    u = np.asarray(u, dtype=float)
-    lower, lower_inv, lower_sq, _ = white
-    s = (u * u).sum(-1)
-    r = np.sqrt(1.0 + s)
-    c = 1.0 / (r * (r + 1.0))
-    u_factor = (u[..., None, :] @ factors)[..., 0, :]
-    n_factor = factors - (c[..., None] * u)[..., :, None] * u_factor[..., None, :]
-    lower_inv_n = lower_inv.T @ n_factor
-    quotients = np.concatenate(((n_factor * n_factor).sum(-1) / lower_sq,
-                                (lower_inv_n * lower_inv_n).sum(-1)), axis=-1)
-    hi, lo = quotients.max(-1), quotients.min(-1)
-    lu = u @ lower.T
-    at_u = (1.0 + s) * (lu * lu).sum(-1)
-    moved = at_u > 0.0  # u = 0 at the chain's start, mu = rbar
-    at_lu = (u_factor * u_factor).sum(-1) / np.where(moved, at_u, 1.0)
-    estimates = (np.where(moved, np.maximum(hi, at_lu), hi)
-                 / np.where(moved, np.minimum(lo, at_lu), lo))
-    for cond in estimates[estimates > COND_WARN].tolist():
-        warn_condition("Sigma draw", cond)
-    return estimates
 
 
 def sample_inverse_gamma(shape: float, scale_param: float, rng: np.random.Generator) -> float:

@@ -49,8 +49,12 @@ class ViewSet:
         k, n = self.p.shape
         if k < 1 or n < 1 or k > n:
             raise ValidationError("views.P", f"need 1 <= k <= n, got k={k}, n={n}")
+        if not np.isfinite(self.p).all():
+            raise ValidationError("views.P", "all entries must be finite")
         if self.q.shape != (k,):
             raise ValidationError("views.q", f"expected length {k}, got shape {self.q.shape}")
+        if not np.isfinite(self.q).all():
+            raise ValidationError("views.q", "all entries must be finite")
         if self.omega_diag.shape != (k,):
             raise ValidationError(
                 "views.omega", f"expected length {k}, got shape {self.omega_diag.shape}"

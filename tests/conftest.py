@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blbayes import demo
+from blbayes.views import ViewSet
 
 
 def random_spd(rng, n, jitter=0.1):
@@ -15,6 +16,14 @@ def random_spd(rng, n, jitter=0.1):
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return 0.5 * (a + a.T)
+
+
+def far_views():
+    """The demo views at q = (3e5, -1e5) and omega 1e-9: far from the data,
+    they pull mu far from rbar, so the Inverse-Wishart models' Sigma
+    estimate is ill-conditioned (cond about 1e15)."""
+    v = demo.demo_views()
+    return ViewSet(v.p, np.array([3e5, -1e5]), np.array([1e-9, 1e-9]))
 
 
 def count_engine_calls(monkeypatch, owner, attr):

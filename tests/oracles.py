@@ -11,13 +11,11 @@ slot by slot, xi with both branches always evaluated, the prior precision G
 through its 2x2 core solve from the block design of the alpha prior, view
 augmentation as two loops, over the rule candidates and then over the fill,
 the Inverse-Wishart chain in asset space, with a factorization and a
-solve per draw, the augmented-views sampler run in view space on that
-chain, and the condition estimate of one Inverse-Wishart draw, its
-Rayleigh quotients in Python floats.
+solve per draw, and the augmented-views sampler run in view space on that
+chain.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -313,32 +311,6 @@ def augment_two_loops(p) -> np.ndarray:
     if p_star.shape != (n, n) or abs(np.linalg.det(p_star)) < 1e-12:
         raise AugmentationError("augmentation rules produced a singular square matrix")
     return p_star
-
-
-def sigma_draw_condition(u, factor, white) -> float:
-    """The condition estimate of the one draw ``Sigma = L S L'`` that
-    ``sample_inverse_wishart`` makes from ``u`` and ``factor``, quotient by
-    quotient in Python floats: the largest over the smallest of the Rayleigh
-    quotients of ``Sigma^-1 = L^-T N N' L^-1`` at ``x = L e_i``, at
-    ``x = e_i`` and, for ``u != 0``, at ``x = L u``, with
-    ``N = A - c u (u'A)`` and ``S^-1 = N N'`` made as the draw makes them."""
-    u = np.asarray(u, dtype=float)
-    lower, lower_inv, lower_sq, _ = white
-    s = sum(map(operator.mul, u.tolist(), u.tolist()))
-    r = math.sqrt(1.0 + s)
-    c = 1.0 / (r * (r + 1.0))
-    u_factor = u[None, :] @ factor
-    n_factor = factor - (c * u)[:, None] * u_factor
-    sigma_inv = symmetrize(n_factor @ n_factor.T)
-    lower_inv_n = lower_inv.T @ n_factor
-    quotients = (list(map(operator.truediv, sigma_inv.diagonal().tolist(), lower_sq.tolist()))
-                 + (lower_inv_n * lower_inv_n).sum(-1).tolist())
-    lu = (u @ lower.T).tolist()
-    at_u = (1.0 + s) * sum(map(operator.mul, lu, lu))
-    if at_u > 0.0:  # u = 0 at the chain's start, mu = rbar
-        ua = u_factor[0].tolist()
-        quotients.append(sum(map(operator.mul, ua, ua)) / at_u)
-    return max(quotients) / min(quotients)
 
 
 def iw_chain_asset_space(returns, views, cfg, stream_id: int = 0):

@@ -19,7 +19,7 @@ from blbayes.backtest import (
 from blbayes.errors import InsufficientDataError, ValidationError
 from blbayes.original_bl import bl_posterior, optimal_weights
 from blbayes.views import ViewSet
-from conftest import count_engine_calls
+from conftest import count_engine_calls, far_views
 
 
 class TestCapmWeights:
@@ -115,6 +115,31 @@ class TestRunModel:
         with pytest.raises(ValidationError, match=f"{field}: must be > 0"):
             run_model("iw_nonsquare", panel, views,
                       ModelSettings(iters=200, burn=50, **{field: value}), seed=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", np.diag([np.inf, 1.0, 1.0, 1.0])), ("sigma0", np.full((4, 4), np.nan)),
+        ("nu", float("nan")), ("nu", float("inf")),
+    ])
+    @pytest.mark.parametrize("model", ["iw_nonsquare", "iw_augmented"])
+    def test_non_finite_iw_prior_rejected(self, sweep_inputs, model, field, value):
+        panel, views, _ = sweep_inputs
+        with pytest.raises(ValidationError) as info:
+            run_model(model, panel, views,
+                      ModelSettings(iters=200, burn=50, **{field: value}), seed=1)
+        assert info.value.path == field
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("model", ["iw_nonsquare", "iw_augmented"])
+    def test_far_views_warn_once_per_point(self, demo_panel, caplog, model, count):
+        # the Sigma estimate of each point is ill-conditioned, and the
+        # weights' solve with it says so, once per point; no covariance draw
+        # is checked
+        with caplog.at_level(logging.WARNING, logger="blbayes"):
+            run_model(model, demo_panel, [far_views()] * count,
+                      ModelSettings(iters=300, burn=60), seed=3, stream_id=range(count))
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum(m.startswith("optimal weights:") for m in messages) == count
+        assert not any(m.startswith("Sigma draw") for m in messages)
 
     def test_models_produce_consistent_outputs(self, sweep_inputs):
         panel, views, settings = sweep_inputs

@@ -32,7 +32,6 @@ from oracles import (
     gibbs_augmented_view_space,
     mu_conditional,
     mu_conditional_precision,
-    sigma_draw_condition,
 )
 
 
@@ -141,6 +140,15 @@ class TestDefaultFor:
         with pytest.raises(ValidationError) as info:
             IwConfig(nu=4.0, sigma0=np.array(sigma0), iters=10, burn=1, seed=1)
         assert info.value.path == "sigma0"
+
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+    def test_non_finite_nu_rejected(self, nu):
+        # checked before the default Sigma0 is scaled by nu - n - 1
+        for make in (lambda: IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1, nu=nu),
+                     lambda: IwConfig(nu=nu, sigma0=np.eye(2), iters=10, burn=1, seed=1)):
+            with pytest.raises(ValidationError) as info:
+                make()
+            assert info.value.path == "nu"
 
     def test_small_nu_with_sigma0_accepted(self):
         cfg = IwConfig.default_for(2, self.hist, iters=10, burn=1, seed=1,
@@ -596,110 +604,22 @@ class TestGibbsChain:
         assert chains == []
 
 
-class TestSigmaDrawGuard:
-    """A chain estimates the condition of its covariance draws once per
-    block of :data:`~blbayes.inverse_wishart.BLOCK` iterations, over all its
-    iterations and chains, and gets the estimates and warnings of the draws
-    checked one at a time (:func:`oracles.sigma_draw_condition`)."""
-
-    iters = 150  # two full blocks and 22 iterations
-
-    @staticmethod
-    def far_views():
-        # views far from the data pull mu far from rbar, so every draw but
-        # the first (u = 0) of each chain is ill-conditioned
-        v = demo.demo_views()
-        return ViewSet(v.p, np.array([3e5, -1e5]), np.array([1e-9, 1e-9]))
-
-    def run(self, demo_panel, count):
-        cfg = IwConfig.default_for(4, historical_covariance(demo_panel), iters=self.iters,
-                                   burn=10, seed=5)
-        return gibbs_nonsquare(demo_panel.current, [self.far_views()] * count, cfg,
-                               list(range(count)))
-
-    @staticmethod
-    def record(monkeypatch):
-        """Wrap the chain's guard: each call's ``(u, factors, white,
-        estimates)``."""
-        original, calls = inverse_wishart.sigma_draw_conditions, []
-
-        def recording(u, factors, white):
-            estimates = original(u, factors, white)
-            calls.append((u.copy(), factors.copy(), white, estimates))
-            return estimates
-
-        monkeypatch.setattr(inverse_wishart, "sigma_draw_conditions", recording)
-        return calls
-
-    @staticmethod
-    def sigma_warnings(caplog):
-        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("Sigma draw")]
-
-    @staticmethod
-    def oracle(calls, count):
-        """The per-draw estimates of the recorded blocks, ``(T, count)``."""
-        return np.array([sigma_draw_condition(u_i, a_i, white)
-                         for u, factors, white, _ in calls
-                         for u_i, a_i in zip(u.reshape(-1, 4), factors.reshape(-1, 4, 4))]
-                        ).reshape(-1, count)
+class TestScaleWarning:
+    """A chain factors ``A = Sigma0 +`` the centred scatter once per batch,
+    so an ill-conditioned A logs one warning per run, whatever the number
+    of chains."""
 
     @pytest.mark.parametrize("count", [1, 3])
-    def test_matches_per_draw_oracle(self, demo_panel, monkeypatch, caplog, count):
-        calls = self.record(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            summaries = self.run(demo_panel, count)
-        block = inverse_wishart.BLOCK
-        assert [len(u) for u, *_ in calls] == [block, block, self.iters - 2 * block]
-        expected = self.oracle(calls, count)
-        estimates = np.concatenate([e for *_, e in calls]).reshape(self.iters, count)
-        np.testing.assert_allclose(estimates, expected, rtol=1e-12, atol=0)
-        # the guard saw the chain's own draws: u = 0 at the start, then
-        # sqrt(m) y for the previous mu draw rbar + L y
-        u = np.concatenate([u for u, *_ in calls]).reshape(self.iters, count, 4)
-        lower, m = calls[0][2][0], len(demo_panel.current)
-        rbar = demo_panel.current.mean(axis=0)
-        assert not u[0].any()
-        for g, s in enumerate(summaries):
-            np.testing.assert_allclose(rbar + u[1:, g] @ lower.T / math.sqrt(m),
-                                       s.mu_draws[:-1], rtol=1e-12)
-        warned = [cond for cond in expected.ravel().tolist() if cond > linalg.COND_WARN]
-        assert len(warned) == (self.iters - 1) * count
-        assert self.sigma_warnings(caplog) == [
-            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10" for cond in warned]
-
-    @pytest.mark.parametrize("count", [1, 3])
-    @pytest.mark.parametrize("failing", ["y", "sigma"])
-    def test_error_logs_the_draws_made_first(self, demo_panel, monkeypatch, caplog, count,
-                                             failing):
-        # an error at iteration 70 ends the chain in its second block, and
-        # the warnings of the draws made are logged before the error reaches
-        # the caller: a NaN y draw fails after that iteration's covariance
-        # draw, so iterations 64-70 are checked; an error in the covariance
-        # draw itself leaves iterations 64-69
-        calls = self.record(monkeypatch)
-        attr = {"y": "sample_mvn", "sigma": "sample_inverse_wishart"}[failing]
-        original, seen = getattr(inverse_wishart, attr), []
-
-        def poisoned(*args, **kw):
-            seen.append(1)
-            if len(seen) == 71 and failing == "sigma":
-                raise RuntimeError("stub draw failed")
-            result = original(*args, **kw)
-            return result * np.nan if len(seen) == 71 else result
-
-        monkeypatch.setattr(inverse_wishart, attr, poisoned)
-        error = (ChainError, r"\(iteration 70\)$") if failing == "y" else (RuntimeError, "stub")
-        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            with pytest.raises(error[0], match=error[1]):
-                self.run(demo_panel, count)
-        block = inverse_wishart.BLOCK
-        assert [len(u) for u, *_ in calls] == [block, (71 if failing == "y" else 70) - block]
-        expected = self.oracle(calls, count)
-        assert not (expected[0] > linalg.COND_WARN).any()
-        assert (expected[1:] > linalg.COND_WARN).all()
-        assert self.sigma_warnings(caplog) == [
-            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10"
-            for cond in expected[1:].ravel().tolist()]
+    def test_ill_conditioned_scale_warns_once(self, demo_panel, caplog, count):
+        cfg = IwConfig.default_for(4, None, iters=150, burn=10, seed=5,
+                                   sigma0=np.diag([1e11, 1.0, 1.0, 1.0]))
+        with caplog.at_level(logging.WARNING, logger="blbayes"):
+            gibbs_nonsquare(demo_panel.current, [demo.demo_views()] * count, cfg,
+                            list(range(count)))
+        warned = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("Sigma0 + centred scatter:")]
+        assert len(warned) == 1
+        assert float(warned[0].split(">= ")[1].split()[0]) > linalg.COND_WARN
 
 
 class TestStreamLayout:
@@ -717,10 +637,10 @@ class TestStreamLayout:
             "sample_inverse_wishart", "sample_mvn", "bartlett_factors"))
         factors, log_dets, normals, streams = [], [], [], []
 
-        def spy_draw(u, factor, bartlett_log_det, white):
+        def spy_draw(u, factor, bartlett_log_det, log_det_lower):
             factors.append(factor.copy())
             log_dets.append(bartlett_log_det)
-            return draw(u, factor, bartlett_log_det, white)
+            return draw(u, factor, bartlett_log_det, log_det_lower)
 
         def spy_mvn(shift, **kw):
             normals.append(kw["z"].copy())

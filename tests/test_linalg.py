@@ -12,6 +12,7 @@ from blbayes.errors import DimensionError, NotPositiveDefiniteError, NumericalEr
 from blbayes.linalg import (
     centred_scatter,
     matrix_log_spd,
+    require_spd,
     scatter_about,
     spd_cholesky,
     spd_inverse,
@@ -150,6 +151,16 @@ class TestMatrixLogExp:
     def test_spd_solve_failure_reports(self):
         with pytest.raises(NumericalError):
             spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
+class TestRequireSpd:
+    @pytest.mark.parametrize("a", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]),
+                                   [[1.0, -np.inf], [-np.inf, 1.0]]],
+                             ids=["all-nan", "inf-diagonal", "inf-off-diagonal"])
+    def test_rejects_non_finite(self, a):
+        # rejected before the symmetry test, which would read inf - inf
+        with pytest.raises(NotPositiveDefiniteError, match="^Sigma has a non-finite entry$"):
+            require_spd(a, "Sigma")
 
 
 class TestConditionWarning:

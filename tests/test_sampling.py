@@ -19,11 +19,9 @@ from blbayes.sampling import (
     sample_inverse_gamma,
     sample_inverse_wishart,
     sample_mvn,
-    sigma_draw_conditions,
-    whitening,
 )
 from conftest import random_spd
-from oracles import mvn_two_solves, sigma_draw_condition
+from oracles import mvn_two_solves
 
 
 def one_factor(dof, n, rng):
@@ -36,10 +34,16 @@ def factor_stack(dof, n, streams):
     return np.array([one_factor(dof, n, r) for r in streams])
 
 
-def iw_draw(u, factor, white):
+def iw_draw(u, factor, log_det_lower):
     """:func:`sample_inverse_wishart` of a factor (or a batch's stack of
     them) and its own ``log det A A'``."""
-    return sample_inverse_wishart(u, factor, bartlett_log_dets(factor), white)
+    return sample_inverse_wishart(u, factor, bartlett_log_dets(factor), log_det_lower)
+
+
+def two_log_det(lower):
+    """``2 log det L`` of a lower factor ``L``, the float
+    :func:`sample_inverse_wishart` takes."""
+    return 2.0 * float(np.log(np.diagonal(lower)).sum())
 
 
 def normals(streams, n):
@@ -73,10 +77,10 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
     def test_inverse_wishart_replays(self):
-        white = whitening(np.linalg.cholesky(random_spd(np.random.default_rng(0), 3)))
+        lower_log_det = two_log_det(np.linalg.cholesky(random_spd(np.random.default_rng(0), 3)))
         u = np.array([0.3, -1.2, 0.5])
-        a_inv, a_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), white)
-        b_inv, b_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), white)
+        a_inv, a_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), lower_log_det)
+        b_inv, b_log_det = iw_draw(u, one_factor(7.5, 3, rng_stream(9)), lower_log_det)
         np.testing.assert_array_equal(a_inv, b_inv)
         assert a_log_det == b_log_det
 
@@ -229,8 +233,8 @@ class TestInverseWishart:
         # n=1, dof=5, scale L^2 (1 + u^2) = 1.5 * 2 = 3: mean 3/(5-1-1) = 1,
         # and the marginal is the inverse gamma with shape dof/2, scale 3/2
         factors = bartlett_factors(5.0, 1, 100_000, rng_stream(200))
-        white = whitening([[np.sqrt(1.5)]])
-        draws = np.array([1.5 / iw_draw([1.0], a, white)[0][0, 0]
+        lower_log_det = two_log_det([[np.sqrt(1.5)]])
+        draws = np.array([1.5 / iw_draw([1.0], a, lower_log_det)[0][0, 0]
                           for a in factors])
         assert draws.mean() == pytest.approx(1.0, rel=0.05)
         ig_rng = rng_stream(200, 77)
@@ -240,12 +244,12 @@ class TestInverseWishart:
     def test_matrix_mean(self):
         lower = np.linalg.cholesky([[2.0, 0.4, 0.0], [0.4, 1.5, -0.2], [0.0, -0.2, 1.0]])
         u = np.array([0.5, -0.3, 0.8])
-        white = whitening(lower)
+        lower_log_det = two_log_det(lower)
         dof = 9.0
         acc = np.zeros((3, 3))
         n_draws = 20_000
         for a in bartlett_factors(dof, 3, n_draws, rng_stream(201)):
-            acc += np.linalg.inv(asset_inverse(iw_draw(u, a, white)[0], lower))
+            acc += np.linalg.inv(asset_inverse(iw_draw(u, a, lower_log_det)[0], lower))
         mean = acc / n_draws
         expected = lower @ (np.eye(3) + np.outer(u, u)) @ lower.T / (dof - 3 - 1)
         assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.05
@@ -257,8 +261,7 @@ class TestInverseWishart:
         u = np.linspace(-1.5, 2.0, n)
         scale = np.eye(n) + np.outer(u, u)
         dof, n_draws = n + 6.5, 20_000
-        white = whitening(np.eye(n))
-        draws_inv = np.array([iw_draw(u, a, white)[0]
+        draws_inv = np.array([iw_draw(u, a, 0.0)[0]
                               for a in bartlett_factors(dof, n, n_draws, rng_stream(209, n))])
         mean_inv = draws_inv.mean(axis=0)
         mean = np.linalg.inv(draws_inv).mean(axis=0)
@@ -268,9 +271,9 @@ class TestInverseWishart:
 
     def test_output_spd_and_symmetric(self):
         gen = np.random.default_rng(3)
-        white = whitening(np.linalg.cholesky(random_spd(gen, 4)))
+        lower_log_det = two_log_det(np.linalg.cholesky(random_spd(gen, 4)))
         for a in bartlett_factors(6.0, 4, 200, rng_stream(202)):
-            x_inv, _ = iw_draw(gen.normal(size=4), a, white)
+            x_inv, _ = iw_draw(gen.normal(size=4), a, lower_log_det)
             assert np.array_equal(x_inv, x_inv.T)
             assert np.linalg.eigvalsh(x_inv)[0] > 0
 
@@ -281,13 +284,13 @@ class TestInverseWishart:
         # symmetric with no re-symmetrisation, alone and in a batch, over
         # rank-one terms from none to s = u'u far above 1
         gen = np.random.default_rng(240 + n)
-        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
+        lower_log_det = two_log_det(np.linalg.cholesky(random_spd(gen, n)))
         rng = rng_stream(241, n)
         lead = () if g_count is None else (g_count,)
         for k in range(60):
             u = gen.normal(size=lead + (n,)) * (0.0, 1e-3, 1.0, 30.0)[k % 4]
             factor = bartlett_factors(n + 2.5, n, g_count or 1, rng)
-            sigma_inv, _ = iw_draw(u, factor if g_count else factor[0], white)
+            sigma_inv, _ = iw_draw(u, factor if g_count else factor[0], lower_log_det)
             assert sigma_inv.shape == lead + (n, n)
             assert np.array_equal(sigma_inv, sigma_inv.swapaxes(-1, -2))
 
@@ -296,8 +299,7 @@ class TestInverseWishart:
             bartlett_factors(1.5, 3, 1, rng_stream(1))
 
     def test_non_integer_dof_accepted(self):
-        x_inv, log_det = iw_draw([0.4, -0.1], one_factor(4.7, 2, rng_stream(3)),
-                                 whitening(np.eye(2)))
+        x_inv, log_det = iw_draw([0.4, -0.1], one_factor(4.7, 2, rng_stream(3)), 0.0)
         assert np.all(np.isfinite(x_inv)) and np.isfinite(log_det)
 
     def test_inverse_consistency_with_definition_wishart(self):
@@ -307,12 +309,12 @@ class TestInverseWishart:
         lower = np.linalg.cholesky([[1.5, 0.4], [0.4, 1.0]])
         u = np.array([0.6, -0.2])
         psi = lower @ (np.eye(2) + np.outer(u, u)) @ lower.T
-        white = whitening(lower)
+        lower_log_det = two_log_det(lower)
         dof = 7
         n_draws = 10_000
         logdet_inv = np.empty(n_draws)
         for i, a in enumerate(bartlett_factors(float(dof), 2, n_draws, rng_stream(203))):
-            x_inv, _ = iw_draw(u, a, white)
+            x_inv, _ = iw_draw(u, a, lower_log_det)
             logdet_inv[i] = np.linalg.slogdet(asset_inverse(x_inv, lower))[1]
 
         gen = np.random.default_rng(204)
@@ -332,7 +334,7 @@ class TestInverseWishart:
         gen = np.random.default_rng(205 + n)
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(205, n))):
             u = gen.normal(size=n) * (0.0, 1e-10, 1e-3, 1.0, 30.0)[k % 5]
-            sigma_inv, _ = iw_draw(u, a, whitening(np.eye(n)))
+            sigma_inv, _ = iw_draw(u, a, 0.0)
             n_factor = inverse_root(u) @ a
             expected = n_factor @ n_factor.T
             assert np.array_equal(sigma_inv, sigma_inv.T)
@@ -348,7 +350,7 @@ class TestInverseWishart:
         for k, a in enumerate(bartlett_factors(n + 4.5, n, 50, rng_stream(207, n))):
             lower = np.linalg.cholesky(random_spd(np.random.default_rng(k), n))
             u = gen.normal(size=n) * (0.0, 0.1, 1.0, 3.0)[k % 4]
-            sigma_inv, log_det = iw_draw(u, a, whitening(lower))
+            sigma_inv, log_det = iw_draw(u, a, two_log_det(lower))
             sign, expected = np.linalg.slogdet(np.linalg.inv(asset_inverse(sigma_inv, lower)))
             assert sign == 1.0
             assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -394,123 +396,6 @@ class TestInverseWishart:
         assert (a[:, cols, rows] == 0.0).all()
 
 
-def check_draw(u, factor, white):
-    """The draw of :func:`sample_inverse_wishart` from ``u`` and ``factor``
-    and the estimate of :func:`sigma_draw_conditions` for it, a block of one."""
-    sigma_inv, _ = iw_draw(u, factor, white)
-    [estimate] = sigma_draw_conditions(np.asarray(u, dtype=float)[None], factor[None], white)
-    return sigma_inv, estimate
-
-
-class TestSigmaDrawConditionWarning:
-    @staticmethod
-    def draw(eigvals, caplog, rotate=True):
-        q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0] if rotate else np.eye(2)
-        scale = (q * eigvals) @ q.T
-        lower = np.linalg.cholesky(0.5 * (scale + scale.T))
-        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            sigma_inv, _ = check_draw([0.3, -0.2], one_factor(12.0, 2, rng_stream(7)),
-                                      whitening(lower))
-        return asset_inverse(sigma_inv, lower)
-
-    @pytest.mark.parametrize("rotate", [True, False])
-    def test_ill_conditioned_scale_warns(self, caplog, rotate):
-        # axis-aligned, only the quotients of different coordinates reveal
-        # the spread
-        sigma_inv = self.draw([1.0, 1e-12], caplog, rotate)
-        assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "Sigma draw: condition number" in caplog.records[0].message
-
-    def test_well_conditioned_is_silent(self, caplog):
-        self.draw([1.0, 0.2], caplog)
-        assert caplog.records == []
-
-    def test_rank_one_term_warns(self, caplog):
-        # a well-conditioned L and a rank-one term of s = 1e12 along a
-        # rotated u: only the quotient at x = L u reveals the spread
-        u = 1e6 * np.array([0.6, 0.8])
-        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            sigma_inv, _ = check_draw(u, one_factor(12.0, 2, rng_stream(8)), whitening(np.eye(2)))
-        assert np.linalg.cond(np.linalg.inv(sigma_inv)) > 1e10
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-
-    @pytest.mark.parametrize("n", [1, 4, 7])
-    def test_estimate_is_a_lower_bound(self, n):
-        # the Rayleigh-quotient estimate never exceeds the draw's condition
-        # number, on rotated whitening factors whose squares spread over up
-        # to eight decades and rank-one terms u u' with u'u from 0 to about
-        # 25 n, and it is not loose: its median share of the condition
-        # number stays above a floor. At n = 1 every quotient is Sigma^-1
-        # and the condition number 1, so the quotients, made along
-        # different paths, may exceed it by rounding
-        estimates, shares = [], []
-        gen, rng = np.random.default_rng(400 + n), rng_stream(401, n)
-        for _ in range(200):
-            q = np.linalg.qr(gen.normal(size=(n, n)))[0]
-            scale = (q * np.logspace(0, -gen.uniform(0, 8), n)) @ q.T
-            lower = np.linalg.cholesky(0.5 * (scale + scale.T))
-            u = gen.normal(size=n) * gen.uniform(0, 5)
-            sigma_inv, estimate = check_draw(
-                u, one_factor(n + gen.uniform(0.5, 10.0), n, rng), whitening(lower))
-            estimates.append(estimate)
-            cond = np.linalg.cond(asset_inverse(sigma_inv, lower))
-            assert estimates[-1] <= cond * (1.0 + 1e-12)
-            shares.append(estimates[-1] / cond)
-        assert len(estimates) == 200
-        assert np.median(shares) >= {4: 0.2, 7: 0.1}.get(n, 0.0)
-
-
-class TestSigmaDrawConditions:
-    """The condition estimates of a block of draws, made at once over its
-    iterations and chains, are those of the draws one at a time."""
-
-    @staticmethod
-    def block(gen, n, lead):
-        # u normal times a scale per draw, zero in the first iteration (the
-        # chain's start), and one Bartlett factor per draw
-        u = gen.normal(size=lead + (n,)) * gen.uniform(0, 5, size=lead + (1,))
-        u[0] = 0.0
-        rng = rng_stream(330, n)
-        factors = np.array([one_factor(n + 2.5, n, rng) for _ in range(np.prod(lead))])
-        return u, factors.reshape(lead + (n, n))
-
-    @pytest.mark.parametrize("lead", [(20,), (20, 3)])
-    @pytest.mark.parametrize("n", [1, 4, 7])
-    def test_equals_per_draw_oracle(self, n, lead):
-        gen = np.random.default_rng(331 + n)
-        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
-        u, factors = self.block(gen, n, lead)
-        estimates = sigma_draw_conditions(u, factors, white)
-        assert estimates.shape == lead
-        for index in np.ndindex(lead):
-            expected = sigma_draw_condition(u[index], factors[index], white)
-            assert estimates[index] == pytest.approx(expected, rel=1e-12, abs=0)
-
-    def test_warnings_iteration_first_then_chain(self, caplog):
-        # rank-one terms of s up to about 1e14 make some draws ill-conditioned;
-        # their warnings come in C order of (iteration, chain), each with the
-        # per-draw estimate
-        gen = np.random.default_rng(335)
-        white = whitening(np.linalg.cholesky(random_spd(gen, 4)))
-        u, factors = self.block(gen, 4, (12, 3))
-        u *= 10.0 ** gen.integers(0, 8, size=(12, 3, 1))
-        with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sigma_draw_conditions(u, factors, white)
-        expected = [cond for cond in (sigma_draw_condition(u[t, g], factors[t, g], white)
-                                      for t in range(12) for g in range(3)) if cond > 1e10]
-        assert 0 < len(expected) < 36
-        assert [r.getMessage() for r in caplog.records] == [
-            f"Sigma draw: condition number >= {cond:.3e} exceeds 1e+10" for cond in expected]
-
-    def test_empty_block(self, caplog):
-        # a block that ends before its first draw checks nothing
-        with caplog.at_level(logging.DEBUG, logger="blbayes.linalg"):
-            estimates = sigma_draw_conditions(np.empty((0, 3, 2)), np.empty((0, 3, 2, 2)),
-                                              whitening(np.eye(2)))
-        assert estimates.shape == (0, 3) and caplog.records == []
-
-
 class TestBatch:
     """G chains drawn as one stack, each from its own stream: every chain's
     draw is bit for bit the draw of its slice alone."""
@@ -524,14 +409,14 @@ class TestBatch:
     def test_inverse_wishart_equals_its_slices(self, n, g_count):
         # the chains of a batch share the whitening factor
         gen = np.random.default_rng(310 + n)
-        white = whitening(np.linalg.cholesky(random_spd(gen, n)))
+        lower_log_det = two_log_det(np.linalg.cholesky(random_spd(gen, n)))
         u = gen.normal(size=(g_count, n))
         batch, alone = self.streams(g_count, 311), self.streams(g_count, 311)
-        sigma_inv, log_det = iw_draw(u, factor_stack(n + 2.5, n, batch), white)
+        sigma_inv, log_det = iw_draw(u, factor_stack(n + 2.5, n, batch), lower_log_det)
         assert sigma_inv.shape == (g_count, n, n)
         assert len(log_det) == g_count
         for g in range(g_count):
-            s_inv, ld = iw_draw(u[g], one_factor(n + 2.5, n, alone[g]), white)
+            s_inv, ld = iw_draw(u[g], one_factor(n + 2.5, n, alone[g]), lower_log_det)
             assert np.array_equal(sigma_inv[g], s_inv)
             assert log_det[g] == ld
             # each chain took exactly its own draws from its own stream
@@ -559,23 +444,18 @@ class TestBatch:
         with pytest.raises(DimensionError, match=r"normals \(2, 2\) do not match shift \(3, 2\)"):
             sample_mvn(np.zeros((3, 2)), precision=stack, z=normals(self.streams(2, 1), 2))
         with pytest.raises(DimensionError, match=r"factor \(2, 2, 2\) does not match"):
-            iw_draw(np.zeros((3, 2)), factor_stack(5.0, 2, self.streams(2, 1)),
-                    whitening(np.eye(2)))
+            iw_draw(np.zeros((3, 2)), factor_stack(5.0, 2, self.streams(2, 1)), 0.0)
 
     def test_condition_warnings_are_per_chain(self, caplog):
         # of three chains only the middle one is ill-conditioned, and only
-        # it logs, once per sampler: its covariance draw through a rank-one
-        # term of s = 1e12, its precision through a spread spectrum
+        # it logs, once: its precision through a spread spectrum
         q = np.linalg.qr(np.random.default_rng(42).normal(size=(2, 2)))[0]
         ill = (q * [1.0, 1e-12]) @ q.T
         stack = np.array([np.eye(2), 0.5 * (ill + ill.T), 2.0 * np.eye(2)])
-        u = np.array([[0.0, 0.0], [6e5, 8e5], [0.5, 0.0]])
         with caplog.at_level(logging.WARNING, logger="blbayes.linalg"):
-            sigma_draw_conditions(u[None], factor_stack(12.0, 2, self.streams(3, 7))[None],
-                                  whitening(np.eye(2)))
             sample_mvn(np.ones((3, 2)), precision=stack, z=normals(self.streams(3, 8), 2),
                        name="probe")
-        assert [r.message.split(":")[0] for r in caplog.records] == ["Sigma draw", "probe"]
+        assert [r.message.split(":")[0] for r in caplog.records] == ["probe"]
 
 
 class TestInverseGamma:

@@ -43,6 +43,20 @@ class TestViewSet:
         with pytest.raises(ValidationError, match="views.omega: all entries must be finite"):
             ViewSet([[1.0, 0.0], [0.0, 1.0]], [0.1, 0.1], [value, 1e-4])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["P", "q"])
+    def test_rejects_non_finite_p_or_q(self, field, value):
+        p, q = np.eye(2), np.array([0.1, 0.05])
+        (p[0] if field == "P" else q)[1] = value
+        with pytest.raises(ValidationError, match=f"views.{field}: all entries must be finite"):
+            ViewSet(p, q, [1e-4, 1e-4])
+        # arrays changed in place after a view set was made are checked
+        # again when a sweep gives it a new omega
+        v = ViewSet(np.eye(2), [0.1, 0.05], [1e-4, 1e-4])
+        (v.p[0] if field == "P" else v.q)[1] = value
+        with pytest.raises(ValidationError, match=f"views.{field}: all entries must be finite"):
+            v.with_omega([1e-3, 1e-3])
+
     def test_rejects_more_views_than_assets(self):
         with pytest.raises(ValidationError):
             ViewSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0] * 3, [1e-4] * 3)
