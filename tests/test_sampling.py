@@ -53,7 +53,7 @@ def normals(streams, n):
 
 def asset_inverse(sigma_inv, lower):
     """``Sigma^-1 = L^-T S^-1 L^-1`` of the whitened inverse ``S^-1`` that
-    :func:`sample_inverse_wishart` returns, for the whitening factor ``L``."""
+    :func:`sample_inverse_wishart` returns, for the factor ``L`` of the scale."""
     lower_inv = np.linalg.inv(lower)
     return lower_inv.T @ sigma_inv @ lower_inv
 
@@ -407,7 +407,7 @@ class TestBatch:
     @pytest.mark.parametrize("g_count", [1, 3, 9])
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_inverse_wishart_equals_its_slices(self, n, g_count):
-        # the chains of a batch share the whitening factor
+        # the chains of a batch share the factor L and its log det
         gen = np.random.default_rng(310 + n)
         lower_log_det = two_log_det(np.linalg.cholesky(random_spd(gen, n)))
         u = gen.normal(size=(g_count, n))
